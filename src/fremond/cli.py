@@ -26,8 +26,8 @@ import numpy as np
 
 from . import harness
 from .config import load_config
-from .errors import ConfigError, FremondError, NonpositiveTemperature, SimulationAborted, SolverError
-from .relenergy import RelEnergyConfig, gronwall_check
+from .errors import ConfigError, FremondError, NonpositiveTemperature, SolverError
+from .relenergy import RelEnergyConfig, calibrate_gronwall_multiplier, gronwall_check
 from .svg import write_line_chart
 from .thermo import (
     TEST_FUNCTIONS,
@@ -72,43 +72,27 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _first_failure(name: str, header, rows):
-    for row in rows:
-        if row[-1] is False or row[-1] == "false":
-            return f"{name}: first failing row: {dict(zip(header, row))}"
-    return None
-
-
 def _cmd_check(args) -> int:
     traj, run = harness.load_run_dir(args.run)
-    run_dir = Path(args.run)
-    if not (run_dir / "index.csv").exists():
-        run_dir = run_dir / "run_0"
+    run_dir = harness.resolve_run_dir(args.run)
     failures = []
 
-    echeck = energy_inequality_check(traj, run.potential)
-    header, rows = echeck.csv_rows()
-    harness.write_csv(run_dir / "energy_check.csv", header, rows)
-    msg = _first_failure("energy", header, rows)
-    if msg:
-        failures.append(msg)
+    def record(name: str, stem: str, table) -> None:
+        """Write one check's CSV and note its first failing row."""
+        header, rows = table
+        harness.write_csv(run_dir / f"{stem}.csv", header, rows)
+        bad = next((row for row in rows if not row[-1]), None)
+        if bad is not None:
+            failures.append(f"{name}: first failing row: {dict(zip(header, bad))}")
 
+    record("energy", "energy_check", energy_inequality_check(traj, run.potential).csv_rows())
     entropy_tol = args.entropy_tol if args.entropy_tol is not None else 100.0 * traj.config.dt
     for tf_name in ("one", "cosine"):
         rep = entropy_inequality_check(traj, TEST_FUNCTIONS[tf_name]())
-        header, rows = rep.csv_rows(tol=entropy_tol)
-        harness.write_csv(run_dir / f"entropy_{tf_name}.csv", header, rows)
-        msg = _first_failure(f"entropy({tf_name})", header, rows)
-        if msg:
-            failures.append(msg)
-
+        record(f"entropy({tf_name})", f"entropy_{tf_name}", rep.csv_rows(tol=entropy_tol))
     floors = floors_check(traj, lam=run.potential.lam, tol=args.floor_tol)
     for which in ("theta", "phi"):
-        header, rows = floors.csv_rows(which)
-        harness.write_csv(run_dir / f"floors_{which}.csv", header, rows)
-        msg = _first_failure(f"floors({which})", header, rows)
-        if msg:
-            failures.append(msg)
+        record(f"floors({which})", f"floors_{which}", floors.csv_rows(which))
 
     if failures:
         for msg in failures:
@@ -124,22 +108,12 @@ def _cmd_relenergy(args) -> int:
     cfg = RelEnergyConfig(M=args.M, lam=run.potential.lam)
     multiplier = args.multiplier
     if args.calibrate:
-        from .relenergy import calibrate_gronwall_multiplier
-
         multiplier = calibrate_gronwall_multiplier(traj, ref, cfg, run.potential)
         print(f"calibrated multiplier = {multiplier!r}")
     report = gronwall_check(traj, ref, cfg, run.potential, multiplier=multiplier)
     header, rows = report.csv_rows()
-    run_dir = Path(args.run)
-    if not (run_dir / "index.csv").exists():
-        run_dir = run_dir / "run_0"
-    out = run_dir / "relenergy.csv"
-    out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w") as fh:
-        fh.write(f"# multiplier = {report.multiplier!r}\n")
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(harness._fmt(v) for v in row) + "\n")
+    harness.write_csv(harness.resolve_run_dir(args.run) / "relenergy.csv", header, rows,
+                      comment=f"multiplier = {report.multiplier!r}")
     if report.E_rel[0] <= 0.0 and len(report.E_rel) > 1 and float(np.max(report.E_rel)) > 0.0:
         # coinciding initial data but different dynamics (e.g. an eps pair):
         # the envelope degenerates to zero, so the drift is reported, not judged
@@ -206,29 +180,13 @@ def _cmd_weakstrong(args) -> int:
     return 0 if ok else 1
 
 
-def _read_csv_cols(path):
-    with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip() and not ln.startswith("#")]
-    header = lines[0].split(",")
-    cols = {name: [] for name in header}
-    for ln in lines[1:]:
-        for name, tok in zip(header, ln.split(",")):
-            try:
-                cols[name].append(float(tok))
-            except ValueError:
-                cols[name].append(float("nan"))
-    return cols
-
-
 def _cmd_plot(args) -> int:
-    run_dir = Path(args.run)
-    if not (run_dir / "index.csv").exists() and (run_dir / "run_0").exists():
-        run_dir = run_dir / "run_0"
+    run_dir = harness.resolve_run_dir(args.run)
     outdir = Path(args.outdir) if args.outdir else run_dir
     outdir.mkdir(parents=True, exist_ok=True)
     made = []
     if (run_dir / "energy.csv").exists():
-        cols = _read_csv_cols(run_dir / "energy.csv")
+        cols = harness.read_csv_columns(run_dir / "energy.csv")
         write_line_chart(
             outdir / "energy.svg",
             [("E_total", cols["t"], cols["E_total"]),
@@ -238,7 +196,7 @@ def _cmd_plot(args) -> int:
         )
         made.append("energy.svg")
     if (run_dir / "floors_theta.csv").exists():
-        cols = _read_csv_cols(run_dir / "floors_theta.csv")
+        cols = harness.read_csv_columns(run_dir / "floors_theta.csv")
         floor = [v - m for v, m in zip(cols["value"], cols["margin"])]
         write_line_chart(
             outdir / "floors.svg",
@@ -247,7 +205,7 @@ def _cmd_plot(args) -> int:
         )
         made.append("floors.svg")
     if (run_dir / "relenergy.csv").exists():
-        cols = _read_csv_cols(run_dir / "relenergy.csv")
+        cols = harness.read_csv_columns(run_dir / "relenergy.csv")
         write_line_chart(
             outdir / "relenergy.svg",
             [("E_rel", cols["t"], cols["E_rel"]),
@@ -341,9 +299,6 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except SimulationAborted as exc:
-        print(f"solver error: {exc}", file=sys.stderr)
-        return 3
     except SolverError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 3

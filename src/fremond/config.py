@@ -24,7 +24,7 @@ from .potential import Potential, PotentialValidationError
 from .stepper import SchemeConfig
 
 __all__ = ["RunConfig", "parse_config_text", "apply_overrides", "build_run_config",
-           "load_config", "render_config"]
+           "load_config", "render_config", "coerce"]
 
 _NUMBER = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 _INT = re.compile(r"^[+-]?\d+$")
@@ -45,6 +45,19 @@ def _parse_value(text: str):
     if low in ("true", "false"):
         return low == "true"
     return text
+
+
+def coerce(raw, kind, where: str, many: bool = False):
+    """kind(raw), or [kind(x) for x in raw] when many; a ConfigError naming
+    the entry ``where`` (section.key) when that fails."""
+    try:
+        if not many:
+            return kind(raw)
+        if isinstance(raw, list):
+            return [kind(x) for x in raw]
+    except (TypeError, ValueError):
+        pass
+    raise ConfigError(f"{where} = {_format_value(raw)}: expected {'a list of ' * many}{kind.__name__}")
 
 
 def _format_value(v) -> str:
@@ -113,11 +126,11 @@ class RunConfig:
 
 
 def _build_grid(sec: dict) -> Grid:
-    dim = int(sec.get("dim", 1))
+    dim = coerce(sec.get("dim", 1), int, "grid.dim")
     n = sec.get("n", 64)
     extent = sec.get("extent", 1.0)
-    ns = tuple(int(x) for x in (n if isinstance(n, list) else [n] * dim))
-    exts = tuple(float(x) for x in (extent if isinstance(extent, list) else [extent] * dim))
+    ns = tuple(coerce(n if isinstance(n, list) else [n] * dim, int, "grid.n", many=True))
+    exts = tuple(coerce(extent if isinstance(extent, list) else [extent] * dim, float, "grid.extent", many=True))
     if len(ns) != dim or len(exts) != dim:
         raise ConfigError(f"[grid] dim={dim} inconsistent with n={n}, extent={extent}")
     try:
@@ -129,22 +142,17 @@ def _build_grid(sec: dict) -> Grid:
 def _build_scheme(sec: dict) -> SchemeConfig:
     if "dt" not in sec:
         raise ConfigError("[scheme] must set dt")
-    kwargs = {}
-    for name in ("dt", "kappa", "epsilon", "p", "fp_tol", "newton_tol", "linear_tol"):
-        if name in sec:
-            kwargs[name] = float(sec[name])
-    for name in ("fp_max_iter", "newton_max_iter"):
-        if name in sec:
-            kwargs[name] = int(sec[name])
-    return SchemeConfig(**kwargs)
+    kinds = dict.fromkeys(("dt", "kappa", "epsilon", "p", "fp_tol", "newton_tol", "linear_tol"), float)
+    kinds.update(fp_max_iter=int, newton_max_iter=int)
+    return SchemeConfig(**{k: coerce(sec[k], kind, f"scheme.{k}") for k, kind in kinds.items() if k in sec})
 
 
 def _build_potential(sec: dict) -> Potential:
     spec = sec.get("potential", "double_well")
-    lam = float(sec.get("lambda", 4.0))
+    lam = coerce(sec.get("lambda", 4.0), float, "potential.lambda")
     try:
         if isinstance(spec, list):
-            return Potential.from_coefficients([float(c) for c in spec], lam)
+            return Potential.from_coefficients(coerce(spec, float, "potential.potential", many=True), lam)
         if spec == "double_well":
             return Potential.double_well(lam)
         if spec == "zero":
@@ -163,7 +171,7 @@ def build_run_config(sections: dict[str, dict]) -> RunConfig:
     potential = _build_potential(sections.get("potential", {}))
     initial = dict(sections.get("initial", {"preset": "uniform"}))
     run = sections.get("run", {})
-    t_end = float(run.get("t_end", 0.0))
+    t_end = coerce(run.get("t_end", 0.0), float, "run.t_end")
     outdir = run.get("outdir")
     return RunConfig(
         grid=grid,

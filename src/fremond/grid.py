@@ -100,6 +100,13 @@ class Grid:
             return (axes[0],)
         return tuple(np.meshgrid(*axes, indexing="ij"))
 
+    def cosine_mode(self) -> np.ndarray:
+        """Product over the axes of cos(pi x_a / L_a), a zero-flux eigenmode."""
+        out = np.ones(self.shape)
+        for axis, x in enumerate(self.meshgrid()):
+            out = out * np.cos(np.pi * x / self.extent[axis])
+        return out
+
 
 @dataclass
 class Field:
@@ -128,11 +135,6 @@ class Field:
     @classmethod
     def zeros(cls, grid: Grid) -> "Field":
         return cls(grid, np.zeros(grid.shape))
-
-    @classmethod
-    def from_function(cls, grid: Grid, fn) -> "Field":
-        """Sample ``fn(*coords)`` at cell centers."""
-        return cls(grid, fn(*grid.meshgrid()))
 
     def copy(self) -> "Field":
         return Field(self.grid, self.values.copy())

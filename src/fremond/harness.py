@@ -22,17 +22,18 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import RunConfig, build_run_config, parse_config_text, render_config
+from .config import RunConfig, build_run_config, coerce, parse_config_text, render_config
 from .errors import ConfigError, SimulationAborted
 from .grid import Field, Grid, norm, read_snapshots, _write_record
 from .potential import Potential
-from .relenergy import RelEnergyConfig, first_xi_exceedance, gronwall_check, xi_monitor
+from .relenergy import RelEnergyConfig, first_exceedance, fit_gronwall_multiplier, gronwall_check, xi_monitor
 from .stepper import (
     SchemeConfig,
     State,
     Trajectory,
     heat_step,
     initial_state,
+    march,
     simulate,
 )
 from .thermo import TEST_FUNCTIONS, energy, energy_inequality_check, entropy_inequality_check
@@ -48,20 +49,16 @@ __all__ = [
     "refinement_study",
     "weak_strong_experiment",
     "persist_trajectory",
+    "resolve_run_dir",
     "load_run_dir",
     "write_csv",
+    "read_csv",
+    "read_csv_columns",
     "write_manifest",
 ]
 
 
 # --- initial data presets ----------------------------------------------------
-
-
-def _cosine_mode(grid: Grid) -> np.ndarray:
-    out = np.ones(grid.shape)
-    for axis, x in enumerate(grid.meshgrid()):
-        out = out * np.cos(np.pi * x / grid.extent[axis])
-    return out
 
 
 def _random_smooth_mode(grid: Grid, seed: int, modes: int = 4) -> np.ndarray:
@@ -84,23 +81,26 @@ def _random_smooth_mode(grid: Grid, seed: int, modes: int = 4) -> np.ndarray:
 
 def make_initial(grid: Grid, potential: Potential, params: dict) -> State:
     """Build the initial state from an [initial] config block."""
+    def num(key: str, default: float, kind=float):
+        return coerce(params.get(key, default), kind, f"initial.{key}")
+
     preset = params.get("preset", "uniform")
     phi_t_mode = params.get("phi_t", "zero")
     if preset == "uniform":
-        theta = Field.full(grid, float(params.get("theta0", 1.0)))
-        phi = Field.full(grid, float(params.get("phi0", 0.0)))
+        theta = Field.full(grid, num("theta0", 1.0))
+        phi = Field.full(grid, num("phi0", 0.0))
     elif preset == "cosine_bump":
-        mode = _cosine_mode(grid)
-        theta = Field(grid, float(params.get("theta_base", 1.0)) + float(params.get("theta_amp", 0.2)) * mode)
-        phi = Field(grid, float(params.get("phi_base", 0.0)) + float(params.get("phi_amp", 0.3)) * mode)
+        mode = grid.cosine_mode()
+        theta = Field(grid, num("theta_base", 1.0) + num("theta_amp", 0.2) * mode)
+        phi = Field(grid, num("phi_base", 0.0) + num("phi_amp", 0.3) * mode)
     elif preset == "random_smooth":
-        seed = int(params.get("seed", 0))
+        seed = num("seed", 0, int)
         tmode = _random_smooth_mode(grid, seed)
         pmode = _random_smooth_mode(grid, seed + 1)
-        theta = Field(grid, float(params.get("theta_base", 1.0)) + float(params.get("theta_amp", 0.2)) * tmode)
-        phi = Field(grid, float(params.get("phi_base", 0.0)) + float(params.get("phi_amp", 0.3)) * pmode)
+        theta = Field(grid, num("theta_base", 1.0) + num("theta_amp", 0.2) * tmode)
+        phi = Field(grid, num("phi_base", 0.0) + num("phi_amp", 0.3) * pmode)
     elif preset == "steady":
-        phi_star = float(params.get("phi_star", 1.1))
+        phi_star = num("phi_star", 1.1)
         theta_star = potential.eval(phi_star, 1)
         if theta_star <= 0:
             raise ConfigError(f"steady preset needs F'(phi_star) > 0, got {theta_star:.3g}")
@@ -130,17 +130,10 @@ def run_simulation(run: RunConfig) -> Trajectory:
 
 def frozen_phase_run(init: State, cfg: SchemeConfig, t_end: float) -> Trajectory:
     """March the heat update alone, with the phase field held fixed (d = 0)."""
-    span = t_end - init.t
-    n_steps = int(round(span / cfg.dt))
-    if abs(n_steps * cfg.dt - span) > 1e-8 * max(cfg.dt, span):
-        raise ConfigError(f"(t_end - t0) = {span:g} is not an integer multiple of dt = {cfg.dt:g}")
-    states = [init]
-    current = init
-    for k in range(n_steps):
-        theta = heat_step(current, current.phi, cfg)
-        current = State(init.t + (k + 1) * cfg.dt, theta, current.phi, Field.zeros(init.grid))
-        states.append(current)
-    return Trajectory(states, cfg)
+    def advance(s: State) -> State:
+        return State(s.t + cfg.dt, heat_step(s, s.phi, cfg), s.phi, Field.zeros(s.grid))
+
+    return march(init, cfg, t_end, advance)
 
 
 def closed_form_uniform_theta(t: float, theta0: float, eps: float, p: float) -> float:
@@ -163,27 +156,27 @@ class ExperimentConfig:
     amplitude: float = 0.5
     M: float = 10.0
     xi_ceiling: float = 1e3
-    seed: int = 0
-    outdir: str | None = None
 
     @classmethod
     def from_run(cls, run: RunConfig) -> "ExperimentConfig":
         ex = run.experiment
         if not ex or "kind" not in ex:
             raise ConfigError("config has no [experiment] section with a kind")
+
+        def get(key: str, default, kind=float, many=False):
+            return coerce(ex.get(key, default), kind, f"experiment.{key}", many)
+
         return cls(
             run=run,
             kind=str(ex["kind"]),
-            eps_values=[float(x) for x in ex.get("eps_values", [])],
-            levels=[int(x) for x in ex.get("levels", [])],
-            deltas=[float(x) for x in ex.get("deltas", [])],
+            eps_values=get("eps_values", [], many=True),
+            levels=get("levels", [], int, many=True),
+            deltas=get("deltas", [], many=True),
             monitor=str(ex.get("monitor", "manufactured_error")),
-            theta_mean=float(ex.get("theta_mean", 2.0)),
-            amplitude=float(ex.get("amplitude", 0.5)),
-            M=float(ex.get("M", 10.0)),
-            xi_ceiling=float(ex.get("xi_ceiling", 1e3)),
-            seed=int(ex.get("seed", 0)),
-            outdir=run.outdir,
+            theta_mean=get("theta_mean", 2.0),
+            amplitude=get("amplitude", 0.5),
+            M=get("M", 10.0),
+            xi_ceiling=get("xi_ceiling", 1e3),
         )
 
 
@@ -326,7 +319,7 @@ def refinement_study(cfg: ExperimentConfig) -> RefinementReport:
             )
             values.append(res.l2_error)
         else:
-            grid = Grid.line(n, run.grid.extent[0]) if run.grid.dim == 1 else Grid.box(n, n, run.grid.extent)
+            grid = Grid((n,) * run.grid.dim, run.grid.extent)
             scheme = run.scheme.with_(dt=dt)
             init = make_initial(grid, run.potential, run.initial)
             traj = simulate(init, scheme, run.potential, run.t_end)
@@ -407,15 +400,16 @@ def weak_strong_experiment(cfg: ExperimentConfig) -> WeakStrongReport:
     multiplier = 1.0
     scale = 1.0
     for li, n in enumerate(levels):
-        grid = Grid.line(n, run.grid.extent[0]) if run.grid.dim == 1 else Grid.box(n, n, run.grid.extent)
+        grid = Grid((n,) * run.grid.dim, run.grid.extent)
         scheme = run.scheme.with_(dt=run.scheme.dt * (n0 / n) ** 2)
         ref_init = make_initial(grid, run.potential, run.initial)
         ref = simulate(ref_init, scheme, run.potential, run.t_end)
-        xi_max.append(max(xi_monitor(s, scheme.kappa, run.potential) for s in ref))
-        xi_exceeded.append(first_xi_exceedance(ref, scheme.kappa, cfg.xi_ceiling, run.potential))
+        xis = [xi_monitor(s, scheme.kappa, run.potential) for s in ref]
+        xi_max.append(max(xis))
+        xi_exceeded.append(first_exceedance(xis, cfg.xi_ceiling))
         if li == 0:
             scale = max(1.0, energy(ref[0], run.potential).E_total)
-        bump = _cosine_mode(grid)
+        bump = grid.cosine_mode()
         reports = {}
         for delta in deltas:
             pert_init = initial_state(
@@ -428,14 +422,8 @@ def weak_strong_experiment(cfg: ExperimentConfig) -> WeakStrongReport:
             traj = simulate(pert_init, scheme, run.potential, run.t_end)
             reports[delta] = gronwall_check(traj, ref, relcfg, run.potential, multiplier=1.0)
         if li == 0:
-            mults = []
-            for delta, rep in reports.items():
-                if delta > 0.0 and rep.E_rel[0] > 0.0:
-                    mults.append(float(max(1.0, np.max(rep.lhs[1:] / rep.rhs[1:]))))
-            multiplier = max(mults) if mults else 1.0
+            multiplier = fit_gronwall_multiplier([rep for delta, rep in reports.items() if delta > 0.0])
         for delta, rep in reports.items():
-            rhs = multiplier * rep.rhs
-            margins = rhs - rep.lhs
             rows.append(
                 WeakStrongRow(
                     level=li,
@@ -443,7 +431,7 @@ def weak_strong_experiment(cfg: ExperimentConfig) -> WeakStrongReport:
                     delta=delta,
                     E_rel_max=float(np.max(rep.E_rel)),
                     E_rel_final=float(rep.E_rel[-1]),
-                    min_gronwall_margin=float(np.min(margins[1:])) if len(margins) > 1 else 0.0,
+                    min_gronwall_margin=rep.min_step_margin(multiplier),
                     ratio=float(rep.E_rel[-1] / delta**2) if delta > 0 else math.nan,
                 )
             )
@@ -464,10 +452,13 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def write_csv(path, header, rows) -> None:
+def write_csv(path, header, rows, comment: str | None = None) -> None:
+    """One header line and one line per row; ``comment`` goes first as a '#' line."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
+        if comment is not None:
+            fh.write(f"# {comment}\n")
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
@@ -478,6 +469,19 @@ def read_csv(path) -> tuple[list[str], list[list[str]]]:
         lines = [ln.rstrip("\n") for ln in fh if ln.strip() and not ln.startswith("#")]
     header = lines[0].split(",")
     return header, [ln.split(",") for ln in lines[1:]]
+
+
+def read_csv_columns(path) -> dict[str, list[float]]:
+    """The columns of a CSV by header name, as floats; non-numeric cells read as nan."""
+    header, rows = read_csv(path)
+    cols = {name: [] for name in header}
+    for row in rows:
+        for name, tok in zip(header, row):
+            try:
+                cols[name].append(float(tok))
+            except ValueError:
+                cols[name].append(math.nan)
+    return cols
 
 
 def write_manifest(outdir, sections: dict) -> None:
@@ -507,12 +511,20 @@ def _find_manifest(path: Path) -> Path:
     raise ConfigError(f"no manifest.txt found in {path} or its parent")
 
 
+def resolve_run_dir(path) -> Path:
+    """The run directory a path names: the path itself when it holds index.csv,
+    else its run_0/ when that does (an experiment directory), else the path."""
+    path = Path(path)
+    if not (path / "index.csv").exists() and (path / "run_0" / "index.csv").exists():
+        return path / "run_0"
+    return path
+
+
 def load_run_dir(run_dir) -> tuple[Trajectory, RunConfig]:
     """Rebuild a trajectory (phi_t by backward differences, zero at the first
-    state) plus its configuration from a persisted run directory."""
-    run_dir = Path(run_dir)
-    if not (run_dir / "index.csv").exists() and (run_dir / "run_0" / "index.csv").exists():
-        run_dir = run_dir / "run_0"
+    state) plus its configuration from a persisted run directory (see
+    ``resolve_run_dir``)."""
+    run_dir = resolve_run_dir(run_dir)
     manifest = _find_manifest(run_dir)
     run = build_run_config(parse_config_text(manifest.read_text()))
     header, rows = read_csv(run_dir / "index.csv")

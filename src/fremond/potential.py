@@ -92,14 +92,14 @@ class Potential:
         return _horner(self._d[order], y)
 
     def convex(self, y, order: int = 0):
-        """The convex modification G = F + lambda*y^2 and its derivatives."""
+        """The convex modification G = F + lambda*y^2 and its derivatives (G''' = F''')."""
         if order == 0:
             return self.eval(y, 0) + self.lam * np.asarray(y, dtype=float) ** 2
         if order == 1:
             return self.eval(y, 1) + 2.0 * self.lam * np.asarray(y, dtype=float)
         if order == 2:
             return self.eval(y, 2) + 2.0 * self.lam
-        raise ValueError("order must be in {0,1,2}")
+        return self.eval(y, order)
 
 
 @dataclass(frozen=True)

@@ -28,13 +28,14 @@ and then held fixed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
 from .errors import NonpositiveTemperature
 from .grid import Field, _dirichlet_values, _grad_sq_values, _lap_values, same_grid
 from .potential import Potential
-from .stepper import State, Trajectory
+from .stepper import State, Trajectory, pde_phase_rate
 
 __all__ = [
     "RelEnergyConfig",
@@ -46,8 +47,10 @@ __all__ = [
     "dissipation_W",
     "k_factor",
     "gronwall_check",
+    "fit_gronwall_multiplier",
     "calibrate_gronwall_multiplier",
     "xi_monitor",
+    "first_exceedance",
     "log_l1_bound",
 ]
 
@@ -159,6 +162,12 @@ class GronwallReport:
     def min_margin(self) -> float:
         return float(self.margins.min()) if len(self.margins) else 0.0
 
+    def min_step_margin(self, multiplier: float) -> float:
+        """Smallest margin after t = 0 with this multiplier-1 envelope scaled
+        by ``multiplier``; 0.0 for a single state."""
+        margins = multiplier * self.rhs - self.lhs
+        return float(np.min(margins[1:])) if len(margins) > 1 else 0.0
+
     def csv_rows(self):
         header = ["step", "t", "E_rel", "W", "K", "lhs", "rhs", "margin"]
         rows = [
@@ -212,6 +221,13 @@ def gronwall_check(
     return GronwallReport(traj.times, E, W, K, lhs, rhs, rhs - lhs, multiplier)
 
 
+def fit_gronwall_multiplier(reports: Iterable[GronwallReport]) -> float:
+    """Smallest multiplier >= 1 that keeps every step margin of every
+    multiplier-1 report nonnegative; a report with E_rel(0) <= 0 imposes none."""
+    fits = [float(np.max(r.lhs[1:] / r.rhs[1:])) for r in reports if r.E_rel[0] > 0.0]
+    return max([1.0, *fits])
+
+
 def calibrate_gronwall_multiplier(
     traj: Trajectory,
     ref_traj: Trajectory,
@@ -220,13 +236,9 @@ def calibrate_gronwall_multiplier(
     kappa: float | None = None,
 ) -> float:
     """Smallest rhs multiplier that keeps every step margin nonnegative on the
-    given (coarse) run; 1.0 when the initial relative energy vanishes."""
+    given (coarse) run; see fit_gronwall_multiplier."""
     report = gronwall_check(traj, ref_traj, cfg, potential, multiplier=1.0, kappa=kappa)
-    base = report.rhs  # multiplier=1 envelope
-    if report.E_rel[0] <= 0.0:
-        return 1.0
-    ratios = report.lhs[1:] / base[1:]
-    return float(max(1.0, np.max(ratios)))
+    return fit_gronwall_multiplier([report])
 
 
 def xi_monitor(
@@ -246,7 +258,7 @@ def xi_monitor(
     if use_pde_rate:
         if potential is None:
             raise ValueError("use_pde_rate needs the potential")
-        pt = _lap_values(state.phi.values, g) - potential.eval(state.phi.values, 1) + state.theta.values
+        pt = pde_phase_rate(state.theta, state.phi, potential)
     th = state.theta.values
     ph = state.phi.values
     h1_pt = float(np.sum(pt * pt)) * vol + _dirichlet_values(pt, pt, g)
@@ -261,10 +273,12 @@ def first_xi_exceedance(
 ) -> int | None:
     """Index of the first state whose xi monitor exceeds the ceiling (blow-up
     watchdog for the local-existence window); None while the run stays regular."""
-    for k, s in enumerate(traj):
-        if xi_monitor(s, kappa, potential) > ceiling:
-            return k
-    return None
+    return first_exceedance((xi_monitor(s, kappa, potential) for s in traj), ceiling)
+
+
+def first_exceedance(values: Iterable[float], ceiling: float) -> int | None:
+    """Index of the first value above the ceiling, None if there is none."""
+    return next((k for k, v in enumerate(values) if v > ceiling), None)
 
 
 def log_l1_bound(theta: Field, theta_ref: Field) -> tuple[float, float]:

@@ -25,7 +25,8 @@ are symmetric positive definite in all sane regimes and are solved directly
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 from scipy.linalg import solve_banded
@@ -50,7 +51,9 @@ __all__ = [
     "phase_step",
     "heat_step",
     "step",
+    "march",
     "simulate",
+    "pde_phase_rate",
     "positivity_floor",
     "phase_floor",
 ]
@@ -91,9 +94,7 @@ class SchemeConfig:
             raise ConfigError("iteration limits must be at least 1")
 
     def with_(self, **kw) -> "SchemeConfig":
-        d = {k: getattr(self, k) for k in self.__dataclass_fields__}
-        d.update(kw)
-        return SchemeConfig(**d)
+        return replace(self, **kw)
 
 
 @dataclass
@@ -157,6 +158,11 @@ class Trajectory:
         return self.states[0].grid
 
 
+def pde_phase_rate(theta: Field, phi: Field, potential: Potential) -> np.ndarray:
+    """The phase rate the PDE prescribes, lap phi - F'(phi) + theta."""
+    return _lap_values(phi.values, phi.grid) - potential.eval(phi.values, 1) + theta.values
+
+
 def initial_state(
     grid: Grid,
     theta0: Field | np.ndarray,
@@ -172,8 +178,7 @@ def initial_state(
     elif phi_t_mode == "pde":
         if potential is None:
             raise ConfigError("phi_t_mode='pde' needs the potential")
-        vals = _lap_values(phi.values, grid) - potential.eval(phi.values, 1) + theta.values
-        phi_t = Field(grid, vals)
+        phi_t = Field(grid, pde_phase_rate(theta, phi, potential))
     else:
         raise ConfigError(f"unknown phi_t_mode {phi_t_mode!r}")
     return State(t, theta, phi, phi_t)
@@ -305,6 +310,12 @@ def _heat_newton(
     )
 
 
+def _assert_positive(theta: np.ndarray, t: float) -> None:
+    tmin = float(theta.min())
+    if tmin <= 0.0:
+        raise PositivityLost(f"temperature reached {tmin:.3g} at t = {t:.6g}; dt too large for |phi_t|")
+
+
 def phase_step(prev: State, theta_bar: Field, cfg: SchemeConfig, potential: Potential) -> Field:
     """Backward-Euler phase update for a given temperature input."""
     phi_new, _ = _phase_newton(prev.phi.values, theta_bar.values, cfg, potential, prev.grid)
@@ -315,11 +326,7 @@ def heat_step(prev: State, phi_new: Field, cfg: SchemeConfig) -> Field:
     """Backward-Euler heat update given the new phase; asserts positivity."""
     d = (phi_new.values - prev.phi.values) / cfg.dt
     theta_new, _ = _heat_newton(prev.theta.values, d, cfg, prev.grid)
-    tmin = float(theta_new.min())
-    if tmin <= 0.0:
-        raise PositivityLost(
-            f"temperature reached {tmin:.3g} at t = {prev.t + cfg.dt:.6g}; dt too large for |phi_t|"
-        )
+    _assert_positive(theta_new, prev.t + cfg.dt)
     return Field(prev.grid, theta_new)
 
 
@@ -347,16 +354,12 @@ def step(prev: State, cfg: SchemeConfig, potential: Potential, stats: dict | Non
         )
     if stats is not None:
         stats["picard_iterations"] = picard
-    tmin = float(theta_new.min())
-    if tmin <= 0.0:
-        raise PositivityLost(
-            f"temperature reached {tmin:.3g} at t = {prev.t + cfg.dt:.6g}; dt too large for |phi_t|"
-        )
+    _assert_positive(theta_new, prev.t + cfg.dt)
     return State(prev.t + cfg.dt, Field(grid, theta_new), Field(grid, phi_new), Field(grid, d))
 
 
-def simulate(init: State, cfg: SchemeConfig, potential: Potential, t_end: float) -> Trajectory:
-    """March from init.t to t_end in uniform dt steps.
+def march(init: State, cfg: SchemeConfig, t_end: float, advance: Callable[[State], State]) -> Trajectory:
+    """March from init.t to t_end in uniform dt steps of ``advance``.
 
     t_end - init.t must be an integer multiple of dt to round-off. On a step
     failure the partial trajectory is attached to the raised SimulationAborted.
@@ -371,13 +374,19 @@ def simulate(init: State, cfg: SchemeConfig, potential: Potential, t_end: float)
     current = init
     for k in range(n_steps):
         try:
-            current = step(current, cfg, potential)
+            current = advance(current)
         except (NewtonDiverged, FixedPointDiverged, PositivityLost, LinearSolveFailed) as exc:
             raise SimulationAborted(k + 1, exc, Trajectory(states, cfg)) from exc
         # rebuild the time to keep the spacing exactly uniform
         current.t = init.t + (k + 1) * cfg.dt
         states.append(current)
     return Trajectory(states, cfg)
+
+
+def simulate(init: State, cfg: SchemeConfig, potential: Potential, t_end: float) -> Trajectory:
+    """March the coupled system from init.t to t_end (see ``march``)."""
+    # ``step`` is looked up per call, so a wrapper installed on the module sees every step
+    return march(init, cfg, t_end, lambda state: step(state, cfg, potential))
 
 
 # --- analytic floors --------------------------------------------------------

@@ -167,10 +167,7 @@ def _tf_one() -> TestFunction:
 
 def _tf_cosine(amplitude: float = 0.5) -> TestFunction:
     def fn(grid: Grid, t: float) -> np.ndarray:
-        out = np.ones(grid.shape)
-        for axis, x in enumerate(grid.meshgrid()):
-            out = out * np.cos(np.pi * x / grid.extent[axis])
-        return 1.0 + amplitude * out
+        return 1.0 + amplitude * grid.cosine_mode()
 
     return TestFunction("cosine", fn)
 
@@ -305,13 +302,14 @@ class FloorsReport:
 
 
 def floors_check(
-    traj: Trajectory, p: float | None = None, lam: float = 4.0, tol: float = 1e-10
+    traj: Trajectory, p: float | None = None, *, lam: float, tol: float = 1e-10
 ) -> FloorsReport:
     """Verify the temperature minimum principle and the phase lower bound.
 
     The temperature envelope is advanced between trajectory times with the
     same 4th-order integrator as ``positivity_floor`` (a few substeps per dt
-    interval; agrees with the single-shot integrator to round-off).
+    interval; agrees with the single-shot integrator to round-off). lam is the
+    potential's convexity constant, which sets the phase floor's growth rate.
     """
     p = traj.config.p if p is None else p
     times = traj.times

@@ -37,6 +37,9 @@ COSINE_CFG = STEADY_CFG.replace(
 )
 
 
+WEAKSTRONG_CFG = COSINE_CFG + "\n[experiment]\nkind = weak_strong\nlevels = [16]\ndeltas = [0.0, 0.1]\n"
+
+
 @pytest.fixture()
 def steady_cfg(tmp_path):
     path = tmp_path / "steady.cfg"
@@ -83,6 +86,26 @@ class TestSimulate:
         assert traj.grid.n == (8,)
 
 
+class TestBadConfigValues:
+    @pytest.mark.parametrize("verb, override", [
+        ("simulate", "grid.n=abc"),
+        ("simulate", "scheme.dt=fast"),
+        ("simulate", "scheme.newton_max_iter=many"),
+        ("simulate", "run.t_end=x"),
+        ("simulate", "initial.phi_amp=big"),
+        ("weakstrong", "experiment.levels=[a]"),
+        ("weakstrong", "experiment.deltas=0.1"),
+    ])
+    def test_exits_two_naming_the_entry(self, verb, override, tmp_path, capsys):
+        cfg = tmp_path / "ws.cfg"
+        cfg.write_text(WEAKSTRONG_CFG)
+        code = main([verb, "--config", str(cfg), "--override", override, "--outdir", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("config error: ") and override.split("=")[0] in err
+        assert "Traceback" not in err
+
+
 class TestUnknownVerb:
     def test_unknown_verb_exits_two(self, capsys):
         assert main(["transmogrify"]) == 2
@@ -113,6 +136,16 @@ class TestCheck:
         code = main(["check", "--run", str(out)])
         assert code == 1
         assert "min theta" in capsys.readouterr().err
+
+    def test_hand_edited_energy_jump_fails(self, cosine_cfg, tmp_path, capsys):
+        out = tmp_path / "out"
+        main(["simulate", "--config", str(cosine_cfg), "--outdir", str(out)])
+        victim = out / "run_0" / "state_3.field"
+        recs = victim.read_text().splitlines()
+        recs[1] = " ".join(["50.0"] + recs[1].split()[1:])
+        victim.write_text("\n".join(recs) + "\n")
+        assert main(["check", "--run", str(out)]) == 1
+        assert "energy: first failing row" in capsys.readouterr().err
 
     def test_check_matches_direct_api_byte_for_byte(self, cosine_cfg, tmp_path):
         from fremond.thermo import energy_inequality_check
@@ -209,6 +242,28 @@ class TestPlot:
 
     def test_empty_dir_reports_config_error(self, tmp_path):
         assert main(["plot", "--run", str(tmp_path)]) == 2
+
+
+class TestRunDirForms:
+    @pytest.mark.parametrize("verb, written", [
+        ("check", "energy_check.csv"),
+        ("relenergy", "relenergy.csv"),
+        ("plot", "energy.svg"),
+    ])
+    def test_outdir_and_run_0_write_the_same_files(self, verb, written, cosine_cfg, tmp_path):
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cosine_cfg), "--outdir", str(out)]) == 0
+        before = set(out.rglob("*"))
+        results = []
+        for run in (out, out / "run_0"):
+            argv = [verb, "--run", str(run)] + (["--ref", str(out)] if verb == "relenergy" else [])
+            assert main(argv) == 0
+            new = set(out.rglob("*")) - before
+            results.append({p: p.read_bytes() for p in new})
+            for p in new:
+                p.unlink()
+        assert out / "run_0" / written in results[0]
+        assert results[0] == results[1]
 
 
 class TestOutdirEnv:

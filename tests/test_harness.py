@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from fremond.config import build_run_config, load_config, parse_config_text, render_config
-from fremond.errors import ConfigError
+from fremond import harness
+from fremond.errors import ConfigError, PositivityLost, SimulationAborted
 from fremond.grid import Field, Grid, write_snapshot
 from fremond.harness import (
     ExperimentConfig,
@@ -21,7 +22,7 @@ from fremond.harness import (
     write_csv,
     write_manifest,
 )
-from fremond.stepper import SchemeConfig, initial_state, simulate
+from fremond.stepper import SchemeConfig, heat_step, initial_state, simulate
 
 
 BASE_CFG = """
@@ -311,3 +312,28 @@ class TestFrozenPhase:
         worst = max(abs(s.theta.values[0] - closed_form_uniform_theta(s.t, 1.0, 0.5, 4.0)) for s in traj)
         assert worst < 5 * cfg.dt
         assert all(np.all(s.phi.values == 0.0) for s in traj)
+
+    def test_t_end_off_the_dt_lattice_rejected(self):
+        g = Grid.line(8)
+        init = initial_state(g, Field.full(g, 1.0), Field.zeros(g))
+        with pytest.raises(ConfigError):
+            frozen_phase_run(init, SchemeConfig(dt=0.05, epsilon=0.5), 0.12)
+
+    def test_step_failure_carries_partial_trajectory(self, monkeypatch):
+        g = Grid.line(8)
+        init = initial_state(g, Field.full(g, 1.0), Field.zeros(g))
+        calls = []
+
+        def failing_third(prev, phi_new, cfg):
+            calls.append(prev.t)
+            if len(calls) == 3:
+                raise PositivityLost("injected")
+            return heat_step(prev, phi_new, cfg)
+
+        monkeypatch.setattr(harness, "heat_step", failing_third)
+        with pytest.raises(SimulationAborted) as err:
+            frozen_phase_run(init, SchemeConfig(dt=0.05, epsilon=0.5), 0.5)
+        assert err.value.step_index == 3
+        assert isinstance(err.value.cause, PositivityLost)
+        assert len(err.value.trajectory) == 3
+        assert err.value.trajectory[0] is init

@@ -50,10 +50,10 @@ class TestDerivativeConsistency:
         pot = Potential.from_coefficients([0.3, 0.0, -1.5, 0.0, 0.25, 0.0, 0.125], lam=3.5)
         rng = np.random.default_rng(5)
         eps = 1e-5
-        for y in rng.uniform(-2, 2, size=25):
-            fd = (pot.eval(y + eps, order - 1) - pot.eval(y - eps, order - 1)) / (2 * eps)
-            exact = pot.eval(y, order)
-            assert fd == pytest.approx(exact, rel=1e-6, abs=1e-6)
+        for fn in (pot.eval, pot.convex):
+            for y in rng.uniform(-2, 2, size=25):
+                fd = (fn(y + eps, order - 1) - fn(y - eps, order - 1)) / (2 * eps)
+                assert fd == pytest.approx(fn(y, order), rel=1e-6, abs=1e-6)
 
 
 class TestValidation:
