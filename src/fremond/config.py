@@ -23,11 +23,28 @@ from .grid import Grid
 from .potential import Potential, PotentialValidationError
 from .stepper import SchemeConfig
 
-__all__ = ["RunConfig", "parse_config_text", "apply_overrides", "build_run_config",
+__all__ = ["RunConfig", "SECTION_KEYS", "parse_config_text", "apply_overrides", "build_run_config",
            "load_config", "render_config", "coerce"]
 
 _NUMBER = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 _INT = re.compile(r"^[+-]?\d+$")
+
+_SCHEME_KINDS = {
+    **dict.fromkeys(("dt", "kappa", "epsilon", "p", "fp_tol", "newton_tol", "linear_tol"), float),
+    "fp_max_iter": int,
+    "newton_max_iter": int,
+}
+
+# The keys each section accepts; None leaves [initial] open, since its keys
+# depend on the preset.
+SECTION_KEYS: dict[str, tuple[str, ...] | None] = {
+    "grid": ("dim", "n", "extent"),
+    "scheme": tuple(_SCHEME_KINDS),
+    "potential": ("potential", "lambda"),
+    "initial": None,
+    "run": ("t_end", "outdir"),
+    "experiment": ("kind", "eps_values", "levels", "deltas", "monitor", "theta_mean", "amplitude", "M"),
+}
 
 
 def _parse_value(text: str):
@@ -142,9 +159,7 @@ def _build_grid(sec: dict) -> Grid:
 def _build_scheme(sec: dict) -> SchemeConfig:
     if "dt" not in sec:
         raise ConfigError("[scheme] must set dt")
-    kinds = dict.fromkeys(("dt", "kappa", "epsilon", "p", "fp_tol", "newton_tol", "linear_tol"), float)
-    kinds.update(fp_max_iter=int, newton_max_iter=int)
-    return SchemeConfig(**{k: coerce(sec[k], kind, f"scheme.{k}") for k, kind in kinds.items() if k in sec})
+    return SchemeConfig(**{k: coerce(sec[k], kind, f"scheme.{k}") for k, kind in _SCHEME_KINDS.items() if k in sec})
 
 
 def _build_potential(sec: dict) -> Potential:
@@ -163,9 +178,15 @@ def _build_potential(sec: dict) -> Potential:
 
 
 def build_run_config(sections: dict[str, dict]) -> RunConfig:
-    unknown = set(sections) - {"grid", "scheme", "potential", "initial", "run", "experiment", "check"}
+    unknown = set(sections) - set(SECTION_KEYS)
     if unknown:
         raise ConfigError(f"unknown config sections: {sorted(unknown)}")
+    unknown_keys = [
+        f"{sec}.{key}" for sec, entries in sections.items() for key in entries
+        if SECTION_KEYS[sec] is not None and key not in SECTION_KEYS[sec]
+    ]
+    if unknown_keys:
+        raise ConfigError(f"unknown config keys: {', '.join(unknown_keys)}")
     grid = _build_grid(sections.get("grid", {}))
     scheme = _build_scheme(sections.get("scheme", {}))
     potential = _build_potential(sections.get("potential", {}))

@@ -21,6 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import ConfigError
+
 __all__ = [
     "Grid",
     "Field",
@@ -275,6 +277,9 @@ def _read_record(fh) -> tuple[Field, float] | None:
     if not parts or parts[0] != "FIELD":
         raise ValueError(f"bad snapshot header: {header!r}")
     kv = dict(p.split("=", 1) for p in parts[1:])
+    missing = [key for key in ("dim", "n", "h", "t") if key not in kv]
+    if missing:
+        raise ValueError(f"snapshot header lacks {', '.join(missing)}: {header!r}")
     dim = int(kv["dim"])
     n = tuple(int(x) for x in kv["n"].split(","))
     h = tuple(float(x) for x in kv["h"].split(","))
@@ -295,20 +300,21 @@ def _read_record(fh) -> tuple[Field, float] | None:
 
 
 def read_snapshot(path) -> tuple[Field, float]:
-    with open(path) as fh:
-        rec = _read_record(fh)
-    if rec is None:
-        raise ValueError(f"{path}: empty snapshot file")
-    return rec
+    """The first record of a snapshot file (see ``read_snapshots``)."""
+    recs = read_snapshots(path)
+    if not recs:
+        raise ConfigError(f"{path}: empty snapshot file")
+    return recs[0]
 
 
 def read_snapshots(path) -> list[tuple[Field, float]]:
-    """Read all concatenated records in one file."""
+    """Read all concatenated records in one file; a malformed record is a
+    ConfigError naming the file."""
     out = []
     with open(path) as fh:
-        while True:
-            rec = _read_record(fh)
-            if rec is None:
-                break
-            out.append(rec)
+        try:
+            while (rec := _read_record(fh)) is not None:
+                out.append(rec)
+        except ValueError as exc:
+            raise ConfigError(f"{path}: {exc}") from exc
     return out

@@ -32,10 +32,10 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import NonpositiveTemperature
 from .grid import Field, _dirichlet_values, _grad_sq_values, _lap_values, same_grid
 from .potential import Potential
-from .stepper import State, Trajectory, pde_phase_rate
+from .stepper import State, Trajectory
+from .thermo import _check_positive
 
 __all__ = [
     "RelEnergyConfig",
@@ -50,7 +50,6 @@ __all__ = [
     "fit_gronwall_multiplier",
     "calibrate_gronwall_multiplier",
     "xi_monitor",
-    "first_exceedance",
     "log_l1_bound",
 ]
 
@@ -65,18 +64,12 @@ class RelEnergyConfig:
             raise ValueError("M must be positive")
 
 
-def _require_positive(f: Field, name: str) -> None:
-    m = f.min()
-    if m <= 0:
-        raise NonpositiveTemperature(f"{name} has min {m:.3g}")
-
-
 def lambda_dist(theta: Field, theta_ref: Field) -> Field:
     """Pointwise Bregman distance of the entropy structure, Lam(th | th~)."""
     if not same_grid(theta.grid, theta_ref.grid):
         raise ValueError("fields live on different grids")
-    _require_positive(theta, "theta")
-    _require_positive(theta_ref, "theta_ref")
+    _check_positive(theta, "theta")
+    _check_positive(theta_ref, "theta_ref")
     th, tr = theta.values, theta_ref.values
     return Field(theta.grid, th - tr - tr * (np.log(th) - np.log(tr)))
 
@@ -129,8 +122,8 @@ def dissipation_W(state: State, ref: State, kappa: float = 1.0) -> float:
     heat-conduction part, default 1 matches the scalar examples)."""
     if not same_grid(state.grid, ref.grid):
         raise ValueError("states live on different grids")
-    _require_positive(state.theta, "theta")
-    _require_positive(ref.theta, "theta_ref")
+    _check_positive(state.theta, "theta")
+    _check_positive(ref.theta, "theta_ref")
     g = state.grid
     vol = g.cell_volume
     th, tr = state.theta.values, ref.theta.values
@@ -142,7 +135,7 @@ def dissipation_W(state: State, ref: State, kappa: float = 1.0) -> float:
 
 def k_factor(ref: State) -> float:
     """Amplification rate along the reference: max|ph~_t| + max(ph~_t^2/th~) + 1."""
-    _require_positive(ref.theta, "theta_ref")
+    _check_positive(ref.theta, "theta_ref")
     pt = ref.phi_t.values
     return float(np.max(np.abs(pt)) + np.max(pt * pt / ref.theta.values) + 1.0)
 
@@ -177,9 +170,7 @@ class GronwallReport:
         return header, rows
 
 
-def _gronwall_series(
-    traj: Trajectory, ref_traj: Trajectory, cfg: RelEnergyConfig, potential: Potential, kappa: float
-):
+def _gronwall_series(traj: Trajectory, ref_traj: Trajectory, cfg: RelEnergyConfig, potential: Potential):
     if len(traj) != len(ref_traj):
         raise ValueError("trajectories have different lengths")
     if not same_grid(traj.grid, ref_traj.grid):
@@ -187,7 +178,7 @@ def _gronwall_series(
     if np.max(np.abs(traj.times - ref_traj.times)) > 1e-9 * max(traj.config.dt, 1e-30):
         raise ValueError("trajectories are not sampled at the same times")
     E = np.array([relative_energy(s, r, cfg, potential).total for s, r in zip(traj, ref_traj)])
-    W = np.array([dissipation_W(s, r, kappa) for s, r in zip(traj, ref_traj)])
+    W = np.array([dissipation_W(s, r, traj.config.kappa) for s, r in zip(traj, ref_traj)])
     K = np.array([k_factor(r) for r in ref_traj])
     return E, W, K
 
@@ -198,7 +189,6 @@ def gronwall_check(
     cfg: RelEnergyConfig,
     potential: Potential,
     multiplier: float = 1.0,
-    kappa: float | None = None,
 ) -> GronwallReport:
     """Discrete Gronwall envelope with left-endpoint time quadrature.
 
@@ -207,9 +197,8 @@ def gronwall_check(
     margin = rhs - lhs. The multiplier stands in for the nonconstructive
     constant of the continuum estimate; see calibrate_gronwall_multiplier.
     """
-    kappa = traj.config.kappa if kappa is None else kappa
     dt = traj.config.dt
-    E, W, K = _gronwall_series(traj, ref_traj, cfg, potential, kappa)
+    E, W, K = _gronwall_series(traj, ref_traj, cfg, potential)
     N = len(E)
     IK = np.zeros(N)  # IK[n] = sum_{k<n} dt K(t_k)
     IK[1:] = np.cumsum(dt * K[:-1])
@@ -229,36 +218,25 @@ def fit_gronwall_multiplier(reports: Iterable[GronwallReport]) -> float:
 
 
 def calibrate_gronwall_multiplier(
-    traj: Trajectory,
-    ref_traj: Trajectory,
-    cfg: RelEnergyConfig,
-    potential: Potential,
-    kappa: float | None = None,
+    traj: Trajectory, ref_traj: Trajectory, cfg: RelEnergyConfig, potential: Potential
 ) -> float:
     """Smallest rhs multiplier that keeps every step margin nonnegative on the
     given (coarse) run; see fit_gronwall_multiplier."""
-    report = gronwall_check(traj, ref_traj, cfg, potential, multiplier=1.0, kappa=kappa)
+    report = gronwall_check(traj, ref_traj, cfg, potential, multiplier=1.0)
     return fit_gronwall_multiplier([report])
 
 
-def xi_monitor(
-    state: State, kappa: float, potential: Potential | None = None, *, use_pde_rate: bool = False
-) -> float:
+def xi_monitor(state: State, kappa: float) -> float:
     """Strong-solution regularity monitor
     xi = 1/2 (||phi_t||_{H1}^2 + kappa ||theta||_{H1}^2 + ||phi||_{L2}^2 + ||lap phi||_{L2}^2).
 
     Uses the state's stored phi_t (zero at the initial instant by convention,
-    which underestimates xi(0)). With use_pde_rate=True the rate is
-    recomputed as lap(phi) - F'(phi) + theta, the value the backward
-    difference converges to; this needs the potential.
+    which underestimates xi(0); ``[initial] phi_t = pde`` stores the PDE rate
+    there instead).
     """
     g = state.grid
     vol = g.cell_volume
     pt = state.phi_t.values
-    if use_pde_rate:
-        if potential is None:
-            raise ValueError("use_pde_rate needs the potential")
-        pt = pde_phase_rate(state.theta, state.phi, potential)
     th = state.theta.values
     ph = state.phi.values
     h1_pt = float(np.sum(pt * pt)) * vol + _dirichlet_values(pt, pt, g)
@@ -268,27 +246,14 @@ def xi_monitor(
     return 0.5 * (h1_pt + kappa * h1_th + h2_ph)
 
 
-def first_xi_exceedance(
-    traj: Trajectory, kappa: float, ceiling: float = 1e3, potential: Potential | None = None
-) -> int | None:
-    """Index of the first state whose xi monitor exceeds the ceiling (blow-up
-    watchdog for the local-existence window); None while the run stays regular."""
-    return first_exceedance((xi_monitor(s, kappa, potential) for s in traj), ceiling)
-
-
-def first_exceedance(values: Iterable[float], ceiling: float) -> int | None:
-    """Index of the first value above the ceiling, None if there is none."""
-    return next((k for k, v in enumerate(values) if v > ceiling), None)
-
-
 def log_l1_bound(theta: Field, theta_ref: Field) -> tuple[float, float]:
     """Checked inequality ||log th - log th~||_{L1}^2 <= c * int Lam(th|th~)
     with c = 2 |Omega|^2 / delta, delta the smaller of the two field minima.
     Returns (lhs, rhs); c is sufficient for |Omega| >= 1 and usually loose."""
     if not same_grid(theta.grid, theta_ref.grid):
         raise ValueError("fields live on different grids")
-    _require_positive(theta, "theta")
-    _require_positive(theta_ref, "theta_ref")
+    _check_positive(theta, "theta")
+    _check_positive(theta_ref, "theta_ref")
     g = theta.grid
     vol = g.cell_volume
     dlog = np.log(theta.values) - np.log(theta_ref.values)

@@ -25,11 +25,11 @@ are symmetric positive definite in all sane regimes and are solved directly
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import get_lapack_funcs
 
 from .errors import (
     ConfigError,
@@ -92,9 +92,6 @@ class SchemeConfig:
                 raise ConfigError(f"{name} must be positive")
         if self.fp_max_iter < 1 or self.newton_max_iter < 1:
             raise ConfigError("iteration limits must be at least 1")
-
-    def with_(self, **kw) -> "SchemeConfig":
-        return replace(self, **kw)
 
 
 @dataclass
@@ -200,18 +197,21 @@ def _neg_lap_diag(grid: Grid) -> np.ndarray:
     return diag
 
 
+_GTSV = get_lapack_funcs("gtsv", dtype=np.float64)
+
+
 def _solve_helmholtz(diag: np.ndarray, c: float, rhs: np.ndarray, grid: Grid, tol: float) -> np.ndarray:
     """Solve (diag(v) + c * (-lap)) x = rhs. Direct tridiagonal in 1D, PCG in 2D."""
     if grid.dim == 1:
-        n = grid.n[0]
         w = c / grid.h[0] ** 2
-        ab = np.zeros((3, n))
-        ab[1] = diag + 2.0 * w
-        ab[1, 0] -= w
-        ab[1, -1] -= w
-        ab[0, 1:] = -w
-        ab[2, :-1] = -w
-        return solve_banded((1, 1), ab, rhs)
+        main = diag + 2.0 * w
+        main[0] -= w
+        main[-1] -= w
+        off = np.full(grid.n[0] - 1, -w)
+        x, info = _GTSV(off, main, off, rhs)[3:]
+        if info != 0:
+            raise LinearSolveFailed(f"tridiagonal solve failed (LAPACK gtsv info = {info})")
+        return x
     return _pcg(diag, c, rhs, grid, tol)
 
 
@@ -257,57 +257,54 @@ def _l2(v: np.ndarray, vol: float) -> float:
     return math.sqrt(float(np.sum(v * v)) * vol)
 
 
-def _newton_threshold(u_old: np.ndarray, dt: float, tol: float, vol: float) -> float:
+def _newton(
+    name: str, u_old: np.ndarray, c: float, cfg: SchemeConfig, grid: Grid, residual: Callable, jacobian_diag: Callable
+) -> tuple[np.ndarray, int]:
+    """Newton for residual(u) = 0 from u_old; the Jacobian is diag(jacobian_diag(u)) + c (-lap)."""
+    vol = grid.cell_volume
+    u = u_old.copy()
     # the residual carries a 1/dt-scaled identity term, so the reachable
     # floor grows like ||u||/dt in round-off; tolerance is relative to that
-    # scale (and exactly `tol` whenever ||u||/dt <= 1)
-    return tol * max(1.0, _l2(u_old, vol) / dt)
+    # scale (and exactly newton_tol whenever ||u||/dt <= 1)
+    thresh = cfg.newton_tol * max(1.0, _l2(u_old, vol) / cfg.dt)
+    for it in range(cfg.newton_max_iter + 1):
+        res = residual(u)
+        rnorm = _l2(res, vol)
+        if not math.isfinite(rnorm):
+            raise NewtonDiverged(f"{name} solve produced non-finite residual")
+        if rnorm <= thresh:
+            return u, it
+        u = u + _solve_helmholtz(jacobian_diag(u), c, -res, grid, cfg.linear_tol)
+    raise NewtonDiverged(f"{name} Newton stalled at residual {rnorm:.3g} (tol {thresh:g}); dt too large?")
 
 
 def _phase_newton(
     phi_old: np.ndarray, theta_bar: np.ndarray, cfg: SchemeConfig, pot: Potential, grid: Grid
 ) -> tuple[np.ndarray, int]:
-    dt, lam, vol = cfg.dt, pot.lam, grid.cell_volume
-    rhs = phi_old / dt + 2.0 * lam * phi_old + theta_bar
-    u = phi_old.copy()
-    thresh = _newton_threshold(phi_old, dt, cfg.newton_tol, vol)
-    for it in range(cfg.newton_max_iter + 1):
-        res = u / dt - _lap_values(u, grid) + pot.convex(u, 1) - rhs
-        rnorm = _l2(res, vol)
-        if not math.isfinite(rnorm):
-            raise NewtonDiverged("phase solve produced non-finite residual")
-        if rnorm <= thresh:
-            return u, it
-        diag = 1.0 / dt + pot.convex(u, 2)
-        u = u + _solve_helmholtz(diag, 1.0, -res, grid, cfg.linear_tol)
-    raise NewtonDiverged(
-        f"phase Newton stalled at residual {rnorm:.3g} (tol {thresh:g}); dt too large?"
+    dt = cfg.dt
+    rhs = phi_old / dt + 2.0 * pot.lam * phi_old + theta_bar
+    return _newton(
+        "phase", phi_old, 1.0, cfg, grid,
+        residual=lambda u: u / dt - _lap_values(u, grid) + pot.convex(u, 1) - rhs,
+        jacobian_diag=lambda u: 1.0 / dt + pot.convex(u, 2),
     )
 
 
 def _heat_newton(
     theta_old: np.ndarray, d: np.ndarray, cfg: SchemeConfig, grid: Grid
 ) -> tuple[np.ndarray, int]:
-    dt, kappa, eps, p, vol = cfg.dt, cfg.kappa, cfg.epsilon, cfg.p, grid.cell_volume
+    dt, kappa, eps, p = cfg.dt, cfg.kappa, cfg.epsilon, cfg.p
     rhs = theta_old / dt + d * d
-    u = theta_old.copy()
-    thresh = _newton_threshold(theta_old, dt, cfg.newton_tol, vol)
-    for it in range(cfg.newton_max_iter + 1):
+
+    def residual(u):
         res = u / dt - kappa * _lap_values(u, grid) + u * d - rhs
-        if eps > 0.0:
-            res = res + eps * _odd_power(u, p)
-        rnorm = _l2(res, vol)
-        if not math.isfinite(rnorm):
-            raise NewtonDiverged("heat solve produced non-finite residual")
-        if rnorm <= thresh:
-            return u, it
+        return res + eps * _odd_power(u, p) if eps > 0.0 else res
+
+    def jacobian_diag(u):
         diag = 1.0 / dt + d
-        if eps > 0.0:
-            diag = diag + eps * p * np.abs(u) ** (p - 1.0)
-        u = u + _solve_helmholtz(diag, kappa, -res, grid, cfg.linear_tol)
-    raise NewtonDiverged(
-        f"heat Newton stalled at residual {rnorm:.3g} (tol {thresh:g}); dt too large?"
-    )
+        return diag + eps * p * np.abs(u) ** (p - 1.0) if eps > 0.0 else diag
+
+    return _newton("heat", theta_old, kappa, cfg, grid, residual, jacobian_diag)
 
 
 def _assert_positive(theta: np.ndarray, t: float) -> None:

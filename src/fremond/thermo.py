@@ -67,6 +67,7 @@ class EnergyReport:
 
 
 def _check_positive(theta: Field, what: str = "temperature") -> None:
+    """NonpositiveTemperature unless theta > 0 everywhere (diagnostics take its log or inverse)."""
     tmin = theta.min()
     if tmin <= 0.0:
         raise NonpositiveTemperature(f"{what} has min {tmin:.3g}; log/1-over evaluations undefined")
@@ -208,9 +209,7 @@ class EntropyCheckReport:
         return header, rows
 
 
-def entropy_inequality_check(
-    traj: Trajectory, test_fn: TestFunction, kappa: float | None = None
-) -> EntropyCheckReport:
+def entropy_inequality_check(traj: Trajectory, test_fn: TestFunction) -> EntropyCheckReport:
     """Entropy-production balance against a nonnegative test function.
 
     Reports margin(t^n) = rhs(t^n) - lhs(t^n) of the transcription described
@@ -222,8 +221,7 @@ def entropy_inequality_check(
     if len(traj) < 2:
         return EntropyCheckReport(test_fn.name, np.array([]), np.array([]), np.array([]))
     cfg = traj.config
-    kappa = cfg.kappa if kappa is None else kappa
-    eps, p, dt = cfg.epsilon, cfg.p, cfg.dt
+    kappa, eps, p, dt = cfg.kappa, cfg.epsilon, cfg.p, cfg.dt
     grid = traj.grid
     vol = grid.cell_volume
     N = len(traj) - 1
@@ -301,9 +299,7 @@ class FloorsReport:
         return header, rows
 
 
-def floors_check(
-    traj: Trajectory, p: float | None = None, *, lam: float, tol: float = 1e-10
-) -> FloorsReport:
+def floors_check(traj: Trajectory, *, lam: float, tol: float = 1e-10) -> FloorsReport:
     """Verify the temperature minimum principle and the phase lower bound.
 
     The temperature envelope is advanced between trajectory times with the
@@ -311,7 +307,6 @@ def floors_check(
     interval; agrees with the single-shot integrator to round-off). lam is the
     potential's convexity constant, which sets the phase floor's growth rate.
     """
-    p = traj.config.p if p is None else p
     times = traj.times
     theta_min = np.array([s.theta.min() for s in traj])
     phi_min = np.array([s.phi.min() for s in traj])
@@ -320,7 +315,7 @@ def floors_check(
     theta_floor = np.empty(len(traj))
     theta_floor[0] = h = theta_min[0]
     for n in range(1, len(traj)):
-        h = _rk4_advance(h, times[n] - times[n - 1], 4, p)
+        h = _rk4_advance(h, times[n] - times[n - 1], 4, traj.config.p)
         theta_floor[n] = h
     phi_fl = np.array([phase_floor(t - times[0], K, lam) for t in times])
     return FloorsReport(times, theta_min, theta_floor, phi_min, phi_fl, tol)

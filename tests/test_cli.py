@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -95,6 +97,11 @@ class TestBadConfigValues:
         ("simulate", "initial.phi_amp=big"),
         ("weakstrong", "experiment.levels=[a]"),
         ("weakstrong", "experiment.deltas=0.1"),
+        ("simulate", "grid.nx=8"),
+        ("simulate", "scheme.kapa=2"),
+        ("simulate", "potential.lamda=2"),
+        ("simulate", "run.t_edn=1"),
+        ("weakstrong", "experiment.xi_ceiling=1e3"),
     ])
     def test_exits_two_naming_the_entry(self, verb, override, tmp_path, capsys):
         cfg = tmp_path / "ws.cfg"
@@ -103,6 +110,40 @@ class TestBadConfigValues:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("config error: ") and override.split("=")[0] in err
+        assert "Traceback" not in err
+
+
+class TestCorruptInput:
+    """A persisted file or config entry the program cannot use exits 2 and
+    names the file or entry; it never escapes as a traceback (exit 1)."""
+
+    @pytest.mark.parametrize("verb, target, edit, named", [
+        ("simulate", "manifest.txt", lambda text: text.replace("preset = steady", "preset = snapshot"),
+         "initial.theta_file"),
+        ("plot", "run_0/energy.csv", lambda text: "", "energy.csv"),
+        ("check", "run_0/index.csv", lambda text: "", "index.csv"),
+        ("check", "run_0/index.csv", lambda text: text.replace(",state_3.field", ""), "index.csv"),
+        ("check", "manifest.txt", lambda text: text.replace("dt = 0.01", "dt = 0.02"), "manifest.txt"),
+        ("check", "run_0/state_3.field", lambda text: text.replace(" h=", " hh=", 1), "state_3.field"),
+        ("check", "run_0/state_3.field", lambda text: re.sub(r"\n\S+", "\nnan", text, count=1), "state_3.field"),
+    ], ids=["snapshot_preset_without_files", "empty_energy_csv", "empty_index_csv", "index_row_truncated",
+            "manifest_dt_edited", "snapshot_header_without_h", "nan_in_snapshot"])
+    def test_exits_two_without_traceback(self, verb, target, edit, named, steady_cfg, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(steady_cfg), "--outdir", str(out)]) == 0
+        path = out / target
+        text = path.read_text()
+        assert edit(text) != text
+        path.write_text(edit(text))
+        if verb == "simulate":
+            argv = ["simulate", "--config", str(out / "manifest.txt"), "--outdir", str(tmp_path / "again")]
+        else:
+            argv = [verb, "--run", str(out)]
+        capsys.readouterr()
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert named in err
         assert "Traceback" not in err
 
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from fremond.errors import ConfigError
 from fremond.grid import (
     Field,
     Grid,
@@ -256,5 +257,5 @@ class TestSnapshots:
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.field"
         path.write_text("NOTAFIELD dim=1\n")
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="bad.field"):
             read_snapshot(path)

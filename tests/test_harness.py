@@ -1,9 +1,11 @@
 import math
+from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fremond.config import build_run_config, load_config, parse_config_text, render_config
+from fremond.config import SECTION_KEYS, build_run_config, load_config, parse_config_text, render_config
 from fremond import harness
 from fremond.errors import ConfigError, PositivityLost, SimulationAborted
 from fremond.grid import Field, Grid, write_snapshot
@@ -99,6 +101,17 @@ class TestConfig:
     def test_unknown_section_rejected(self):
         with pytest.raises(ConfigError):
             build_run_config(parse_config_text(BASE_CFG + "\n[misc]\nx = 1\n"))
+
+    def test_docs_tables_list_the_accepted_keys(self):
+        docs = (Path(__file__).parents[1] / "docs" / "config.md").read_text()
+        for section, keys in SECTION_KEYS.items():
+            if keys is None:
+                continue
+            body = docs.split(f"## [{section}]\n", 1)[1].split("\n## ", 1)[0]
+            rows = [line for line in body.splitlines() if line.startswith("|")][2:]
+            assert {row.split("|")[1].strip() for row in rows} == set(keys), section
+        assert set(SECTION_KEYS["scheme"]) == {f.name for f in fields(SchemeConfig)}
+        assert set(SECTION_KEYS["experiment"]) == {f.name for f in fields(ExperimentConfig)} - {"run"}
 
     def test_missing_dt_rejected(self):
         with pytest.raises(ConfigError):
@@ -223,13 +236,13 @@ class TestRefinement:
             run=run, kind="refine", levels=[16, 32, 64], monitor="manufactured_error",
             theta_mean=2.0, amplitude=0.5,
         )
-        run.scheme = run.scheme.with_(dt=(1 / 16) ** 2, epsilon=0.0)
+        run.scheme = replace(run.scheme, dt=(1 / 16) ** 2, epsilon=0.0)
         rep = refinement_study(cfg)
         assert all(1.8 <= q <= 2.2 for q in rep.orders_h)
 
     def test_energy_margin_first_order_in_dt(self):
         run = build_run_config(parse_config_text(BASE_CFG.replace("t_end = 0.016", "t_end = 0.03125")))
-        run.scheme = run.scheme.with_(dt=(1 / 16) ** 2 / 2)
+        run.scheme = replace(run.scheme, dt=(1 / 16) ** 2 / 2)
         cfg = ExperimentConfig(run=run, kind="refine", levels=[16, 32, 64], monitor="energy_margin")
         rep = refinement_study(cfg)
         assert all(0.8 <= q <= 1.5 for q in rep.orders_dt)

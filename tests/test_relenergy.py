@@ -17,7 +17,7 @@ from fremond.relenergy import (
     relative_energy,
     xi_monitor,
 )
-from fremond.stepper import SchemeConfig, State, initial_state, simulate
+from fremond.stepper import SchemeConfig, State, initial_state, pde_phase_rate, simulate
 
 
 def uniform_state(grid, theta, phi, phi_t=0.0, t=0.0):
@@ -193,19 +193,11 @@ class TestGronwall:
 
 
 class TestXiMonitor:
-    def test_first_exceedance_none_on_regular_run(self, small_cosine_run):
-        from fremond.relenergy import first_xi_exceedance
-
-        traj, pot = small_cosine_run
-        assert first_xi_exceedance(traj, traj.config.kappa, 1e3, pot) is None
-        # a ceiling below the resting value trips at the first state
-        assert first_xi_exceedance(traj, traj.config.kappa, 0.0, pot) == 0
-
     def test_zero_state_unit_temperature(self, double_well):
         g = Grid.line(16)
         s = uniform_state(g, 1.0, 0.0, phi_t=0.0)
         for kappa in (0.5, 1.0, 2.0):
-            assert xi_monitor(s, kappa, double_well) == pytest.approx(kappa / 2, rel=1e-13)
+            assert xi_monitor(s, kappa) == pytest.approx(kappa / 2, rel=1e-13)
 
     def test_steady_trajectory_constant_xi(self, double_well, steady_pair):
         phi_star, theta_star = steady_pair
@@ -213,17 +205,17 @@ class TestXiMonitor:
         cfg = SchemeConfig(dt=0.01, epsilon=0.0)
         init = initial_state(g, Field.full(g, theta_star), Field.full(g, phi_star))
         traj = simulate(init, cfg, double_well, 0.2)
-        xis = [xi_monitor(s, 1.0, double_well) for s in traj]
+        xis = [xi_monitor(s, 1.0) for s in traj]
         assert max(xis) - min(xis) < 1e-10
 
     def test_bounded_on_smooth_run(self, small_cosine_run):
-        traj, pot = small_cosine_run
-        ceiling = 1e3
-        xis = [xi_monitor(s, traj.config.kappa, pot) for s in traj]
-        assert all(math.isfinite(v) and v < ceiling for v in xis)
+        traj, _ = small_cosine_run
+        xis = [xi_monitor(s, traj.config.kappa) for s in traj]
+        assert all(math.isfinite(v) and 0.0 < v < 1e3 for v in xis)
 
     def test_pde_rate_matches_backward_difference_in_refinement(self, double_well):
-        # the stored rate at step 1 approaches the PDE rate as dt -> 0
+        # the stored rate at step 1 approaches the PDE rate as dt -> 0, and
+        # ``phi_t_mode="pde"`` stores exactly that rate
         g = Grid.line(32)
         (x,) = g.meshgrid()
         mode = np.cos(np.pi * x)
@@ -232,9 +224,11 @@ class TestXiMonitor:
             init = initial_state(g, Field(g, 1.0 + 0.2 * mode), Field(g, 0.3 * mode))
             cfg = SchemeConfig(dt=dt, epsilon=0.0)
             traj = simulate(init, cfg, double_well, 4 * dt)
-            stored = xi_monitor(traj[1], 1.0)
-            pde = xi_monitor(traj[1], 1.0, double_well, use_pde_rate=True)
-            gaps.append(abs(stored - pde))
+            s = traj[1]
+            pde = pde_phase_rate(s.theta, s.phi, double_well)
+            pde_state = initial_state(g, s.theta, s.phi, phi_t_mode="pde", potential=double_well)
+            assert np.array_equal(pde_state.phi_t.values, pde)
+            gaps.append(float(np.max(np.abs(s.phi_t.values - pde))))
         assert gaps[0] > gaps[1] > gaps[2]
 
 

@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
 from fremond.errors import (
     ConfigError,
     FixedPointDiverged,
+    LinearSolveFailed,
     NonpositiveTemperature,
     PositivityLost,
     SimulationAborted,
@@ -24,6 +26,7 @@ from fremond.stepper import (
     simulate,
     step,
 )
+from fremond.stepper import _solve_helmholtz
 
 
 def scalar_newton(f, df, x0, tol=1e-14, max_iter=100):
@@ -146,6 +149,32 @@ class TestHeatStep:
         cfg = SchemeConfig(dt=1.0, epsilon=0.0)
         with pytest.raises(PositivityLost):
             heat_step(prev, Field.full(g, -2.0), cfg)
+
+    def test_singular_jacobian_is_linear_solve_failure(self):
+        # d = -1/dt cancels the identity: the Jacobian is kappa (-lap), singular
+        g = Grid.line(8)
+        prev = uniform_state(g, 0.5, 0.0)
+        with pytest.raises(LinearSolveFailed):
+            heat_step(prev, Field.full(g, -1.0), SchemeConfig(dt=1.0, epsilon=0.0))
+
+
+class TestHelmholtz1D:
+    def test_matches_banded_reference_bitwise(self):
+        rng = np.random.default_rng(3)
+        for n in (2, 3, 16, 101):
+            g = Grid.line(n, rng.uniform(0.5, 2.0))
+            for _ in range(20):
+                diag = rng.uniform(1.0, 1e4, size=n)
+                c = rng.uniform(0.1, 2.0)
+                rhs = rng.normal(size=n)
+                w = c / g.h[0] ** 2
+                ab = np.zeros((3, n))
+                ab[1] = diag + 2.0 * w
+                ab[1, 0] -= w
+                ab[1, -1] -= w
+                ab[0, 1:] = -w
+                ab[2, :-1] = -w
+                assert np.array_equal(_solve_helmholtz(diag, c, rhs, g, 1e-12), solve_banded((1, 1), ab, rhs))
 
 
 class TestStep:
