@@ -27,7 +27,7 @@ import numpy as np
 from . import harness
 from .config import load_config
 from .errors import ConfigError, FremondError, NonpositiveTemperature, SolverError
-from .relenergy import RelEnergyConfig, calibrate_gronwall_multiplier, gronwall_check
+from .relenergy import RelEnergyConfig, calibrate_gronwall_multiplier, gronwall_check, require_comparable
 from .svg import write_line_chart
 from .thermo import (
     TEST_FUNCTIONS,
@@ -105,6 +105,10 @@ def _cmd_check(args) -> int:
 def _cmd_relenergy(args) -> int:
     traj, run = harness.load_run_dir(args.run)
     ref, _ = harness.load_run_dir(args.ref)
+    try:
+        require_comparable(traj, ref)
+    except ValueError as exc:
+        raise ConfigError(f"runs {args.run} and {args.ref} cannot be compared: {exc}") from exc
     cfg = RelEnergyConfig(M=args.M, lam=run.potential.lam)
     multiplier = args.multiplier
     if args.calibrate:
@@ -186,7 +190,7 @@ def _cmd_plot(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     made = []
     if (run_dir / "energy.csv").exists():
-        cols = harness.read_csv_columns(run_dir / "energy.csv")
+        cols = harness.read_csv_columns(run_dir / "energy.csv", "t", "E_total", "E_thermal", "E_gradient")
         write_line_chart(
             outdir / "energy.svg",
             [("E_total", cols["t"], cols["E_total"]),
@@ -196,7 +200,7 @@ def _cmd_plot(args) -> int:
         )
         made.append("energy.svg")
     if (run_dir / "floors_theta.csv").exists():
-        cols = harness.read_csv_columns(run_dir / "floors_theta.csv")
+        cols = harness.read_csv_columns(run_dir / "floors_theta.csv", "t", "value", "margin")
         floor = [v - m for v, m in zip(cols["value"], cols["margin"])]
         write_line_chart(
             outdir / "floors.svg",
@@ -205,7 +209,7 @@ def _cmd_plot(args) -> int:
         )
         made.append("floors.svg")
     if (run_dir / "relenergy.csv").exists():
-        cols = harness.read_csv_columns(run_dir / "relenergy.csv")
+        cols = harness.read_csv_columns(run_dir / "relenergy.csv", "t", "E_rel", "lhs", "rhs")
         write_line_chart(
             outdir / "relenergy.svg",
             [("E_rel", cols["t"], cols["E_rel"]),

@@ -30,7 +30,7 @@ _NUMBER = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 _INT = re.compile(r"^[+-]?\d+$")
 
 _SCHEME_KINDS = {
-    **dict.fromkeys(("dt", "kappa", "epsilon", "p", "fp_tol", "newton_tol", "linear_tol"), float),
+    **dict.fromkeys(("dt", "kappa", "epsilon", "p", "newton_tol", "linear_tol"), float),
     "fp_max_iter": int,
     "newton_max_iter": int,
 }

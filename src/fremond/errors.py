@@ -28,7 +28,7 @@ class LinearSolveFailed(SolverError):
 
 
 class FixedPointDiverged(SolverError):
-    """Outer phase/heat coupling iteration did not contract."""
+    """The coupled phase/heat sweeps did not converge within fp_max_iter."""
 
 
 class PositivityLost(SolverError):

@@ -18,6 +18,7 @@ same rule as everywhere else (there is no special corner stencil).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -71,9 +72,13 @@ class Grid:
     def dim(self) -> int:
         return len(self.n)
 
-    @property
+    @cached_property
     def h(self) -> tuple[float, ...]:
         return tuple(e / k for e, k in zip(self.extent, self.n))
+
+    @cached_property
+    def h2(self) -> tuple[float, ...]:
+        return tuple(h**2 for h in self.h)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -83,7 +88,7 @@ class Grid:
     def num_cells(self) -> int:
         return int(np.prod(self.n))
 
-    @property
+    @cached_property
     def cell_volume(self) -> float:
         return float(np.prod(self.h))
 
@@ -157,16 +162,16 @@ def same_grid(a: Grid, b: Grid) -> bool:
 
 
 def _lap_values(v: np.ndarray, grid: Grid) -> np.ndarray:
-    """Second-order Neumann Laplacian on raw values; ghost cell mirrors the edge cell."""
+    """Second-order Neumann Laplacian on raw values; ghost cell mirrors the edge cell,
+    so along each axis the neighbour sums at the ends are v[0] + v[1] and v[-2] + v[-1]."""
     out = np.zeros_like(v)
-    for axis in range(grid.dim):
-        h2 = grid.h[axis] ** 2
-        p = np.pad(v, [(1, 1) if a == axis else (0, 0) for a in range(grid.dim)], mode="edge")
-        lo = [slice(None)] * grid.dim
-        hi = [slice(None)] * grid.dim
-        lo[axis] = slice(0, -2)
-        hi[axis] = slice(2, None)
-        out += (p[tuple(lo)] + p[tuple(hi)] - 2.0 * v) / h2
+    for axis, h2 in enumerate(grid.h2):
+        w = v.swapaxes(0, axis)
+        s = np.empty_like(w)
+        s[1:-1] = w[:-2] + w[2:]
+        s[0] = w[0] + w[1]
+        s[-1] = w[-2] + w[-1]
+        out += ((s - 2.0 * w) / h2).swapaxes(0, axis)
     return out
 
 

@@ -470,9 +470,13 @@ def read_csv(path) -> tuple[list[str], list[list[str]]]:
     return header, [ln.split(",") for ln in lines[1:]]
 
 
-def read_csv_columns(path) -> dict[str, list[float]]:
-    """The columns of a CSV by header name, as floats; non-numeric cells read as nan."""
+def read_csv_columns(path, *required: str) -> dict[str, list[float]]:
+    """The columns of a CSV by header name, as floats; non-numeric cells read as
+    nan. A required column the header lacks is a ConfigError naming it."""
     header, rows = read_csv(path)
+    missing = [name for name in required if name not in header]
+    if missing:
+        raise ConfigError(f"{path}: header lacks column {', '.join(missing)}")
     cols = {name: [] for name in header}
     for row in rows:
         for name, tok in zip(header, row):

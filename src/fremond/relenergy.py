@@ -46,6 +46,7 @@ __all__ = [
     "coercivity_check",
     "dissipation_W",
     "k_factor",
+    "require_comparable",
     "gronwall_check",
     "fit_gronwall_multiplier",
     "calibrate_gronwall_multiplier",
@@ -170,13 +171,18 @@ class GronwallReport:
         return header, rows
 
 
-def _gronwall_series(traj: Trajectory, ref_traj: Trajectory, cfg: RelEnergyConfig, potential: Potential):
+def require_comparable(traj: Trajectory, ref_traj: Trajectory) -> None:
+    """ValueError unless both trajectories have the same length, grid and times."""
     if len(traj) != len(ref_traj):
-        raise ValueError("trajectories have different lengths")
+        raise ValueError(f"trajectories have different lengths ({len(traj)} and {len(ref_traj)} states)")
     if not same_grid(traj.grid, ref_traj.grid):
         raise ValueError("trajectories live on different grids")
     if np.max(np.abs(traj.times - ref_traj.times)) > 1e-9 * max(traj.config.dt, 1e-30):
         raise ValueError("trajectories are not sampled at the same times")
+
+
+def _gronwall_series(traj: Trajectory, ref_traj: Trajectory, cfg: RelEnergyConfig, potential: Potential):
+    require_comparable(traj, ref_traj)
     E = np.array([relative_energy(s, r, cfg, potential).total for s, r in zip(traj, ref_traj)])
     W = np.array([dissipation_W(s, r, traj.config.kappa) for s, r in zip(traj, ref_traj)])
     K = np.array([k_factor(r) for r in ref_traj])

@@ -1,9 +1,8 @@
 """Time integration of the regularized temperature/phase system.
 
-One step from (theta, phi) at t to t+dt solves, by an outer Picard iteration
-over the temperature input theta_bar,
+One step from (theta, phi) at t to t+dt solves the coupled system
 
-    phase:  (phi+ - phi)/dt - lap phi+ + G'(phi+) - 2 lam phi = theta_bar
+    phase:  (phi+ - phi)/dt - lap phi+ + G'(phi+) - 2 lam phi = th+
     heat:   (th+ - th)/dt - kappa lap th+ + eps (th+)^p + th+ d = d^2,
             d := (phi+ - phi)/dt
 
@@ -16,8 +15,12 @@ temperature result is asserted, never projected: a nonpositive cell is a
 solver failure, not something to clip, because every downstream diagnostic
 (entropy, log-distances, floors) would silently go wrong.
 
-Each inner equation is solved by Newton; the linearized operators
-(1/dt) I - lap + G''(phi)  and  (1/dt) I - kappa lap + diag(eps p |th|^{p-1} + d)
+``step`` solves it by coupled Gauss-Seidel-Newton sweeps (Newton-SOR family;
+Ortega & Rheinboldt 1970): one Newton update of the phase equation at the
+current temperature, then one of the heat equation at the updated rate d,
+until both residuals meet their thresholds. ``phase_step`` and ``heat_step``
+run Newton on one equation with the other's input fixed. The linearized
+operators (1/dt) I - lap + G''(phi) and (1/dt) I - kappa lap + diag(eps p |th|^{p-1} + d)
 are symmetric positive definite in all sane regimes and are solved directly
 (tridiagonal) in 1D and by Jacobi-preconditioned conjugate gradients in 2D.
 """
@@ -63,16 +66,17 @@ __all__ = [
 class SchemeConfig:
     """Scheme parameters: physics (kappa, epsilon, p), step size, solver controls.
 
-    newton_tol bounds the residual L2 norm relative to max(1, ||u||/dt), the
-    natural residual scale of a backward-Euler solve (plain absolute tolerance
-    whenever ||u||/dt <= 1); fp_tol and linear_tol are relative throughout.
+    newton_tol bounds each equation's residual L2 norm relative to
+    max(1, ||u||/dt), the natural residual scale of a backward-Euler solve
+    (plain absolute tolerance whenever ||u||/dt <= 1); linear_tol is relative.
+    fp_max_iter caps the coupled sweeps of ``step``, newton_max_iter the
+    Newton iterations of ``phase_step`` and ``heat_step``.
     """
 
     dt: float
     kappa: float = 1.0
     epsilon: float = 1e-3
     p: float = 4.0
-    fp_tol: float = 1e-10
     fp_max_iter: int = 50
     newton_tol: float = 1e-11
     newton_max_iter: int = 30
@@ -87,7 +91,7 @@ class SchemeConfig:
             raise ConfigError("epsilon must be nonnegative")
         if self.epsilon > 0 and self.p <= 3:
             raise ConfigError("p must exceed 3 when epsilon > 0")
-        for name in ("fp_tol", "newton_tol", "linear_tol"):
+        for name in ("newton_tol", "linear_tol"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
         if self.fp_max_iter < 1 or self.newton_max_iter < 1:
@@ -188,7 +192,7 @@ def _neg_lap_diag(grid: Grid) -> np.ndarray:
     """Diagonal of -lap with mirrored ghosts: one 1/h^2 per interior face."""
     diag = np.zeros(grid.shape)
     for axis in range(grid.dim):
-        contrib = np.full(grid.n[axis], 2.0) / grid.h[axis] ** 2
+        contrib = np.full(grid.n[axis], 2.0) / grid.h2[axis]
         contrib[0] /= 2.0
         contrib[-1] /= 2.0
         shape = [1] * grid.dim
@@ -203,7 +207,7 @@ _GTSV = get_lapack_funcs("gtsv", dtype=np.float64)
 def _solve_helmholtz(diag: np.ndarray, c: float, rhs: np.ndarray, grid: Grid, tol: float) -> np.ndarray:
     """Solve (diag(v) + c * (-lap)) x = rhs. Direct tridiagonal in 1D, PCG in 2D."""
     if grid.dim == 1:
-        w = c / grid.h[0] ** 2
+        w = c / grid.h2[0]
         main = diag + 2.0 * w
         main[0] -= w
         main[-1] -= w
@@ -217,10 +221,6 @@ def _solve_helmholtz(diag: np.ndarray, c: float, rhs: np.ndarray, grid: Grid, to
 
 def _pcg(diag: np.ndarray, c: float, rhs: np.ndarray, grid: Grid, tol: float) -> np.ndarray:
     precond = 1.0 / (diag + c * _neg_lap_diag(grid))
-
-    def apply(x):
-        return diag * x - c * _lap_values(x, grid)
-
     x = np.zeros_like(rhs)
     r = rhs.copy()
     z = precond * r
@@ -232,7 +232,7 @@ def _pcg(diag: np.ndarray, c: float, rhs: np.ndarray, grid: Grid, tol: float) ->
     for _ in range(max_iter):
         if math.sqrt(float(np.sum(r * r))) <= stop:
             return x
-        ad = apply(d)
+        ad = diag * d - c * _lap_values(d, grid)
         dad = float(np.sum(d * ad))
         if dad <= 0.0 or not math.isfinite(dad):
             raise LinearSolveFailed("operator lost positive definiteness")
@@ -246,65 +246,57 @@ def _pcg(diag: np.ndarray, c: float, rhs: np.ndarray, grid: Grid, tol: float) ->
     raise LinearSolveFailed(f"CG did not reach tol={tol:g} in {max_iter} iterations")
 
 
-# --- Newton solves for the two equations -----------------------------------
-
-
-def _odd_power(u: np.ndarray, p: float) -> np.ndarray:
-    return np.sign(u) * np.abs(u) ** p
+# --- the two equations and their solves ------------------------------------
 
 
 def _l2(v: np.ndarray, vol: float) -> float:
-    return math.sqrt(float(np.sum(v * v)) * vol)
+    return math.sqrt(float((v * v).sum()) * vol)
 
 
-def _newton(
-    name: str, u_old: np.ndarray, c: float, cfg: SchemeConfig, grid: Grid, residual: Callable, jacobian_diag: Callable
-) -> tuple[np.ndarray, int]:
+def _threshold(u_old: np.ndarray, cfg: SchemeConfig, vol: float) -> float:
+    # the residual carries a 1/dt-scaled identity term, so its round-off floor grows
+    # like ||u||/dt; the tolerance scales with it (exactly newton_tol if ||u||/dt <= 1)
+    return cfg.newton_tol * max(1.0, _l2(u_old, vol) / cfg.dt)
+
+
+def _residual_norm(name: str, res: np.ndarray, vol: float) -> float:
+    if not math.isfinite(rnorm := _l2(res, vol)):
+        raise NewtonDiverged(f"{name} solve produced non-finite residual")
+    return rnorm
+
+
+def _phase_residual(u: np.ndarray, rhs: np.ndarray, cfg: SchemeConfig, pot: Potential, grid: Grid) -> np.ndarray:
+    """u/dt - lap u + G'(u) - rhs, where rhs = phi_old/dt + 2 lam phi_old + theta_bar."""
+    return u / cfg.dt - _lap_values(u, grid) + pot.convex(u, 1) - rhs
+
+
+def _phase_jacobian(u: np.ndarray, cfg: SchemeConfig, pot: Potential) -> np.ndarray:
+    return 1.0 / cfg.dt + pot.convex(u, 2)
+
+
+def _heat_residual(u: np.ndarray, rhs: np.ndarray, d: np.ndarray, cfg: SchemeConfig, grid: Grid) -> np.ndarray:
+    """u/dt - kappa lap u + u d + eps u^p - rhs, where rhs = theta_old/dt + d^2."""
+    res = u / cfg.dt - cfg.kappa * _lap_values(u, grid) + u * d - rhs
+    return res + cfg.epsilon * (np.sign(u) * np.abs(u) ** cfg.p) if cfg.epsilon > 0.0 else res
+
+
+def _heat_jacobian(u: np.ndarray, d: np.ndarray, cfg: SchemeConfig) -> np.ndarray:
+    diag = 1.0 / cfg.dt + d
+    return diag + cfg.epsilon * cfg.p * np.abs(u) ** (cfg.p - 1.0) if cfg.epsilon > 0.0 else diag
+
+
+def _newton(name: str, u_old: np.ndarray, c: float, cfg: SchemeConfig, grid: Grid,
+            residual: Callable, jacobian_diag: Callable) -> np.ndarray:
     """Newton for residual(u) = 0 from u_old; the Jacobian is diag(jacobian_diag(u)) + c (-lap)."""
     vol = grid.cell_volume
     u = u_old.copy()
-    # the residual carries a 1/dt-scaled identity term, so the reachable
-    # floor grows like ||u||/dt in round-off; tolerance is relative to that
-    # scale (and exactly newton_tol whenever ||u||/dt <= 1)
-    thresh = cfg.newton_tol * max(1.0, _l2(u_old, vol) / cfg.dt)
-    for it in range(cfg.newton_max_iter + 1):
+    thresh = _threshold(u_old, cfg, vol)
+    for _ in range(cfg.newton_max_iter + 1):
         res = residual(u)
-        rnorm = _l2(res, vol)
-        if not math.isfinite(rnorm):
-            raise NewtonDiverged(f"{name} solve produced non-finite residual")
-        if rnorm <= thresh:
-            return u, it
+        if (rnorm := _residual_norm(name, res, vol)) <= thresh:
+            return u
         u = u + _solve_helmholtz(jacobian_diag(u), c, -res, grid, cfg.linear_tol)
     raise NewtonDiverged(f"{name} Newton stalled at residual {rnorm:.3g} (tol {thresh:g}); dt too large?")
-
-
-def _phase_newton(
-    phi_old: np.ndarray, theta_bar: np.ndarray, cfg: SchemeConfig, pot: Potential, grid: Grid
-) -> tuple[np.ndarray, int]:
-    dt = cfg.dt
-    rhs = phi_old / dt + 2.0 * pot.lam * phi_old + theta_bar
-    return _newton(
-        "phase", phi_old, 1.0, cfg, grid,
-        residual=lambda u: u / dt - _lap_values(u, grid) + pot.convex(u, 1) - rhs,
-        jacobian_diag=lambda u: 1.0 / dt + pot.convex(u, 2),
-    )
-
-
-def _heat_newton(
-    theta_old: np.ndarray, d: np.ndarray, cfg: SchemeConfig, grid: Grid
-) -> tuple[np.ndarray, int]:
-    dt, kappa, eps, p = cfg.dt, cfg.kappa, cfg.epsilon, cfg.p
-    rhs = theta_old / dt + d * d
-
-    def residual(u):
-        res = u / dt - kappa * _lap_values(u, grid) + u * d - rhs
-        return res + eps * _odd_power(u, p) if eps > 0.0 else res
-
-    def jacobian_diag(u):
-        diag = 1.0 / dt + d
-        return diag + eps * p * np.abs(u) ** (p - 1.0) if eps > 0.0 else diag
-
-    return _newton("heat", theta_old, kappa, cfg, grid, residual, jacobian_diag)
 
 
 def _assert_positive(theta: np.ndarray, t: float) -> None:
@@ -314,45 +306,53 @@ def _assert_positive(theta: np.ndarray, t: float) -> None:
 
 
 def phase_step(prev: State, theta_bar: Field, cfg: SchemeConfig, potential: Potential) -> Field:
-    """Backward-Euler phase update for a given temperature input."""
-    phi_new, _ = _phase_newton(prev.phi.values, theta_bar.values, cfg, potential, prev.grid)
-    return Field(prev.grid, phi_new)
+    """Backward-Euler phase update for a given temperature input (full Newton solve)."""
+    grid, phi_old = prev.grid, prev.phi.values
+    rhs = phi_old / cfg.dt + 2.0 * potential.lam * phi_old + theta_bar.values
+    phi_new = _newton("phase", phi_old, 1.0, cfg, grid, lambda u: _phase_residual(u, rhs, cfg, potential, grid),
+                      lambda u: _phase_jacobian(u, cfg, potential))
+    return Field(grid, phi_new)
 
 
 def heat_step(prev: State, phi_new: Field, cfg: SchemeConfig) -> Field:
-    """Backward-Euler heat update given the new phase; asserts positivity."""
+    """Backward-Euler heat update given the new phase (full Newton solve); asserts positivity."""
+    grid = prev.grid
     d = (phi_new.values - prev.phi.values) / cfg.dt
-    theta_new, _ = _heat_newton(prev.theta.values, d, cfg, prev.grid)
+    rhs = prev.theta.values / cfg.dt + d * d
+    theta_new = _newton("heat", prev.theta.values, cfg.kappa, cfg, grid, lambda u: _heat_residual(u, rhs, d, cfg, grid),
+                        lambda u: _heat_jacobian(u, d, cfg))
     _assert_positive(theta_new, prev.t + cfg.dt)
-    return Field(prev.grid, theta_new)
+    return Field(grid, theta_new)
 
 
 def step(prev: State, cfg: SchemeConfig, potential: Potential, stats: dict | None = None) -> State:
-    """One full time step: Picard iteration of the phase-then-heat map.
-
-    The iteration starts from theta_bar = prev.theta and stops when two
-    successive temperature outputs agree to fp_tol in relative L2.
-    """
-    grid = prev.grid
-    vol = grid.cell_volume
-    theta_bar = prev.theta.values
-    picard = 0
-    for _ in range(cfg.fp_max_iter):
-        picard += 1
-        phi_new, _ = _phase_newton(prev.phi.values, theta_bar, cfg, potential, grid)
-        d = (phi_new - prev.phi.values) / cfg.dt
-        theta_new, _ = _heat_newton(prev.theta.values, d, cfg, grid)
-        if _l2(theta_new - theta_bar, vol) <= cfg.fp_tol * _l2(theta_bar, vol):
+    """One time step by coupled sweeps (module docstring): each checks both residuals at
+    the current (phi, theta), then updates phi at the current theta and theta at the new
+    rate d. ``stats["picard_iterations"]`` counts the sweeps, the final check included."""
+    grid, dt, vol = prev.grid, cfg.dt, prev.grid.cell_volume
+    phi_old, theta_old = prev.phi.values, prev.theta.values
+    phase_rhs = phi_old / dt + 2.0 * potential.lam * phi_old
+    phase_tol, heat_tol = _threshold(phi_old, cfg, vol), _threshold(theta_old, cfg, vol)
+    phi, theta, d = phi_old.copy(), theta_old.copy(), np.zeros_like(phi_old)
+    heat_rhs = theta_old / dt + d * d
+    for sweep in range(1, cfg.fp_max_iter + 1):
+        res_phi = _phase_residual(phi, phase_rhs + theta, cfg, potential, grid)
+        phase_norm = _residual_norm("phase", res_phi, vol)
+        heat_norm = _residual_norm("heat", _heat_residual(theta, heat_rhs, d, cfg, grid), vol)
+        if phase_norm <= phase_tol and heat_norm <= heat_tol:
             break
-        theta_bar = theta_new
+        phi = phi + _solve_helmholtz(_phase_jacobian(phi, cfg, potential), 1.0, -res_phi, grid, cfg.linear_tol)
+        d = (phi - phi_old) / dt
+        heat_rhs = theta_old / dt + d * d
+        res_theta = _heat_residual(theta, heat_rhs, d, cfg, grid)
+        theta = theta + _solve_helmholtz(_heat_jacobian(theta, d, cfg), cfg.kappa, -res_theta, grid, cfg.linear_tol)
     else:
-        raise FixedPointDiverged(
-            f"phase/heat coupling did not contract in {cfg.fp_max_iter} iterations; dt too large?"
-        )
+        raise FixedPointDiverged(f"coupled sweeps did not converge in {cfg.fp_max_iter} iterations (phase "
+                                 f"residual {phase_norm:.3g}, heat {heat_norm:.3g}); dt too large?")
     if stats is not None:
-        stats["picard_iterations"] = picard
-    _assert_positive(theta_new, prev.t + cfg.dt)
-    return State(prev.t + cfg.dt, Field(grid, theta_new), Field(grid, phi_new), Field(grid, d))
+        stats["picard_iterations"] = sweep
+    _assert_positive(theta, prev.t + dt)
+    return State(prev.t + dt, Field(grid, theta), Field(grid, phi), Field(grid, d))
 
 
 def march(init: State, cfg: SchemeConfig, t_end: float, advance: Callable[[State], State]) -> Trajectory:

@@ -126,8 +126,10 @@ class TestCorruptInput:
         ("check", "manifest.txt", lambda text: text.replace("dt = 0.01", "dt = 0.02"), "manifest.txt"),
         ("check", "run_0/state_3.field", lambda text: text.replace(" h=", " hh=", 1), "state_3.field"),
         ("check", "run_0/state_3.field", lambda text: re.sub(r"\n\S+", "\nnan", text, count=1), "state_3.field"),
+        ("plot", "run_0/energy.csv", lambda text: text.replace("E_total", "E_tot", 1),
+         "energy.csv: header lacks column E_total"),
     ], ids=["snapshot_preset_without_files", "empty_energy_csv", "empty_index_csv", "index_row_truncated",
-            "manifest_dt_edited", "snapshot_header_without_h", "nan_in_snapshot"])
+            "manifest_dt_edited", "snapshot_header_without_h", "nan_in_snapshot", "energy_csv_column_renamed"])
     def test_exits_two_without_traceback(self, verb, target, edit, named, steady_cfg, tmp_path, capsys):
         out = tmp_path / "out"
         assert main(["simulate", "--config", str(steady_cfg), "--outdir", str(out)]) == 0
@@ -144,6 +146,18 @@ class TestCorruptInput:
         err = capsys.readouterr().err
         assert code == 2
         assert named in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("override", ["run.t_end=0.1", "grid.n=8"], ids=["lengths", "grids"])
+    def test_relenergy_on_mismatched_runs_exits_two(self, override, steady_cfg, tmp_path, capsys):
+        run, ref = tmp_path / "run", tmp_path / "ref"
+        assert main(["simulate", "--config", str(steady_cfg), "--outdir", str(run)]) == 0
+        assert main(["simulate", "--config", str(steady_cfg), "--override", override, "--outdir", str(ref)]) == 0
+        capsys.readouterr()
+        code = main(["relenergy", "--run", str(run), "--ref", str(ref)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("config error: ") and str(run) in err and str(ref) in err
         assert "Traceback" not in err
 
 

@@ -17,6 +17,7 @@ from fremond.grid import (
     same_grid,
     write_snapshot,
 )
+from fremond.grid import _lap_values
 
 
 def reference_laplacian_1d(v, h):
@@ -40,6 +41,19 @@ def reference_laplacian_2d(v, hx, hy):
             ym = v[i, j - 1] if j > 0 else v[i, 0]
             yp = v[i, j + 1] if j < ny - 1 else v[i, ny - 1]
             out[i, j] = (xm + xp - 2 * v[i, j]) / hx**2 + (ym + yp - 2 * v[i, j]) / hy**2
+    return out
+
+
+def padded_laplacian(v, grid):
+    """The np.pad(mode="edge") stencil, same arithmetic in the same order."""
+    out = np.zeros_like(v)
+    for axis in range(grid.dim):
+        p = np.pad(v, [(1, 1) if a == axis else (0, 0) for a in range(grid.dim)], mode="edge")
+        lo = [slice(None)] * grid.dim
+        hi = [slice(None)] * grid.dim
+        lo[axis] = slice(0, -2)
+        hi[axis] = slice(2, None)
+        out += (p[tuple(lo)] + p[tuple(hi)] - 2.0 * v) / grid.h[axis] ** 2
     return out
 
 
@@ -102,6 +116,14 @@ class TestLaplacian:
         v = rng.normal(size=(4, 5))
         out = laplacian_neumann(Field(g, v))
         assert np.allclose(out.values, reference_laplacian_2d(v, g.h[0], g.h[1]), rtol=1e-13, atol=1e-10)
+
+    @pytest.mark.parametrize("grid", [Grid.line(2), Grid.line(64), Grid.box(16, 16), Grid.box(8, 12, (1.0, 2.0))],
+                             ids=["line2", "line64", "box16x16", "box8x12"])
+    def test_slice_stencil_equals_padded_reference_bitwise(self, grid):
+        rng = np.random.default_rng(11)
+        for _ in range(10):
+            v = rng.normal(size=grid.shape) * rng.uniform(1e-3, 1e3)
+            assert np.array_equal(_lap_values(v, grid), padded_laplacian(v, grid))
 
     def test_tensor_eigenfunction_2d(self):
         g = Grid.box(4, 4)

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -56,7 +57,7 @@ class TestSchemeConfig:
         with pytest.raises(ConfigError):
             SchemeConfig(dt=0.1, kappa=0.0)
         with pytest.raises(ConfigError):
-            SchemeConfig(dt=0.1, fp_tol=0.0)
+            SchemeConfig(dt=0.1, newton_tol=0.0)
 
 
 class TestState:
@@ -210,7 +211,7 @@ class TestStep:
                 lambda x: 1 / dt + 4 * cfg.epsilon * x**3 + d,
                 th0,
             )
-            if abs(theta_new - theta_bar) <= cfg.fp_tol * abs(theta_bar):
+            if abs(theta_new - theta_bar) <= 1e-10 * abs(theta_bar):
                 break
             theta_bar = theta_new
         assert np.max(np.abs(out.theta.values - theta_new)) < 1e-9
@@ -227,6 +228,34 @@ class TestStep:
         vol = g.cell_volume
         dist = math.sqrt(float(np.sum((phi_re.values - out.phi.values) ** 2)) * vol)
         assert dist < 10 * cfg.newton_tol
+
+    @pytest.mark.parametrize("grid", [Grid.line(32), Grid.box(8, 8)], ids=["line32", "box8x8"])
+    def test_both_halves_reproduce_the_coupled_step(self, grid, double_well):
+        # at the converged sweep each equation is solved for the other's output
+        rng = np.random.default_rng(17)
+        theta_amp, phi_amp = rng.uniform(0.1, 0.3, size=2)
+        mode = grid.cosine_mode()
+        init = initial_state(grid, Field(grid, 1.0 + theta_amp * mode), Field(grid, phi_amp * mode))
+        cfg = SchemeConfig(dt=1e-3, epsilon=1e-3, p=4.0)
+        out = step(init, cfg, double_well)
+        phi_re = phase_step(init, out.theta, cfg, double_well)
+        theta_re = heat_step(init, out.phi, cfg)
+        vol = grid.cell_volume
+        assert math.sqrt(float(np.sum((phi_re.values - out.phi.values) ** 2)) * vol) < 10 * cfg.newton_tol
+        assert math.sqrt(float(np.sum((theta_re.values - out.theta.values) ** 2)) * vol) < 10 * cfg.newton_tol
+
+    def test_cosine_preset_needs_few_sweeps_per_step(self):
+        from fremond.config import load_config
+        from fremond.harness import make_initial
+
+        run = load_config(Path(__file__).resolve().parents[1] / "presets" / "cosine.cfg")
+        state = make_initial(run.grid, run.potential, run.initial)
+        sweeps = []
+        for _ in range(64):
+            stats = {}
+            state = step(state, run.scheme, run.potential, stats)
+            sweeps.append(stats["picard_iterations"])
+        assert np.mean(sweeps) <= 5
 
     def test_fixed_point_divergence_reported(self, double_well):
         g = Grid.line(16)
