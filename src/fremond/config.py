@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 from .errors import ConfigError
 from .grid import Grid
-from .potential import Potential, PotentialValidationError
+from .potential import Potential, PotentialValidationError, check_convexity
 from .stepper import SchemeConfig
 
 __all__ = ["RunConfig", "SECTION_KEYS", "parse_config_text", "apply_overrides", "build_run_config",
@@ -167,14 +167,20 @@ def _build_potential(sec: dict) -> Potential:
     lam = coerce(sec.get("lambda", 4.0), float, "potential.lambda")
     try:
         if isinstance(spec, list):
-            return Potential.from_coefficients(coerce(spec, float, "potential.potential", many=True), lam)
-        if spec == "double_well":
-            return Potential.double_well(lam)
-        if spec == "zero":
-            return Potential.zero()
+            pot = Potential.from_coefficients(coerce(spec, float, "potential.potential", many=True), lam)
+        elif spec == "double_well":
+            pot = Potential.double_well(lam)
+        elif spec == "zero":
+            pot = Potential.zero()
+        else:
+            raise ConfigError(f"[potential] unknown potential {spec!r}")
     except PotentialValidationError as exc:
         raise ConfigError(f"[potential] {exc}") from exc
-    raise ConfigError(f"[potential] unknown potential {spec!r}")
+    try:
+        check_convexity(pot)
+    except PotentialValidationError as exc:
+        raise ConfigError(f"potential.lambda = {lam!r} is below the convexity bound: {exc}") from exc
+    return pot
 
 
 def build_run_config(sections: dict[str, dict]) -> RunConfig:

@@ -178,12 +178,13 @@ def _lap_values(v: np.ndarray, grid: Grid) -> np.ndarray:
 def _grad_sq_values(v: np.ndarray, grid: Grid) -> np.ndarray:
     """Cell-distributed Dirichlet form: half of each adjacent face difference squared."""
     out = np.zeros_like(v)
-    for axis in range(grid.dim):
-        d = np.diff(v, axis=axis) / grid.h[axis]
-        d2 = d * d
-        pad_lo = [(1, 0) if a == axis else (0, 0) for a in range(grid.dim)]
-        pad_hi = [(0, 1) if a == axis else (0, 0) for a in range(grid.dim)]
-        out += 0.5 * (np.pad(d2, pad_lo) + np.pad(d2, pad_hi))
+    for axis, h in enumerate(grid.h):
+        w = v.swapaxes(0, axis)
+        d2 = (np.diff(w, axis=0) / h) ** 2
+        s = np.zeros_like(w)
+        s[:-1] = d2
+        s[1:] += d2
+        out += (0.5 * s).swapaxes(0, axis)
     return out
 
 

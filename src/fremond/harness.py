@@ -472,13 +472,16 @@ def read_csv(path) -> tuple[list[str], list[list[str]]]:
 
 def read_csv_columns(path, *required: str) -> dict[str, list[float]]:
     """The columns of a CSV by header name, as floats; non-numeric cells read as
-    nan. A required column the header lacks is a ConfigError naming it."""
+    nan. A required column the header lacks, or a row whose cell count differs
+    from the header's, is a ConfigError naming it."""
     header, rows = read_csv(path)
     missing = [name for name in required if name not in header]
     if missing:
         raise ConfigError(f"{path}: header lacks column {', '.join(missing)}")
     cols = {name: [] for name in header}
     for row in rows:
+        if len(row) != len(header):
+            raise ConfigError(f"{path}: row {','.join(row)!r} has {len(row)} cells, the header {len(header)}")
         for name, tok in zip(header, row):
             try:
                 cols[name].append(float(tok))
@@ -524,9 +527,9 @@ def resolve_run_dir(path) -> Path:
 
 
 def load_run_dir(run_dir) -> tuple[Trajectory, RunConfig]:
-    """Rebuild a trajectory (phi_t by backward differences, zero at the first
-    state) plus its configuration from a persisted run directory (see
-    ``resolve_run_dir``)."""
+    """Rebuild a trajectory (phi_t by backward differences; at the first state
+    the manifest's ``initial.phi_t`` convention) plus its configuration from a
+    persisted run directory (see ``resolve_run_dir``)."""
     run_dir = resolve_run_dir(run_dir)
     manifest = _find_manifest(run_dir)
     run = build_run_config(parse_config_text(manifest.read_text()))
@@ -543,10 +546,11 @@ def load_run_dir(run_dir) -> tuple[Trajectory, RunConfig]:
             raise ConfigError(f"{name}: expected temperature and phase records, got {len(recs)}")
         (theta, _), (phi, _) = recs
         if prev_phi is None:
-            phi_t = Field.zeros(theta.grid)
+            phi_t_mode = run.initial.get("phi_t", "zero")
+            states.append(initial_state(theta.grid, theta, phi, phi_t_mode, potential=run.potential, t=t))
         else:
             phi_t = Field(theta.grid, (phi.values - prev_phi.values) / run.scheme.dt)
-        states.append(State(t, theta, phi, phi_t))
+            states.append(State(t, theta, phi, phi_t))
         prev_phi = phi
     try:
         return Trajectory(states, run.scheme), run

@@ -4,7 +4,9 @@ F is a polynomial, bounded below, with F'(0) = 0. Writing G(y) = F(y) +
 lambda*y^2 with F'' >= -lambda, G is strongly convex (G'' >= lambda) and
 G'(0) = 0. The implicit part of the phase-equation splitting uses G', the
 explicit part the concave remainder -2*lambda*y, so exact derivatives up to
-third order are provided.
+third order are provided. G is a polynomial too: its coefficient table is
+F's with lambda added at y^2, built once next to F's, and both are
+evaluated by the same Horner lookup.
 
 Admissibility (even degree, positive leading coefficient, lambda-convexity
 with the supplied lambda, coercivity at the lattice ends, and the log-growth
@@ -21,19 +23,24 @@ import numpy as np
 
 from .errors import PotentialValidationError
 
-__all__ = ["Potential", "ValidationReport", "validate_hypotheses"]
+__all__ = ["Potential", "ValidationReport", "check_convexity", "validate_hypotheses"]
 
 
-def _derive(coeffs: tuple[float, ...]) -> tuple[float, ...]:
-    if len(coeffs) <= 1:
-        return (0.0,)
-    return tuple(k * c for k, c in enumerate(coeffs) if k >= 1)
+def _table(coeffs: tuple[float, ...]) -> tuple[tuple[float, ...], ...]:
+    """Coefficients of a polynomial and of its first three derivatives."""
+    ds = [coeffs]
+    for _ in range(3):
+        ds.append(tuple(k * c for k, c in enumerate(ds[-1]) if k >= 1) or (0.0,))
+    return tuple(ds)
 
 
-def _horner(coeffs: tuple[float, ...], y):
+def _horner(table: tuple[tuple[float, ...], ...], y, order: int):
+    if order not in (0, 1, 2, 3):
+        raise ValueError("order must be in {0,1,2,3}")
+    coeffs = table[order]
     arr = np.asarray(y, dtype=float)
-    acc = np.zeros_like(arr)
-    for c in reversed(coeffs):
+    acc = coeffs[-1] + 0.0 * arr
+    for c in reversed(coeffs[:-1]):
         acc = acc * arr + c
     if arr.ndim == 0:
         return float(acc)
@@ -66,10 +73,10 @@ class Potential:
                 raise PotentialValidationError("polynomial degree must be even")
             if coeffs[-1] <= 0.0:
                 raise PotentialValidationError("leading coefficient must be positive")
-        ds = [coeffs]
-        for _ in range(3):
-            ds.append(_derive(ds[-1]))
-        object.__setattr__(self, "_d", tuple(ds))
+        g = list(coeffs + (0.0,) * (3 - len(coeffs)))
+        g[2] += self.lam
+        object.__setattr__(self, "_d", _table(coeffs))
+        object.__setattr__(self, "_g", _table(tuple(g)))
 
     @classmethod
     def double_well(cls, lam: float = 4.0) -> "Potential":
@@ -87,19 +94,11 @@ class Potential:
 
     def eval(self, y, order: int = 0):
         """F and derivatives up to F''' by exact Horner evaluation."""
-        if order not in (0, 1, 2, 3):
-            raise ValueError("order must be in {0,1,2,3}")
-        return _horner(self._d[order], y)
+        return _horner(self._d, y, order)
 
     def convex(self, y, order: int = 0):
         """The convex modification G = F + lambda*y^2 and its derivatives (G''' = F''')."""
-        if order == 0:
-            return self.eval(y, 0) + self.lam * np.asarray(y, dtype=float) ** 2
-        if order == 1:
-            return self.eval(y, 1) + 2.0 * self.lam * np.asarray(y, dtype=float)
-        if order == 2:
-            return self.eval(y, 2) + 2.0 * self.lam
-        return self.eval(y, order)
+        return _horner(self._g, y, order)
 
 
 @dataclass(frozen=True)
@@ -112,21 +111,28 @@ class ValidationReport:
     passed: bool
 
 
+def check_convexity(pot: Potential, lo: float = -10.0, hi: float = 10.0, samples: int = 10_000) -> float:
+    """The minimum of F'' + lambda on the sampling lattice over [lo, hi];
+    PotentialValidationError when it is negative (lambda too small)."""
+    if samples < 2:
+        raise ValueError("need at least 2 lattice samples")
+    margin = float(np.min(pot.eval(np.linspace(lo, hi, samples), 2) + pot.lam))
+    if margin < 0.0:
+        raise PotentialValidationError(f"F'' + lambda dips to {margin:.3g} on [{lo}, {hi}]; lambda too small")
+    return margin
+
+
 def validate_hypotheses(
     pot: Potential, lo: float = -10.0, hi: float = 10.0, samples: int = 10_000
 ) -> ValidationReport:
     """Sample the structural hypotheses on a lattice over [lo, hi].
 
-    Raises PotentialValidationError when lambda-convexity or coercivity fails;
-    the growth constants are reported, not enforced (finite for every
-    polynomial).
+    Raises PotentialValidationError when lambda-convexity (``check_convexity``)
+    or coercivity fails; the growth constants are reported, not enforced
+    (finite for every polynomial).
     """
-    if samples < 2:
-        raise ValueError("need at least 2 lattice samples")
+    lambda_margin = check_convexity(pot, lo, hi, samples)
     ys = np.linspace(lo, hi, samples)
-    d2 = pot.eval(ys, 2)
-    lambda_margin = float(np.min(d2 + pot.lam))
-
     d1 = pot.eval(ys, 1)
     degree = len(pot.coeffs) - 1
     coercive = bool(d1[0] * np.sign(ys[0]) > 0 and d1[-1] * np.sign(ys[-1]) > 0) and degree >= 2
@@ -146,10 +152,6 @@ def validate_hypotheses(
         f_lower_bound=float(np.min(f)),
         passed=passed,
     )
-    if lambda_margin < 0.0:
-        raise PotentialValidationError(
-            f"F'' + lambda dips to {lambda_margin:.3g} on [{lo}, {hi}]; lambda too small"
-        )
     if not coercive:
         raise PotentialValidationError("F'(y) sgn(y) <= 0 at the lattice ends; F not coercive")
     return report

@@ -129,20 +129,11 @@ def energy_inequality_check(traj: Trajectory, potential: Potential) -> EnergyChe
     """
     eps, p, dt = traj.config.epsilon, traj.config.p, traj.config.dt
     vol = traj.grid.cell_volume
-    energies, regs = [], [0.0]
-    for n, s in enumerate(traj):
-        energies.append(energy(s, potential).E_total)
-        if n >= 1:
-            reg = eps * dt * float(np.sum(s.theta.values**p)) * vol if eps > 0 else 0.0
-            regs.append(regs[-1] + reg)
-    energies = np.asarray(energies)
-    regs = np.asarray(regs)
-    return EnergyCheckReport(
-        times=traj.times,
-        energies=energies,
-        reg_cumulative=regs,
-        margins=energies[0] - energies - regs,
-    )
+    energies = np.array([energy(s, potential).E_total for s in traj])
+    regs = np.cumsum([0.0] + [
+        eps * dt * float(np.sum(s.theta.values**p)) * vol if eps > 0 else 0.0 for s in traj[1:]
+    ])
+    return EnergyCheckReport(traj.times, energies, regs, energies[0] - energies - regs)
 
 
 # --- entropy ----------------------------------------------------------------
@@ -218,8 +209,6 @@ def entropy_inequality_check(traj: Trajectory, test_fn: TestFunction) -> Entropy
     never asserted one-signed, since no quadrature is known to make the
     discrete margin provably nonnegative.
     """
-    if len(traj) < 2:
-        return EntropyCheckReport(test_fn.name, np.array([]), np.array([]), np.array([]))
     cfg = traj.config
     kappa, eps, p, dt = cfg.kappa, cfg.epsilon, cfg.p, cfg.dt
     grid = traj.grid
@@ -227,39 +216,28 @@ def entropy_inequality_check(traj: Trajectory, test_fn: TestFunction) -> Entropy
     N = len(traj) - 1
 
     vt = [test_fn.sample(grid, s.t) for s in traj]
-    vt_dot = [None] * (N + 1)
-    vt_dot[0] = (vt[1] - vt[0]) / dt
-    for k in range(1, N):
-        vt_dot[k] = (vt[k + 1] - vt[k - 1]) / (2.0 * dt)
-
-    log0 = np.log(traj[0].theta.values)
-    boundary0 = float(np.sum(vt[0] * (log0 + traj[0].phi.values))) * vol
-
-    margins = np.empty(N)
-    values = np.empty(N)
-    production = 0.0      # int_0^{t_n} int vartheta (kappa |grad log th|^2 + phi_t^2/th - eps th^{p-1})
-    rhs = 0.0             # int_0^{t_n} int (kappa grad log th . grad vartheta - vartheta_t (log th + phi))
-    for n in range(1, N + 1):
-        k = n - 1  # left endpoint of [t_k, t_n]
-        sk = traj[k]
-        _check_positive(sk.theta)
-        th = sk.theta.values
+    boundary = np.empty(N + 1)    # int vartheta(t^k) (log theta^k + phi^k)
+    production = np.empty(N)      # dt int vartheta (kappa |grad log th|^2 + phi_t^2/th - eps th^{p-1})
+    flux = np.empty(N)            # dt int (kappa grad log th . grad vartheta - vartheta_t (log th + phi))
+    for k, s in enumerate(traj):
+        _check_positive(s.theta)
+        th = s.theta.values
         log_th = np.log(th)
-        prod_density = kappa * _grad_sq_values(log_th, grid) + sk.phi_t.values**2 / th
+        entropy_density = log_th + s.phi.values
+        boundary[k] = float(np.sum(vt[k] * entropy_density)) * vol
+        if k == N:
+            break
+        vt_dot = (vt[k + 1] - vt[k - 1]) / (2.0 * dt) if k else (vt[1] - vt[0]) / dt
+        prod_density = kappa * _grad_sq_values(log_th, grid) + s.phi_t.values**2 / th
         if eps > 0:
             prod_density = prod_density - eps * th ** (p - 1.0)
-        production += dt * float(np.sum(vt[k] * prod_density)) * vol
-        rhs += dt * (
+        production[k] = dt * float(np.sum(vt[k] * prod_density)) * vol
+        flux[k] = dt * (
             kappa * _dirichlet_values(log_th, vt[k], grid)
-            - float(np.sum(vt_dot[k] * (log_th + sk.phi.values))) * vol
+            - float(np.sum(vt_dot * entropy_density)) * vol
         )
-        sn = traj[n]
-        _check_positive(sn.theta)
-        boundary_n = float(np.sum(vt[n] * (np.log(sn.theta.values) + sn.phi.values))) * vol
-        lhs = -boundary_n + boundary0 + production
-        margins[n - 1] = rhs - lhs
-        values[n - 1] = boundary_n
-    return EntropyCheckReport(test_fn.name, traj.times[1:], margins, values)
+    lhs = -boundary[1:] + boundary[0] + np.cumsum(production)
+    return EntropyCheckReport(test_fn.name, traj.times[1:], np.cumsum(flux) - lhs, boundary[1:])
 
 
 # --- floors ------------------------------------------------------------------
@@ -312,10 +290,8 @@ def floors_check(traj: Trajectory, *, lam: float, tol: float = 1e-10) -> FloorsR
     phi_min = np.array([s.phi.min() for s in traj])
     K = max(0.0, -phi_min[0])
 
-    theta_floor = np.empty(len(traj))
-    theta_floor[0] = h = theta_min[0]
-    for n in range(1, len(traj)):
-        h = _rk4_advance(h, times[n] - times[n - 1], 4, traj.config.p)
-        theta_floor[n] = h
+    theta_floor = [theta_min[0]]
+    for step in np.diff(times):
+        theta_floor.append(_rk4_advance(theta_floor[-1], step, 4, traj.config.p))
     phi_fl = np.array([phase_floor(t - times[0], K, lam) for t in times])
-    return FloorsReport(times, theta_min, theta_floor, phi_min, phi_fl, tol)
+    return FloorsReport(times, theta_min, np.array(theta_floor), phi_min, phi_fl, tol)

@@ -102,6 +102,7 @@ class TestBadConfigValues:
         ("simulate", "potential.lamda=2"),
         ("simulate", "run.t_edn=1"),
         ("weakstrong", "experiment.xi_ceiling=1e3"),
+        ("simulate", "potential.lambda=0.5"),
     ])
     def test_exits_two_naming_the_entry(self, verb, override, tmp_path, capsys):
         cfg = tmp_path / "ws.cfg"
@@ -128,8 +129,11 @@ class TestCorruptInput:
         ("check", "run_0/state_3.field", lambda text: re.sub(r"\n\S+", "\nnan", text, count=1), "state_3.field"),
         ("plot", "run_0/energy.csv", lambda text: text.replace("E_total", "E_tot", 1),
          "energy.csv: header lacks column E_total"),
+        ("plot", "run_0/energy.csv", lambda text: re.sub(r"(?m)^3,.*$", "1,abc", text, count=1),
+         "energy.csv: row '1,abc'"),
     ], ids=["snapshot_preset_without_files", "empty_energy_csv", "empty_index_csv", "index_row_truncated",
-            "manifest_dt_edited", "snapshot_header_without_h", "nan_in_snapshot", "energy_csv_column_renamed"])
+            "manifest_dt_edited", "snapshot_header_without_h", "nan_in_snapshot", "energy_csv_column_renamed",
+            "energy_csv_short_row"])
     def test_exits_two_without_traceback(self, verb, target, edit, named, steady_cfg, tmp_path, capsys):
         out = tmp_path / "out"
         assert main(["simulate", "--config", str(steady_cfg), "--outdir", str(out)]) == 0

@@ -17,7 +17,7 @@ from fremond.grid import (
     same_grid,
     write_snapshot,
 )
-from fremond.grid import _lap_values
+from fremond.grid import _grad_sq_values, _lap_values
 
 
 def reference_laplacian_1d(v, h):
@@ -54,6 +54,18 @@ def padded_laplacian(v, grid):
         lo[axis] = slice(0, -2)
         hi[axis] = slice(2, None)
         out += (p[tuple(lo)] + p[tuple(hi)] - 2.0 * v) / grid.h[axis] ** 2
+    return out
+
+
+def padded_grad_sq(v, grid):
+    """The zero-padded face-square stencil, same arithmetic in the same order."""
+    out = np.zeros_like(v)
+    for axis in range(grid.dim):
+        d = np.diff(v, axis=axis) / grid.h[axis]
+        d2 = d * d
+        pad_lo = [(1, 0) if a == axis else (0, 0) for a in range(grid.dim)]
+        pad_hi = [(0, 1) if a == axis else (0, 0) for a in range(grid.dim)]
+        out += 0.5 * (np.pad(d2, pad_lo) + np.pad(d2, pad_hi))
     return out
 
 
@@ -123,7 +135,8 @@ class TestLaplacian:
         rng = np.random.default_rng(11)
         for _ in range(10):
             v = rng.normal(size=grid.shape) * rng.uniform(1e-3, 1e3)
-            assert np.array_equal(_lap_values(v, grid), padded_laplacian(v, grid))
+            for op, reference in ((_lap_values, padded_laplacian), (_grad_sq_values, padded_grad_sq)):
+                assert np.array_equal(op(v, grid), reference(v, grid)), op.__name__
 
     def test_tensor_eigenfunction_2d(self):
         g = Grid.box(4, 4)

@@ -269,27 +269,32 @@ class TestWeakStrong:
 
 
 class TestPersistence:
-    def _small_traj(self, double_well):
+    def _small_traj(self, double_well, phi_t_mode="zero"):
         g = Grid.line(12)
         (x,) = g.meshgrid()
-        init = initial_state(g, Field(g, 1.0 + 0.2 * np.cos(np.pi * x)), Field(g, 0.3 * np.cos(np.pi * x)))
+        init = initial_state(g, Field(g, 1.0 + 0.2 * np.cos(np.pi * x)), Field(g, 0.3 * np.cos(np.pi * x)),
+                             phi_t_mode=phi_t_mode, potential=double_well)
         cfg = SchemeConfig(dt=1e-3, epsilon=1e-3, p=4.0)
         return simulate(init, cfg, double_well, 5e-3)
 
     def test_roundtrip(self, tmp_path, double_well):
-        traj = self._small_traj(double_well)
-        sections = parse_config_text(BASE_CFG)
-        sections["grid"]["n"] = 12
-        sections["run"]["t_end"] = 5e-3
-        write_manifest(tmp_path, sections)
-        persist_trajectory(traj, tmp_path / "run_0")
-        back, run = load_run_dir(tmp_path)
-        assert len(back) == len(traj)
-        for a, b in zip(traj, back):
-            assert np.array_equal(a.theta.values, b.theta.values)
-            assert np.array_equal(a.phi.values, b.phi.values)
-            assert np.allclose(a.phi_t.values, b.phi_t.values, atol=1e-12)
-        assert run.scheme.dt == traj.config.dt
+        for phi_t_mode in ("zero", "pde"):
+            traj = self._small_traj(double_well, phi_t_mode)
+            sections = parse_config_text(BASE_CFG)
+            sections["grid"]["n"] = 12
+            sections["initial"]["phi_t"] = phi_t_mode
+            sections["run"]["t_end"] = 5e-3
+            write_manifest(tmp_path / phi_t_mode, sections)
+            persist_trajectory(traj, tmp_path / phi_t_mode / "run_0")
+            back, run = load_run_dir(tmp_path / phi_t_mode)
+            assert len(back) == len(traj)
+            for a, b in zip(traj, back):
+                assert np.array_equal(a.theta.values, b.theta.values)
+                assert np.array_equal(a.phi.values, b.phi.values)
+                assert np.allclose(a.phi_t.values, b.phi_t.values, atol=1e-12)
+            # the initial rate follows the manifest's convention, not a backward difference
+            assert np.array_equal(traj[0].phi_t.values, back[0].phi_t.values), phi_t_mode
+            assert run.scheme.dt == traj.config.dt
 
     def test_byte_identical_reruns(self, tmp_path, double_well):
         t1 = self._small_traj(double_well)

@@ -34,7 +34,9 @@ class TestConvexPart:
         ys = np.linspace(-5, 5, 101)
         lam = double_well.lam
         assert np.allclose(double_well.convex(ys) - lam * ys**2 - double_well.eval(ys), 0.0, atol=1e-9)
+        assert np.allclose(double_well.convex(ys, 1) - double_well.eval(ys, 1), 2 * lam * ys, atol=1e-9)
         assert np.allclose(double_well.convex(ys, 2) - double_well.eval(ys, 2), 2 * lam, atol=1e-12)
+        assert np.array_equal(double_well.convex(ys, 3), double_well.eval(ys, 3))
 
     def test_value_at_one(self, double_well):
         assert double_well.convex(1.0) == pytest.approx(4.0, abs=1e-14)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fremond.errors import NonpositiveTemperature
-from fremond.grid import Field, Grid
+from fremond.grid import Field, Grid, _dirichlet_values, _grad_sq_values
 from fremond.potential import Potential
 from fremond.stepper import SchemeConfig, State, Trajectory, initial_state, simulate
 from fremond.thermo import (
@@ -18,6 +18,38 @@ from fremond.thermo import (
 
 def uniform_state(grid, theta, phi, t=0.0):
     return initial_state(grid, Field.full(grid, theta), Field.full(grid, phi), t=t)
+
+
+def running_sum_entropy_margins(traj, test_fn):
+    """The entropy transcription as a loop with running sums over the left
+    endpoints; the same arithmetic in the same order as the checker."""
+    cfg = traj.config
+    kappa, eps, p, dt = cfg.kappa, cfg.epsilon, cfg.p, cfg.dt
+    grid = traj.grid
+    vol = grid.cell_volume
+    N = len(traj) - 1
+    vt = [test_fn.sample(grid, s.t) for s in traj]
+    vt_dot = [(vt[1] - vt[0]) / dt] + [(vt[k + 1] - vt[k - 1]) / (2.0 * dt) for k in range(1, N)]
+    boundary0 = float(np.sum(vt[0] * (np.log(traj[0].theta.values) + traj[0].phi.values))) * vol
+    margins, values = np.empty(N), np.empty(N)
+    production = rhs = 0.0
+    for n in range(1, N + 1):
+        sk = traj[n - 1]
+        th = sk.theta.values
+        log_th = np.log(th)
+        prod_density = kappa * _grad_sq_values(log_th, grid) + sk.phi_t.values**2 / th
+        if eps > 0:
+            prod_density = prod_density - eps * th ** (p - 1.0)
+        production += dt * float(np.sum(vt[n - 1] * prod_density)) * vol
+        rhs += dt * (
+            kappa * _dirichlet_values(log_th, vt[n - 1], grid)
+            - float(np.sum(vt_dot[n - 1] * (log_th + sk.phi.values))) * vol
+        )
+        sn = traj[n]
+        boundary_n = float(np.sum(vt[n] * (np.log(sn.theta.values) + sn.phi.values))) * vol
+        margins[n - 1] = rhs - (-boundary_n + boundary0 + production)
+        values[n - 1] = boundary_n
+    return margins, values
 
 
 class TestEnergy:
@@ -86,6 +118,19 @@ class TestEnergyInequality:
         rep = energy_inequality_check(traj, pot)
         assert np.max(np.abs(rep.margins)) < 1e-9
 
+    def test_matches_running_sum_reference_bitwise(self, small_cosine_run):
+        traj, pot = small_cosine_run
+        eps, p, dt = traj.config.epsilon, traj.config.p, traj.config.dt
+        vol = traj.grid.cell_volume
+        energies, regs = [], [0.0]
+        for n, s in enumerate(traj):
+            energies.append(energy(s, pot).E_total)
+            if n >= 1:
+                regs.append(regs[-1] + eps * dt * float(np.sum(s.theta.values**p)) * vol)
+        rep = energy_inequality_check(traj, pot)
+        assert np.array_equal(rep.reg_cumulative, regs)
+        assert np.array_equal(rep.margins, energies[0] - np.array(energies) - np.array(regs))
+
     def test_margins_stay_nonnegative_on_coupled_run(self, small_cosine_run):
         traj, pot = small_cosine_run
         rep = energy_inequality_check(traj, pot)
@@ -114,6 +159,21 @@ class TestEntropyInequality:
             assert len(rep.margins) == len(traj) - 1
             assert np.all(np.isfinite(rep.margins))
             assert rep.min_margin >= -100 * dt
+
+    def test_matches_running_sum_reference_bitwise(self, small_cosine_run):
+        traj, _ = small_cosine_run
+        for name in ("one", "cosine", "cosine_damped"):
+            rep = entropy_inequality_check(traj, TEST_FUNCTIONS[name]())
+            margins, values = running_sum_entropy_margins(traj, TEST_FUNCTIONS[name]())
+            assert np.array_equal(rep.margins, margins), name
+            assert np.array_equal(rep.entropy_values, values), name
+
+    def test_single_state_has_no_margins(self):
+        g = Grid.line(8)
+        traj = Trajectory([uniform_state(g, 1.0, 0.0)], SchemeConfig(dt=0.1))
+        rep = entropy_inequality_check(traj, TEST_FUNCTIONS["cosine"]())
+        assert len(rep.times) == len(rep.margins) == len(rep.entropy_values) == 0
+        assert rep.min_margin == 0.0
 
     def test_negative_temperature_rejected(self, double_well):
         g = Grid.line(8)
