@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import astuple, fields
 from pathlib import Path
 
 import numpy as np
@@ -36,11 +37,6 @@ from .thermo import (
     entropy_inequality_check,
     floors_check,
 )
-
-_ENERGY_HEADER = [
-    "step", "t", "E_total", "E_gradient", "E_potential", "E_thermal",
-    "entropy_S", "orlicz", "theta_min", "phi_min",
-]
 
 
 def _outdir_root() -> Path:
@@ -62,12 +58,9 @@ def _cmd_simulate(args) -> int:
     harness.write_manifest(outdir, run.sections)
     run_dir = outdir / "run_0"
     harness.persist_trajectory(traj, run_dir)
-    rows = []
-    for k, s in enumerate(traj):
-        r = energy(s, run.potential)
-        rows.append((k, s.t, r.E_total, r.E_gradient, r.E_potential, r.E_thermal,
-                     r.entropy_S, r.orlicz, r.theta_min, r.phi_min))
-    harness.write_csv(run_dir / "energy.csv", _ENERGY_HEADER, rows)
+    r = energy(traj.stack, run.potential)
+    header = ["step", *(f.name for f in fields(r))]
+    harness.write_csv(run_dir / "energy.csv", header, zip(range(len(traj)), *astuple(r)))
     print(f"simulate: {len(traj)} states written to {run_dir}")
     return 0
 

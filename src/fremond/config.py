@@ -15,6 +15,7 @@ and optionally [experiment] for the sweep/refine/weakstrong drivers.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -66,13 +67,12 @@ def _parse_value(text: str):
 
 def coerce(raw, kind, where: str, many: bool = False):
     """kind(raw), or [kind(x) for x in raw] when many; a ConfigError naming
-    the entry ``where`` (section.key) when that fails."""
+    the entry ``where`` (section.key) when that fails or gives nan or inf."""
     try:
-        if not many:
-            return kind(raw)
-        if isinstance(raw, list):
-            return [kind(x) for x in raw]
-    except (TypeError, ValueError):
+        out = [kind(x) for x in raw] if many else [kind(raw)]
+        if (not many or isinstance(raw, list)) and all(map(math.isfinite, out)):
+            return out if many else out[0]
+    except (TypeError, ValueError, OverflowError):
         pass
     raise ConfigError(f"{where} = {_format_value(raw)}: expected {'a list of ' * many}{kind.__name__}")
 
@@ -171,6 +171,8 @@ def _build_potential(sec: dict) -> Potential:
         elif spec == "double_well":
             pot = Potential.double_well(lam)
         elif spec == "zero":
+            if "lambda" in sec and lam != 0.0:
+                raise ConfigError(f"potential.lambda = {lam!r} conflicts with potential.potential = zero (lambda 0)")
             pot = Potential.zero()
         else:
             raise ConfigError(f"[potential] unknown potential {spec!r}")

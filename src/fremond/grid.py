@@ -18,7 +18,7 @@ same rule as everywhere else (there is no special corner stencil).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -84,6 +84,11 @@ class Grid:
     def shape(self) -> tuple[int, ...]:
         return self.n
 
+    @cached_property
+    def axes(self) -> tuple[int, ...]:
+        """The grid axes of a value array, counted from the end past any stack axes."""
+        return tuple(range(-self.dim, 0))
+
     @property
     def num_cells(self) -> int:
         return int(np.prod(self.n))
@@ -117,14 +122,15 @@ class Grid:
 
 @dataclass
 class Field:
-    """Scalar values, one per cell, stored C-contiguous (row-major)."""
+    """Scalar values, one per cell, stored C-contiguous (row-major); values of
+    shape (..., *grid.shape) stack fields along leading axes (a trajectory's time)."""
 
     grid: Grid
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         v = np.ascontiguousarray(self.values, dtype=np.float64)
-        if v.shape != self.grid.shape:
+        if v.shape[-self.grid.dim:] != self.grid.shape:
             if v.size == self.grid.num_cells:
                 v = v.reshape(self.grid.shape)
             else:
@@ -162,10 +168,10 @@ def same_grid(a: Grid, b: Grid) -> bool:
 
 
 def _lap_values(v: np.ndarray, grid: Grid) -> np.ndarray:
-    """Second-order Neumann Laplacian on raw values; ghost cell mirrors the edge cell,
-    so along each axis the neighbour sums at the ends are v[0] + v[1] and v[-2] + v[-1]."""
+    """Second-order Neumann Laplacian on raw values (..., *grid.shape); ghost cell mirrors the
+    edge cell, so along each axis the neighbour sums at the ends are v[0] + v[1] and v[-2] + v[-1]."""
     out = np.zeros_like(v)
-    for axis, h2 in enumerate(grid.h2):
+    for axis, h2 in zip(grid.axes, grid.h2):
         w = v.swapaxes(0, axis)
         s = np.empty_like(w)
         s[1:-1] = w[:-2] + w[2:]
@@ -178,23 +184,24 @@ def _lap_values(v: np.ndarray, grid: Grid) -> np.ndarray:
 def _grad_sq_values(v: np.ndarray, grid: Grid) -> np.ndarray:
     """Cell-distributed Dirichlet form: half of each adjacent face difference squared."""
     out = np.zeros_like(v)
-    for axis, h in enumerate(grid.h):
+    for axis, h in zip(grid.axes, grid.h):
         w = v.swapaxes(0, axis)
         d2 = (np.diff(w, axis=0) / h) ** 2
         s = np.zeros_like(w)
         s[:-1] = d2
         s[1:] += d2
-        out += (0.5 * s).swapaxes(0, axis)
+        s *= 0.5
+        out += s.swapaxes(0, axis)
     return out
 
 
-def _dirichlet_values(f: np.ndarray, g: np.ndarray, grid: Grid) -> float:
-    """Discrete integral of grad f . grad g over interior faces."""
+def _dirichlet_values(f: np.ndarray, g: np.ndarray, grid: Grid):
+    """Discrete integral of grad f . grad g over interior faces, per leading index of stacked values."""
     total = 0.0
-    for axis in range(grid.dim):
-        df = np.diff(f, axis=axis) / grid.h[axis]
-        dg = np.diff(g, axis=axis) / grid.h[axis]
-        total += float(np.sum(df * dg))
+    for axis, h in zip(grid.axes, grid.h):
+        df = np.diff(f, axis=axis) / h
+        dg = df if g is f else np.diff(g, axis=axis) / h
+        total += np.sum(df * dg, axis=grid.axes)
     return total * grid.cell_volume
 
 
@@ -254,23 +261,29 @@ def norm(f: Field, kind: str = "L2") -> float:
 # Several records may be concatenated in one file (read_snapshots).
 
 
-def _format_header(f: Field, t: float) -> str:
-    n = ",".join(str(k) for k in f.grid.n)
-    h = ",".join(repr(float(x)) for x in f.grid.h)
-    return f"FIELD dim={f.grid.dim} n={n} h={h} t={float(t)!r}\n"
+def _format_header(grid: Grid, t: float) -> str:
+    n = ",".join(str(k) for k in grid.n)
+    h = ",".join(repr(float(x)) for x in grid.h)
+    return f"FIELD dim={grid.dim} n={n} h={h} t={float(t)!r}\n"
 
 
 def write_snapshot(f: Field, path, t: float = 0.0) -> None:
     with open(path, "w") as fh:
-        _write_record(fh, f, t)
+        _write_record(fh, f.grid, f.values, t)
 
 
-def _write_record(fh, f: Field, t: float) -> None:
-    fh.write(_format_header(f, float(t)))
-    flat = f.values.ravel().tolist()
+def _write_record(fh, grid: Grid, values: np.ndarray, t: float) -> None:
+    fh.write(_format_header(grid, t))
+    flat = values.ravel().tolist()
     for i in range(0, len(flat), 8):
         fh.write(" ".join(repr(x) for x in flat[i : i + 8]))
         fh.write("\n")
+
+
+@lru_cache(maxsize=8)
+def _record_grid(n: tuple[int, ...], h: tuple[float, ...]) -> Grid:
+    """The grid a snapshot header names, one object for all records that name it."""
+    return Grid(n, tuple(hi * ni for hi, ni in zip(h, n)))
 
 
 def _read_record(fh) -> tuple[Field, float] | None:
@@ -292,7 +305,7 @@ def _read_record(fh) -> tuple[Field, float] | None:
     if len(n) != dim or len(h) != dim:
         raise ValueError(f"inconsistent snapshot header: {header!r}")
     t = float(kv["t"])
-    grid = Grid(n, tuple(hi * ni for hi, ni in zip(h, n)))
+    grid = _record_grid(n, h)
     count = int(np.prod(n))
     vals: list[float] = []
     while len(vals) < count:

@@ -7,9 +7,9 @@ configuration in the run-config grammar, so any output tree can be re-run.
 
 Output tree:
     <outdir>/manifest.txt
-    <outdir>/run_<k>/state_<n>.field     two snapshot records per file
-                                         (temperature first, then phase)
-    <outdir>/run_<k>/index.csv           step,t,file
+    <outdir>/run_<k>/trajectory.field    two snapshot records per state, in
+                                         order (temperature first, then phase)
+    <outdir>/run_<k>/index.csv           step,t
     <outdir>/run_<k>/<check>.csv         written by the check drivers
     <outdir>/summary.csv                 one row per experiment member
 """
@@ -24,7 +24,7 @@ import numpy as np
 
 from .config import RunConfig, build_run_config, coerce, parse_config_text, render_config
 from .errors import ConfigError, SimulationAborted
-from .grid import Field, Grid, norm, read_snapshots, _write_record
+from .grid import Field, Grid, norm, read_snapshots, same_grid, _write_record
 from .potential import Potential
 from .relenergy import RelEnergyConfig, fit_gronwall_multiplier, gronwall_check, xi_monitor
 from .stepper import (
@@ -403,7 +403,7 @@ def weak_strong_experiment(cfg: ExperimentConfig) -> WeakStrongReport:
         scheme = replace(run.scheme, dt=run.scheme.dt * (n0 / n) ** 2)
         ref_init = make_initial(grid, run.potential, run.initial)
         ref = simulate(ref_init, scheme, run.potential, run.t_end)
-        xi_max.append(max(xi_monitor(s, scheme.kappa) for s in ref))
+        xi_max.append(float(np.max(xi_monitor(ref.stack, scheme.kappa))))
         if li == 0:
             scale = max(1.0, energy(ref[0], run.potential).E_total)
         bump = grid.cosine_mode()
@@ -497,17 +497,16 @@ def write_manifest(outdir, sections: dict) -> None:
 
 
 def persist_trajectory(traj: Trajectory, run_dir) -> None:
-    """States as concatenated snapshot records (temperature, then phase)."""
+    """The states as snapshot records in one trajectory.field (temperature,
+    then phase, per state) and their times in index.csv."""
     run_dir = Path(run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
-    index = []
-    for k, s in enumerate(traj):
-        name = f"state_{k}.field"
-        with open(run_dir / name, "w") as fh:
-            _write_record(fh, s.theta, s.t)
-            _write_record(fh, s.phi, s.t)
-        index.append((k, s.t, name))
-    write_csv(run_dir / "index.csv", ["step", "t", "file"], index)
+    s = traj.stack
+    with open(run_dir / "trajectory.field", "w") as fh:
+        for t, theta, phi in zip(s.t, s.theta.values, s.phi.values):
+            _write_record(fh, s.theta.grid, theta, t)
+            _write_record(fh, s.phi.grid, phi, t)
+    write_csv(run_dir / "index.csv", ["step", "t"], enumerate(s.t))
 
 
 def _find_manifest(path: Path) -> Path:
@@ -533,28 +532,24 @@ def load_run_dir(run_dir) -> tuple[Trajectory, RunConfig]:
     run_dir = resolve_run_dir(run_dir)
     manifest = _find_manifest(run_dir)
     run = build_run_config(parse_config_text(manifest.read_text()))
-    header, rows = read_csv(run_dir / "index.csv")
-    states: list[State] = []
-    prev_phi = None
-    for row in rows:
-        try:
-            t, name = float(row[1]), row[2]
-        except (IndexError, ValueError) as exc:
-            raise ConfigError(f"{run_dir / 'index.csv'}: bad row {','.join(row)!r}") from exc
-        recs = read_snapshots(run_dir / name)
-        if len(recs) != 2:
-            raise ConfigError(f"{name}: expected temperature and phase records, got {len(recs)}")
-        (theta, _), (phi, _) = recs
-        if prev_phi is None:
-            phi_t_mode = run.initial.get("phi_t", "zero")
-            states.append(initial_state(theta.grid, theta, phi, phi_t_mode, potential=run.potential, t=t))
-        else:
-            phi_t = Field(theta.grid, (phi.values - prev_phi.values) / run.scheme.dt)
-            states.append(State(t, theta, phi, phi_t))
-        prev_phi = phi
+    index, path = run_dir / "index.csv", run_dir / "trajectory.field"
+    times = np.array(read_csv_columns(index, "step", "t")["t"])
+    if len(times) == 0:
+        raise ConfigError(f"{index}: lists no states")
+    records = read_snapshots(path)
+    if len(records) != 2 * len(times):
+        raise ConfigError(f"{path}: {len(records)} records, not two for each of the {len(times)} states in {index}")
+    grid = records[0][0].grid
+    if not all(same_grid(f.grid, grid) for f, _ in records):
+        raise ConfigError(f"{path}: records live on different grids")
+    theta = np.stack([f.values for f, _ in records[0::2]])
+    phi = np.stack([f.values for f, _ in records[1::2]])
+    init = initial_state(grid, theta[0], phi[0], run.initial.get("phi_t", "zero"), run.potential, times[0])
+    phi_t = np.empty_like(phi)
+    phi_t[0] = init.phi_t.values
+    np.subtract(phi[1:], phi[:-1], out=phi_t[1:])
+    phi_t[1:] /= run.scheme.dt
     try:
-        return Trajectory(states, run.scheme), run
+        return Trajectory(State(times, Field(grid, theta), Field(grid, phi), Field(grid, phi_t)), run.scheme), run
     except ValueError as exc:
-        raise ConfigError(
-            f"{run_dir / 'index.csv'} times do not fit dt = {run.scheme.dt!r} of {manifest}: {exc}"
-        ) from exc
+        raise ConfigError(f"{index} times do not fit dt = {run.scheme.dt!r} of {manifest}: {exc}") from exc

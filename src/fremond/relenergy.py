@@ -23,6 +23,9 @@ the Gronwall envelope   E(t) + int_0^t W e^{int_s^t K} <= E(0) e^{int_0^t K}
 holds up to a nonconstructive constant, absorbed here into a single
 calibration multiplier on the right-hand side, fitted once on a coarse run
 and then held fixed.
+Given two trajectories' stacked States (``Trajectory.stack``) in place of
+two States, each functional returns its series over time; ``gronwall_check``
+gets E, W and K that way.
 """
 
 from __future__ import annotations
@@ -92,19 +95,19 @@ def relative_energy(
     if not same_grid(state.grid, ref.grid):
         raise ValueError("states live on different grids")
     g = state.grid
-    vol = g.cell_volume
+    vol, axes = g.cell_volume, g.axes
     dphi = state.phi.values - ref.phi.values
     grad_term = 0.5 * _dirichlet_values(dphi, dphi, g)
-    l1 = float(np.sum(np.abs(dphi))) * vol
+    l1 = np.sum(np.abs(dphi), axis=axes) * vol
     l1_term = cfg.M * l1 * l1
-    l2_term = -potential.lam * float(np.sum(dphi * dphi)) * vol
+    l2_term = -potential.lam * np.sum(dphi * dphi, axis=axes) * vol
     bregman = (
         potential.convex(state.phi.values, 0)
         - potential.convex(ref.phi.values, 0)
         - potential.convex(ref.phi.values, 1) * dphi
     )
-    bregman_term = float(np.sum(bregman)) * vol
-    lam_term = float(np.sum(lambda_dist(state.theta, ref.theta).values)) * vol
+    bregman_term = np.sum(bregman, axis=axes) * vol
+    lam_term = np.sum(lambda_dist(state.theta, ref.theta).values, axis=axes) * vol
     total = grad_term + l1_term + l2_term + bregman_term + lam_term
     return RelEnergyReport(state.t, grad_term, l1_term, l2_term, bregman_term, lam_term, total)
 
@@ -118,7 +121,7 @@ def coercivity_check(
     return 0.5 * r.grad_term + (1.0 - 1.0 / cfg.M) * r.l1_term + r.l2_term
 
 
-def dissipation_W(state: State, ref: State, kappa: float = 1.0) -> float:
+def dissipation_W(state: State, ref: State, kappa: float = 1.0) -> float | np.ndarray:
     """Dissipation distance W; needs phi_t on both states (kappa scales the
     heat-conduction part, default 1 matches the scalar examples)."""
     if not same_grid(state.grid, ref.grid):
@@ -126,19 +129,19 @@ def dissipation_W(state: State, ref: State, kappa: float = 1.0) -> float:
     _check_positive(state.theta, "theta")
     _check_positive(ref.theta, "theta_ref")
     g = state.grid
-    vol = g.cell_volume
+    vol, axes = g.cell_volume, g.axes
     th, tr = state.theta.values, ref.theta.values
     dlog = np.log(th) - np.log(tr)
-    conduction = kappa * float(np.sum(tr * _grad_sq_values(dlog, g))) * vol
+    conduction = kappa * np.sum(tr * _grad_sq_values(dlog, g), axis=axes) * vol
     mixed = np.sqrt(tr / th) * state.phi_t.values - np.sqrt(th / tr) * ref.phi_t.values
-    return conduction + float(np.sum(mixed * mixed)) * vol
+    return conduction + np.sum(mixed * mixed, axis=axes) * vol
 
 
-def k_factor(ref: State) -> float:
+def k_factor(ref: State) -> float | np.ndarray:
     """Amplification rate along the reference: max|ph~_t| + max(ph~_t^2/th~) + 1."""
     _check_positive(ref.theta, "theta_ref")
-    pt = ref.phi_t.values
-    return float(np.max(np.abs(pt)) + np.max(pt * pt / ref.theta.values) + 1.0)
+    pt, axes = ref.phi_t.values, ref.grid.axes
+    return np.max(np.abs(pt), axis=axes) + np.max(pt * pt / ref.theta.values, axis=axes) + 1.0
 
 
 @dataclass
@@ -163,12 +166,8 @@ class GronwallReport:
         return float(np.min(margins[1:])) if len(margins) > 1 else 0.0
 
     def csv_rows(self):
-        header = ["step", "t", "E_rel", "W", "K", "lhs", "rhs", "margin"]
-        rows = [
-            (n, self.times[n], self.E_rel[n], self.W[n], self.K[n], self.lhs[n], self.rhs[n], self.margins[n])
-            for n in range(len(self.times))
-        ]
-        return header, rows
+        rows = zip(range(len(self.times)), self.times, self.E_rel, self.W, self.K, self.lhs, self.rhs, self.margins)
+        return ["step", "t", "E_rel", "W", "K", "lhs", "rhs", "margin"], list(rows)
 
 
 def require_comparable(traj: Trajectory, ref_traj: Trajectory) -> None:
@@ -179,14 +178,6 @@ def require_comparable(traj: Trajectory, ref_traj: Trajectory) -> None:
         raise ValueError("trajectories live on different grids")
     if np.max(np.abs(traj.times - ref_traj.times)) > 1e-9 * max(traj.config.dt, 1e-30):
         raise ValueError("trajectories are not sampled at the same times")
-
-
-def _gronwall_series(traj: Trajectory, ref_traj: Trajectory, cfg: RelEnergyConfig, potential: Potential):
-    require_comparable(traj, ref_traj)
-    E = np.array([relative_energy(s, r, cfg, potential).total for s, r in zip(traj, ref_traj)])
-    W = np.array([dissipation_W(s, r, traj.config.kappa) for s, r in zip(traj, ref_traj)])
-    K = np.array([k_factor(r) for r in ref_traj])
-    return E, W, K
 
 
 def gronwall_check(
@@ -203,8 +194,12 @@ def gronwall_check(
     margin = rhs - lhs. The multiplier stands in for the nonconstructive
     constant of the continuum estimate; see calibrate_gronwall_multiplier.
     """
+    require_comparable(traj, ref_traj)
+    s, r = traj.stack, ref_traj.stack
+    E = relative_energy(s, r, cfg, potential).total
+    W = dissipation_W(s, r, traj.config.kappa)
+    K = k_factor(r)
     dt = traj.config.dt
-    E, W, K = _gronwall_series(traj, ref_traj, cfg, potential)
     N = len(E)
     IK = np.zeros(N)  # IK[n] = sum_{k<n} dt K(t_k)
     IK[1:] = np.cumsum(dt * K[:-1])
@@ -232,7 +227,7 @@ def calibrate_gronwall_multiplier(
     return fit_gronwall_multiplier([report])
 
 
-def xi_monitor(state: State, kappa: float) -> float:
+def xi_monitor(state: State, kappa: float) -> float | np.ndarray:
     """Strong-solution regularity monitor
     xi = 1/2 (||phi_t||_{H1}^2 + kappa ||theta||_{H1}^2 + ||phi||_{L2}^2 + ||lap phi||_{L2}^2).
 
@@ -241,14 +236,14 @@ def xi_monitor(state: State, kappa: float) -> float:
     there instead).
     """
     g = state.grid
-    vol = g.cell_volume
+    vol, axes = g.cell_volume, g.axes
     pt = state.phi_t.values
     th = state.theta.values
     ph = state.phi.values
-    h1_pt = float(np.sum(pt * pt)) * vol + _dirichlet_values(pt, pt, g)
-    h1_th = float(np.sum(th * th)) * vol + _dirichlet_values(th, th, g)
+    h1_pt = np.sum(pt * pt, axis=axes) * vol + _dirichlet_values(pt, pt, g)
+    h1_th = np.sum(th * th, axis=axes) * vol + _dirichlet_values(th, th, g)
     lap_ph = _lap_values(ph, g)
-    h2_ph = float(np.sum(ph * ph) + np.sum(lap_ph * lap_ph)) * vol
+    h2_ph = (np.sum(ph * ph, axis=axes) + np.sum(lap_ph * lap_ph, axis=axes)) * vol
     return 0.5 * (h1_pt + kappa * h1_th + h2_ph)
 
 

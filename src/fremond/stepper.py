@@ -106,9 +106,11 @@ class State:
     instant by convention (no earlier phase value exists); the PDE-consistent
     alternative lap(phi0) - F'(phi0) + theta0 is available through
     ``initial_state(..., phi_t_mode="pde")``.
+    A trajectory's states stack into one State (``Trajectory.stack``), with
+    t the array of times and field values of shape (len(t), *grid.shape).
     """
 
-    t: float
+    t: float | np.ndarray
     theta: Field
     phi: Field
     phi_t: Field
@@ -118,7 +120,8 @@ class State:
             raise ValueError("state fields live on different grids")
         tmin = self.theta.min()
         if tmin <= 0.0:
-            raise NonpositiveTemperature(f"min theta = {tmin:.3g} at t = {self.t:.6g}")
+            at = np.ravel(self.t)[int(np.argmin(self.theta.values)) // self.grid.num_cells]
+            raise NonpositiveTemperature(f"min theta = {tmin:.3g} at t = {at:.6g}")
 
     @property
     def grid(self) -> Grid:
@@ -127,36 +130,34 @@ class State:
 
 @dataclass
 class Trajectory:
-    """States at uniformly spaced, strictly increasing times."""
+    """States at uniformly spaced, strictly increasing times, held and validated
+    as one stacked State; ``traj[k]`` and iteration give per-state views into it.
+    A diagnostic given ``traj.stack`` returns its series over time."""
 
-    states: list[State]
+    stack: State
     config: SchemeConfig
 
     def __post_init__(self):
-        ts = [s.t for s in self.states]
-        if any(b <= a for a, b in zip(ts, ts[1:])):
+        steps = np.diff(self.stack.t)
+        if not np.all(steps > 0):
             raise ValueError("trajectory times must be strictly increasing")
-        if len(ts) >= 2:
-            steps = np.diff(ts)
-            if np.max(np.abs(steps - self.config.dt)) > 1e-8 * self.config.dt:
-                raise ValueError("trajectory does not have uniform dt")
+        if np.any(np.abs(steps - self.config.dt) > 1e-8 * self.config.dt):
+            raise ValueError("trajectory does not have uniform dt")
 
     def __len__(self) -> int:
-        return len(self.states)
+        return len(self.stack.t)
 
-    def __getitem__(self, i) -> State:
-        return self.states[i]
-
-    def __iter__(self):
-        return iter(self.states)
+    def __getitem__(self, k) -> State:
+        s = self.stack
+        return State(s.t[k], *(Field(f.grid, f.values[k]) for f in (s.theta, s.phi, s.phi_t)))
 
     @property
     def times(self) -> np.ndarray:
-        return np.array([s.t for s in self.states])
+        return self.stack.t
 
     @property
     def grid(self) -> Grid:
-        return self.states[0].grid
+        return self.stack.grid
 
 
 def pde_phase_rate(theta: Field, phi: Field, potential: Potential) -> np.ndarray:
@@ -367,17 +368,22 @@ def march(init: State, cfg: SchemeConfig, t_end: float, advance: Callable[[State
     n_steps = int(round(span / cfg.dt)) if span > 0 else 0
     if abs(n_steps * cfg.dt - span) > 1e-8 * max(cfg.dt, span):
         raise ConfigError(f"(t_end - t0) = {span:g} is not an integer multiple of dt = {cfg.dt:g}")
-    states = [init]
+    times = init.t + np.arange(n_steps + 1) * cfg.dt
+    values = np.empty((3, n_steps + 1, *init.grid.shape))  # theta, phi, phi_t per state
+
+    def trajectory(count: int) -> Trajectory:
+        return Trajectory(State(times[:count], *(Field(init.grid, v[:count]) for v in values)), cfg)
+
     current = init
-    for k in range(n_steps):
-        try:
-            current = advance(current)
-        except (NewtonDiverged, FixedPointDiverged, PositivityLost, LinearSolveFailed) as exc:
-            raise SimulationAborted(k + 1, exc, Trajectory(states, cfg)) from exc
-        # rebuild the time to keep the spacing exactly uniform
-        current.t = init.t + (k + 1) * cfg.dt
-        states.append(current)
-    return Trajectory(states, cfg)
+    for k in range(n_steps + 1):
+        if k > 0:
+            try:
+                current = advance(current)
+            except (NewtonDiverged, FixedPointDiverged, PositivityLost, LinearSolveFailed) as exc:
+                raise SimulationAborted(k, exc, trajectory(k)) from exc
+            current.t = times[k]  # rebuilt, to keep the spacing exactly uniform
+        values[:, k] = current.theta.values, current.phi.values, current.phi_t.values
+    return trajectory(n_steps + 1)
 
 
 def simulate(init: State, cfg: SchemeConfig, potential: Potential, t_end: float) -> Trajectory:

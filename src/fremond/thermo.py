@@ -24,7 +24,9 @@ Checked structures, with their continuum statements:
 Discrete transcription conventions (fixed here for reproducibility): time
 integrals by the left-endpoint rule, vartheta_t by centered differences
 (forward at t=0), phi_t at the initial instant is the stored convention value
-(zero unless the PDE initializer was requested).
+(zero unless the PDE initializer was requested). ``energy`` given a
+trajectory's stacked State (``Trajectory.stack``) returns each quantity's
+series over time; the checks take their series that way, in one array pass.
 """
 
 from __future__ import annotations
@@ -75,15 +77,16 @@ def _check_positive(theta: Field, what: str = "temperature") -> None:
 
 def energy(state: State, potential: Potential) -> EnergyReport:
     """Total energy split into gradient, potential and thermal parts, plus the
-    entropy integral and the Orlicz quantity int theta log theta."""
+    entropy integral and the Orlicz quantity int theta log theta; for a
+    stacked State, each one as its series over time."""
     _check_positive(state.theta)
     g = state.grid
-    vol = g.cell_volume
+    vol, axes = g.cell_volume, g.axes
     th = state.theta.values
     ph = state.phi.values
     e_grad = 0.5 * _dirichlet_values(ph, ph, g)
-    e_pot = float(np.sum(potential.eval(ph, 0))) * vol
-    e_th = float(np.sum(th)) * vol
+    e_pot = np.sum(potential.eval(ph, 0), axis=axes) * vol
+    e_th = np.sum(th, axis=axes) * vol
     log_th = np.log(th)
     return EnergyReport(
         t=state.t,
@@ -91,10 +94,10 @@ def energy(state: State, potential: Potential) -> EnergyReport:
         E_gradient=e_grad,
         E_potential=e_pot,
         E_thermal=e_th,
-        entropy_S=float(np.sum(log_th + ph)) * vol,
-        orlicz=float(np.sum(th * log_th)) * vol,
-        theta_min=state.theta.min(),
-        phi_min=state.phi.min(),
+        entropy_S=np.sum(log_th + ph, axis=axes) * vol,
+        orlicz=np.sum(th * log_th, axis=axes) * vol,
+        theta_min=th.min(axis=axes),
+        phi_min=ph.min(axis=axes),
     )
 
 
@@ -110,14 +113,10 @@ class EnergyCheckReport:
         return np.diff(self.energies)
 
     def csv_rows(self):
-        header = ["step", "t", "value", "margin", "pass"]
         e0 = self.energies[0]
-        tol = 1e-4 * abs(e0)
-        rows = [
-            (n, self.times[n], self.energies[n], self.margins[n], self.energies[n] <= e0 + tol)
-            for n in range(len(self.times))
-        ]
-        return header, rows
+        passed = self.energies <= e0 + 1e-4 * abs(e0)
+        rows = zip(range(len(self.times)), self.times, self.energies, self.margins, passed)
+        return ["step", "t", "value", "margin", "pass"], list(rows)
 
 
 def energy_inequality_check(traj: Trajectory, potential: Potential) -> EnergyCheckReport:
@@ -128,11 +127,12 @@ def energy_inequality_check(traj: Trajectory, potential: Potential) -> EnergyChe
     the implicit scheme); nonnegative up to splitting error of order dt.
     """
     eps, p, dt = traj.config.epsilon, traj.config.p, traj.config.dt
-    vol = traj.grid.cell_volume
-    energies = np.array([energy(s, potential).E_total for s in traj])
-    regs = np.cumsum([0.0] + [
-        eps * dt * float(np.sum(s.theta.values**p)) * vol if eps > 0 else 0.0 for s in traj[1:]
-    ])
+    g = traj.grid
+    energies = energy(traj.stack, potential).E_total
+    regs = np.zeros(len(traj))
+    if eps > 0:
+        regs[1:] = eps * dt * np.sum(traj.stack.theta.values[1:] ** p, axis=g.axes) * g.cell_volume
+    regs = np.cumsum(regs)
     return EnergyCheckReport(traj.times, energies, regs, energies[0] - energies - regs)
 
 
@@ -141,15 +141,18 @@ def energy_inequality_check(traj: Trajectory, potential: Potential) -> EnergyChe
 
 @dataclass(frozen=True)
 class TestFunction:
-    """Nonnegative space-time test function, sampled on the grid per time."""
+    """Nonnegative space-time test function; fn(grid, t) broadcasts over t (grid.dim trailing unit axes)."""
 
     name: str
-    fn: Callable[[Grid, float], np.ndarray]
+    fn: Callable[[Grid, np.ndarray], np.ndarray]
 
-    def sample(self, grid: Grid, t: float) -> np.ndarray:
-        vals = np.asarray(self.fn(grid, t), dtype=float) * np.ones(grid.shape)
+    def sample(self, grid: Grid, t) -> np.ndarray:
+        """Values of shape (*np.shape(t), *grid.shape): one field per time of t."""
+        t = np.asarray(t, dtype=float)
+        vals = np.asarray(self.fn(grid, t.reshape(t.shape + (1,) * grid.dim)), dtype=float)
+        vals = np.broadcast_to(vals, t.shape + grid.shape)
         if vals.min() < 0:
-            raise ValueError(f"test function {self.name!r} is negative at t={t}")
+            raise ValueError(f"test function {self.name!r} is negative")
         return vals
 
 
@@ -192,12 +195,8 @@ class EntropyCheckReport:
         return float(self.margins.min()) if len(self.margins) else 0.0
 
     def csv_rows(self, tol: float = 0.0):
-        header = ["step", "t", "value", "margin", "pass"]
-        rows = [
-            (n + 1, self.times[n], self.entropy_values[n], self.margins[n], self.margins[n] >= -tol)
-            for n in range(len(self.times))
-        ]
-        return header, rows
+        rows = zip(range(1, len(self.times) + 1), self.times, self.entropy_values, self.margins, self.margins >= -tol)
+        return ["step", "t", "value", "margin", "pass"], list(rows)
 
 
 def entropy_inequality_check(traj: Trajectory, test_fn: TestFunction) -> EntropyCheckReport:
@@ -211,31 +210,31 @@ def entropy_inequality_check(traj: Trajectory, test_fn: TestFunction) -> Entropy
     """
     cfg = traj.config
     kappa, eps, p, dt = cfg.kappa, cfg.epsilon, cfg.p, cfg.dt
-    grid = traj.grid
-    vol = grid.cell_volume
-    N = len(traj) - 1
+    s, grid = traj.stack, traj.grid
+    vol, axes = grid.cell_volume, grid.axes
+    _check_positive(s.theta)
 
-    vt = [test_fn.sample(grid, s.t) for s in traj]
-    boundary = np.empty(N + 1)    # int vartheta(t^k) (log theta^k + phi^k)
-    production = np.empty(N)      # dt int vartheta (kappa |grad log th|^2 + phi_t^2/th - eps th^{p-1})
-    flux = np.empty(N)            # dt int (kappa grad log th . grad vartheta - vartheta_t (log th + phi))
-    for k, s in enumerate(traj):
-        _check_positive(s.theta)
-        th = s.theta.values
-        log_th = np.log(th)
-        entropy_density = log_th + s.phi.values
-        boundary[k] = float(np.sum(vt[k] * entropy_density)) * vol
-        if k == N:
-            break
-        vt_dot = (vt[k + 1] - vt[k - 1]) / (2.0 * dt) if k else (vt[1] - vt[0]) / dt
-        prod_density = kappa * _grad_sq_values(log_th, grid) + s.phi_t.values**2 / th
-        if eps > 0:
-            prod_density = prod_density - eps * th ** (p - 1.0)
-        production[k] = dt * float(np.sum(vt[k] * prod_density)) * vol
-        flux[k] = dt * (
-            kappa * _dirichlet_values(log_th, vt[k], grid)
-            - float(np.sum(vt_dot * entropy_density)) * vol
-        )
+    # a row per time, left-endpoint terms on rows [:-1]; in-place updates bound the temporaries
+    vt = test_fn.sample(grid, traj.times)
+    log_th = np.log(s.theta.values)
+    density = log_th + s.phi.values
+    boundary = np.sum(vt * density, axis=axes) * vol  # int vartheta (log th + phi)
+    vt_dot = np.concatenate([(vt[1:2] - vt[:1]) / dt, (vt[2:] - vt[:-2]) / (2.0 * dt)])
+    vt_dot *= density[:-1]
+    # dt int (kappa grad log th . grad vartheta - vartheta_t (log th + phi))
+    flux = np.sum(vt_dot, axis=axes) * vol
+    del density, vt_dot
+    flux = dt * (kappa * _dirichlet_values(log_th[:-1], vt[:-1], grid) - flux)
+    # dt int vartheta (kappa |grad log th|^2 + phi_t^2/th - eps th^{p-1})
+    th = s.theta.values[:-1]
+    density = _grad_sq_values(log_th[:-1], grid)
+    del log_th
+    density *= kappa
+    density += s.phi_t.values[:-1] ** 2 / th
+    if eps > 0:
+        density -= eps * th ** (p - 1.0)
+    density *= vt[:-1]
+    production = dt * np.sum(density, axis=axes) * vol
     lhs = -boundary[1:] + boundary[0] + np.cumsum(production)
     return EntropyCheckReport(test_fn.name, traj.times[1:], np.cumsum(flux) - lhs, boundary[1:])
 
@@ -265,16 +264,12 @@ class FloorsReport:
         return bool(np.all(self.theta_ok) and np.all(self.phi_ok))
 
     def csv_rows(self, which: str = "theta"):
-        header = ["step", "t", "value", "margin", "pass"]
         if which == "theta":
             vals, floors, oks = self.theta_min, self.theta_floor, self.theta_ok
         else:
             vals, floors, oks = self.phi_min, self.phi_floor, self.phi_ok
-        rows = [
-            (n, self.times[n], vals[n], vals[n] - floors[n], bool(oks[n]))
-            for n in range(len(self.times))
-        ]
-        return header, rows
+        rows = zip(range(len(self.times)), self.times, vals, vals - floors, oks.tolist())
+        return ["step", "t", "value", "margin", "pass"], list(rows)
 
 
 def floors_check(traj: Trajectory, *, lam: float, tol: float = 1e-10) -> FloorsReport:
@@ -285,9 +280,9 @@ def floors_check(traj: Trajectory, *, lam: float, tol: float = 1e-10) -> FloorsR
     interval; agrees with the single-shot integrator to round-off). lam is the
     potential's convexity constant, which sets the phase floor's growth rate.
     """
-    times = traj.times
-    theta_min = np.array([s.theta.min() for s in traj])
-    phi_min = np.array([s.phi.min() for s in traj])
+    times, axes = traj.times, traj.grid.axes
+    theta_min = traj.stack.theta.values.min(axis=axes)
+    phi_min = traj.stack.phi.values.min(axis=axes)
     K = max(0.0, -phi_min[0])
 
     theta_floor = [theta_min[0]]

@@ -1,3 +1,4 @@
+import random
 import re
 
 import numpy as np
@@ -40,6 +41,14 @@ COSINE_CFG = STEADY_CFG.replace(
 
 
 WEAKSTRONG_CFG = COSINE_CFG + "\n[experiment]\nkind = weak_strong\nlevels = [16]\ndeltas = [0.0, 0.1]\n"
+
+
+def edit_record(text, k, edit):
+    """A trajectory.field text with ``edit`` applied to its k-th snapshot
+    record (0-based; state n's temperature record is 2n, its phase 2n + 1)."""
+    recs = re.split(r"(?m)^(?=FIELD)", text)
+    recs[k + 1] = edit(recs[k + 1])
+    return "".join(recs)
 
 
 @pytest.fixture()
@@ -103,6 +112,9 @@ class TestBadConfigValues:
         ("simulate", "run.t_edn=1"),
         ("weakstrong", "experiment.xi_ceiling=1e3"),
         ("simulate", "potential.lambda=0.5"),
+        ("simulate", "potential.potential=zero"),
+        ("simulate", "scheme.epsilon=nan"),
+        ("simulate", "grid.extent=[inf]"),
     ])
     def test_exits_two_naming_the_entry(self, verb, override, tmp_path, capsys):
         cfg = tmp_path / "ws.cfg"
@@ -123,17 +135,21 @@ class TestCorruptInput:
          "initial.theta_file"),
         ("plot", "run_0/energy.csv", lambda text: "", "energy.csv"),
         ("check", "run_0/index.csv", lambda text: "", "index.csv"),
-        ("check", "run_0/index.csv", lambda text: text.replace(",state_3.field", ""), "index.csv"),
+        ("check", "run_0/index.csv", lambda text: re.sub(r"(?m)^3,.*$", "3", text, count=1), "index.csv"),
+        ("check", "run_0/index.csv", lambda text: text.splitlines(keepends=True)[0], "index.csv"),
         ("check", "manifest.txt", lambda text: text.replace("dt = 0.01", "dt = 0.02"), "manifest.txt"),
-        ("check", "run_0/state_3.field", lambda text: text.replace(" h=", " hh=", 1), "state_3.field"),
-        ("check", "run_0/state_3.field", lambda text: re.sub(r"\n\S+", "\nnan", text, count=1), "state_3.field"),
+        ("check", "run_0/trajectory.field",
+         lambda text: edit_record(text, 6, lambda rec: rec.replace(" h=", " hh=", 1)), "trajectory.field"),
+        ("check", "run_0/trajectory.field",
+         lambda text: edit_record(text, 6, lambda rec: re.sub(r"\n\S+", "\nnan", rec, count=1)), "trajectory.field"),
+        ("check", "run_0/trajectory.field", lambda text: text[:text.rindex("FIELD")], "trajectory.field: 41 records"),
         ("plot", "run_0/energy.csv", lambda text: text.replace("E_total", "E_tot", 1),
          "energy.csv: header lacks column E_total"),
         ("plot", "run_0/energy.csv", lambda text: re.sub(r"(?m)^3,.*$", "1,abc", text, count=1),
          "energy.csv: row '1,abc'"),
     ], ids=["snapshot_preset_without_files", "empty_energy_csv", "empty_index_csv", "index_row_truncated",
-            "manifest_dt_edited", "snapshot_header_without_h", "nan_in_snapshot", "energy_csv_column_renamed",
-            "energy_csv_short_row"])
+            "index_csv_header_only", "manifest_dt_edited", "snapshot_header_without_h", "nan_in_snapshot",
+            "last_record_dropped", "energy_csv_column_renamed", "energy_csv_short_row"])
     def test_exits_two_without_traceback(self, verb, target, edit, named, steady_cfg, tmp_path, capsys):
         out = tmp_path / "out"
         assert main(["simulate", "--config", str(steady_cfg), "--outdir", str(out)]) == 0
@@ -165,6 +181,38 @@ class TestCorruptInput:
         assert "Traceback" not in err
 
 
+class TestCorruptionSweep:
+    """One seeded edit to one persisted artifact of a short run: check and plot
+    exit 0, 1 or 2 and never raise."""
+
+    ARTIFACTS = ["manifest.txt", "run_0/index.csv", "run_0/trajectory.field", "run_0/energy.csv"]
+
+    @staticmethod
+    def corrupt(text, rng):
+        lines = text.splitlines(keepends=True)
+        k = rng.randrange(len(lines))
+        kind = rng.choice(["drop", "truncate", "nan", "abc", "-1"])
+        if kind == "drop":
+            del lines[k]
+        elif kind == "truncate":
+            lines = lines[:k]
+        elif tokens := list(re.finditer(r"[^\s,=]+", lines[k])):
+            m = rng.choice(tokens)
+            lines[k] = lines[k][:m.start()] + kind + lines[k][m.end():]
+        return "".join(lines)
+
+    @pytest.mark.parametrize("seed", range(32))
+    def test_check_and_plot_exit_with_a_code(self, seed, steady_cfg, tmp_path, capsys):
+        rng = random.Random(seed)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(steady_cfg), "--outdir", str(out)]) == 0
+        path = out / rng.choice(self.ARTIFACTS)
+        path.write_text(self.corrupt(path.read_text(), rng))
+        for verb in ("check", "plot"):
+            assert main([verb, "--run", str(out)]) in (0, 1, 2)
+        assert "Traceback" not in capsys.readouterr().err
+
+
 class TestUnknownVerb:
     def test_unknown_verb_exits_two(self, capsys):
         assert main(["transmogrify"]) == 2
@@ -185,13 +233,8 @@ class TestCheck:
     def test_hand_edited_negative_temperature_fails(self, cosine_cfg, tmp_path, capsys):
         out = tmp_path / "out"
         main(["simulate", "--config", str(cosine_cfg), "--outdir", str(out)])
-        victim = out / "run_0" / "state_3.field"
-        recs = victim.read_text().splitlines()
-        header, first_val_line = recs[0], recs[1]
-        toks = first_val_line.split()
-        toks[0] = "-1.0"
-        recs[1] = " ".join(toks)
-        victim.write_text("\n".join(recs) + "\n")
+        victim = out / "run_0" / "trajectory.field"
+        victim.write_text(edit_record(victim.read_text(), 6, lambda rec: re.sub(r"\n\S+", "\n-1.0", rec, count=1)))
         code = main(["check", "--run", str(out)])
         assert code == 1
         assert "min theta" in capsys.readouterr().err
@@ -199,10 +242,8 @@ class TestCheck:
     def test_hand_edited_energy_jump_fails(self, cosine_cfg, tmp_path, capsys):
         out = tmp_path / "out"
         main(["simulate", "--config", str(cosine_cfg), "--outdir", str(out)])
-        victim = out / "run_0" / "state_3.field"
-        recs = victim.read_text().splitlines()
-        recs[1] = " ".join(["50.0"] + recs[1].split()[1:])
-        victim.write_text("\n".join(recs) + "\n")
+        victim = out / "run_0" / "trajectory.field"
+        victim.write_text(edit_record(victim.read_text(), 6, lambda rec: re.sub(r"\n\S+", "\n50.0", rec, count=1)))
         assert main(["check", "--run", str(out)]) == 1
         assert "energy: first failing row" in capsys.readouterr().err
 

@@ -282,8 +282,8 @@ class TestSnapshots:
         with open(path, "w") as fh:
             from fremond.grid import _write_record
 
-            _write_record(fh, a, 0.0)
-            _write_record(fh, b, 0.1)
+            _write_record(fh, g, a.values, 0.0)
+            _write_record(fh, g, b.values, 0.1)
         recs = read_snapshots(path)
         assert len(recs) == 2
         assert recs[0][0].values[0] == 1.0 and recs[1][0].values[0] == 2.0

@@ -301,10 +301,9 @@ class TestPersistence:
         t2 = self._small_traj(double_well)
         persist_trajectory(t1, tmp_path / "a")
         persist_trajectory(t2, tmp_path / "b")
-        for k in range(len(t1)):
-            fa = (tmp_path / "a" / f"state_{k}.field").read_bytes()
-            fb = (tmp_path / "b" / f"state_{k}.field").read_bytes()
-            assert fa == fb
+        fa = (tmp_path / "a" / "trajectory.field").read_bytes()
+        assert fa.count(b"FIELD") == 2 * len(t1)
+        assert fa == (tmp_path / "b" / "trajectory.field").read_bytes()
         assert (tmp_path / "a" / "index.csv").read_bytes() == (tmp_path / "b" / "index.csv").read_bytes()
 
     def test_csv_roundtrip(self, tmp_path):
@@ -354,4 +353,4 @@ class TestFrozenPhase:
         assert err.value.step_index == 3
         assert isinstance(err.value.cause, PositivityLost)
         assert len(err.value.trajectory) == 3
-        assert err.value.trajectory[0] is init
+        assert np.array_equal(err.value.trajectory[0].theta.values, init.theta.values)

@@ -185,6 +185,19 @@ class TestGronwall:
         assert rep.min_margin >= -1e-12 * max(1.0, float(np.max(rep.rhs)))
         assert rep.E_rel[0] > 0.0
 
+    @pytest.mark.parametrize("grid", [Grid.line(24), Grid.box(6, 5)], ids=["line24", "box6x5"])
+    def test_stacked_series_equal_the_per_state_values_bitwise(self, grid, double_well):
+        mode = grid.cosine_mode()
+        cfg, relcfg = SchemeConfig(dt=1e-4, epsilon=1e-3, p=4.0), RelEnergyConfig(lam=4.0)
+        ref, pert = (simulate(initial_state(grid, Field(grid, 1.0 + 0.2 * mode), Field(grid, amp * mode)),
+                              cfg, double_well, 8e-4) for amp in (0.3, 0.35))
+        pairs = list(zip(pert, ref))
+        assert np.array_equal(relative_energy(pert.stack, ref.stack, relcfg, double_well).total,
+                              [relative_energy(s, r, relcfg, double_well).total for s, r in pairs])
+        assert np.array_equal(dissipation_W(pert.stack, ref.stack, 1.0), [dissipation_W(s, r, 1.0) for s, r in pairs])
+        assert np.array_equal(k_factor(ref.stack), [k_factor(r) for r in ref])
+        assert np.array_equal(xi_monitor(ref.stack, 1.0), [xi_monitor(r, 1.0) for r in ref])
+
     def test_time_mismatch_rejected(self, double_well):
         a = self._cosine_traj(double_well, steps=32)
         b = self._cosine_traj(double_well, steps=16)

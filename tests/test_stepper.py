@@ -190,6 +190,18 @@ class TestStep:
         assert np.array_equal(out.theta.values, prev.theta.values)
         assert np.array_equal(out.phi.values, prev.phi.values)
 
+    def test_sweeps_stop_only_when_both_residuals_converge(self, double_well, steady_pair):
+        # theta = F'(phi*) zeroes the phase residual on the first sweep, while the
+        # heat residual there is eps theta^p, far above its threshold
+        phi_star, theta_star = steady_pair
+        g = Grid.line(16)
+        prev = uniform_state(g, theta_star, phi_star)
+        cfg = SchemeConfig(dt=1e-3, epsilon=1e-2)
+        stats = {}
+        out = step(prev, cfg, double_well, stats)
+        assert stats["picard_iterations"] > 1
+        assert out.theta.max() < theta_star
+
     def test_uniform_step_matches_composed_scalar_oracle(self, double_well):
         g = Grid.line(16)
         dt, lam = 0.01, double_well.lam
@@ -361,17 +373,24 @@ class TestFloors:
 
 
 class TestTrajectory:
+    @staticmethod
+    def stack(grid, times):
+        ones = Field(grid, np.ones((len(times), *grid.shape)))
+        return State(np.array(times), ones, ones, ones)
+
     def test_times_must_increase(self, double_well):
         g = Grid.line(8)
-        s = uniform_state(g, 1.0, 0.0)
-        s2 = State(0.0, s.theta, s.phi, s.phi_t)
         with pytest.raises(ValueError):
-            Trajectory([s, s2], SchemeConfig(dt=0.1))
+            Trajectory(self.stack(g, [0.0, 0.0]), SchemeConfig(dt=0.1))
 
     def test_uniform_dt_enforced(self, double_well):
         g = Grid.line(8)
-        a = uniform_state(g, 1.0, 0.0)
-        b = State(0.1, a.theta, a.phi, a.phi_t)
-        c = State(0.35, a.theta, a.phi, a.phi_t)
         with pytest.raises(ValueError):
-            Trajectory([a, b, c], SchemeConfig(dt=0.1))
+            Trajectory(self.stack(g, [0.0, 0.1, 0.35]), SchemeConfig(dt=0.1))
+
+    def test_states_are_views_of_the_stack(self, double_well):
+        g = Grid.line(8)
+        traj = Trajectory(self.stack(g, [0.0, 0.1, 0.2]), SchemeConfig(dt=0.1))
+        assert len(traj) == 3 and [s.t for s in traj] == [0.0, 0.1, 0.2]
+        traj.stack.theta.values[2, 0] = 5.0
+        assert traj[-1].theta.values[0] == 5.0 and traj[-1].grid is g

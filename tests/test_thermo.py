@@ -6,7 +6,7 @@ import pytest
 from fremond.errors import NonpositiveTemperature
 from fremond.grid import Field, Grid, _dirichlet_values, _grad_sq_values
 from fremond.potential import Potential
-from fremond.stepper import SchemeConfig, State, Trajectory, initial_state, simulate
+from fremond.stepper import SchemeConfig, initial_state, simulate
 from fremond.thermo import (
     TEST_FUNCTIONS,
     energy,
@@ -67,6 +67,12 @@ class TestEnergy:
             r = energy(s, pot)
             assert r.E_total == r.E_gradient + r.E_potential + r.E_thermal
 
+    def test_stacked_report_equals_the_per_state_reports_bitwise(self, small_cosine_run):
+        traj, pot = small_cosine_run
+        stacked = energy(traj.stack, pot)
+        for name, series in vars(stacked).items():
+            assert np.array_equal(series, [getattr(energy(s, pot), name) for s in traj]), name
+
     def test_cosine_gradient_energy_refines_to_quarter_pi_sq(self):
         pot = Potential.zero()
         errs = []
@@ -93,7 +99,7 @@ class TestEnergy:
 class TestEnergyInequality:
     def test_single_state_margin_zero(self, double_well):
         g = Grid.line(8)
-        traj = Trajectory([uniform_state(g, 1.0, 0.0)], SchemeConfig(dt=0.1))
+        traj = simulate(uniform_state(g, 1.0, 0.0), SchemeConfig(dt=0.1), double_well, 0.0)
         rep = energy_inequality_check(traj, double_well)
         assert rep.margins.tolist() == [0.0]
 
@@ -168,23 +174,17 @@ class TestEntropyInequality:
             assert np.array_equal(rep.margins, margins), name
             assert np.array_equal(rep.entropy_values, values), name
 
-    def test_single_state_has_no_margins(self):
+    def test_single_state_has_no_margins(self, double_well):
         g = Grid.line(8)
-        traj = Trajectory([uniform_state(g, 1.0, 0.0)], SchemeConfig(dt=0.1))
+        traj = simulate(uniform_state(g, 1.0, 0.0), SchemeConfig(dt=0.1), double_well, 0.0)
         rep = entropy_inequality_check(traj, TEST_FUNCTIONS["cosine"]())
         assert len(rep.times) == len(rep.margins) == len(rep.entropy_values) == 0
         assert rep.min_margin == 0.0
 
     def test_negative_temperature_rejected(self, double_well):
         g = Grid.line(8)
-        good = uniform_state(g, 1.0, 0.0)
-        bad = State.__new__(State)  # bypass the constructor check on purpose
-        bad.t = 0.1
-        bad.theta = Field(g, np.full(8, 1.0))
-        bad.theta.values[3] = -1.0
-        bad.phi = Field.zeros(g)
-        bad.phi_t = Field.zeros(g)
-        traj = Trajectory([good, bad], SchemeConfig(dt=0.1))
+        traj = simulate(uniform_state(g, 1.0, 0.0), SchemeConfig(dt=0.1), double_well, 0.1)
+        traj.stack.theta.values[1, 3] = -1.0  # after the trajectory's own check, on purpose
         with pytest.raises(NonpositiveTemperature):
             entropy_inequality_check(traj, TEST_FUNCTIONS["one"]())
 
