@@ -76,14 +76,14 @@ def _cmd_check(args) -> int:
         harness.write_csv(run_dir / f"{stem}.csv", header, rows)
         bad = next((row for row in rows if not row[-1]), None)
         if bad is not None:
-            failures.append(f"{name}: first failing row: {dict(zip(header, bad))}")
+            cells = ", ".join(f"{key}={harness._fmt(v)}" for key, v in zip(header, bad))
+            failures.append(f"{name}: first failing row: {cells}")
 
     record("energy", "energy_check", energy_inequality_check(traj, run.potential).csv_rows())
-    entropy_tol = args.entropy_tol if args.entropy_tol is not None else 100.0 * traj.config.dt
     for tf_name in ("one", "cosine"):
         rep = entropy_inequality_check(traj, TEST_FUNCTIONS[tf_name]())
-        record(f"entropy({tf_name})", f"entropy_{tf_name}", rep.csv_rows(tol=entropy_tol))
-    floors = floors_check(traj, lam=run.potential.lam, tol=args.floor_tol)
+        record(f"entropy({tf_name})", f"entropy_{tf_name}", rep.csv_rows(tol=100.0 * traj.config.dt))
+    floors = floors_check(traj, lam=run.potential.lam)
     for which in ("theta", "phi"):
         record(f"floors({which})", f"floors_{which}", floors.csv_rows(which))
 
@@ -257,11 +257,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_config_opts(p)
     p.set_defaults(fn=_cmd_simulate)
 
-    p = sub.add_parser("check", help="thermodynamic checks on a persisted run")
+    p = sub.add_parser("check", help="thermodynamic checks on a persisted run (entropy tol 100*dt, floors 1e-10)")
     p.add_argument("--run", required=True, help="run directory (with index.csv or run_0/)")
-    p.add_argument("--entropy-tol", type=float, default=None,
-                   help="entropy margin tolerance (default 100*dt)")
-    p.add_argument("--floor-tol", type=float, default=1e-10)
     p.set_defaults(fn=_cmd_check)
 
     p = sub.add_parser("relenergy", help="relative-energy suite on two persisted runs")

@@ -8,7 +8,7 @@ Grammar (documented in docs/config.md):
   - ``--override section.key=value`` replaces entries after parsing
 
 Sections: [grid] (dim, n, extent), [scheme] (kappa, epsilon, p, dt and the
-solver tolerances), [potential] (potential = double_well or a coefficient
+iteration cap fp_max_iter), [potential] (potential = double_well or a coefficient
 list, lambda), [initial] (preset and its parameters), [run] (t_end, outdir),
 and optionally [experiment] for the sweep/refine/weakstrong drivers.
 """
@@ -30,10 +30,16 @@ __all__ = ["RunConfig", "SECTION_KEYS", "parse_config_text", "apply_overrides", 
 _NUMBER = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 _INT = re.compile(r"^[+-]?\d+$")
 
-_SCHEME_KINDS = {
-    **dict.fromkeys(("dt", "kappa", "epsilon", "p", "newton_tol", "linear_tol"), float),
-    "fp_max_iter": int,
-    "newton_max_iter": int,
+_SCHEME_KINDS = {**dict.fromkeys(("dt", "kappa", "epsilon", "p"), float), "fp_max_iter": int}
+
+# [experiment] keys: element type, and whether the value is a list of them
+_EXPERIMENT_KINDS = {
+    "kind": (str, False),
+    "eps_values": (float, True),
+    "levels": (int, True),
+    "deltas": (float, True),
+    "monitor": (str, False),
+    **dict.fromkeys(("theta_mean", "amplitude", "M"), (float, False)),
 }
 
 # The keys each section accepts; None leaves [initial] open, since its keys
@@ -44,7 +50,7 @@ SECTION_KEYS: dict[str, tuple[str, ...] | None] = {
     "potential": ("potential", "lambda"),
     "initial": None,
     "run": ("t_end", "outdir"),
-    "experiment": ("kind", "eps_values", "levels", "deltas", "monitor", "theta_mean", "amplitude", "M"),
+    "experiment": tuple(_EXPERIMENT_KINDS),
 }
 
 

@@ -20,7 +20,7 @@ class SolverError(FremondError):
 
 
 class NewtonDiverged(SolverError):
-    """Newton residual failed to reach tolerance; dt too large or bad potential."""
+    """A single-equation Newton solve missed its tolerance within fp_max_iter iterations."""
 
 
 class LinearSolveFailed(SolverError):
@@ -28,7 +28,7 @@ class LinearSolveFailed(SolverError):
 
 
 class FixedPointDiverged(SolverError):
-    """The coupled phase/heat sweeps did not converge within fp_max_iter."""
+    """The coupled phase/heat sweeps did not converge within fp_max_iter (which caps Newton too)."""
 
 
 class PositivityLost(SolverError):

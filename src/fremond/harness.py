@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import RunConfig, build_run_config, coerce, parse_config_text, render_config
+from .config import _EXPERIMENT_KINDS, RunConfig, build_run_config, coerce, parse_config_text, render_config
 from .errors import ConfigError, SimulationAborted
 from .grid import Field, Grid, norm, read_snapshots, same_grid, _write_record
 from .potential import Potential
@@ -161,24 +161,14 @@ class ExperimentConfig:
 
     @classmethod
     def from_run(cls, run: RunConfig) -> "ExperimentConfig":
+        """The run's [experiment] entries coerced to their kinds; the fields' defaults fill the rest."""
         ex = run.experiment
-        if not ex or "kind" not in ex:
+        if "kind" not in ex:
             raise ConfigError("config has no [experiment] section with a kind")
-
-        def get(key: str, default, kind=float, many=False):
-            return coerce(ex.get(key, default), kind, f"experiment.{key}", many)
-
-        return cls(
-            run=run,
-            kind=str(ex["kind"]),
-            eps_values=get("eps_values", [], many=True),
-            levels=get("levels", [], int, many=True),
-            deltas=get("deltas", [], many=True),
-            monitor=str(ex.get("monitor", "manufactured_error")),
-            theta_mean=get("theta_mean", 2.0),
-            amplitude=get("amplitude", 0.5),
-            M=get("M", 10.0),
-        )
+        return cls(run=run, **{
+            key: str(ex[key]) if kind is str else coerce(ex[key], kind, f"experiment.{key}", many)
+            for key, (kind, many) in _EXPERIMENT_KINDS.items() if key in ex
+        })
 
 
 @dataclass
@@ -307,6 +297,9 @@ def refinement_study(cfg: ExperimentConfig) -> RefinementReport:
     levels = cfg.levels
     if len(levels) < 3:
         raise ConfigError("refinement study needs at least three levels")
+    monitors = ("manufactured_error", "energy_margin", "entropy_margin")
+    if cfg.monitor not in monitors:
+        raise ConfigError(f"experiment.monitor = {cfg.monitor}: expected one of {', '.join(monitors)}")
     run = cfg.run
     n0 = run.grid.n[0]
     values, dts = [], []
@@ -327,11 +320,9 @@ def refinement_study(cfg: ExperimentConfig) -> RefinementReport:
             if cfg.monitor == "energy_margin":
                 echeck = energy_inequality_check(traj, run.potential)
                 values.append(float(np.max(np.abs(echeck.margins))))
-            elif cfg.monitor == "entropy_margin":
+            else:
                 ent = entropy_inequality_check(traj, TEST_FUNCTIONS["one"]())
                 values.append(max(0.0, -ent.min_margin))
-            else:
-                raise ConfigError(f"unknown monitor {cfg.monitor!r}")
         dts.append(dt)
     hs = [1.0 / n for n in levels]
     return RefinementReport(
@@ -540,8 +531,8 @@ def load_run_dir(run_dir) -> tuple[Trajectory, RunConfig]:
     if len(records) != 2 * len(times):
         raise ConfigError(f"{path}: {len(records)} records, not two for each of the {len(times)} states in {index}")
     grid = records[0][0].grid
-    if not all(same_grid(f.grid, grid) for f, _ in records):
-        raise ConfigError(f"{path}: records live on different grids")
+    if not all(same_grid(f.grid, run.grid) for f, _ in records):
+        raise ConfigError(f"{path}: records do not all live on the [grid] of {manifest}")
     theta = np.stack([f.values for f, _ in records[0::2]])
     phi = np.stack([f.values for f, _ in records[1::2]])
     init = initial_state(grid, theta[0], phi[0], run.initial.get("phi_t", "zero"), run.potential, times[0])

@@ -62,15 +62,17 @@ __all__ = [
 ]
 
 
+NEWTON_TOL = 1e-11  # each equation's residual L2 norm, relative to max(1, ||u||/dt) (``_threshold``)
+LINEAR_TOL = 1e-12  # relative residual of the 2D conjugate-gradient solves
+
+
 @dataclass(frozen=True)
 class SchemeConfig:
-    """Scheme parameters: physics (kappa, epsilon, p), step size, solver controls.
+    """Scheme parameters: physics (kappa, epsilon, p), step size and one iteration cap.
 
-    newton_tol bounds each equation's residual L2 norm relative to
-    max(1, ||u||/dt), the natural residual scale of a backward-Euler solve
-    (plain absolute tolerance whenever ||u||/dt <= 1); linear_tol is relative.
-    fp_max_iter caps the coupled sweeps of ``step``, newton_max_iter the
-    Newton iterations of ``phase_step`` and ``heat_step``.
+    fp_max_iter bounds every nonlinear solve: the coupled sweeps of ``step``
+    and the Newton iterations of ``phase_step`` and ``heat_step``, each
+    counting its residual checks, the final one included.
     """
 
     dt: float
@@ -78,11 +80,10 @@ class SchemeConfig:
     epsilon: float = 1e-3
     p: float = 4.0
     fp_max_iter: int = 50
-    newton_tol: float = 1e-11
-    newton_max_iter: int = 30
-    linear_tol: float = 1e-12
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.dt, self.kappa, self.epsilon, self.p))):
+            raise ConfigError(f"dt, kappa, epsilon, p = {self.dt}, {self.kappa}, {self.epsilon}, {self.p}: not finite")
         if self.dt <= 0:
             raise ConfigError("dt must be positive")
         if self.kappa <= 0:
@@ -91,11 +92,8 @@ class SchemeConfig:
             raise ConfigError("epsilon must be nonnegative")
         if self.epsilon > 0 and self.p <= 3:
             raise ConfigError("p must exceed 3 when epsilon > 0")
-        for name in ("newton_tol", "linear_tol"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
-        if self.fp_max_iter < 1 or self.newton_max_iter < 1:
-            raise ConfigError("iteration limits must be at least 1")
+        if self.fp_max_iter < 1:
+            raise ConfigError("fp_max_iter must be at least 1")
 
 
 @dataclass
@@ -205,7 +203,7 @@ def _neg_lap_diag(grid: Grid) -> np.ndarray:
 _GTSV = get_lapack_funcs("gtsv", dtype=np.float64)
 
 
-def _solve_helmholtz(diag: np.ndarray, c: float, rhs: np.ndarray, grid: Grid, tol: float) -> np.ndarray:
+def _solve_helmholtz(diag: np.ndarray, c: float, rhs: np.ndarray, grid: Grid) -> np.ndarray:
     """Solve (diag(v) + c * (-lap)) x = rhs. Direct tridiagonal in 1D, PCG in 2D."""
     if grid.dim == 1:
         w = c / grid.h2[0]
@@ -217,10 +215,10 @@ def _solve_helmholtz(diag: np.ndarray, c: float, rhs: np.ndarray, grid: Grid, to
         if info != 0:
             raise LinearSolveFailed(f"tridiagonal solve failed (LAPACK gtsv info = {info})")
         return x
-    return _pcg(diag, c, rhs, grid, tol)
+    return _pcg(diag, c, rhs, grid)
 
 
-def _pcg(diag: np.ndarray, c: float, rhs: np.ndarray, grid: Grid, tol: float) -> np.ndarray:
+def _pcg(diag: np.ndarray, c: float, rhs: np.ndarray, grid: Grid) -> np.ndarray:
     precond = 1.0 / (diag + c * _neg_lap_diag(grid))
     x = np.zeros_like(rhs)
     r = rhs.copy()
@@ -228,7 +226,7 @@ def _pcg(diag: np.ndarray, c: float, rhs: np.ndarray, grid: Grid, tol: float) ->
     d = z.copy()
     rz = float(np.sum(r * z))
     bnorm = float(np.sqrt(np.sum(rhs * rhs)))
-    stop = max(tol * bnorm, 1e-300)
+    stop = max(LINEAR_TOL * bnorm, 1e-300)
     max_iter = 20 * grid.num_cells
     for _ in range(max_iter):
         if math.sqrt(float(np.sum(r * r))) <= stop:
@@ -244,7 +242,7 @@ def _pcg(diag: np.ndarray, c: float, rhs: np.ndarray, grid: Grid, tol: float) ->
         rz_new = float(np.sum(r * z))
         d = z + (rz_new / rz) * d
         rz = rz_new
-    raise LinearSolveFailed(f"CG did not reach tol={tol:g} in {max_iter} iterations")
+    raise LinearSolveFailed(f"CG did not reach tol={LINEAR_TOL:g} in {max_iter} iterations")
 
 
 # --- the two equations and their solves ------------------------------------
@@ -256,8 +254,8 @@ def _l2(v: np.ndarray, vol: float) -> float:
 
 def _threshold(u_old: np.ndarray, cfg: SchemeConfig, vol: float) -> float:
     # the residual carries a 1/dt-scaled identity term, so its round-off floor grows
-    # like ||u||/dt; the tolerance scales with it (exactly newton_tol if ||u||/dt <= 1)
-    return cfg.newton_tol * max(1.0, _l2(u_old, vol) / cfg.dt)
+    # like ||u||/dt; the tolerance scales with it (exactly NEWTON_TOL if ||u||/dt <= 1)
+    return NEWTON_TOL * max(1.0, _l2(u_old, vol) / cfg.dt)
 
 
 def _residual_norm(name: str, res: np.ndarray, vol: float) -> float:
@@ -292,11 +290,11 @@ def _newton(name: str, u_old: np.ndarray, c: float, cfg: SchemeConfig, grid: Gri
     vol = grid.cell_volume
     u = u_old.copy()
     thresh = _threshold(u_old, cfg, vol)
-    for _ in range(cfg.newton_max_iter + 1):
+    for _ in range(cfg.fp_max_iter):
         res = residual(u)
         if (rnorm := _residual_norm(name, res, vol)) <= thresh:
             return u
-        u = u + _solve_helmholtz(jacobian_diag(u), c, -res, grid, cfg.linear_tol)
+        u = u + _solve_helmholtz(jacobian_diag(u), c, -res, grid)
     raise NewtonDiverged(f"{name} Newton stalled at residual {rnorm:.3g} (tol {thresh:g}); dt too large?")
 
 
@@ -342,11 +340,11 @@ def step(prev: State, cfg: SchemeConfig, potential: Potential, stats: dict | Non
         heat_norm = _residual_norm("heat", _heat_residual(theta, heat_rhs, d, cfg, grid), vol)
         if phase_norm <= phase_tol and heat_norm <= heat_tol:
             break
-        phi = phi + _solve_helmholtz(_phase_jacobian(phi, cfg, potential), 1.0, -res_phi, grid, cfg.linear_tol)
+        phi = phi + _solve_helmholtz(_phase_jacobian(phi, cfg, potential), 1.0, -res_phi, grid)
         d = (phi - phi_old) / dt
         heat_rhs = theta_old / dt + d * d
         res_theta = _heat_residual(theta, heat_rhs, d, cfg, grid)
-        theta = theta + _solve_helmholtz(_heat_jacobian(theta, d, cfg), cfg.kappa, -res_theta, grid, cfg.linear_tol)
+        theta = theta + _solve_helmholtz(_heat_jacobian(theta, d, cfg), cfg.kappa, -res_theta, grid)
     else:
         raise FixedPointDiverged(f"coupled sweeps did not converge in {cfg.fp_max_iter} iterations (phase "
                                  f"residual {phase_norm:.3g}, heat {heat_norm:.3g}); dt too large?")

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from fremond.cli import main
+from fremond.config import _EXPERIMENT_KINDS, _SCHEME_KINDS, SECTION_KEYS
 from fremond.harness import load_run_dir, read_csv, write_csv
 
 
@@ -97,11 +98,24 @@ class TestSimulate:
         assert traj.grid.n == (8,)
 
 
+def assert_config_error_names_entry(verb, override, tmp_path, capsys):
+    """``verb`` on the weak-strong config with ``override`` exits 2 naming its section.key."""
+    cfg = tmp_path / "ws.cfg"
+    cfg.write_text(WEAKSTRONG_CFG)
+    code = main([verb, "--config", str(cfg), "--override", override, "--outdir", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("config error: ") and override.split("=")[0] in err
+    assert "Traceback" not in err
+
+
 class TestBadConfigValues:
     @pytest.mark.parametrize("verb, override", [
         ("simulate", "grid.n=abc"),
         ("simulate", "scheme.dt=fast"),
-        ("simulate", "scheme.newton_max_iter=many"),
+        ("simulate", "scheme.newton_max_iter=many"),  # not settings: the solver tolerances and caps are fixed
+        ("simulate", "scheme.newton_tol=1e-9"),
+        ("simulate", "scheme.linear_tol=1e-12"),
         ("simulate", "run.t_end=x"),
         ("simulate", "initial.phi_amp=big"),
         ("weakstrong", "experiment.levels=[a]"),
@@ -117,13 +131,19 @@ class TestBadConfigValues:
         ("simulate", "grid.extent=[inf]"),
     ])
     def test_exits_two_naming_the_entry(self, verb, override, tmp_path, capsys):
-        cfg = tmp_path / "ws.cfg"
-        cfg.write_text(WEAKSTRONG_CFG)
-        code = main([verb, "--config", str(cfg), "--override", override, "--outdir", str(tmp_path / "out")])
-        err = capsys.readouterr().err
-        assert code == 2
-        assert err.startswith("config error: ") and override.split("=")[0] in err
-        assert "Traceback" not in err
+        assert_config_error_names_entry(verb, override, tmp_path, capsys)
+
+    # every numeric key, generated from the kinds tables so that a key added later is covered
+    NUMERIC_KEYS = (
+        [("simulate", f"grid.{key}") for key in SECTION_KEYS["grid"]]
+        + [("simulate", f"scheme.{key}") for key in _SCHEME_KINDS]
+        + [("simulate", "potential.lambda"), ("simulate", "run.t_end")]
+        + [("weakstrong", f"experiment.{key}") for key, (kind, _) in _EXPERIMENT_KINDS.items() if kind is not str]
+    )
+
+    @pytest.mark.parametrize("verb, key", NUMERIC_KEYS)
+    def test_text_in_a_numeric_key_exits_two(self, verb, key, tmp_path, capsys):
+        assert_config_error_names_entry(verb, f"{key}=abc", tmp_path, capsys)
 
 
 class TestCorruptInput:
@@ -138,6 +158,10 @@ class TestCorruptInput:
         ("check", "run_0/index.csv", lambda text: re.sub(r"(?m)^3,.*$", "3", text, count=1), "index.csv"),
         ("check", "run_0/index.csv", lambda text: text.splitlines(keepends=True)[0], "index.csv"),
         ("check", "manifest.txt", lambda text: text.replace("dt = 0.01", "dt = 0.02"), "manifest.txt"),
+        ("check", "manifest.txt", lambda text: text.replace("n = 16", "n = 17"),
+         "trajectory.field: records do not all live on the [grid] of "),
+        ("check", "manifest.txt", lambda text: text.replace("extent = 1.0", "extent = 2.0"),
+         "trajectory.field: records do not all live on the [grid] of "),
         ("check", "run_0/trajectory.field",
          lambda text: edit_record(text, 6, lambda rec: rec.replace(" h=", " hh=", 1)), "trajectory.field"),
         ("check", "run_0/trajectory.field",
@@ -148,7 +172,8 @@ class TestCorruptInput:
         ("plot", "run_0/energy.csv", lambda text: re.sub(r"(?m)^3,.*$", "1,abc", text, count=1),
          "energy.csv: row '1,abc'"),
     ], ids=["snapshot_preset_without_files", "empty_energy_csv", "empty_index_csv", "index_row_truncated",
-            "index_csv_header_only", "manifest_dt_edited", "snapshot_header_without_h", "nan_in_snapshot",
+            "index_csv_header_only", "manifest_dt_edited", "manifest_n_edited", "manifest_extent_edited",
+            "snapshot_header_without_h", "nan_in_snapshot",
             "last_record_dropped", "energy_csv_column_renamed", "energy_csv_short_row"])
     def test_exits_two_without_traceback(self, verb, target, edit, named, steady_cfg, tmp_path, capsys):
         out = tmp_path / "out"
@@ -245,7 +270,18 @@ class TestCheck:
         victim = out / "run_0" / "trajectory.field"
         victim.write_text(edit_record(victim.read_text(), 6, lambda rec: re.sub(r"\n\S+", "\n50.0", rec, count=1)))
         assert main(["check", "--run", str(out)]) == 1
-        assert "energy: first failing row" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "energy: first failing row: step=" in err
+        assert "np." not in err and "pass=false" in err
+
+    @pytest.mark.parametrize("flag", ["--entropy-tol", "--floor-tol"])
+    def test_removed_tolerance_flags_exit_two(self, flag, steady_cfg, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(steady_cfg), "--outdir", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["check", "--run", str(out), flag, "1"]) == 2
+        err = capsys.readouterr().err
+        assert f"unrecognized arguments: {flag}" in err and "Traceback" not in err
 
     def test_check_matches_direct_api_byte_for_byte(self, cosine_cfg, tmp_path):
         from fremond.thermo import energy_inequality_check

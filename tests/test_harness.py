@@ -113,6 +113,12 @@ class TestConfig:
         assert set(SECTION_KEYS["scheme"]) == {f.name for f in fields(SchemeConfig)}
         assert set(SECTION_KEYS["experiment"]) == {f.name for f in fields(ExperimentConfig)} - {"run"}
 
+    def test_experiment_defaults_are_the_field_defaults(self):
+        run = base_run("\n[experiment]\nkind = refine\nlevels = [8, 16, 32]\nM = 5\n")
+        cfg = ExperimentConfig.from_run(run)
+        assert cfg == ExperimentConfig(run=run, kind="refine", levels=[8, 16, 32], M=5.0)
+        assert type(cfg.M) is float
+
     def test_missing_dt_rejected(self):
         with pytest.raises(ConfigError):
             build_run_config(parse_config_text("[scheme]\nkappa = 1.0\n"))
@@ -229,6 +235,14 @@ class TestRefinement:
         run = base_run()
         with pytest.raises(ConfigError):
             refinement_study(ExperimentConfig(run=run, kind="refine", levels=[8, 16]))
+
+    def test_unknown_monitor_rejected_before_any_run(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(harness, "simulate", lambda *args: calls.append(args))
+        cfg = ExperimentConfig(run=base_run(), kind="refine", levels=[8, 16, 32], monitor="bogus")
+        with pytest.raises(ConfigError, match="experiment.monitor"):
+            refinement_study(cfg)
+        assert calls == []
 
     def test_manufactured_orders_near_two(self):
         run = build_run_config(parse_config_text(BASE_CFG.replace("t_end = 0.016", "t_end = 0.1")))

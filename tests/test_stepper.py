@@ -9,6 +9,7 @@ from fremond.errors import (
     ConfigError,
     FixedPointDiverged,
     LinearSolveFailed,
+    NewtonDiverged,
     NonpositiveTemperature,
     PositivityLost,
     SimulationAborted,
@@ -27,7 +28,7 @@ from fremond.stepper import (
     simulate,
     step,
 )
-from fremond.stepper import _solve_helmholtz
+from fremond.stepper import NEWTON_TOL, _solve_helmholtz
 
 
 def scalar_newton(f, df, x0, tol=1e-14, max_iter=100):
@@ -56,8 +57,15 @@ class TestSchemeConfig:
             SchemeConfig(dt=-1.0)
         with pytest.raises(ConfigError):
             SchemeConfig(dt=0.1, kappa=0.0)
-        with pytest.raises(ConfigError):
-            SchemeConfig(dt=0.1, newton_tol=0.0)
+        with pytest.raises(ConfigError, match="fp_max_iter"):
+            SchemeConfig(dt=0.1, fp_max_iter=0)
+
+    @pytest.mark.parametrize("name", ["dt", "kappa", "epsilon", "p"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_parameters_rejected(self, name, value):
+        # nan passes every <= and < test, so the range checks alone let it through
+        with pytest.raises(ConfigError, match="not finite"):
+            SchemeConfig(**{"dt": 1e-3, name: value})
 
 
 class TestState:
@@ -151,6 +159,14 @@ class TestHeatStep:
         with pytest.raises(PositivityLost):
             heat_step(prev, Field.full(g, -2.0), cfg)
 
+    def test_newton_stops_at_the_iteration_cap(self):
+        # fp_max_iter counts residual checks: this solve converges at its third check
+        g = Grid.line(8)
+        prev = uniform_state(g, 1.0, 0.0)
+        with pytest.raises(NewtonDiverged, match="heat Newton stalled"):
+            heat_step(prev, prev.phi, SchemeConfig(dt=0.01, epsilon=0.5, fp_max_iter=2))
+        assert heat_step(prev, prev.phi, SchemeConfig(dt=0.01, epsilon=0.5, fp_max_iter=3)).max() < 1.0
+
     def test_singular_jacobian_is_linear_solve_failure(self):
         # d = -1/dt cancels the identity: the Jacobian is kappa (-lap), singular
         g = Grid.line(8)
@@ -175,7 +191,7 @@ class TestHelmholtz1D:
                 ab[1, -1] -= w
                 ab[0, 1:] = -w
                 ab[2, :-1] = -w
-                assert np.array_equal(_solve_helmholtz(diag, c, rhs, g, 1e-12), solve_banded((1, 1), ab, rhs))
+                assert np.array_equal(_solve_helmholtz(diag, c, rhs, g), solve_banded((1, 1), ab, rhs))
 
 
 class TestStep:
@@ -239,7 +255,7 @@ class TestStep:
         phi_re = phase_step(init, out.theta, cfg, double_well)
         vol = g.cell_volume
         dist = math.sqrt(float(np.sum((phi_re.values - out.phi.values) ** 2)) * vol)
-        assert dist < 10 * cfg.newton_tol
+        assert dist < 10 * NEWTON_TOL
 
     @pytest.mark.parametrize("grid", [Grid.line(32), Grid.box(8, 8)], ids=["line32", "box8x8"])
     def test_both_halves_reproduce_the_coupled_step(self, grid, double_well):
@@ -253,8 +269,8 @@ class TestStep:
         phi_re = phase_step(init, out.theta, cfg, double_well)
         theta_re = heat_step(init, out.phi, cfg)
         vol = grid.cell_volume
-        assert math.sqrt(float(np.sum((phi_re.values - out.phi.values) ** 2)) * vol) < 10 * cfg.newton_tol
-        assert math.sqrt(float(np.sum((theta_re.values - out.theta.values) ** 2)) * vol) < 10 * cfg.newton_tol
+        assert math.sqrt(float(np.sum((phi_re.values - out.phi.values) ** 2)) * vol) < 10 * NEWTON_TOL
+        assert math.sqrt(float(np.sum((theta_re.values - out.theta.values) ** 2)) * vol) < 10 * NEWTON_TOL
 
     def test_cosine_preset_needs_few_sweeps_per_step(self):
         from fremond.config import load_config
