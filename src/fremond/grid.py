@@ -122,14 +122,16 @@ class Grid:
 
 @dataclass
 class Field:
-    """Scalar values, one per cell, stored C-contiguous (row-major); values of
-    shape (..., *grid.shape) stack fields along leading axes (a trajectory's time)."""
+    """Scalar values, one per cell, in row-major index order; values of shape
+    (..., *grid.shape) stack fields along leading axes (a trajectory's time, a
+    batch's members). The values are kept as given, so a Field may be a strided
+    view into a larger stack, such as one member's series in a batch trajectory."""
 
     grid: Grid
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        v = np.ascontiguousarray(self.values, dtype=np.float64)
+        v = np.asarray(self.values, dtype=np.float64)
         if v.shape[-self.grid.dim:] != self.grid.shape:
             if v.size == self.grid.num_cells:
                 v = v.reshape(self.grid.shape)
@@ -170,14 +172,21 @@ def same_grid(a: Grid, b: Grid) -> bool:
 def _lap_values(v: np.ndarray, grid: Grid) -> np.ndarray:
     """Second-order Neumann Laplacian on raw values (..., *grid.shape); ghost cell mirrors the
     edge cell, so along each axis the neighbour sums at the ends are v[0] + v[1] and v[-2] + v[-1]."""
-    out = np.zeros_like(v)
+    out = None
     for axis, h2 in zip(grid.axes, grid.h2):
         w = v.swapaxes(0, axis)
         s = np.empty_like(w)
         s[1:-1] = w[:-2] + w[2:]
         s[0] = w[0] + w[1]
         s[-1] = w[-2] + w[-1]
-        out += ((s - 2.0 * w) / h2).swapaxes(0, axis)
+        s -= 2.0 * w
+        s /= h2
+        # the first term starts the sum: no term is -0.0 (equal operands subtract to +0.0),
+        # so this is bitwise the sum started from zeros
+        if out is None:
+            out = s.swapaxes(0, axis)
+        else:
+            out += s.swapaxes(0, axis)
     return out
 
 

@@ -23,12 +23,20 @@ run Newton on one equation with the other's input fixed. The linearized
 operators (1/dt) I - lap + G''(phi) and (1/dt) I - kappa lap + diag(eps p |th|^{p-1} + d)
 are symmetric positive definite in all sane regimes and are solved directly
 (tridiagonal) in 1D and by Jacobi-preconditioned conjugate gradients in 2D.
+
+``step`` also marches a batch of runs that share the grid, dt and potential:
+field values then carry a leading member axis, (m, *grid.shape). Each member
+has its own residual thresholds and freezes once both of its residuals meet
+them, so it comes out bitwise equal to its solo step. In 1D all members go
+through one tridiagonal solve, their blocks decoupled by zero off-diagonal
+entries at the seams; in 2D each member gets its own conjugate-gradient solve.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -106,6 +114,9 @@ class State:
     ``initial_state(..., phi_t_mode="pde")``.
     A trajectory's states stack into one State (``Trajectory.stack``), with
     t the array of times and field values of shape (len(t), *grid.shape).
+    A batch of runs (``step``) stacks along a member axis after t's axes:
+    values of shape (m, *grid.shape) at one instant, (len(t), m, *grid.shape)
+    along a trajectory.
     """
 
     t: float | np.ndarray
@@ -118,8 +129,7 @@ class State:
             raise ValueError("state fields live on different grids")
         tmin = self.theta.min()
         if tmin <= 0.0:
-            at = np.ravel(self.t)[int(np.argmin(self.theta.values)) // self.grid.num_cells]
-            raise NonpositiveTemperature(f"min theta = {tmin:.3g} at t = {at:.6g}")
+            raise NonpositiveTemperature(f"min theta = {tmin:.3g} at {_locate_min(self.theta.values, self.t, self.grid)}")
 
     @property
     def grid(self) -> Grid:
@@ -149,6 +159,11 @@ class Trajectory:
         s = self.stack
         return State(s.t[k], *(Field(f.grid, f.values[k]) for f in (s.theta, s.phi, s.phi_t)))
 
+    def member(self, j: int) -> "Trajectory":
+        """Member j of a batch's trajectory (values (len(t), m, *grid.shape)), as views into it."""
+        s = self.stack
+        return Trajectory(State(s.t, *(Field(f.grid, f.values[:, j]) for f in (s.theta, s.phi, s.phi_t))), self.config)
+
     @property
     def times(self) -> np.ndarray:
         return self.stack.t
@@ -156,6 +171,15 @@ class Trajectory:
     @property
     def grid(self) -> Grid:
         return self.stack.grid
+
+
+def _locate_min(values: np.ndarray, t: float | np.ndarray, grid: Grid) -> str:
+    """Where the smallest of stacked values sits: its time and, when the values
+    carry a member axis after t's axes, its member."""
+    lead = np.unravel_index(int(np.argmin(values)), values.shape)[: values.ndim - grid.dim]
+    k = np.ndim(t)
+    where = f"t = {np.asarray(t)[lead[:k]]:.6g}"
+    return where + (f" in member {', '.join(map(str, lead[k:]))}" if len(lead) > k else "")
 
 
 def pde_phase_rate(theta: Field, phi: Field, potential: Potential) -> np.ndarray:
@@ -174,7 +198,7 @@ def initial_state(
     theta = theta0 if isinstance(theta0, Field) else Field(grid, theta0)
     phi = phi0 if isinstance(phi0, Field) else Field(grid, phi0)
     if phi_t_mode == "zero":
-        phi_t = Field.zeros(grid)
+        phi_t = Field(grid, np.zeros_like(phi.values))
     elif phi_t_mode == "pde":
         if potential is None:
             raise ConfigError("phi_t_mode='pde' needs the potential")
@@ -203,19 +227,36 @@ def _neg_lap_diag(grid: Grid) -> np.ndarray:
 _GTSV = get_lapack_funcs("gtsv", dtype=np.float64)
 
 
+@lru_cache(maxsize=64)
+def _band(w: float, n: int, members: int) -> tuple[np.ndarray, np.ndarray]:
+    """For the tridiagonal (-w, 2w, -w) with mirrored ends on ``members`` stacked blocks
+    of n cells: the end-cell correction [w, 0, ..., 0, w] of the main diagonal, and the
+    off-diagonal, zero at the block seams so that the blocks decouple exactly (gtsv then
+    eliminates nothing across a seam). Read-only, as every call gets the same arrays."""
+    edge = np.zeros(n)
+    edge[0] = edge[-1] = w
+    off = np.full(members * n - 1, -w)
+    off[n - 1 :: n] = 0.0
+    edge.flags.writeable = off.flags.writeable = False
+    return edge, off
+
+
 def _solve_helmholtz(diag: np.ndarray, c: float, rhs: np.ndarray, grid: Grid) -> np.ndarray:
-    """Solve (diag(v) + c * (-lap)) x = rhs. Direct tridiagonal in 1D, PCG in 2D."""
+    """Solve (diag(v) + c * (-lap)) x = rhs for every stacked member: in 1D one direct
+    tridiagonal solve over all members, in 2D one PCG solve per member."""
     if grid.dim == 1:
         w = c / grid.h2[0]
+        edge, off = _band(w, grid.n[0], rhs.size // grid.n[0])
         main = diag + 2.0 * w
-        main[0] -= w
-        main[-1] -= w
-        off = np.full(grid.n[0] - 1, -w)
-        x, info = _GTSV(off, main, off, rhs)[3:]
+        main -= edge
+        x, info = _GTSV(off, main.ravel(), off, rhs.ravel())[3:]
         if info != 0:
             raise LinearSolveFailed(f"tridiagonal solve failed (LAPACK gtsv info = {info})")
-        return x
-    return _pcg(diag, c, rhs, grid)
+        return x.reshape(rhs.shape)
+    x = np.empty_like(rhs)
+    for member in np.ndindex(rhs.shape[: -grid.dim]):
+        x[member] = _pcg(diag[member], c, rhs[member], grid)
+    return x
 
 
 def _pcg(diag: np.ndarray, c: float, rhs: np.ndarray, grid: Grid) -> np.ndarray:
@@ -248,18 +289,20 @@ def _pcg(diag: np.ndarray, c: float, rhs: np.ndarray, grid: Grid) -> np.ndarray:
 # --- the two equations and their solves ------------------------------------
 
 
-def _l2(v: np.ndarray, vol: float) -> float:
-    return math.sqrt(float((v * v).sum()) * vol)
+def _l2(v: np.ndarray, grid: Grid) -> np.ndarray:
+    """Discrete L2 norm over the grid axes, one per stacked member."""
+    return np.sqrt(np.add.reduce(v * v, axis=grid.axes) * grid.cell_volume)
 
 
-def _threshold(u_old: np.ndarray, cfg: SchemeConfig, vol: float) -> float:
+def _threshold(u_old: np.ndarray, cfg: SchemeConfig, grid: Grid) -> np.ndarray:
     # the residual carries a 1/dt-scaled identity term, so its round-off floor grows
     # like ||u||/dt; the tolerance scales with it (exactly NEWTON_TOL if ||u||/dt <= 1)
-    return NEWTON_TOL * max(1.0, _l2(u_old, vol) / cfg.dt)
+    return NEWTON_TOL * np.maximum(1.0, _l2(u_old, grid) / cfg.dt)
 
 
-def _residual_norm(name: str, res: np.ndarray, vol: float) -> float:
-    if not math.isfinite(rnorm := _l2(res, vol)):
+def _residual_norm(name: str, res: np.ndarray, grid: Grid) -> np.ndarray:
+    rnorm = _l2(res, grid)
+    if not all(map(math.isfinite, rnorm.flat)):
         raise NewtonDiverged(f"{name} solve produced non-finite residual")
     return rnorm
 
@@ -287,21 +330,20 @@ def _heat_jacobian(u: np.ndarray, d: np.ndarray, cfg: SchemeConfig) -> np.ndarra
 def _newton(name: str, u_old: np.ndarray, c: float, cfg: SchemeConfig, grid: Grid,
             residual: Callable, jacobian_diag: Callable) -> np.ndarray:
     """Newton for residual(u) = 0 from u_old; the Jacobian is diag(jacobian_diag(u)) + c (-lap)."""
-    vol = grid.cell_volume
     u = u_old.copy()
-    thresh = _threshold(u_old, cfg, vol)
+    thresh = _threshold(u_old, cfg, grid)
     for _ in range(cfg.fp_max_iter):
         res = residual(u)
-        if (rnorm := _residual_norm(name, res, vol)) <= thresh:
+        if (rnorm := _residual_norm(name, res, grid)) <= thresh:
             return u
         u = u + _solve_helmholtz(jacobian_diag(u), c, -res, grid)
     raise NewtonDiverged(f"{name} Newton stalled at residual {rnorm:.3g} (tol {thresh:g}); dt too large?")
 
 
-def _assert_positive(theta: np.ndarray, t: float) -> None:
+def _assert_positive(theta: np.ndarray, t: float, grid: Grid) -> None:
     tmin = float(theta.min())
     if tmin <= 0.0:
-        raise PositivityLost(f"temperature reached {tmin:.3g} at t = {t:.6g}; dt too large for |phi_t|")
+        raise PositivityLost(f"temperature reached {tmin:.3g} at {_locate_min(theta, t, grid)}; dt too large for |phi_t|")
 
 
 def phase_step(prev: State, theta_bar: Field, cfg: SchemeConfig, potential: Potential) -> Field:
@@ -320,26 +362,40 @@ def heat_step(prev: State, phi_new: Field, cfg: SchemeConfig) -> Field:
     rhs = prev.theta.values / cfg.dt + d * d
     theta_new = _newton("heat", prev.theta.values, cfg.kappa, cfg, grid, lambda u: _heat_residual(u, rhs, d, cfg, grid),
                         lambda u: _heat_jacobian(u, d, cfg))
-    _assert_positive(theta_new, prev.t + cfg.dt)
+    _assert_positive(theta_new, prev.t + cfg.dt, grid)
     return Field(grid, theta_new)
 
 
 def step(prev: State, cfg: SchemeConfig, potential: Potential, stats: dict | None = None) -> State:
     """One time step by coupled sweeps (module docstring): each checks both residuals at
     the current (phi, theta), then updates phi at the current theta and theta at the new
-    rate d. ``stats["picard_iterations"]`` counts the sweeps, the final check included."""
-    grid, dt, vol = prev.grid, cfg.dt, prev.grid.cell_volume
+    rate d. With a member axis (module docstring) a member whose residuals both meet its
+    thresholds freezes, and the rest sweep on. ``stats["picard_iterations"]`` counts the
+    sweeps, the final check included: those of the slowest member."""
+    grid, dt = prev.grid, cfg.dt
     phi_old, theta_old = prev.phi.values, prev.theta.values
     phase_rhs = phi_old / dt + 2.0 * potential.lam * phi_old
-    phase_tol, heat_tol = _threshold(phi_old, cfg, vol), _threshold(theta_old, cfg, vol)
+    phase_tol, heat_tol = _threshold(phi_old, cfg, grid), _threshold(theta_old, cfg, grid)
     phi, theta, d = phi_old.copy(), theta_old.copy(), np.zeros_like(phi_old)
     heat_rhs = theta_old / dt + d * d
+    batch = live = None  # once a member froze: the whole batch's (theta, phi, d), and the members still sweeping
     for sweep in range(1, cfg.fp_max_iter + 1):
         res_phi = _phase_residual(phi, phase_rhs + theta, cfg, potential, grid)
-        phase_norm = _residual_norm("phase", res_phi, vol)
-        heat_norm = _residual_norm("heat", _heat_residual(theta, heat_rhs, d, cfg, grid), vol)
-        if phase_norm <= phase_tol and heat_norm <= heat_tol:
+        phase_norm = _residual_norm("phase", res_phi, grid)
+        heat_norm = _residual_norm("heat", _heat_residual(theta, heat_rhs, d, cfg, grid), grid)
+        done = (phase_norm <= phase_tol) & (heat_norm <= heat_tol)
+        if all(done.flat):
             break
+        if any(done.flat):
+            if batch is None:
+                batch, live = (theta, phi, d), np.arange(len(done))
+            else:
+                for whole, part in zip(batch, (theta, phi, d)):
+                    whole[live[done]] = part[done]
+            go = ~done
+            live = live[go]
+            phi, theta, phi_old, theta_old, phase_rhs, res_phi, phase_tol, heat_tol = (
+                a[go] for a in (phi, theta, phi_old, theta_old, phase_rhs, res_phi, phase_tol, heat_tol))
         phi = phi + _solve_helmholtz(_phase_jacobian(phi, cfg, potential), 1.0, -res_phi, grid)
         d = (phi - phi_old) / dt
         heat_rhs = theta_old / dt + d * d
@@ -347,10 +403,14 @@ def step(prev: State, cfg: SchemeConfig, potential: Potential, stats: dict | Non
         theta = theta + _solve_helmholtz(_heat_jacobian(theta, d, cfg), cfg.kappa, -res_theta, grid)
     else:
         raise FixedPointDiverged(f"coupled sweeps did not converge in {cfg.fp_max_iter} iterations (phase "
-                                 f"residual {phase_norm:.3g}, heat {heat_norm:.3g}); dt too large?")
+                                 f"residual {np.max(phase_norm):.3g}, heat {np.max(heat_norm):.3g}); dt too large?")
+    if batch is not None:
+        for whole, part in zip(batch, (theta, phi, d)):
+            whole[live] = part
+        theta, phi, d = batch
     if stats is not None:
         stats["picard_iterations"] = sweep
-    _assert_positive(theta, prev.t + dt)
+    _assert_positive(theta, prev.t + dt, grid)
     return State(prev.t + dt, Field(grid, theta), Field(grid, phi), Field(grid, d))
 
 
@@ -367,7 +427,7 @@ def march(init: State, cfg: SchemeConfig, t_end: float, advance: Callable[[State
     if abs(n_steps * cfg.dt - span) > 1e-8 * max(cfg.dt, span):
         raise ConfigError(f"(t_end - t0) = {span:g} is not an integer multiple of dt = {cfg.dt:g}")
     times = init.t + np.arange(n_steps + 1) * cfg.dt
-    values = np.empty((3, n_steps + 1, *init.grid.shape))  # theta, phi, phi_t per state
+    values = np.empty((3, n_steps + 1, *init.theta.values.shape))  # theta, phi, phi_t per state
 
     def trajectory(count: int) -> Trajectory:
         return Trajectory(State(times[:count], *(Field(init.grid, v[:count]) for v in values)), cfg)

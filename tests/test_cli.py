@@ -6,6 +6,7 @@ import pytest
 
 from fremond.cli import main
 from fremond.config import _EXPERIMENT_KINDS, _SCHEME_KINDS, SECTION_KEYS
+from fremond.grid import Field, Grid, write_snapshot
 from fremond.harness import load_run_dir, read_csv, write_csv
 
 
@@ -191,6 +192,20 @@ class TestCorruptInput:
         err = capsys.readouterr().err
         assert code == 2
         assert named in err
+        assert "Traceback" not in err
+
+    def test_snapshot_on_another_grid_exits_two(self, tmp_path, capsys):
+        # same cell count as [grid], twice its extent
+        g = Grid((16,), (2.0,))
+        write_snapshot(Field.full(g, 1.5), tmp_path / "theta.field")
+        write_snapshot(Field.full(g, 0.25), tmp_path / "phi.field")
+        cfg = tmp_path / "snapshot.cfg"
+        cfg.write_text(STEADY_CFG.replace("preset = steady\nphi_star = 1.1", "preset = snapshot\n"
+                                          f"theta_file = {tmp_path / 'theta.field'}\nphi_file = {tmp_path / 'phi.field'}"))
+        capsys.readouterr()
+        assert main(["simulate", "--config", str(cfg), "--outdir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "snapshot grid" in err and "extent = (2.0,)" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("override", ["run.t_end=0.1", "grid.n=8"], ids=["lengths", "grids"])

@@ -281,6 +281,21 @@ class TestWeakStrong:
         rep = weak_strong_experiment(cfg)
         assert any(r.delta == 0.0 for r in rep.rows)
 
+    def test_each_level_marches_one_batch(self, monkeypatch):
+        # the reference and every delta go through one simulate call per level
+        batches = []
+
+        def counting(init, *args):
+            batches.append(init.theta.values.shape)
+            return simulate(init, *args)
+
+        monkeypatch.setattr(harness, "simulate", counting)
+        deltas = [0.0, 0.1, 0.05]
+        cfg = ExperimentConfig(run=base_run(), kind="weak_strong", levels=[16, 32], deltas=deltas)
+        rep = weak_strong_experiment(cfg)
+        assert batches == [(1 + len(deltas), 16), (1 + len(deltas), 32)]
+        assert [r.E_rel_max for r in rep.rows if r.delta == 0.0] == [0.0, 0.0]
+
 
 class TestPersistence:
     def _small_traj(self, double_well, phi_t_mode="zero"):

@@ -78,6 +78,19 @@ class TestState:
         with pytest.raises(ValueError):
             State(0.0, Field.full(Grid.line(8), 1.0), Field.zeros(Grid.line(9)), Field.zeros(Grid.line(8)))
 
+    @pytest.mark.parametrize("t, shape, at, message", [
+        (0.5, (5, 8), (3, 4), "at t = 0.5 in member 3$"),
+        (np.array([0.0, 0.1, 0.2]), (3, 8), (2, 4), "at t = 0.2$"),
+        (np.array([0.0, 0.1, 0.2]), (3, 5, 8), (1, 3, 4), "at t = 0.1 in member 3$"),
+    ], ids=["members", "times", "times_and_members"])
+    def test_nonpositive_cell_of_a_stack_names_its_time_and_member(self, t, shape, at, message):
+        g = Grid.line(8)
+        theta = np.ones(shape)
+        theta[at] = -1.0
+        ones = Field(g, np.ones(shape))
+        with pytest.raises(NonpositiveTemperature, match=message):
+            State(t, Field(g, theta), ones, ones)
+
 
 class TestPhaseStep:
     def test_steady_scalar_fixed_point(self, double_well, steady_pair):
@@ -192,6 +205,80 @@ class TestHelmholtz1D:
                 ab[0, 1:] = -w
                 ab[2, :-1] = -w
                 assert np.array_equal(_solve_helmholtz(diag, c, rhs, g), solve_banded((1, 1), ab, rhs))
+
+    def test_stacked_members_solve_bitwise_as_alone(self):
+        # zero off-diagonal entries at the block seams decouple the members exactly
+        rng = np.random.default_rng(5)
+        g = Grid.line(16, 1.5)
+        diag, rhs = rng.uniform(1.0, 1e4, size=(3, 16)), rng.normal(size=(3, 16))
+        x = _solve_helmholtz(diag, 0.7, rhs, g)
+        assert x.shape == (3, 16)
+        for j in range(3):
+            assert np.array_equal(x[j], _solve_helmholtz(diag[j], 0.7, rhs[j], g))
+
+
+def stack_states(states):
+    """One State with a leading member axis from solo States at one instant."""
+    grid = states[0].grid
+    return State(states[0].t, *(Field(grid, np.stack([getattr(s, f).values for s in states]))
+                                for f in ("theta", "phi", "phi_t")))
+
+
+class TestBatch:
+    """A leading member axis marches runs that share grid, dt and potential as one."""
+
+    @pytest.mark.parametrize("dt, sweeps", [(1e-3, [1, 5, 5]), (2e-3, [1, 5, 6])])
+    def test_members_step_bitwise_as_alone(self, double_well, steady_pair, dt, sweeps):
+        phi_star, theta_star = steady_pair
+        g = Grid.line(16)
+        mode = g.cosine_mode()
+        cfg = SchemeConfig(dt=dt, epsilon=0.0)
+        solos = [
+            uniform_state(g, theta_star, phi_star),
+            initial_state(g, Field(g, 1.0 + 0.2 * mode), Field(g, 0.2 * mode)),
+            initial_state(g, Field(g, 1.0 + 0.2 * mode), Field(g, 0.3 * mode)),
+        ]
+        outs, counts = [], []
+        for s in solos:
+            stats = {}
+            outs.append(step(s, cfg, double_well, stats))
+            counts.append(stats["picard_iterations"])
+        assert counts == sweeps
+        assert np.array_equal(outs[0].theta.values, solos[0].theta.values)
+        assert np.array_equal(outs[0].phi.values, solos[0].phi.values)
+        stats = {}
+        batch = step(stack_states(solos), cfg, double_well, stats)
+        assert type(stats["picard_iterations"]) is int and stats["picard_iterations"] == max(sweeps)
+        assert batch.t == outs[0].t
+        for j, out in enumerate(outs):
+            for f in ("theta", "phi", "phi_t"):
+                assert np.array_equal(getattr(batch, f).values[j], getattr(out, f).values), (j, f)
+
+    def test_2d_members_march_bitwise_as_alone(self, double_well):
+        g = Grid.box(8, 8)
+        mode = g.cosine_mode()
+        cfg = SchemeConfig(dt=1e-3, epsilon=1e-3, p=4.0)
+        solos = [initial_state(g, Field(g, 1.0 + 0.2 * mode), Field(g, amp * mode)) for amp in (0.3, 0.1)]
+        batch = simulate(stack_states(solos), cfg, double_well, 3e-3)
+        assert batch.stack.theta.values.shape == (4, 2, 8, 8)
+        for j, solo in enumerate(solos):
+            member, alone = batch.member(j), simulate(solo, cfg, double_well, 3e-3)
+            assert np.shares_memory(member.stack.theta.values, batch.stack.theta.values)
+            assert np.array_equal(member.times, alone.times)
+            for f in ("theta", "phi", "phi_t"):
+                assert np.array_equal(getattr(member.stack, f).values, getattr(alone.stack, f).values), (j, f)
+
+    def test_a_member_losing_positivity_aborts_the_batch(self, double_well):
+        # theta 0.1 under a phase far above its well: d < -1/dt drives that member negative
+        g = Grid.line(8)
+        cfg = SchemeConfig(dt=0.1, epsilon=0.0)
+        batch = stack_states([uniform_state(g, 1.0, 0.5), uniform_state(g, 0.1, 4.0), uniform_state(g, 1.0, 0.0)])
+        with pytest.raises(PositivityLost, match="at t = 0.1 in member 1"):
+            step(batch, cfg, double_well)
+        with pytest.raises(SimulationAborted) as err:
+            simulate(batch, cfg, double_well, 0.3)
+        assert err.value.step_index == 1 and isinstance(err.value.cause, PositivityLost)
+        assert err.value.trajectory.stack.theta.values.shape == (1, 3, 8)
 
 
 class TestStep:
