@@ -28,7 +28,7 @@ import numpy as np
 from . import harness
 from .config import load_config
 from .errors import ConfigError, FremondError, NonpositiveTemperature, SolverError
-from .relenergy import RelEnergyConfig, calibrate_gronwall_multiplier, gronwall_check, require_comparable
+from .relenergy import RelEnergyConfig, fit_gronwall_multiplier, gronwall_check, require_comparable
 from .svg import write_line_chart
 from .thermo import (
     TEST_FUNCTIONS,
@@ -105,7 +105,7 @@ def _cmd_relenergy(args) -> int:
     cfg = RelEnergyConfig(M=args.M, lam=run.potential.lam)
     multiplier = args.multiplier
     if args.calibrate:
-        multiplier = calibrate_gronwall_multiplier(traj, ref, cfg, run.potential)
+        multiplier = fit_gronwall_multiplier([gronwall_check(traj, ref, cfg, run.potential, multiplier=1.0)])
         print(f"calibrated multiplier = {multiplier!r}")
     report = gronwall_check(traj, ref, cfg, run.potential, multiplier=multiplier)
     header, rows = report.csv_rows()

@@ -107,10 +107,7 @@ class Grid:
 
     def meshgrid(self) -> tuple[np.ndarray, ...]:
         """Cell-center coordinate arrays, each of shape ``grid.shape``."""
-        axes = [self.axis_centers(a) for a in range(self.dim)]
-        if self.dim == 1:
-            return (axes[0],)
-        return tuple(np.meshgrid(*axes, indexing="ij"))
+        return tuple(np.meshgrid(*(self.axis_centers(a) for a in range(self.dim)), indexing="ij"))
 
     def cosine_mode(self) -> np.ndarray:
         """Product over the axes of cos(pi x_a / L_a), a zero-flux eigenmode."""
@@ -133,12 +130,7 @@ class Field:
     def __post_init__(self):
         v = np.asarray(self.values, dtype=np.float64)
         if v.shape[-self.grid.dim:] != self.grid.shape:
-            if v.size == self.grid.num_cells:
-                v = v.reshape(self.grid.shape)
-            else:
-                raise ValueError(
-                    f"value count {v.size} does not match grid with {self.grid.num_cells} cells"
-                )
+            raise ValueError(f"values of shape {v.shape} do not end in the grid's shape {self.grid.shape}")
         if not np.all(np.isfinite(v)):
             raise ValueError("field contains non-finite values")
         self.values = v
@@ -150,9 +142,6 @@ class Field:
     @classmethod
     def zeros(cls, grid: Grid) -> "Field":
         return cls(grid, np.zeros(grid.shape))
-
-    def copy(self) -> "Field":
-        return Field(self.grid, self.values.copy())
 
     def min(self) -> float:
         return float(self.values.min())

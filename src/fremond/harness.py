@@ -16,6 +16,8 @@ Output tree:
 
 from __future__ import annotations
 
+import csv
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -62,19 +64,17 @@ __all__ = [
 
 
 def _random_smooth_mode(grid: Grid, seed: int, modes: int = 4) -> np.ndarray:
-    """Low-frequency cosine series with seeded coefficients, sup-normalized to 1."""
+    """Low-frequency cosine series with seeded coefficients, sup-normalized to 1: for each
+    wavenumber tuple (k_1, ..., k_dim) in 1..modes, a uniform(-1, 1) coefficient over
+    sum k_a^2 times one cosine factor cos(pi k_a x_a / L_a) per axis."""
     rng = np.random.default_rng(seed)
     out = np.zeros(grid.shape)
-    if grid.dim == 1:
-        (x,) = grid.meshgrid()
-        for k in range(1, modes + 1):
-            out += rng.uniform(-1.0, 1.0) / k**2 * np.cos(np.pi * k * x / grid.extent[0])
-    else:
-        X, Y = grid.meshgrid()
-        for k in range(1, modes + 1):
-            for m in range(1, modes + 1):
-                c = rng.uniform(-1.0, 1.0) / (k**2 + m**2)
-                out += c * np.cos(np.pi * k * X / grid.extent[0]) * np.cos(np.pi * m * Y / grid.extent[1])
+    coords = grid.meshgrid()
+    for ks in itertools.product(range(1, modes + 1), repeat=grid.dim):
+        term = rng.uniform(-1.0, 1.0) / sum(k**2 for k in ks)
+        for k, x, length in zip(ks, coords, grid.extent):
+            term = term * np.cos(np.pi * k * x / length)
+        out += term
     peak = np.max(np.abs(out))
     return out / peak if peak > 0 else out
 
@@ -133,9 +133,10 @@ def run_simulation(run: RunConfig) -> Trajectory:
 
 
 def frozen_phase_run(init: State, cfg: SchemeConfig, t_end: float) -> Trajectory:
-    """March the heat update alone, with the phase field held fixed (d = 0)."""
+    """March the heat update alone, with the phase field held fixed (d = 0); the
+    fields may carry a member axis, as in ``step``."""
     def advance(s: State) -> State:
-        return State(s.t + cfg.dt, heat_step(s, s.phi, cfg), s.phi, Field.zeros(s.grid))
+        return State(s.t + cfg.dt, heat_step(s, s.phi, cfg), s.phi, Field(s.grid, np.zeros_like(s.phi.values)))
 
     return march(init, cfg, t_end, advance)
 
@@ -445,24 +446,29 @@ def _fmt(v) -> str:
 
 
 def write_csv(path, header, rows, comment: str | None = None) -> None:
-    """One header line and one line per row; ``comment`` goes first as a '#' line."""
+    """One header line and one line per row, a cell quoted only where it holds a comma
+    or a quote; ``comment`` goes first as a '#' line."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
+    with open(path, "w", newline="") as fh:
         if comment is not None:
             fh.write(f"# {comment}\n")
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        out = csv.writer(fh, lineterminator="\n")
+        out.writerow(header)
+        out.writerows([_fmt(v) for v in row] for row in rows)
 
 
 def read_csv(path) -> tuple[list[str], list[list[str]]]:
-    with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip() and not ln.startswith("#")]
-    if not lines:
+    """The header and rows of a CSV that ``write_csv`` wrote, skipping '#' and blank
+    lines; malformed quoting is a ConfigError naming the file."""
+    with open(path, newline="") as fh:
+        try:
+            rows = list(csv.reader((ln for ln in fh if ln.strip() and not ln.startswith("#")), strict=True))
+        except csv.Error as exc:
+            raise ConfigError(f"{path}: {exc}") from exc
+    if not rows:
         raise ConfigError(f"{path}: empty CSV file")
-    header = lines[0].split(",")
-    return header, [ln.split(",") for ln in lines[1:]]
+    return rows[0], rows[1:]
 
 
 def read_csv_columns(path, *required: str) -> dict[str, list[float]]:

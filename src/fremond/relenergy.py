@@ -52,7 +52,6 @@ __all__ = [
     "require_comparable",
     "gronwall_check",
     "fit_gronwall_multiplier",
-    "calibrate_gronwall_multiplier",
     "xi_monitor",
     "log_l1_bound",
 ]
@@ -192,7 +191,7 @@ def gronwall_check(
     lhs(t^n) = E(t^n) + sum_{k<n} dt W(t_k) exp(sum_{k<=j<n} dt K(t_j)),
     rhs(t^n) = multiplier * E(t^0) * exp(sum_{k<n} dt K(t_k)),
     margin = rhs - lhs. The multiplier stands in for the nonconstructive
-    constant of the continuum estimate; see calibrate_gronwall_multiplier.
+    constant of the continuum estimate; see fit_gronwall_multiplier.
     """
     require_comparable(traj, ref_traj)
     s, r = traj.stack, ref_traj.stack
@@ -216,15 +215,6 @@ def fit_gronwall_multiplier(reports: Iterable[GronwallReport]) -> float:
     multiplier-1 report nonnegative; a report with E_rel(0) <= 0 imposes none."""
     fits = [float(np.max(r.lhs[1:] / r.rhs[1:])) for r in reports if r.E_rel[0] > 0.0]
     return max([1.0, *fits])
-
-
-def calibrate_gronwall_multiplier(
-    traj: Trajectory, ref_traj: Trajectory, cfg: RelEnergyConfig, potential: Potential
-) -> float:
-    """Smallest rhs multiplier that keeps every step margin nonnegative on the
-    given (coarse) run; see fit_gronwall_multiplier."""
-    report = gronwall_check(traj, ref_traj, cfg, potential, multiplier=1.0)
-    return fit_gronwall_multiplier([report])
 
 
 def xi_monitor(state: State, kappa: float) -> float | np.ndarray:

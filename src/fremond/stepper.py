@@ -24,12 +24,13 @@ operators (1/dt) I - lap + G''(phi) and (1/dt) I - kappa lap + diag(eps p |th|^{
 are symmetric positive definite in all sane regimes and are solved directly
 (tridiagonal) in 1D and by Jacobi-preconditioned conjugate gradients in 2D.
 
-``step`` also marches a batch of runs that share the grid, dt and potential:
+Every solve also marches a batch of runs that share the grid, dt and potential:
 field values then carry a leading member axis, (m, *grid.shape). Each member
-has its own residual thresholds and freezes once both of its residuals meet
-them, so it comes out bitwise equal to its solo step. In 1D all members go
-through one tridiagonal solve, their blocks decoupled by zero off-diagonal
-entries at the seams; in 2D each member gets its own conjugate-gradient solve.
+has its own residual thresholds, and one freeze rule (``_update``) serves every
+Newton update: a member that has met them gets its previous values back, so it
+comes out bitwise equal to its solo solve. In 1D all members go through one
+tridiagonal solve, their blocks decoupled by zero off-diagonal entries at the
+seams; in 2D each member gets its own conjugate-gradient solve.
 """
 
 from __future__ import annotations
@@ -327,17 +328,29 @@ def _heat_jacobian(u: np.ndarray, d: np.ndarray, cfg: SchemeConfig) -> np.ndarra
     return diag + cfg.epsilon * cfg.p * np.abs(u) ** (cfg.p - 1.0) if cfg.epsilon > 0.0 else diag
 
 
+def _update(u: np.ndarray, du: np.ndarray, done: np.ndarray) -> np.ndarray:
+    """u + du for every member, then each done member's values of u copied back: the one
+    freeze rule of every Newton update, so a converged member stays bitwise as it was."""
+    new = u + du
+    if any(done.flat):
+        new[done] = u[done]
+    return new
+
+
 def _newton(name: str, u_old: np.ndarray, c: float, cfg: SchemeConfig, grid: Grid,
             residual: Callable, jacobian_diag: Callable) -> np.ndarray:
-    """Newton for residual(u) = 0 from u_old; the Jacobian is diag(jacobian_diag(u)) + c (-lap)."""
+    """Newton for residual(u) = 0 from u_old; the Jacobian is diag(jacobian_diag(u)) + c (-lap).
+    Each member meets its own threshold and then freezes (``_update``)."""
     u = u_old.copy()
     thresh = _threshold(u_old, cfg, grid)
     for _ in range(cfg.fp_max_iter):
         res = residual(u)
-        if (rnorm := _residual_norm(name, res, grid)) <= thresh:
+        done = (rnorm := _residual_norm(name, res, grid)) <= thresh
+        if all(done.flat):
             return u
-        u = u + _solve_helmholtz(jacobian_diag(u), c, -res, grid)
-    raise NewtonDiverged(f"{name} Newton stalled at residual {rnorm:.3g} (tol {thresh:g}); dt too large?")
+        u = _update(u, _solve_helmholtz(jacobian_diag(u), c, -res, grid), done)
+    k = np.argmax(np.where(done, -1.0, rnorm))  # the largest residual among the members not yet done
+    raise NewtonDiverged(f"{name} Newton stalled at residual {rnorm.flat[k]:.3g} (tol {thresh.flat[k]:g}); dt too large?")
 
 
 def _assert_positive(theta: np.ndarray, t: float, grid: Grid) -> None:
@@ -370,15 +383,14 @@ def step(prev: State, cfg: SchemeConfig, potential: Potential, stats: dict | Non
     """One time step by coupled sweeps (module docstring): each checks both residuals at
     the current (phi, theta), then updates phi at the current theta and theta at the new
     rate d. With a member axis (module docstring) a member whose residuals both meet its
-    thresholds freezes, and the rest sweep on. ``stats["picard_iterations"]`` counts the
-    sweeps, the final check included: those of the slowest member."""
+    thresholds freezes (``_update``), and the rest sweep on. ``stats["picard_iterations"]``
+    counts the sweeps, the final check included: those of the slowest member."""
     grid, dt = prev.grid, cfg.dt
     phi_old, theta_old = prev.phi.values, prev.theta.values
     phase_rhs = phi_old / dt + 2.0 * potential.lam * phi_old
     phase_tol, heat_tol = _threshold(phi_old, cfg, grid), _threshold(theta_old, cfg, grid)
     phi, theta, d = phi_old.copy(), theta_old.copy(), np.zeros_like(phi_old)
     heat_rhs = theta_old / dt + d * d
-    batch = live = None  # once a member froze: the whole batch's (theta, phi, d), and the members still sweeping
     for sweep in range(1, cfg.fp_max_iter + 1):
         res_phi = _phase_residual(phi, phase_rhs + theta, cfg, potential, grid)
         phase_norm = _residual_norm("phase", res_phi, grid)
@@ -386,28 +398,14 @@ def step(prev: State, cfg: SchemeConfig, potential: Potential, stats: dict | Non
         done = (phase_norm <= phase_tol) & (heat_norm <= heat_tol)
         if all(done.flat):
             break
-        if any(done.flat):
-            if batch is None:
-                batch, live = (theta, phi, d), np.arange(len(done))
-            else:
-                for whole, part in zip(batch, (theta, phi, d)):
-                    whole[live[done]] = part[done]
-            go = ~done
-            live = live[go]
-            phi, theta, phi_old, theta_old, phase_rhs, res_phi, phase_tol, heat_tol = (
-                a[go] for a in (phi, theta, phi_old, theta_old, phase_rhs, res_phi, phase_tol, heat_tol))
-        phi = phi + _solve_helmholtz(_phase_jacobian(phi, cfg, potential), 1.0, -res_phi, grid)
+        phi = _update(phi, _solve_helmholtz(_phase_jacobian(phi, cfg, potential), 1.0, -res_phi, grid), done)
         d = (phi - phi_old) / dt
         heat_rhs = theta_old / dt + d * d
         res_theta = _heat_residual(theta, heat_rhs, d, cfg, grid)
-        theta = theta + _solve_helmholtz(_heat_jacobian(theta, d, cfg), cfg.kappa, -res_theta, grid)
+        theta = _update(theta, _solve_helmholtz(_heat_jacobian(theta, d, cfg), cfg.kappa, -res_theta, grid), done)
     else:
-        raise FixedPointDiverged(f"coupled sweeps did not converge in {cfg.fp_max_iter} iterations (phase "
-                                 f"residual {np.max(phase_norm):.3g}, heat {np.max(heat_norm):.3g}); dt too large?")
-    if batch is not None:
-        for whole, part in zip(batch, (theta, phi, d)):
-            whole[live] = part
-        theta, phi, d = batch
+        raise FixedPointDiverged(f"coupled sweeps did not converge in {cfg.fp_max_iter} iterations (phase residual "
+                                 f"{np.max(phase_norm[~done]):.3g}, heat {np.max(heat_norm[~done]):.3g}); dt too large?")
     if stats is not None:
         stats["picard_iterations"] = sweep
     _assert_positive(theta, prev.t + dt, grid)

@@ -1,5 +1,6 @@
 import random
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from fremond.cli import main
 from fremond.config import _EXPERIMENT_KINDS, _SCHEME_KINDS, SECTION_KEYS
 from fremond.grid import Field, Grid, write_snapshot
-from fremond.harness import load_run_dir, read_csv, write_csv
+from fremond.harness import load_run_dir, read_csv, read_csv_columns, write_csv
 
 
 STEADY_CFG = """
@@ -322,6 +323,9 @@ class TestRelEnergy:
         csv = (pert_dir / "run_0" / "relenergy.csv").read_text().splitlines()
         assert csv[0].startswith("# multiplier = ")
         assert csv[1].split(",")[:3] == ["step", "t", "E_rel"]
+        assert main(["plot", "--run", str(pert_dir)]) == 0
+        svg = (pert_dir / "run_0" / "relenergy.svg").read_text()
+        assert svg.startswith("<svg") and "envelope rhs" in svg
 
     def test_identical_runs_zero(self, cosine_cfg, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -351,6 +355,22 @@ class TestExperimentVerbs:
         header, rows = read_csv(out / "summary.csv")
         assert header[0] == "eps" and len(rows) == 2
         assert (out / "distances.csv").exists()
+
+    def test_failed_sweep_member_exits_three_and_its_status_reads_back(self, tmp_path, capsys):
+        # eps = 1e6 stalls the coupled sweeps; the status names both residuals, so it holds a comma
+        preset = Path(__file__).resolve().parents[1] / "presets" / "sweep.cfg"
+        out = tmp_path / "sweep_out"
+        overrides = ["experiment.eps_values=[1e6, 1e-3]", "scheme.dt=1e-2", "run.t_end=0.05", "scheme.fp_max_iter=8"]
+        argv = ["sweep", "--config", str(preset), "--outdir", str(out)]
+        assert main(argv + [a for o in overrides for a in ("--override", o)]) == 3
+        status = ("failed at step 1: coupled sweeps did not converge in 8 iterations "
+                  "(phase residual 0.0418, heat 370); dt too large?")
+        assert f"eps = 1000000.0: {status}\n" in capsys.readouterr().err
+        header, rows = read_csv(out / "summary.csv")
+        assert [row[:2] for row in rows] == [["1000000.0", status], ["0.001", "ok"]]
+        cols = read_csv_columns(out / "summary.csv", *header)
+        assert np.isnan(cols["E_final"][0]) and cols["E_final"][1] > 0.0
+        assert np.isnan(read_csv_columns(out / "distances.csv", "theta_l1")["theta_l1"][0])
 
     def test_verb_kind_mismatch(self, tmp_path):
         cfg = tmp_path / "sweep.cfg"
@@ -393,6 +413,14 @@ class TestPlot:
 
     def test_empty_dir_reports_config_error(self, tmp_path):
         assert main(["plot", "--run", str(tmp_path)]) == 2
+
+    def test_malformed_quoting_in_a_csv_exits_two(self, cosine_cfg, tmp_path, capsys):
+        out = tmp_path / "out"
+        main(["simulate", "--config", str(cosine_cfg), "--outdir", str(out)])
+        energy_csv = out / "run_0" / "energy.csv"
+        energy_csv.write_text(energy_csv.read_text().replace("\n0,", '\n"0"x,', 1))
+        assert main(["plot", "--run", str(out)]) == 2
+        assert f"{energy_csv}: " in capsys.readouterr().err
 
 
 class TestRunDirForms:

@@ -162,6 +162,30 @@ class TestPresets:
         c = make_initial(g, double_well, dict(params, seed=8))
         assert not np.array_equal(a.theta.values, c.theta.values)
 
+    @staticmethod
+    def _two_branch_mode(grid, seed, modes=4):
+        """The random_smooth series written out per dimension, as the reference."""
+        rng = np.random.default_rng(seed)
+        out = np.zeros(grid.shape)
+        if grid.dim == 1:
+            (x,) = grid.meshgrid()
+            for k in range(1, modes + 1):
+                out += rng.uniform(-1.0, 1.0) / k**2 * np.cos(np.pi * k * x / grid.extent[0])
+        else:
+            X, Y = grid.meshgrid()
+            for k in range(1, modes + 1):
+                for m in range(1, modes + 1):
+                    c = rng.uniform(-1.0, 1.0) / (k**2 + m**2)
+                    out += c * np.cos(np.pi * k * X / grid.extent[0]) * np.cos(np.pi * m * Y / grid.extent[1])
+        return out / np.max(np.abs(out))
+
+    @pytest.mark.parametrize("grid", [Grid.line(32), Grid.box(12, 9, (1.0, 0.75))], ids=["line32", "box12x9"])
+    @pytest.mark.parametrize("seed", [0, 7, 12345])
+    def test_random_smooth_matches_the_per_dimension_series_bitwise(self, double_well, grid, seed):
+        s = make_initial(grid, double_well, {"preset": "random_smooth", "seed": seed})
+        assert np.array_equal(s.theta.values, 1.0 + 0.2 * self._two_branch_mode(grid, seed))
+        assert np.array_equal(s.phi.values, 0.3 * self._two_branch_mode(grid, seed + 1))
+
     def test_steady_is_exact_float_identity(self, double_well):
         g = Grid.line(8)
         s = make_initial(g, double_well, {"preset": "steady", "phi_star": 1.1})

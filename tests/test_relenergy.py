@@ -7,9 +7,9 @@ from fremond.errors import NonpositiveTemperature
 from fremond.grid import Field, Grid
 from fremond.relenergy import (
     RelEnergyConfig,
-    calibrate_gronwall_multiplier,
     coercivity_check,
     dissipation_W,
+    fit_gronwall_multiplier,
     gronwall_check,
     k_factor,
     lambda_dist,
@@ -180,7 +180,7 @@ class TestGronwall:
         ref = self._cosine_traj(double_well)
         pert = self._cosine_traj(double_well, delta=0.05)
         cfg = RelEnergyConfig(M=10.0, lam=4.0)
-        mult = calibrate_gronwall_multiplier(pert, ref, cfg, double_well)
+        mult = fit_gronwall_multiplier([gronwall_check(pert, ref, cfg, double_well, multiplier=1.0)])
         rep = gronwall_check(pert, ref, cfg, double_well, multiplier=mult)
         assert rep.min_margin >= -1e-12 * max(1.0, float(np.max(rep.rhs)))
         assert rep.E_rel[0] > 0.0

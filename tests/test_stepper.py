@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_banded
 
+from fremond import stepper
 from fremond.errors import (
     ConfigError,
     FixedPointDiverged,
@@ -279,6 +280,86 @@ class TestBatch:
             simulate(batch, cfg, double_well, 0.3)
         assert err.value.step_index == 1 and isinstance(err.value.cause, PositivityLost)
         assert err.value.trajectory.stack.theta.values.shape == (1, 3, 8)
+
+
+class TestBatchNewton:
+    """``phase_step``, ``heat_step`` and ``frozen_phase_run`` take the member axis too, and
+    a member that converges in fewer Newton iterations than the rest is frozen bitwise."""
+
+    @pytest.fixture
+    def solve_count(self, monkeypatch):
+        """Counts the linear solves, one per Newton iteration of a single solve."""
+        count = [0]
+        solve = stepper._solve_helmholtz
+
+        def counting(*args):
+            count[0] += 1
+            return solve(*args)
+
+        monkeypatch.setattr(stepper, "_solve_helmholtz", counting)
+        return count
+
+    @staticmethod
+    def _members(g, thetas, phi_amp=0.3):
+        mode = g.cosine_mode()
+        return [initial_state(g, Field(g, th + 0.2 * mode), Field(g, phi_amp * mode)) for th in thetas]
+
+    def test_heat_step_members_solve_bitwise_as_alone(self, solve_count):
+        g = Grid.line(16)
+        cfg = SchemeConfig(dt=0.05, epsilon=0.5)
+        solos = self._members(g, (1.0, 2.0, 3.0))
+        outs, counts = [], []
+        for s in solos:
+            solve_count[0] = 0
+            outs.append(heat_step(s, s.phi, cfg))
+            counts.append(solve_count[0])
+        assert counts == [3, 4, 5]
+        batch = stack_states(solos)
+        solve_count[0] = 0
+        out = heat_step(batch, batch.phi, cfg)
+        assert solve_count[0] == max(counts)
+        for j, alone in enumerate(outs):
+            assert np.array_equal(out.values[j], alone.values), j
+
+    def test_phase_step_members_solve_bitwise_as_alone(self, double_well, steady_pair, solve_count):
+        phi_star, theta_star = steady_pair
+        g = Grid.line(16)
+        cfg = SchemeConfig(dt=0.05)
+        solos = [uniform_state(g, theta_star, phi_star), *self._members(g, (1.0,), 0.3),
+                 *self._members(g, (1.0,), 1.0)]
+        outs, counts = [], []
+        for s in solos:
+            solve_count[0] = 0
+            outs.append(phase_step(s, s.theta, cfg, double_well))
+            counts.append(solve_count[0])
+        assert counts == [0, 3, 4]
+        batch = stack_states(solos)
+        out = phase_step(batch, batch.theta, cfg, double_well)
+        for j, alone in enumerate(outs):
+            assert np.array_equal(out.values[j], alone.values), j
+
+    def test_frozen_phase_run_marches_members_bitwise_as_alone(self):
+        from fremond.harness import frozen_phase_run
+
+        g = Grid.line(16)
+        cfg = SchemeConfig(dt=0.05, epsilon=0.5)
+        solos = self._members(g, (1.0, 2.0))
+        batch = frozen_phase_run(stack_states(solos), cfg, 0.15)
+        assert batch.stack.phi_t.values.shape == (4, 2, 16)
+        for j, solo in enumerate(solos):
+            member, alone = batch.member(j), frozen_phase_run(solo, cfg, 0.15)
+            for f in ("theta", "phi", "phi_t"):
+                assert np.array_equal(getattr(member.stack, f).values, getattr(alone.stack, f).values), (j, f)
+
+    def test_stalled_batch_reports_the_worst_unconverged_member(self):
+        g = Grid.line(8)
+        cfg = SchemeConfig(dt=0.01, epsilon=0.5, fp_max_iter=2)
+        batch = stack_states([uniform_state(g, 1.0, 0.0), uniform_state(g, 2.0, 0.0)])
+        with pytest.raises(NewtonDiverged, match="heat Newton stalled at residual") as err:
+            heat_step(batch, batch.phi, cfg)
+        with pytest.raises(NewtonDiverged) as solo:
+            heat_step(uniform_state(g, 2.0, 0.0), Field.zeros(g), cfg)
+        assert str(err.value) == str(solo.value)
 
 
 class TestStep:
