@@ -96,6 +96,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_relenergy(args) -> int:
+    if not 0 < args.multiplier < np.inf:
+        raise ConfigError(f"--multiplier {args.multiplier!r}: must be positive and finite")
     traj, run = harness.load_run_dir(args.run)
     ref, _ = harness.load_run_dir(args.ref)
     try:

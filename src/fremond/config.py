@@ -42,13 +42,14 @@ _EXPERIMENT_KINDS = {
     **dict.fromkeys(("theta_mean", "amplitude", "M"), (float, False)),
 }
 
-# The keys each section accepts; None leaves [initial] open, since its keys
-# depend on the preset.
-SECTION_KEYS: dict[str, tuple[str, ...] | None] = {
+# The keys each section accepts. [initial] accepts the keys of every preset, so
+# a config that switches presets by override may keep the old preset's keys.
+SECTION_KEYS: dict[str, tuple[str, ...]] = {
     "grid": ("dim", "n", "extent"),
     "scheme": tuple(_SCHEME_KINDS),
     "potential": ("potential", "lambda"),
-    "initial": None,
+    "initial": ("preset", "phi_t", "theta0", "phi0", "theta_base", "theta_amp", "phi_base", "phi_amp", "seed",
+                "phi_star", "theta_file", "phi_file"),
     "run": ("t_end", "outdir"),
     "experiment": tuple(_EXPERIMENT_KINDS),
 }
@@ -195,10 +196,8 @@ def build_run_config(sections: dict[str, dict]) -> RunConfig:
     unknown = set(sections) - set(SECTION_KEYS)
     if unknown:
         raise ConfigError(f"unknown config sections: {sorted(unknown)}")
-    unknown_keys = [
-        f"{sec}.{key}" for sec, entries in sections.items() for key in entries
-        if SECTION_KEYS[sec] is not None and key not in SECTION_KEYS[sec]
-    ]
+    unknown_keys = [f"{sec}.{key}" for sec, entries in sections.items() for key in entries
+                    if key not in SECTION_KEYS[sec]]
     if unknown_keys:
         raise ConfigError(f"unknown config keys: {', '.join(unknown_keys)}")
     grid = _build_grid(sections.get("grid", {}))

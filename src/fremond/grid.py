@@ -13,12 +13,16 @@ theorem holds exactly:
 face contribution to each adjacent cell; boundary faces contribute zero. In
 2D, corner cells simply receive the two interior-face halves per axis, the
 same rule as everywhere else (there is no special corner stencil).
+
+A snapshot file is text, one record per field, and all of its records live
+on one grid: ``write_snapshots`` writes a stacked Field (a leading record
+axis) and ``read_snapshots`` reads it back as one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -34,6 +38,7 @@ __all__ = [
     "integrate",
     "norm",
     "write_snapshot",
+    "write_snapshots",
     "read_snapshot",
     "read_snapshots",
 ]
@@ -253,85 +258,77 @@ def norm(f: Field, kind: str = "L2") -> float:
 
 # --- snapshot files -------------------------------------------------------
 #
-# ASCII, one record per field:
+# ASCII, one record per field, every record of a file on the same grid:
 #   FIELD dim=<d> n=<n1[,n2]> h=<h1[,h2]> t=<time>
 #   v0 v1 v2 ...            (row-major, any whitespace)
-# Several records may be concatenated in one file (read_snapshots).
 
 
-def _format_header(grid: Grid, t: float) -> str:
+def write_snapshots(f: Field, path, times) -> None:
+    """One record per leading index of ``f.values``, which has shape
+    (len(times), *grid.shape); record k carries the time ``times[k]``."""
+    grid = f.grid
+    if f.values.shape != (len(times), *grid.shape):
+        raise ValueError(f"values of shape {f.values.shape} are not {len(times)} records of shape {grid.shape}")
     n = ",".join(str(k) for k in grid.n)
     h = ",".join(repr(float(x)) for x in grid.h)
-    return f"FIELD dim={grid.dim} n={n} h={h} t={float(t)!r}\n"
+    with open(path, "w") as fh:
+        for t, values in zip(times, f.values):
+            fh.write(f"FIELD dim={grid.dim} n={n} h={h} t={float(t)!r}\n")
+            flat = values.ravel().tolist()
+            for i in range(0, len(flat), 8):
+                fh.write(" ".join(map(repr, flat[i : i + 8])) + "\n")
+
+
+def read_snapshots(path) -> tuple[Field, np.ndarray]:
+    """Every record of a snapshot file as one Field, values of shape
+    (records, *grid.shape), and the records' times. A malformed record, an
+    empty file or records on different grids is a ConfigError naming the file."""
+    values, times, grid_nh = [], [], None
+    try:
+        with open(path) as fh:
+            lines = (line for line in fh if line.strip())
+            for header in lines:
+                parts = header.split()
+                if parts[0] != "FIELD":
+                    raise ValueError(f"bad snapshot header: {header!r}")
+                kv = dict(p.split("=", 1) for p in parts[1:])
+                missing = [k for k in ("dim", "n", "h", "t") if k not in kv]
+                if missing:
+                    raise ValueError(f"snapshot header lacks {', '.join(missing)}: {header!r}")
+                n = tuple(int(x) for x in kv["n"].split(","))
+                h = tuple(float(x) for x in kv["h"].split(","))
+                if not len(n) == len(h) == int(kv["dim"]):
+                    raise ValueError(f"inconsistent snapshot header: {header!r}")
+                if grid_nh not in (None, (n, h)):
+                    raise ValueError(f"record {len(times)} is on another grid than record 0: {header!r}")
+                grid_nh = (n, h)
+                count = int(np.prod(n))
+                tokens: list[str] = []
+                while len(tokens) < count:
+                    line = next(lines, None)
+                    if line is None:
+                        raise ValueError("snapshot file truncated")
+                    tokens += line.split()
+                if len(tokens) != count:
+                    raise ValueError("snapshot record has trailing values")
+                # floats record by record keep the peak memory near the result's size
+                values.append(np.array(tokens, dtype=float))
+                times.append(float(kv["t"]))
+        if grid_nh is None:
+            raise ValueError("empty snapshot file")
+        n, h = grid_nh
+        grid = Grid(n, tuple(hi * ni for hi, ni in zip(h, n)))
+        return Field(grid, np.reshape(values, (-1, *n))), np.array(times)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def write_snapshot(f: Field, path, t: float = 0.0) -> None:
-    with open(path, "w") as fh:
-        _write_record(fh, f.grid, f.values, t)
-
-
-def _write_record(fh, grid: Grid, values: np.ndarray, t: float) -> None:
-    fh.write(_format_header(grid, t))
-    flat = values.ravel().tolist()
-    for i in range(0, len(flat), 8):
-        fh.write(" ".join(repr(x) for x in flat[i : i + 8]))
-        fh.write("\n")
-
-
-@lru_cache(maxsize=8)
-def _record_grid(n: tuple[int, ...], h: tuple[float, ...]) -> Grid:
-    """The grid a snapshot header names, one object for all records that name it."""
-    return Grid(n, tuple(hi * ni for hi, ni in zip(h, n)))
-
-
-def _read_record(fh) -> tuple[Field, float] | None:
-    header = fh.readline()
-    while header and not header.strip():
-        header = fh.readline()
-    if not header:
-        return None
-    parts = header.split()
-    if not parts or parts[0] != "FIELD":
-        raise ValueError(f"bad snapshot header: {header!r}")
-    kv = dict(p.split("=", 1) for p in parts[1:])
-    missing = [key for key in ("dim", "n", "h", "t") if key not in kv]
-    if missing:
-        raise ValueError(f"snapshot header lacks {', '.join(missing)}: {header!r}")
-    dim = int(kv["dim"])
-    n = tuple(int(x) for x in kv["n"].split(","))
-    h = tuple(float(x) for x in kv["h"].split(","))
-    if len(n) != dim or len(h) != dim:
-        raise ValueError(f"inconsistent snapshot header: {header!r}")
-    t = float(kv["t"])
-    grid = _record_grid(n, h)
-    count = int(np.prod(n))
-    vals: list[float] = []
-    while len(vals) < count:
-        line = fh.readline()
-        if not line:
-            raise ValueError("snapshot file truncated")
-        vals.extend(float(x) for x in line.split())
-    if len(vals) != count:
-        raise ValueError("snapshot record has trailing values")
-    return Field(grid, np.asarray(vals).reshape(n)), t
+    """One field as a one-record snapshot file."""
+    write_snapshots(Field(f.grid, f.values[None]), path, [t])
 
 
 def read_snapshot(path) -> tuple[Field, float]:
-    """The first record of a snapshot file (see ``read_snapshots``)."""
-    recs = read_snapshots(path)
-    if not recs:
-        raise ConfigError(f"{path}: empty snapshot file")
-    return recs[0]
-
-
-def read_snapshots(path) -> list[tuple[Field, float]]:
-    """Read all concatenated records in one file; a malformed record is a
-    ConfigError naming the file."""
-    out = []
-    with open(path) as fh:
-        try:
-            while (rec := _read_record(fh)) is not None:
-                out.append(rec)
-        except ValueError as exc:
-            raise ConfigError(f"{path}: {exc}") from exc
-    return out
+    """The first record of a snapshot file and its time."""
+    f, times = read_snapshots(path)
+    return Field(f.grid, f.values[0]), float(times[0])

@@ -26,7 +26,7 @@ import numpy as np
 
 from .config import _EXPERIMENT_KINDS, RunConfig, build_run_config, coerce, parse_config_text, render_config
 from .errors import ConfigError, SimulationAborted
-from .grid import Field, Grid, norm, read_snapshots, same_grid, _write_record
+from .grid import Field, Grid, norm, read_snapshot, read_snapshots, same_grid, write_snapshots
 from .potential import Potential
 from .relenergy import RelEnergyConfig, fit_gronwall_multiplier, gronwall_check, xi_monitor
 from .stepper import (
@@ -95,6 +95,8 @@ def make_initial(grid: Grid, potential: Potential, params: dict) -> State:
         phi = Field(grid, num("phi_base", 0.0) + num("phi_amp", 0.3) * mode)
     elif preset == "random_smooth":
         seed = num("seed", 0, int)
+        if seed < 0:
+            raise ConfigError(f"initial.seed = {seed}: must be nonnegative")
         tmode = _random_smooth_mode(grid, seed)
         pmode = _random_smooth_mode(grid, seed + 1)
         theta = Field(grid, num("theta_base", 1.0) + num("theta_amp", 0.2) * tmode)
@@ -107,8 +109,6 @@ def make_initial(grid: Grid, potential: Potential, params: dict) -> State:
         theta = Field.full(grid, theta_star)
         phi = Field.full(grid, phi_star)
     elif preset == "snapshot":
-        from .grid import read_snapshot
-
         for key in ("theta_file", "phi_file"):
             if key not in params:
                 raise ConfigError(f"initial.{key} is required by preset snapshot")
@@ -206,6 +206,16 @@ def manufactured_heat_test(
     exact = theta_mean + amplitude * math.exp(-kappa * math.pi**2 * t_end) * np.cos(np.pi * x)
     err = norm(Field(grid, traj[-1].theta.values - exact), "L2")
     return ManufacturedResult(n=n, dt=dt, l2_error=err)
+
+
+def _level(run: RunConfig, n: int, n0: int) -> tuple[Grid, SchemeConfig]:
+    """An experiment level's grid, n cells per axis on the run's extent, and the
+    run's scheme with dt scaled by (n0 / n)^2, so dt shrinks with h^2."""
+    try:
+        grid = Grid((n,) * run.grid.dim, run.grid.extent)
+    except ValueError as exc:
+        raise ConfigError(f"experiment.levels has {n}: {exc}") from exc
+    return grid, replace(run.scheme, dt=run.scheme.dt * (n0 / n) ** 2)
 
 
 def _observed_orders(values: list[float], steps: list[float]) -> list[float]:
@@ -306,17 +316,14 @@ def refinement_study(cfg: ExperimentConfig) -> RefinementReport:
     n0 = run.grid.n[0]
     values, dts = [], []
     for n in levels:
-        scale = (n0 / n) ** 2
-        dt = run.scheme.dt * scale
+        grid, scheme = _level(run, n, n0)
         if cfg.monitor == "manufactured_error":
             res = manufactured_heat_test(
                 n=n, kappa=run.scheme.kappa, t_end=run.t_end or 0.1,
-                theta_mean=cfg.theta_mean, amplitude=cfg.amplitude, dt=dt,
+                theta_mean=cfg.theta_mean, amplitude=cfg.amplitude, dt=scheme.dt,
             )
             values.append(res.l2_error)
         else:
-            grid = Grid((n,) * run.grid.dim, run.grid.extent)
-            scheme = replace(run.scheme, dt=dt)
             init = make_initial(grid, run.potential, run.initial)
             traj = simulate(init, scheme, run.potential, run.t_end)
             if cfg.monitor == "energy_margin":
@@ -325,7 +332,7 @@ def refinement_study(cfg: ExperimentConfig) -> RefinementReport:
             else:
                 ent = entropy_inequality_check(traj, TEST_FUNCTIONS["one"]())
                 values.append(max(0.0, -ent.min_margin))
-        dts.append(dt)
+        dts.append(scheme.dt)
     hs = [1.0 / n for n in levels]
     return RefinementReport(
         monitor=cfg.monitor,
@@ -394,8 +401,7 @@ def weak_strong_experiment(cfg: ExperimentConfig) -> WeakStrongReport:
     multiplier = 1.0
     scale = 1.0
     for li, n in enumerate(levels):
-        grid = Grid((n,) * run.grid.dim, run.grid.extent)
-        scheme = replace(run.scheme, dt=run.scheme.dt * (n0 / n) ** 2)
+        grid, scheme = _level(run, n, n0)
         ref_init = make_initial(grid, run.potential, run.initial)
         phi0, bump = ref_init.phi.values, grid.cosine_mode()
         batch_init = initial_state(
@@ -503,10 +509,8 @@ def persist_trajectory(traj: Trajectory, run_dir) -> None:
     run_dir = Path(run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
     s = traj.stack
-    with open(run_dir / "trajectory.field", "w") as fh:
-        for t, theta, phi in zip(s.t, s.theta.values, s.phi.values):
-            _write_record(fh, s.theta.grid, theta, t)
-            _write_record(fh, s.phi.grid, phi, t)
+    records = np.stack([s.theta.values, s.phi.values], axis=1).reshape(-1, *s.grid.shape)
+    write_snapshots(Field(s.grid, records), run_dir / "trajectory.field", np.repeat(s.t, 2))
     write_csv(run_dir / "index.csv", ["step", "t"], enumerate(s.t))
 
 
@@ -537,14 +541,15 @@ def load_run_dir(run_dir) -> tuple[Trajectory, RunConfig]:
     times = np.array(read_csv_columns(index, "step", "t")["t"])
     if len(times) == 0:
         raise ConfigError(f"{index}: lists no states")
-    records = read_snapshots(path)
-    if len(records) != 2 * len(times):
-        raise ConfigError(f"{path}: {len(records)} records, not two for each of the {len(times)} states in {index}")
-    grid = records[0][0].grid
-    if not all(same_grid(f.grid, run.grid) for f, _ in records):
+    records, record_times = read_snapshots(path)
+    if len(record_times) != 2 * len(times):
+        raise ConfigError(f"{path}: {len(record_times)} records, not two for each of the {len(times)} states in {index}")
+    grid = records.grid
+    if not same_grid(grid, run.grid):
         raise ConfigError(f"{path}: records do not all live on the [grid] of {manifest}")
-    theta = np.stack([f.values for f, _ in records[0::2]])
-    phi = np.stack([f.values for f, _ in records[1::2]])
+    if not np.array_equal(record_times, np.repeat(times, 2)):
+        raise ConfigError(f"{path}: record times differ from the state times in {index}")
+    theta, phi = records.values[0::2], records.values[1::2]
     init = initial_state(grid, theta[0], phi[0], run.initial.get("phi_t", "zero"), run.potential, times[0])
     phi_t = np.empty_like(phi)
     phi_t[0] = init.phi_t.values

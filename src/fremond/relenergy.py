@@ -35,6 +35,7 @@ from typing import Iterable
 
 import numpy as np
 
+from .errors import ConfigError
 from .grid import Field, _dirichlet_values, _grad_sq_values, _lap_values, same_grid
 from .potential import Potential
 from .stepper import State, Trajectory
@@ -63,8 +64,8 @@ class RelEnergyConfig:
     lam: float = 4.0
 
     def __post_init__(self):
-        if self.M <= 0:
-            raise ValueError("M must be positive")
+        if not 0 < self.M < np.inf:
+            raise ConfigError(f"M = {self.M!r}: must be positive and finite")
 
 
 def lambda_dist(theta: Field, theta_ref: Field) -> Field:

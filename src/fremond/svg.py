@@ -29,14 +29,10 @@ def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
     return [lo + (hi - lo) * i / (count - 1) for i in range(count)]
 
 
-def write_line_chart(path, series, title: str = "", xlabel: str = "", ylabel: str = "", logy: bool = False) -> None:
+def write_line_chart(path, series, title: str = "", xlabel: str = "", ylabel: str = "") -> None:
     """series: list of (label, xs, ys). NaNs break the polyline."""
     xs_all = [x for _, xs, _ in series for x in xs]
-    ys_all = []
-    for _, _, ys in series:
-        for y in ys:
-            if math.isfinite(y) and (not logy or y > 0):
-                ys_all.append(math.log10(y) if logy else y)
+    ys_all = [y for _, _, ys in series for y in ys if math.isfinite(y)]
     if not xs_all or not ys_all:
         xs_all, ys_all = [0.0, 1.0], [0.0, 1.0]
     x0, x1 = min(xs_all), max(xs_all)
@@ -68,10 +64,9 @@ def write_line_chart(path, series, title: str = "", xlabel: str = "", ylabel: st
         )
     for tv in _ticks(y0, y1):
         Y = py(tv)
-        label = _fmt_tick(10**tv) if logy else _fmt_tick(tv)
         out.append(f'<line x1="{_ML}" y1="{Y:.1f}" x2="{_W-_MR}" y2="{Y:.1f}" stroke="#dddddd"/>')
         out.append(
-            f'<text x="{_ML-6}" y="{Y+4:.1f}" font-size="11" text-anchor="end" font-family="sans-serif">{label}</text>'
+            f'<text x="{_ML-6}" y="{Y+4:.1f}" font-size="11" text-anchor="end" font-family="sans-serif">{_fmt_tick(tv)}</text>'
         )
     out.append(f'<rect x="{_ML}" y="{_MT}" width="{pw}" height="{ph}" fill="none" stroke="black"/>')
     out.append(
@@ -85,9 +80,8 @@ def write_line_chart(path, series, title: str = "", xlabel: str = "", ylabel: st
         color = _COLORS[i % len(_COLORS)]
         segs, cur = [], []
         for x, y in zip(xs, ys):
-            ok = math.isfinite(y) and (not logy or y > 0)
-            if ok:
-                cur.append(f"{px(x):.2f},{py(math.log10(y) if logy else y):.2f}")
+            if math.isfinite(y):
+                cur.append(f"{px(x):.2f},{py(y):.2f}")
             elif cur:
                 segs.append(cur)
                 cur = []

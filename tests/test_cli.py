@@ -43,6 +43,8 @@ COSINE_CFG = STEADY_CFG.replace(
 )
 
 
+PRESETS = Path(__file__).resolve().parents[1] / "presets"
+
 WEAKSTRONG_CFG = COSINE_CFG + "\n[experiment]\nkind = weak_strong\nlevels = [16]\ndeltas = [0.0, 0.1]\n"
 
 
@@ -147,6 +149,26 @@ class TestBadConfigValues:
     def test_text_in_a_numeric_key_exits_two(self, verb, key, tmp_path, capsys):
         assert_config_error_names_entry(verb, f"{key}=abc", tmp_path, capsys)
 
+    @pytest.mark.parametrize("argv, named", [
+        (["simulate", "--config", str(PRESETS / "steady.cfg"),
+          "--override", "initial.phi_sta=1.3", "--override", "run.t_end=0.05"], "initial.phi_sta"),
+        (["simulate", "--config", str(PRESETS / "cosine.cfg"),
+          "--override", "initial.preset=random_smooth", "--override", "initial.seed=-1"], "initial.seed"),
+        (["weakstrong", "--config", str(PRESETS / "weakstrong.cfg"),
+          "--override", "experiment.levels=[1, 32]", "--override", "run.t_end=0.001"], "experiment.levels"),
+        (["refine", "--config", str(PRESETS / "refine.cfg"), "--override", "experiment.levels=[1, 2, 4]"],
+         "experiment.levels"),
+        (["refine", "--config", str(PRESETS / "refine.cfg"), "--override", "experiment.monitor=energy_margin",
+          "--override", "experiment.levels=[1, 16, 32]"], "experiment.levels"),
+    ], ids=["initial_key_misspelt", "random_smooth_negative_seed", "weakstrong_level_of_one_cell",
+            "refine_level_of_one_cell", "refine_energy_margin_level_of_one_cell"])
+    def test_preset_with_a_bad_entry_exits_two(self, argv, named, tmp_path, capsys):
+        code = main([*argv, "--outdir", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("config error: ") and named in err
+        assert "Traceback" not in err
+
 
 class TestCorruptInput:
     """A persisted file or config entry the program cannot use exits 2 and
@@ -169,6 +191,9 @@ class TestCorruptInput:
         ("check", "run_0/trajectory.field",
          lambda text: edit_record(text, 6, lambda rec: re.sub(r"\n\S+", "\nnan", rec, count=1)), "trajectory.field"),
         ("check", "run_0/trajectory.field", lambda text: text[:text.rindex("FIELD")], "trajectory.field: 41 records"),
+        ("check", "run_0/trajectory.field",
+         lambda text: edit_record(text, 4, lambda rec: rec.replace(" t=0.02\n", " t=0.5\n", 1)),
+         "trajectory.field: record times differ from the state times in "),
         ("plot", "run_0/energy.csv", lambda text: text.replace("E_total", "E_tot", 1),
          "energy.csv: header lacks column E_total"),
         ("plot", "run_0/energy.csv", lambda text: re.sub(r"(?m)^3,.*$", "1,abc", text, count=1),
@@ -176,7 +201,7 @@ class TestCorruptInput:
     ], ids=["snapshot_preset_without_files", "empty_energy_csv", "empty_index_csv", "index_row_truncated",
             "index_csv_header_only", "manifest_dt_edited", "manifest_n_edited", "manifest_extent_edited",
             "snapshot_header_without_h", "nan_in_snapshot",
-            "last_record_dropped", "energy_csv_column_renamed", "energy_csv_short_row"])
+            "last_record_dropped", "record_time_edited", "energy_csv_column_renamed", "energy_csv_short_row"])
     def test_exits_two_without_traceback(self, verb, target, edit, named, steady_cfg, tmp_path, capsys):
         out = tmp_path / "out"
         assert main(["simulate", "--config", str(steady_cfg), "--outdir", str(out)]) == 0
@@ -344,6 +369,29 @@ class TestRelEnergy:
               "--override", "scheme.epsilon=1e-2", "--outdir", str(b)])
         assert main(["relenergy", "--run", str(b), "--ref", str(a)]) == 0
         assert "report only" in capsys.readouterr().out
+
+
+    @pytest.mark.parametrize("verb, option", [
+        ("relenergy", ["--M", "nan"]),
+        ("relenergy", ["--multiplier", "nan"]),
+        ("relenergy", ["--M", "0"]),
+        ("relenergy", ["--multiplier", "-1"]),
+        ("weakstrong", ["--override", "experiment.M=0"]),
+    ], ids=["M_nan", "multiplier_nan", "M_zero", "multiplier_negative", "weakstrong_M_zero"])
+    def test_weight_or_multiplier_not_positive_and_finite_exits_two(self, verb, option, steady_cfg, tmp_path,
+                                                                     capsys):
+        if verb == "relenergy":
+            run = tmp_path / "run"
+            assert main(["simulate", "--config", str(steady_cfg), "--outdir", str(run)]) == 0
+            argv = ["relenergy", "--run", str(run), "--ref", str(run), *option]
+        else:
+            argv = ["weakstrong", "--config", str(PRESETS / "weakstrong.cfg"), "--outdir", str(tmp_path / "ws"),
+                    *option]
+        capsys.readouterr()
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "must be positive and finite" in err and "Traceback" not in err
 
 
 class TestExperimentVerbs:

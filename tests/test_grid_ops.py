@@ -16,6 +16,7 @@ from fremond.grid import (
     read_snapshots,
     same_grid,
     write_snapshot,
+    write_snapshots,
 )
 from fremond.grid import _grad_sq_values, _lap_values
 
@@ -277,17 +278,44 @@ class TestSnapshots:
 
     def test_concatenated_records(self, tmp_path):
         g = Grid.line(5)
-        a, b = Field.full(g, 1.0), Field.full(g, 2.0)
         path = tmp_path / "two.field"
-        with open(path, "w") as fh:
-            from fremond.grid import _write_record
+        write_snapshots(Field(g, np.array([np.full(5, 1.0), np.full(5, 2.0)])), path, [0.0, 0.1])
+        assert path.read_text().count("FIELD") == 2
+        recs, times = read_snapshots(path)
+        assert recs.values.shape == (2, 5)
+        assert recs.values[0, 0] == 1.0 and recs.values[1, 0] == 2.0
+        assert times.tolist() == [0.0, 0.1]
 
-            _write_record(fh, g, a.values, 0.0)
-            _write_record(fh, g, b.values, 0.1)
-        recs = read_snapshots(path)
-        assert len(recs) == 2
-        assert recs[0][0].values[0] == 1.0 and recs[1][0].values[0] == 2.0
-        assert recs[1][1] == 0.1
+    def test_stacked_roundtrip_2d_bitwise(self, tmp_path):
+        g = Grid.box(3, 4, extent=(0.3, 1.7))
+        rng = np.random.default_rng(5)
+        values = rng.normal(size=(6, 3, 4)) * 10.0 ** rng.integers(-30, 30, size=(6, 3, 4))
+        times = rng.random(6) * 1e-3
+        path = tmp_path / "stack.field"
+        write_snapshots(Field(g, values), path, times)
+        back, back_times = read_snapshots(path)
+        assert same_grid(back.grid, g)
+        assert np.array_equal(back.values.view(np.int64), values.view(np.int64))
+        assert np.array_equal(back_times.view(np.int64), times.view(np.int64))
+
+    def test_records_on_two_grids_rejected(self, tmp_path):
+        a, b = tmp_path / "a.field", tmp_path / "b.field"
+        write_snapshot(Field.full(Grid.line(5), 1.0), a)
+        write_snapshot(Field.full(Grid.line(5, 2.0), 1.0), b, t=0.1)
+        path = tmp_path / "mixed.field"
+        path.write_text(a.read_text() + b.read_text())
+        with pytest.raises(ConfigError, match="mixed.field"):
+            read_snapshots(path)
+
+    def test_empty_file_rejected(self, tmp_path):
+        path = tmp_path / "empty.field"
+        path.write_text("\n")
+        with pytest.raises(ConfigError, match="empty.field: empty snapshot file"):
+            read_snapshots(path)
+
+    def test_values_and_times_must_agree(self, tmp_path):
+        with pytest.raises(ValueError):
+            write_snapshots(Field(Grid.line(5), np.ones((2, 5))), tmp_path / "f.field", [0.0])
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.field"
