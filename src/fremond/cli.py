@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import harness
-from .config import load_config
+from .config import format_value, load_config
 from .errors import ConfigError, FremondError, NonpositiveTemperature, SolverError
 from .relenergy import RelEnergyConfig, fit_gronwall_multiplier, gronwall_check, require_comparable
 from .svg import write_line_chart
@@ -76,7 +76,7 @@ def _cmd_check(args) -> int:
         harness.write_csv(run_dir / f"{stem}.csv", header, rows)
         bad = next((row for row in rows if not row[-1]), None)
         if bad is not None:
-            cells = ", ".join(f"{key}={harness._fmt(v)}" for key, v in zip(header, bad))
+            cells = ", ".join(f"{key}={format_value(v)}" for key, v in zip(header, bad))
             failures.append(f"{name}: first failing row: {cells}")
 
     record("energy", "energy_check", energy_inequality_check(traj, run.potential).csv_rows())
@@ -266,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("relenergy", help="relative-energy suite on two persisted runs")
     p.add_argument("--run", required=True, help="trajectory under test")
     p.add_argument("--ref", required=True, help="reference (strong) trajectory")
-    p.add_argument("--M", type=float, default=10.0)
+    p.add_argument("--M", type=float, default=RelEnergyConfig.M)
     p.add_argument("--multiplier", type=float, default=1.0)
     p.add_argument("--calibrate", action="store_true", help="fit the envelope multiplier first")
     p.set_defaults(fn=_cmd_relenergy)

@@ -19,13 +19,15 @@ import math
 import re
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import ConfigError
 from .grid import Grid
 from .potential import Potential, PotentialValidationError, check_convexity
 from .stepper import SchemeConfig
 
 __all__ = ["RunConfig", "SECTION_KEYS", "parse_config_text", "apply_overrides", "build_run_config",
-           "load_config", "render_config", "coerce"]
+           "load_config", "render_config", "coerce", "format_value"]
 
 _NUMBER = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 _INT = re.compile(r"^[+-]?\d+$")
@@ -73,24 +75,29 @@ def _parse_value(text: str):
 
 
 def coerce(raw, kind, where: str, many: bool = False):
-    """kind(raw), or [kind(x) for x in raw] when many; a ConfigError naming
-    the entry ``where`` (section.key) when that fails or gives nan or inf."""
+    """kind(raw), or [kind(x) for x in raw] when many; a ConfigError naming the
+    entry ``where`` (section.key) when that fails, gives nan or inf, reads a bool
+    as a number, or changes the value (an int from 16.5; 64.0 gives 64)."""
+    items = raw if many else [raw]
     try:
-        out = [kind(x) for x in raw] if many else [kind(raw)]
-        if (not many or isinstance(raw, list)) and all(map(math.isfinite, out)):
+        out = [kind(x) for x in items]
+        if (not many or isinstance(raw, list)) and all(
+                math.isfinite(y) and not isinstance(x, bool) and (kind is not int or x == y) for x, y in zip(items, out)):
             return out if many else out[0]
     except (TypeError, ValueError, OverflowError):
         pass
-    raise ConfigError(f"{where} = {_format_value(raw)}: expected {'a list of ' * many}{kind.__name__}")
+    raise ConfigError(f"{where} = {format_value(raw)}: expected {'a list of ' * many}{kind.__name__}")
 
 
-def _format_value(v) -> str:
-    if isinstance(v, bool):
+def format_value(v) -> str:
+    """A value as text, in manifests, CSV cells and messages: a bool (numpy's too)
+    as true/false, a float by repr, a list or tuple as [a, b, ...]."""
+    if isinstance(v, (bool, np.bool_)):
         return "true" if v else "false"
-    if isinstance(v, float):
-        return repr(v)
+    if isinstance(v, (float, np.floating)):
+        return repr(float(v))
     if isinstance(v, (list, tuple)):
-        return "[" + ", ".join(_format_value(x) for x in v) + "]"
+        return "[" + ", ".join(map(format_value, v)) + "]"
     return str(v)
 
 
@@ -132,7 +139,7 @@ def render_config(sections: dict[str, dict]) -> str:
     for sec in sections:
         lines.append(f"[{sec}]")
         for key, val in sections[sec].items():
-            lines.append(f"{key} = {_format_value(val)}")
+            lines.append(f"{key} = {format_value(val)}")
         lines.append("")
     return "\n".join(lines)
 

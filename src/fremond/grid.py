@@ -64,6 +64,8 @@ class Grid:
             raise ValueError(f"need at least 2 cells per axis, got n={n}")
         if any(e <= 0 for e in extent):
             raise ValueError(f"extent must be positive, got {extent}")
+        if not all(np.finfo(float).tiny <= h * h < np.inf for h in self.h):
+            raise ValueError(f"cell spacing h = {self.h} (extent / n): h^2 over- or underflows")
 
     @classmethod
     def line(cls, n: int, extent: float = 1.0) -> "Grid":

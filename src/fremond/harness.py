@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import _EXPERIMENT_KINDS, RunConfig, build_run_config, coerce, parse_config_text, render_config
+from .config import _EXPERIMENT_KINDS, RunConfig, build_run_config, coerce, format_value, parse_config_text, render_config
 from .errors import ConfigError, SimulationAborted
 from .grid import Field, Grid, norm, read_snapshot, read_snapshots, same_grid, write_snapshots
 from .potential import Potential
@@ -46,6 +46,7 @@ __all__ = [
     "run_simulation",
     "frozen_phase_run",
     "closed_form_uniform_theta",
+    "manufactured_error",
     "manufactured_heat_test",
     "eps_sweep",
     "refinement_study",
@@ -159,7 +160,7 @@ class ExperimentConfig:
     monitor: str = "manufactured_error"
     theta_mean: float = 2.0
     amplitude: float = 0.5
-    M: float = 10.0
+    M: float = RelEnergyConfig.M
 
     @classmethod
     def from_run(cls, run: RunConfig) -> "ExperimentConfig":
@@ -180,32 +181,33 @@ class ManufacturedResult:
     l2_error: float
 
 
+def manufactured_error(grid: Grid, scheme: SchemeConfig, t_end: float, theta_mean: float, amplitude: float) -> float:
+    """L2 error of the heat equation in isolation (phase frozen, eps = 0) against
+    the separable exact solution mean + a e^{-kappa pi^2 sum_a 1/L_a^2 t} cosine_mode
+    on ``grid``, at t_end rounded to a whole number of steps (at least one)."""
+    if not 0 < amplitude < theta_mean:
+        raise ConfigError("need theta_mean > amplitude > 0 for positivity")
+    t_end = max(1, int(round(t_end / scheme.dt))) * scheme.dt
+    mode = grid.cosine_mode()
+    init = initial_state(grid, Field(grid, theta_mean + amplitude * mode), Field.zeros(grid))
+    traj = frozen_phase_run(init, replace(scheme, epsilon=0.0), t_end)
+    rate = scheme.kappa * math.pi**2 * sum(1.0 / length**2 for length in grid.extent)
+    exact = theta_mean + amplitude * math.exp(-rate * t_end) * mode
+    return norm(Field(grid, traj[-1].theta.values - exact), "L2")
+
+
 def manufactured_heat_test(
     n: int = 64,
     kappa: float = 1.0,
     t_end: float = 0.1,
     theta_mean: float = 2.0,
     amplitude: float = 0.5,
-    dt: float | None = None,
 ) -> ManufacturedResult:
-    """Heat equation in isolation against the separable exact solution
-    theta(x,t) = mean + a e^{-kappa pi^2 t} cos(pi x) on the unit interval."""
-    if not 0 < amplitude < theta_mean:
-        raise ConfigError("need theta_mean > amplitude > 0 for positivity")
+    """``manufactured_error`` on the unit interval with n cells and dt = h^2."""
     grid = Grid.line(n)
     h = grid.h[0]
-    dt = h * h if dt is None else dt
-    # t_end must be an integer number of steps; shave the remainder
-    n_steps = max(1, int(round(t_end / dt)))
-    t_end = n_steps * dt
-    (x,) = grid.meshgrid()
-    theta0 = Field(grid, theta_mean + amplitude * np.cos(np.pi * x))
-    cfg = SchemeConfig(dt=dt, kappa=kappa, epsilon=0.0)
-    init = initial_state(grid, theta0, Field.zeros(grid))
-    traj = frozen_phase_run(init, cfg, t_end)
-    exact = theta_mean + amplitude * math.exp(-kappa * math.pi**2 * t_end) * np.cos(np.pi * x)
-    err = norm(Field(grid, traj[-1].theta.values - exact), "L2")
-    return ManufacturedResult(n=n, dt=dt, l2_error=err)
+    dt = h * h
+    return ManufacturedResult(n, dt, manufactured_error(grid, SchemeConfig(dt, kappa), t_end, theta_mean, amplitude))
 
 
 def _level(run: RunConfig, n: int, n0: int) -> tuple[Grid, SchemeConfig]:
@@ -305,7 +307,10 @@ class RefinementReport:
 
 def refinement_study(cfg: ExperimentConfig) -> RefinementReport:
     """Observed convergence orders under simultaneous (h, dt) refinement,
-    dt scaled with h^2 so the first-order time error stays subordinate."""
+    dt scaled with h^2 so the first-order time error stays subordinate. Every
+    monitor marches each level that ``_level`` builds to run.t_end > 0: the
+    margins the coupled run from [initial], ``manufactured_error`` the heat
+    equation alone."""
     levels = cfg.levels
     if len(levels) < 3:
         raise ConfigError("refinement study needs at least three levels")
@@ -313,16 +318,14 @@ def refinement_study(cfg: ExperimentConfig) -> RefinementReport:
     if cfg.monitor not in monitors:
         raise ConfigError(f"experiment.monitor = {cfg.monitor}: expected one of {', '.join(monitors)}")
     run = cfg.run
+    if not run.t_end > 0:
+        raise ConfigError(f"run.t_end = {run.t_end!r}: refine needs t_end > 0")
     n0 = run.grid.n[0]
     values, dts = [], []
     for n in levels:
         grid, scheme = _level(run, n, n0)
         if cfg.monitor == "manufactured_error":
-            res = manufactured_heat_test(
-                n=n, kappa=run.scheme.kappa, t_end=run.t_end or 0.1,
-                theta_mean=cfg.theta_mean, amplitude=cfg.amplitude, dt=scheme.dt,
-            )
-            values.append(res.l2_error)
+            values.append(manufactured_error(grid, scheme, run.t_end, cfg.theta_mean, cfg.amplitude))
         else:
             init = make_initial(grid, run.potential, run.initial)
             traj = simulate(init, scheme, run.potential, run.t_end)
@@ -443,14 +446,6 @@ def weak_strong_experiment(cfg: ExperimentConfig) -> WeakStrongReport:
 # --- persistence ----------------------------------------------------------------
 
 
-def _fmt(v) -> str:
-    if isinstance(v, (bool, np.bool_)):
-        return "true" if v else "false"
-    if isinstance(v, (float, np.floating)):
-        return repr(float(v))
-    return str(v)
-
-
 def write_csv(path, header, rows, comment: str | None = None) -> None:
     """One header line and one line per row, a cell quoted only where it holds a comma
     or a quote; ``comment`` goes first as a '#' line."""
@@ -461,7 +456,7 @@ def write_csv(path, header, rows, comment: str | None = None) -> None:
             fh.write(f"# {comment}\n")
         out = csv.writer(fh, lineterminator="\n")
         out.writerow(header)
-        out.writerows([_fmt(v) for v in row] for row in rows)
+        out.writerows(map(format_value, row) for row in rows)
 
 
 def read_csv(path) -> tuple[list[str], list[list[str]]]:

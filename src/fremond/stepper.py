@@ -421,11 +421,14 @@ def march(init: State, cfg: SchemeConfig, t_end: float, advance: Callable[[State
     span = t_end - init.t
     if span < 0:
         raise ConfigError("t_end lies before the initial time")
-    n_steps = int(round(span / cfg.dt)) if span > 0 else 0
+    try:
+        n_steps = int(round(span / cfg.dt)) if span > 0 else 0
+        times = init.t + np.arange(n_steps + 1) * cfg.dt
+        values = np.empty((3, n_steps + 1, *init.theta.values.shape))  # theta, phi, phi_t per state
+    except (OverflowError, ValueError, MemoryError) as exc:
+        raise ConfigError(f"(t_end - t0) = {span:g} takes too many steps of dt = {cfg.dt:g} to hold: {exc}") from exc
     if abs(n_steps * cfg.dt - span) > 1e-8 * max(cfg.dt, span):
         raise ConfigError(f"(t_end - t0) = {span:g} is not an integer multiple of dt = {cfg.dt:g}")
-    times = init.t + np.arange(n_steps + 1) * cfg.dt
-    values = np.empty((3, n_steps + 1, *init.theta.values.shape))  # theta, phi, phi_t per state
 
     def trajectory(count: int) -> Trajectory:
         return Trajectory(State(times[:count], *(Field(init.grid, v[:count]) for v in values)), cfg)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from fremond.cli import main
-from fremond.config import _EXPERIMENT_KINDS, _SCHEME_KINDS, SECTION_KEYS
+from fremond.config import _EXPERIMENT_KINDS, _SCHEME_KINDS, SECTION_KEYS, load_config
 from fremond.grid import Field, Grid, write_snapshot
 from fremond.harness import load_run_dir, read_csv, read_csv_columns, write_csv
 
@@ -133,9 +133,16 @@ class TestBadConfigValues:
         ("simulate", "potential.potential=zero"),
         ("simulate", "scheme.epsilon=nan"),
         ("simulate", "grid.extent=[inf]"),
+        ("simulate", "grid.n=16.5"),  # an int key takes no fraction, and a number no bool
+        ("simulate", "scheme.fp_max_iter=2.7"),
+        ("simulate", "scheme.dt=true"),
+        ("weakstrong", "experiment.levels=[16.7]"),
     ])
     def test_exits_two_naming_the_entry(self, verb, override, tmp_path, capsys):
         assert_config_error_names_entry(verb, override, tmp_path, capsys)
+
+    def test_integral_float_in_an_int_key_loads(self, steady_cfg):
+        assert load_config(steady_cfg, ["grid.n=64.0"]).grid.n == (64,)
 
     # every numeric key, generated from the kinds tables so that a key added later is covered
     NUMERIC_KEYS = (
@@ -160,8 +167,23 @@ class TestBadConfigValues:
          "experiment.levels"),
         (["refine", "--config", str(PRESETS / "refine.cfg"), "--override", "experiment.monitor=energy_margin",
           "--override", "experiment.levels=[1, 16, 32]"], "experiment.levels"),
+        (["refine", "--config", str(PRESETS / "refine.cfg"), "--override", "run.t_end=0"], "run.t_end"),
+        (["refine", "--config", str(PRESETS / "refine.cfg"), "--override", "experiment.monitor=energy_margin",
+          "--override", "run.t_end=0"], "run.t_end"),
+        # sizes the numbers cannot hold: h^2 over- or underflows, or too many steps for an array
+        (["simulate", "--config", str(PRESETS / "steady.cfg"),
+          "--override", "grid.extent=1e300", "--override", "run.t_end=0.02"], "cell spacing"),
+        (["weakstrong", "--config", str(PRESETS / "weakstrong.cfg"), "--override", "grid.extent=1e300"],
+         "cell spacing"),
+        (["simulate", "--config", str(PRESETS / "steady.cfg"), "--override", "grid.extent=1e-300"], "cell spacing"),
+        (["simulate", "--config", str(PRESETS / "steady.cfg"), "--override", "run.t_end=1e300"], "too many steps"),
+        (["simulate", "--config", str(PRESETS / "steady.cfg"), "--override", "scheme.dt=1e-300"], "too many steps"),
+        (["simulate", "--config", str(PRESETS / "steady.cfg"),
+          "--override", "run.t_end=1e308", "--override", "scheme.dt=1e-10"], "too many steps"),
     ], ids=["initial_key_misspelt", "random_smooth_negative_seed", "weakstrong_level_of_one_cell",
-            "refine_level_of_one_cell", "refine_energy_margin_level_of_one_cell"])
+            "refine_level_of_one_cell", "refine_energy_margin_level_of_one_cell", "refine_t_end_zero",
+            "refine_energy_margin_t_end_zero", "h_squared_overflows", "weakstrong_h_squared_overflows",
+            "h_squared_underflows", "t_end_too_many_steps", "dt_too_many_steps", "step_count_infinite"])
     def test_preset_with_a_bad_entry_exits_two(self, argv, named, tmp_path, capsys):
         code = main([*argv, "--outdir", str(tmp_path / "out")])
         err = capsys.readouterr().err
@@ -436,6 +458,22 @@ class TestExperimentVerbs:
                      "--override", "scheme.dt=0.00390625"]) == 0
         header, rows = read_csv(out / "summary.csv")
         assert len(rows) == 3
+
+    def refine_values(self, tmp_path, *overrides):
+        """The monitored values of ``refine`` on its preset at levels [8, 16, 32], dt 1/64 at n = 16
+        and t_end 1/8, so the levels take 2, 8 and 32 whole steps and all end at the same time."""
+        out = tmp_path / "-".join(["refine", *overrides])
+        argv = ["refine", "--config", str(PRESETS / "refine.cfg"), "--outdir", str(out)]
+        overrides = ("experiment.levels=[8, 16, 32]", "scheme.dt=0.015625", "run.t_end=0.125", *overrides)
+        assert main(argv + [a for o in overrides for a in ("--override", o)]) == 0
+        return read_csv_columns(out / "summary.csv", "value")["value"]
+
+    @pytest.mark.parametrize("override", ["grid.dim=2", "grid.extent=2.0"])
+    def test_refine_marches_the_configured_grid(self, override, tmp_path):
+        values = self.refine_values(tmp_path, override)
+        assert values != self.refine_values(tmp_path)
+        for coarse, fine in zip(values, values[1:]):  # h halves from level to level
+            assert 1.8 <= np.log2(coarse / fine) <= 2.2
 
     def test_weakstrong(self, tmp_path):
         cfg = tmp_path / "ws.cfg"
