@@ -138,7 +138,7 @@ class Field:
         v = np.asarray(self.values, dtype=np.float64)
         if v.shape[-self.grid.dim:] != self.grid.shape:
             raise ValueError(f"values of shape {v.shape} do not end in the grid's shape {self.grid.shape}")
-        if not np.all(np.isfinite(v)):
+        if not np.isfinite(v).all():
             raise ValueError("field contains non-finite values")
         self.values = v
 
@@ -170,19 +170,25 @@ def _lap_values(v: np.ndarray, grid: Grid) -> np.ndarray:
     edge cell, so along each axis the neighbour sums at the ends are v[0] + v[1] and v[-2] + v[-1]."""
     out = None
     for axis, h2 in zip(grid.axes, grid.h2):
-        w = v.swapaxes(0, axis)
-        s = np.empty_like(w)
-        s[1:-1] = w[:-2] + w[2:]
-        s[0] = w[0] + w[1]
-        s[-1] = w[-2] + w[-1]
-        s -= 2.0 * w
+        if axis == -1:  # the last axis, every 1D call: one neighbour sum over the ghost-padded values
+            padded = np.concatenate((v[..., :1], v, v[..., -1:]), axis=-1)
+            s = padded[..., :-2] + padded[..., 2:]
+            s -= 2.0 * v
+        else:
+            w = v.swapaxes(0, axis)
+            s = np.empty_like(w)
+            s[1:-1] = w[:-2] + w[2:]
+            s[0] = w[0] + w[1]
+            s[-1] = w[-2] + w[-1]
+            s -= 2.0 * w
+            s = s.swapaxes(0, axis)
         s /= h2
         # the first term starts the sum: no term is -0.0 (equal operands subtract to +0.0),
         # so this is bitwise the sum started from zeros
         if out is None:
-            out = s.swapaxes(0, axis)
+            out = s
         else:
-            out += s.swapaxes(0, axis)
+            out += s
     return out
 
 

@@ -184,10 +184,9 @@ class ManufacturedResult:
 def manufactured_error(grid: Grid, scheme: SchemeConfig, t_end: float, theta_mean: float, amplitude: float) -> float:
     """L2 error of the heat equation in isolation (phase frozen, eps = 0) against
     the separable exact solution mean + a e^{-kappa pi^2 sum_a 1/L_a^2 t} cosine_mode
-    on ``grid``, at t_end rounded to a whole number of steps (at least one)."""
+    on ``grid``, at t_end, a whole number of steps."""
     if not 0 < amplitude < theta_mean:
         raise ConfigError("need theta_mean > amplitude > 0 for positivity")
-    t_end = max(1, int(round(t_end / scheme.dt))) * scheme.dt
     mode = grid.cosine_mode()
     init = initial_state(grid, Field(grid, theta_mean + amplitude * mode), Field.zeros(grid))
     traj = frozen_phase_run(init, replace(scheme, epsilon=0.0), t_end)
@@ -203,10 +202,12 @@ def manufactured_heat_test(
     theta_mean: float = 2.0,
     amplitude: float = 0.5,
 ) -> ManufacturedResult:
-    """``manufactured_error`` on the unit interval with n cells and dt = h^2."""
+    """``manufactured_error`` on the unit interval with n cells and dt = h^2, at t_end
+    rounded to a whole number of steps (at least one)."""
     grid = Grid.line(n)
     h = grid.h[0]
     dt = h * h
+    t_end = max(1, int(round(t_end / dt))) * dt
     return ManufacturedResult(n, dt, manufactured_error(grid, SchemeConfig(dt, kappa), t_end, theta_mean, amplitude))
 
 
@@ -308,9 +309,10 @@ class RefinementReport:
 def refinement_study(cfg: ExperimentConfig) -> RefinementReport:
     """Observed convergence orders under simultaneous (h, dt) refinement,
     dt scaled with h^2 so the first-order time error stays subordinate. Every
-    monitor marches each level that ``_level`` builds to run.t_end > 0: the
+    monitor marches each level that ``_level`` builds to one final time T, run.t_end > 0
+    rounded to a whole number of the coarsest level's steps (at least one): the
     margins the coupled run from [initial], ``manufactured_error`` the heat
-    equation alone."""
+    equation alone. A level whose dt does not reach T in whole steps is a ConfigError."""
     levels = cfg.levels
     if len(levels) < 3:
         raise ConfigError("refinement study needs at least three levels")
@@ -321,14 +323,23 @@ def refinement_study(cfg: ExperimentConfig) -> RefinementReport:
     if not run.t_end > 0:
         raise ConfigError(f"run.t_end = {run.t_end!r}: refine needs t_end > 0")
     n0 = run.grid.n[0]
+    built = [_level(run, n, n0) for n in levels]
+    coarse_dt = max(scheme.dt for _, scheme in built)
+    try:
+        t_end = max(1, int(round(run.t_end / coarse_dt))) * coarse_dt
+    except OverflowError as exc:
+        raise ConfigError(f"run.t_end = {run.t_end:g} takes too many steps of dt = {coarse_dt:g} to count") from exc
+    for n, (_, scheme) in zip(levels, built):
+        if abs(round(t_end / scheme.dt) * scheme.dt - t_end) > 1e-8 * t_end:
+            raise ConfigError(f"experiment.levels has {n}: its dt = {scheme.dt:g} does not divide the final time "
+                              f"{t_end:g} (run.t_end in whole steps of the coarsest level's dt)")
     values, dts = [], []
-    for n in levels:
-        grid, scheme = _level(run, n, n0)
+    for grid, scheme in built:
         if cfg.monitor == "manufactured_error":
-            values.append(manufactured_error(grid, scheme, run.t_end, cfg.theta_mean, cfg.amplitude))
+            values.append(manufactured_error(grid, scheme, t_end, cfg.theta_mean, cfg.amplitude))
         else:
             init = make_initial(grid, run.potential, run.initial)
-            traj = simulate(init, scheme, run.potential, run.t_end)
+            traj = simulate(init, scheme, run.potential, t_end)
             if cfg.monitor == "energy_margin":
                 echeck = energy_inequality_check(traj, run.potential)
                 values.append(float(np.max(np.abs(echeck.margins))))
@@ -395,6 +406,9 @@ def weak_strong_experiment(cfg: ExperimentConfig) -> WeakStrongReport:
     run = cfg.run
     levels = cfg.levels or [run.grid.n[0]]
     deltas = cfg.deltas or [0.0, 0.1, 0.05, 0.025]
+    if len(set(deltas)) < len(deltas) or min(deltas) < 0.0 or max(deltas) <= 0.0:
+        raise ConfigError(f"experiment.deltas = {format_value(deltas)}: must be distinct and nonnegative, "
+                          "with at least one positive")
     if 0.0 not in deltas:
         deltas = [0.0] + deltas
     relcfg = RelEnergyConfig(M=cfg.M, lam=run.potential.lam)

@@ -37,11 +37,16 @@ def _table(coeffs: tuple[float, ...]) -> tuple[tuple[float, ...], ...]:
 def _horner(table: tuple[tuple[float, ...], ...], y, order: int):
     if order not in (0, 1, 2, 3):
         raise ValueError("order must be in {0,1,2,3}")
-    coeffs = table[order]
+    *rest, lead = table[order]
     arr = np.asarray(y, dtype=float)
-    acc = coeffs[-1] + 0.0 * arr
-    for c in reversed(coeffs[:-1]):
-        acc = acc * arr + c
+    if not rest:
+        acc = lead + 0.0 * arr  # a constant, shaped like y
+    else:
+        acc = lead * arr
+        for c in reversed(rest[1:]):
+            acc += c
+            acc *= arr
+        acc += rest[0]
     if arr.ndim == 0:
         return float(acc)
     return acc

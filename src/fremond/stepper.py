@@ -23,6 +23,8 @@ run Newton on one equation with the other's input fixed. The linearized
 operators (1/dt) I - lap + G''(phi) and (1/dt) I - kappa lap + diag(eps p |th|^{p-1} + d)
 are symmetric positive definite in all sane regimes and are solved directly
 (tridiagonal) in 1D and by Jacobi-preconditioned conjugate gradients in 2D.
+Each heat iterate computes its terms in theta alone once (``_heat_terms``), and
+its residual and Jacobian at every rate d share them.
 
 Every solve also marches a batch of runs that share the grid, dt and potential:
 field values then carry a leading member axis, (m, *grid.shape). Each member
@@ -250,7 +252,7 @@ def _solve_helmholtz(diag: np.ndarray, c: float, rhs: np.ndarray, grid: Grid) ->
         edge, off = _band(w, grid.n[0], rhs.size // grid.n[0])
         main = diag + 2.0 * w
         main -= edge
-        x, info = _GTSV(off, main.ravel(), off, rhs.ravel())[3:]
+        x, info = _GTSV(off, main.ravel(), off, rhs.ravel(), overwrite_d=True)[3:]
         if info != 0:
             raise LinearSolveFailed(f"tridiagonal solve failed (LAPACK gtsv info = {info})")
         return x.reshape(rhs.shape)
@@ -317,15 +319,22 @@ def _phase_jacobian(u: np.ndarray, cfg: SchemeConfig, pot: Potential) -> np.ndar
     return 1.0 / cfg.dt + pot.convex(u, 2)
 
 
-def _heat_residual(u: np.ndarray, rhs: np.ndarray, d: np.ndarray, cfg: SchemeConfig, grid: Grid) -> np.ndarray:
-    """u/dt - kappa lap u + u d + eps u^p - rhs, where rhs = theta_old/dt + d^2."""
-    res = u / cfg.dt - cfg.kappa * _lap_values(u, grid) + u * d - rhs
-    return res + cfg.epsilon * (np.sign(u) * np.abs(u) ** cfg.p) if cfg.epsilon > 0.0 else res
+def _heat_terms(u: np.ndarray, cfg: SchemeConfig, grid: Grid) -> tuple:
+    """The heat terms in the iterate u alone: u/dt - kappa lap u, eps u^p and eps p |u|^{p-1} (None if eps = 0)."""
+    base = u / cfg.dt - cfg.kappa * _lap_values(u, grid)
+    if cfg.epsilon == 0.0:
+        return base, None, None
+    a = np.abs(u)
+    return base, cfg.epsilon * (np.sign(u) * a ** cfg.p), cfg.epsilon * cfg.p * a ** (cfg.p - 1.0)
 
 
-def _heat_jacobian(u: np.ndarray, d: np.ndarray, cfg: SchemeConfig) -> np.ndarray:
-    diag = 1.0 / cfg.dt + d
-    return diag + cfg.epsilon * cfg.p * np.abs(u) ** (cfg.p - 1.0) if cfg.epsilon > 0.0 else diag
+def _heat_linearized(terms: tuple, u: np.ndarray, d: np.ndarray, rhs: np.ndarray, cfg: SchemeConfig) -> tuple:
+    """From u's ``_heat_terms``: the heat residual (u/dt - kappa lap u + u d - rhs) + eps u^p, where
+    rhs = theta_old/dt + d^2, and a thunk for the diagonal (1/dt + d) + eps p |u|^{p-1} of its Jacobian."""
+    base, reg, dreg = terms
+    res = base + u * d - rhs
+    jacobian_diag = (lambda: 1.0 / cfg.dt + d) if dreg is None else (lambda: 1.0 / cfg.dt + d + dreg)
+    return (res if reg is None else res + reg), jacobian_diag
 
 
 def _update(u: np.ndarray, du: np.ndarray, done: np.ndarray) -> np.ndarray:
@@ -338,17 +347,17 @@ def _update(u: np.ndarray, du: np.ndarray, done: np.ndarray) -> np.ndarray:
 
 
 def _newton(name: str, u_old: np.ndarray, c: float, cfg: SchemeConfig, grid: Grid,
-            residual: Callable, jacobian_diag: Callable) -> np.ndarray:
-    """Newton for residual(u) = 0 from u_old; the Jacobian is diag(jacobian_diag(u)) + c (-lap).
-    Each member meets its own threshold and then freezes (``_update``)."""
+            linearize: Callable) -> np.ndarray:
+    """Newton for res(u) = 0 from u_old, where linearize(u) gives res(u) and a thunk for the diagonal
+    of the Jacobian diag(.) + c (-lap) at u. Each member meets its own threshold and then freezes (``_update``)."""
     u = u_old.copy()
     thresh = _threshold(u_old, cfg, grid)
     for _ in range(cfg.fp_max_iter):
-        res = residual(u)
+        res, jacobian_diag = linearize(u)
         done = (rnorm := _residual_norm(name, res, grid)) <= thresh
         if all(done.flat):
             return u
-        u = _update(u, _solve_helmholtz(jacobian_diag(u), c, -res, grid), done)
+        u = _update(u, _solve_helmholtz(jacobian_diag(), c, -res, grid), done)
     k = np.argmax(np.where(done, -1.0, rnorm))  # the largest residual among the members not yet done
     raise NewtonDiverged(f"{name} Newton stalled at residual {rnorm.flat[k]:.3g} (tol {thresh.flat[k]:g}); dt too large?")
 
@@ -363,8 +372,8 @@ def phase_step(prev: State, theta_bar: Field, cfg: SchemeConfig, potential: Pote
     """Backward-Euler phase update for a given temperature input (full Newton solve)."""
     grid, phi_old = prev.grid, prev.phi.values
     rhs = phi_old / cfg.dt + 2.0 * potential.lam * phi_old + theta_bar.values
-    phi_new = _newton("phase", phi_old, 1.0, cfg, grid, lambda u: _phase_residual(u, rhs, cfg, potential, grid),
-                      lambda u: _phase_jacobian(u, cfg, potential))
+    phi_new = _newton("phase", phi_old, 1.0, cfg, grid, lambda u: (_phase_residual(u, rhs, cfg, potential, grid),
+                                                                    lambda: _phase_jacobian(u, cfg, potential)))
     return Field(grid, phi_new)
 
 
@@ -373,8 +382,8 @@ def heat_step(prev: State, phi_new: Field, cfg: SchemeConfig) -> Field:
     grid = prev.grid
     d = (phi_new.values - prev.phi.values) / cfg.dt
     rhs = prev.theta.values / cfg.dt + d * d
-    theta_new = _newton("heat", prev.theta.values, cfg.kappa, cfg, grid, lambda u: _heat_residual(u, rhs, d, cfg, grid),
-                        lambda u: _heat_jacobian(u, d, cfg))
+    theta_new = _newton("heat", prev.theta.values, cfg.kappa, cfg, grid,
+                        lambda u: _heat_linearized(_heat_terms(u, cfg, grid), u, d, rhs, cfg))
     _assert_positive(theta_new, prev.t + cfg.dt, grid)
     return Field(grid, theta_new)
 
@@ -390,19 +399,20 @@ def step(prev: State, cfg: SchemeConfig, potential: Potential, stats: dict | Non
     phase_rhs = phi_old / dt + 2.0 * potential.lam * phi_old
     phase_tol, heat_tol = _threshold(phi_old, cfg, grid), _threshold(theta_old, cfg, grid)
     phi, theta, d = phi_old.copy(), theta_old.copy(), np.zeros_like(phi_old)
-    heat_rhs = theta_old / dt + d * d
+    heat_rhs = theta_dt = theta_old / dt
     for sweep in range(1, cfg.fp_max_iter + 1):
+        terms = _heat_terms(theta, cfg, grid)
         res_phi = _phase_residual(phi, phase_rhs + theta, cfg, potential, grid)
         phase_norm = _residual_norm("phase", res_phi, grid)
-        heat_norm = _residual_norm("heat", _heat_residual(theta, heat_rhs, d, cfg, grid), grid)
+        heat_norm = _residual_norm("heat", _heat_linearized(terms, theta, d, heat_rhs, cfg)[0], grid)
         done = (phase_norm <= phase_tol) & (heat_norm <= heat_tol)
         if all(done.flat):
             break
         phi = _update(phi, _solve_helmholtz(_phase_jacobian(phi, cfg, potential), 1.0, -res_phi, grid), done)
         d = (phi - phi_old) / dt
-        heat_rhs = theta_old / dt + d * d
-        res_theta = _heat_residual(theta, heat_rhs, d, cfg, grid)
-        theta = _update(theta, _solve_helmholtz(_heat_jacobian(theta, d, cfg), cfg.kappa, -res_theta, grid), done)
+        heat_rhs = theta_dt + d * d
+        res_theta, heat_jacobian = _heat_linearized(terms, theta, d, heat_rhs, cfg)
+        theta = _update(theta, _solve_helmholtz(heat_jacobian(), cfg.kappa, -res_theta, grid), done)
     else:
         raise FixedPointDiverged(f"coupled sweeps did not converge in {cfg.fp_max_iter} iterations (phase residual "
                                  f"{np.max(phase_norm[~done]):.3g}, heat {np.max(heat_norm[~done]):.3g}); dt too large?")

@@ -137,6 +137,9 @@ class TestBadConfigValues:
         ("simulate", "scheme.fp_max_iter=2.7"),
         ("simulate", "scheme.dt=true"),
         ("weakstrong", "experiment.levels=[16.7]"),
+        ("weakstrong", "experiment.deltas=[0.0, -0.1]"),  # distinct and nonnegative, at least one positive
+        ("weakstrong", "experiment.deltas=[0.0]"),
+        ("weakstrong", "experiment.deltas=[0.1, 0.1, 0.05]"),
     ])
     def test_exits_two_naming_the_entry(self, verb, override, tmp_path, capsys):
         assert_config_error_names_entry(verb, override, tmp_path, capsys)
@@ -180,10 +183,16 @@ class TestBadConfigValues:
         (["simulate", "--config", str(PRESETS / "steady.cfg"), "--override", "scheme.dt=1e-300"], "too many steps"),
         (["simulate", "--config", str(PRESETS / "steady.cfg"),
           "--override", "run.t_end=1e308", "--override", "scheme.dt=1e-10"], "too many steps"),
+        # the final time is 26 steps of dt 1/256 at level 16: 58.5 steps of level 24's dt
+        (["refine", "--config", str(PRESETS / "refine.cfg"), "--override", "experiment.levels=[16, 24, 32]"],
+         "experiment.levels has 24"),
+        (["refine", "--config", str(PRESETS / "refine.cfg"),
+          "--override", "run.t_end=1e308", "--override", "scheme.dt=1e-10"], "too many steps"),
     ], ids=["initial_key_misspelt", "random_smooth_negative_seed", "weakstrong_level_of_one_cell",
             "refine_level_of_one_cell", "refine_energy_margin_level_of_one_cell", "refine_t_end_zero",
             "refine_energy_margin_t_end_zero", "h_squared_overflows", "weakstrong_h_squared_overflows",
-            "h_squared_underflows", "t_end_too_many_steps", "dt_too_many_steps", "step_count_infinite"])
+            "h_squared_underflows", "t_end_too_many_steps", "dt_too_many_steps", "step_count_infinite",
+            "refine_level_misses_the_final_time", "refine_step_count_infinite"])
     def test_preset_with_a_bad_entry_exits_two(self, argv, named, tmp_path, capsys):
         code = main([*argv, "--outdir", str(tmp_path / "out")])
         err = capsys.readouterr().err
@@ -474,6 +483,17 @@ class TestExperimentVerbs:
         assert values != self.refine_values(tmp_path)
         for coarse, fine in zip(values, values[1:]):  # h halves from level to level
             assert 1.8 <= np.log2(coarse / fine) <= 2.2
+
+    def test_refine_levels_end_at_one_final_time(self, tmp_path, capsys):
+        # t_end 0.1 is rounded once, to 2 steps of the coarsest dt 1/16: every level ends at t = 1/8
+        out = tmp_path / "refine"
+        overrides = ("grid.dim=2", "experiment.levels=[8, 16, 32]", "scheme.dt=0.015625")
+        argv = ["refine", "--config", str(PRESETS / "refine.cfg"), "--outdir", str(out)]
+        assert main(argv + [a for o in overrides for a in ("--override", o)]) == 0
+        orders_h = re.search(r"in h \[(.*)\]", capsys.readouterr().out).group(1)
+        assert all(1.8 <= float(q.strip("' ")) <= 2.2 for q in orders_h.split(","))
+        values = read_csv_columns(out / "summary.csv", "value")["value"]
+        assert values == self.refine_values(tmp_path, "grid.dim=2")
 
     def test_weakstrong(self, tmp_path):
         cfg = tmp_path / "ws.cfg"

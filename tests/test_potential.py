@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fremond.errors import PotentialValidationError
-from fremond.potential import Potential, validate_hypotheses
+from fremond.potential import Potential, _horner, validate_hypotheses
 
 
 class TestDoubleWell:
@@ -56,6 +56,39 @@ class TestDerivativeConsistency:
             for y in rng.uniform(-2, 2, size=25):
                 fd = (fn(y + eps, order - 1) - fn(y - eps, order - 1)) / (2 * eps)
                 assert fd == pytest.approx(fn(y, order), rel=1e-6, abs=1e-6)
+
+
+def random_even_potential(rng, degree):
+    """Random coefficients with F'(0) = 0 and a positive leading one."""
+    return Potential.from_coefficients([rng.normal(), 0.0, *rng.normal(size=degree - 2), rng.uniform(0.1, 1.0)], 2.0)
+
+
+def reference_horner(table, y, order):
+    """Horner's rule started from (c_n + 0 y), as before it started from c_n y."""
+    coeffs = table[order]
+    arr = np.asarray(y, dtype=float)
+    acc = coeffs[-1] + 0.0 * arr
+    for c in reversed(coeffs[:-1]):
+        acc = acc * arr + c
+    return float(acc) if arr.ndim == 0 else acc
+
+
+class TestHorner:
+    @pytest.mark.parametrize("order", [0, 1, 2, 3])
+    @pytest.mark.parametrize("pot", [
+        Potential.double_well(),
+        Potential.zero(),
+        random_even_potential(np.random.default_rng(7), degree=6),
+    ], ids=["double_well", "zero", "random_degree_6"])
+    def test_bitwise_equal_to_the_zero_started_form(self, pot, order):
+        rng = np.random.default_rng(order)
+        ys = np.concatenate([rng.normal(scale=3.0, size=64), [0.0, -0.0, 1.0, -1.0, 1e-300, -1e40]])
+        for table in (pot._d, pot._g):
+            assert _horner(table, ys, order).tobytes() == reference_horner(table, ys, order).tobytes()
+            assert _horner(table, ys.reshape(2, 35), order).shape == (2, 35)
+            for y in (0.0, -0.0, 0.75, -2.5):
+                assert np.float64(_horner(table, y, order)).tobytes() == np.float64(
+                    reference_horner(table, y, order)).tobytes()
 
 
 class TestValidation:

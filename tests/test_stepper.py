@@ -15,7 +15,7 @@ from fremond.errors import (
     PositivityLost,
     SimulationAborted,
 )
-from fremond.grid import Field, Grid
+from fremond.grid import Field, Grid, _lap_values
 from fremond.potential import Potential
 from fremond.stepper import (
     SchemeConfig,
@@ -29,7 +29,7 @@ from fremond.stepper import (
     simulate,
     step,
 )
-from fremond.stepper import NEWTON_TOL, _solve_helmholtz
+from fremond.stepper import NEWTON_TOL, _heat_linearized, _heat_terms, _solve_helmholtz
 
 
 def scalar_newton(f, df, x0, tol=1e-14, max_iter=100):
@@ -216,6 +216,67 @@ class TestHelmholtz1D:
         assert x.shape == (3, 16)
         for j in range(3):
             assert np.array_equal(x[j], _solve_helmholtz(diag[j], 0.7, rhs[j], g))
+
+
+def reference_heat_residual(u, rhs, d, cfg, grid):
+    """The heat residual evaluated whole at u, as before its terms in u were shared."""
+    res = u / cfg.dt - cfg.kappa * _lap_values(u, grid) + u * d - rhs
+    return res + cfg.epsilon * (np.sign(u) * np.abs(u) ** cfg.p) if cfg.epsilon > 0.0 else res
+
+
+def reference_heat_jacobian(u, d, cfg):
+    diag = 1.0 / cfg.dt + d
+    return diag + cfg.epsilon * cfg.p * np.abs(u) ** (cfg.p - 1.0) if cfg.epsilon > 0.0 else diag
+
+
+class TestHeatTerms:
+    """The heat residual and Jacobian built from ``_heat_terms`` are bitwise the whole evaluation."""
+
+    @pytest.mark.parametrize("epsilon", [0.0, 1e-3, 0.5])
+    @pytest.mark.parametrize("grid, shape", [(Grid.line(16, 1.5), (16,)), (Grid.line(16), (3, 16)),
+                                             (Grid.box(8, 6, (1.0, 2.0)), (2, 8, 6))],
+                             ids=["solo", "batch", "2d_batch"])
+    def test_bitwise_equal_to_the_whole_evaluation(self, epsilon, grid, shape):
+        rng = np.random.default_rng(11)
+        cfg = SchemeConfig(dt=1e-3, kappa=0.7, epsilon=epsilon, p=4.5)
+        for _ in range(10):
+            u = rng.uniform(-0.5, 2.0, size=shape)  # a Newton iterate may dip below zero
+            d, rhs = rng.normal(size=shape), rng.uniform(0.5, 2e3, size=shape)
+            terms = _heat_terms(u, cfg, grid)
+            for d_at in (d, np.zeros(shape)):  # one set of terms serves every rate d
+                res, jacobian_diag = _heat_linearized(terms, u, d_at, rhs, cfg)
+                assert res.tobytes() == reference_heat_residual(u, rhs, d_at, cfg, grid).tobytes()
+                assert jacobian_diag().tobytes() == reference_heat_jacobian(u, d_at, cfg).tobytes()
+
+    def test_each_sweep_evaluates_theta_terms_once(self, monkeypatch):
+        """Per step on ``cosine``: two Laplacians per sweep (the phase residual's and the heat
+        terms'), G' at every sweep's check and G'' at every sweep's phase update."""
+        from fremond.config import load_config
+        from fremond.harness import make_initial
+
+        run = load_config(Path(__file__).resolve().parents[1] / "presets" / "cosine.cfg")
+        state = make_initial(run.grid, run.potential, run.initial)
+        laps, convex = [0], {1: 0, 2: 0}
+        lap, pot_convex = stepper._lap_values, Potential.convex
+
+        def counting_lap(*args):
+            laps[0] += 1
+            return lap(*args)
+
+        def counting_convex(pot, y, order=0):
+            convex[order] += 1
+            return pot_convex(pot, y, order)
+
+        monkeypatch.setattr(stepper, "_lap_values", counting_lap)
+        monkeypatch.setattr(Potential, "convex", counting_convex)
+        for _ in range(16):
+            laps[0], convex[1], convex[2] = 0, 0, 0
+            stats = {}
+            state = step(state, run.scheme, run.potential, stats)
+            sweeps = stats["picard_iterations"]
+            assert sweeps > 1
+            assert laps[0] == 2 * sweeps
+            assert convex == {1: sweeps, 2: sweeps - 1}
 
 
 def stack_states(states):
