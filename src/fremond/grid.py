@@ -170,18 +170,11 @@ def _lap_values(v: np.ndarray, grid: Grid) -> np.ndarray:
     edge cell, so along each axis the neighbour sums at the ends are v[0] + v[1] and v[-2] + v[-1]."""
     out = None
     for axis, h2 in zip(grid.axes, grid.h2):
-        if axis == -1:  # the last axis, every 1D call: one neighbour sum over the ghost-padded values
-            padded = np.concatenate((v[..., :1], v, v[..., -1:]), axis=-1)
-            s = padded[..., :-2] + padded[..., 2:]
-            s -= 2.0 * v
-        else:
-            w = v.swapaxes(0, axis)
-            s = np.empty_like(w)
-            s[1:-1] = w[:-2] + w[2:]
-            s[0] = w[0] + w[1]
-            s[-1] = w[-2] + w[-1]
-            s -= 2.0 * w
-            s = s.swapaxes(0, axis)
+        # tail spans the axes after this one, so the slice before it cuts this axis
+        tail = (slice(None),) * (-1 - axis)
+        padded = np.concatenate((v[(..., slice(None, 1)) + tail], v, v[(..., slice(-1, None)) + tail]), axis=axis)
+        s = padded[(..., slice(None, -2)) + tail] + padded[(..., slice(2, None)) + tail]
+        s -= 2.0 * v
         s /= h2
         # the first term starts the sum: no term is -0.0 (equal operands subtract to +0.0),
         # so this is bitwise the sum started from zeros

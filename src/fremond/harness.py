@@ -207,8 +207,14 @@ def manufactured_heat_test(
     grid = Grid.line(n)
     h = grid.h[0]
     dt = h * h
-    t_end = max(1, int(round(t_end / dt))) * dt
-    return ManufacturedResult(n, dt, manufactured_error(grid, SchemeConfig(dt, kappa), t_end, theta_mean, amplitude))
+    error = manufactured_error(grid, SchemeConfig(dt, kappa), _final_time(t_end, dt), theta_mean, amplitude)
+    return ManufacturedResult(n, dt, error)
+
+
+def _final_time(t_end: float, dt: float) -> float:
+    """t_end rounded to a whole number of dt steps, at least one; a count too large to hold
+    makes it inf, which ``SchemeConfig.whole_steps`` rejects."""
+    return max(1.0, round(t_end / dt, 0)) * dt
 
 
 def _level(run: RunConfig, n: int, n0: int) -> tuple[Grid, SchemeConfig]:
@@ -325,14 +331,13 @@ def refinement_study(cfg: ExperimentConfig) -> RefinementReport:
     n0 = run.grid.n[0]
     built = [_level(run, n, n0) for n in levels]
     coarse_dt = max(scheme.dt for _, scheme in built)
-    try:
-        t_end = max(1, int(round(run.t_end / coarse_dt))) * coarse_dt
-    except OverflowError as exc:
-        raise ConfigError(f"run.t_end = {run.t_end:g} takes too many steps of dt = {coarse_dt:g} to count") from exc
+    t_end = _final_time(run.t_end, coarse_dt)
     for n, (_, scheme) in zip(levels, built):
-        if abs(round(t_end / scheme.dt) * scheme.dt - t_end) > 1e-8 * t_end:
-            raise ConfigError(f"experiment.levels has {n}: its dt = {scheme.dt:g} does not divide the final time "
-                              f"{t_end:g} (run.t_end in whole steps of the coarsest level's dt)")
+        try:
+            scheme.whole_steps(t_end)
+        except ConfigError as exc:
+            raise ConfigError(f"experiment.levels has {n}: {exc} (the final time is run.t_end = {run.t_end:g} "
+                              "rounded to whole steps of the coarsest level's dt)") from exc
     values, dts = [], []
     for grid, scheme in built:
         if cfg.monitor == "manufactured_error":

@@ -106,6 +106,14 @@ class SchemeConfig:
         if self.fp_max_iter < 1:
             raise ConfigError("fp_max_iter must be at least 1")
 
+    def whole_steps(self, span: float) -> int:
+        """span / dt, a ConfigError unless it is finite and a whole number to round-off."""
+        if not math.isfinite(ratio := span / self.dt):
+            raise ConfigError(f"(t_end - t0) = {span:g} takes too many steps of dt = {self.dt:g} to count")
+        if abs((count := round(ratio)) * self.dt - span) > 1e-8 * max(self.dt, span):
+            raise ConfigError(f"(t_end - t0) = {span:g} is not an integer multiple of dt = {self.dt:g}")
+        return count
+
 
 @dataclass
 class State:
@@ -423,22 +431,17 @@ def step(prev: State, cfg: SchemeConfig, potential: Potential, stats: dict | Non
 
 
 def march(init: State, cfg: SchemeConfig, t_end: float, advance: Callable[[State], State]) -> Trajectory:
-    """March from init.t to t_end in uniform dt steps of ``advance``.
-
-    t_end - init.t must be an integer multiple of dt to round-off. On a step
-    failure the partial trajectory is attached to the raised SimulationAborted.
-    """
+    """March from init.t to t_end, a whole number of dt steps (``SchemeConfig.whole_steps``), by ``advance``.
+    On a step failure the partial trajectory is attached to the raised SimulationAborted."""
     span = t_end - init.t
     if span < 0:
         raise ConfigError("t_end lies before the initial time")
+    n_steps = cfg.whole_steps(span)
     try:
-        n_steps = int(round(span / cfg.dt)) if span > 0 else 0
         times = init.t + np.arange(n_steps + 1) * cfg.dt
         values = np.empty((3, n_steps + 1, *init.theta.values.shape))  # theta, phi, phi_t per state
     except (OverflowError, ValueError, MemoryError) as exc:
         raise ConfigError(f"(t_end - t0) = {span:g} takes too many steps of dt = {cfg.dt:g} to hold: {exc}") from exc
-    if abs(n_steps * cfg.dt - span) > 1e-8 * max(cfg.dt, span):
-        raise ConfigError(f"(t_end - t0) = {span:g} is not an integer multiple of dt = {cfg.dt:g}")
 
     def trajectory(count: int) -> Trajectory:
         return Trajectory(State(times[:count], *(Field(init.grid, v[:count]) for v in values)), cfg)
