@@ -155,12 +155,18 @@ class ExperimentConfig:
     run: RunConfig
     kind: str
     eps_values: list[float] = field(default_factory=list)
-    levels: list[int] = field(default_factory=list)
+    levels: list[int] | None = None  # None when not given
     deltas: list[float] = field(default_factory=list)
     monitor: str = "manufactured_error"
     theta_mean: float = 2.0
     amplitude: float = 0.5
     M: float = RelEnergyConfig.M
+
+    def __post_init__(self):
+        # refine and weak_strong take levels[0] as the coarsest level: the dt scale n0
+        levels = self.levels
+        if levels is not None and not (levels and all(a < b for a, b in zip(levels, levels[1:]))):
+            raise ConfigError(f"experiment.levels = {format_value(levels)}: must be non-empty and strictly increasing")
 
     @classmethod
     def from_run(cls, run: RunConfig) -> "ExperimentConfig":
@@ -319,7 +325,7 @@ def refinement_study(cfg: ExperimentConfig) -> RefinementReport:
     rounded to a whole number of the coarsest level's steps (at least one): the
     margins the coupled run from [initial], ``manufactured_error`` the heat
     equation alone. A level whose dt does not reach T in whole steps is a ConfigError."""
-    levels = cfg.levels
+    levels = cfg.levels or []
     if len(levels) < 3:
         raise ConfigError("refinement study needs at least three levels")
     monitors = ("manufactured_error", "energy_margin", "entropy_margin")

@@ -24,7 +24,10 @@ operators (1/dt) I - lap + G''(phi) and (1/dt) I - kappa lap + diag(eps p |th|^{
 are symmetric positive definite in all sane regimes and are solved directly
 (tridiagonal) in 1D and by Jacobi-preconditioned conjugate gradients in 2D.
 Each heat iterate computes its terms in theta alone once (``_heat_terms``), and
-its residual and Jacobian at every rate d share them.
+its residual and Jacobian at every rate d share them. A step's final check leaves
+its pieces in u alone (the phase left side and the heat terms) on the State it
+returns (``State._pieces``); the next step's first check, on the same arrays, reuses
+them if its cfg and potential equal theirs. A State built any other way has none.
 
 Every solve also marches a batch of runs that share the grid, dt and potential:
 field values then carry a leading member axis, (m, *grid.shape). Each member
@@ -38,7 +41,7 @@ seams; in 2D each member gets its own conjugate-gradient solve.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable
 
@@ -128,12 +131,16 @@ class State:
     A batch of runs (``step``) stacks along a member axis after t's axes:
     values of shape (m, *grid.shape) at one instant, (len(t), m, *grid.shape)
     along a trajectory.
+    A State that ``step`` returns also keeps, privately, its final check's pieces with the
+    (cfg, potential) that made them; the next ``step`` reuses them only under equal ones.
+    Every other State (hand-built, indexed from a Trajectory, loaded) has none.
     """
 
     t: float | np.ndarray
     theta: Field
     phi: Field
     phi_t: Field
+    _pieces: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (same_grid(self.theta.grid, self.phi.grid) and same_grid(self.theta.grid, self.phi_t.grid)):
@@ -318,9 +325,9 @@ def _residual_norm(name: str, res: np.ndarray, grid: Grid) -> np.ndarray:
     return rnorm
 
 
-def _phase_residual(u: np.ndarray, rhs: np.ndarray, cfg: SchemeConfig, pot: Potential, grid: Grid) -> np.ndarray:
-    """u/dt - lap u + G'(u) - rhs, where rhs = phi_old/dt + 2 lam phi_old + theta_bar."""
-    return u / cfg.dt - _lap_values(u, grid) + pot.convex(u, 1) - rhs
+def _phase_left(u: np.ndarray, cfg: SchemeConfig, pot: Potential, grid: Grid) -> np.ndarray:
+    """u/dt - lap u + G'(u): the phase residual before it subtracts phi_old/dt + 2 lam phi_old + theta_bar."""
+    return u / cfg.dt - _lap_values(u, grid) + pot.convex(u, 1)
 
 
 def _phase_jacobian(u: np.ndarray, cfg: SchemeConfig, pot: Potential) -> np.ndarray:
@@ -380,7 +387,7 @@ def phase_step(prev: State, theta_bar: Field, cfg: SchemeConfig, potential: Pote
     """Backward-Euler phase update for a given temperature input (full Newton solve)."""
     grid, phi_old = prev.grid, prev.phi.values
     rhs = phi_old / cfg.dt + 2.0 * potential.lam * phi_old + theta_bar.values
-    phi_new = _newton("phase", phi_old, 1.0, cfg, grid, lambda u: (_phase_residual(u, rhs, cfg, potential, grid),
+    phi_new = _newton("phase", phi_old, 1.0, cfg, grid, lambda u: (_phase_left(u, cfg, potential, grid) - rhs,
                                                                     lambda: _phase_jacobian(u, cfg, potential)))
     return Field(grid, phi_new)
 
@@ -408,9 +415,11 @@ def step(prev: State, cfg: SchemeConfig, potential: Potential, stats: dict | Non
     phase_tol, heat_tol = _threshold(phi_old, cfg, grid), _threshold(theta_old, cfg, grid)
     phi, theta, d = phi_old.copy(), theta_old.copy(), np.zeros_like(phi_old)
     heat_rhs = theta_dt = theta_old / dt
+    pieces = prev._pieces[2:] if prev._pieces and prev._pieces[:2] == (cfg, potential) else None
     for sweep in range(1, cfg.fp_max_iter + 1):
-        terms = _heat_terms(theta, cfg, grid)
-        res_phi = _phase_residual(phi, phase_rhs + theta, cfg, potential, grid)
+        left, terms = pieces or (_phase_left(phi, cfg, potential, grid), _heat_terms(theta, cfg, grid))
+        pieces = None
+        res_phi = left - (phase_rhs + theta)
         phase_norm = _residual_norm("phase", res_phi, grid)
         heat_norm = _residual_norm("heat", _heat_linearized(terms, theta, d, heat_rhs, cfg)[0], grid)
         done = (phase_norm <= phase_tol) & (heat_norm <= heat_tol)
@@ -427,7 +436,9 @@ def step(prev: State, cfg: SchemeConfig, potential: Potential, stats: dict | Non
     if stats is not None:
         stats["picard_iterations"] = sweep
     _assert_positive(theta, prev.t + dt, grid)
-    return State(prev.t + dt, Field(grid, theta), Field(grid, phi), Field(grid, d))
+    new = State(prev.t + dt, Field(grid, theta), Field(grid, phi), Field(grid, d))
+    new._pieces = (cfg, potential, left, terms)  # the final check's, on new.phi and new.theta
+    return new
 
 
 def march(init: State, cfg: SchemeConfig, t_end: float, advance: Callable[[State], State]) -> Trajectory:

@@ -191,12 +191,24 @@ class TestBadConfigValues:
         # the final time 1e306 is 1e308 steps of level 16's dt, but inf steps of level 32's dt
         (["refine", "--config", str(PRESETS / "refine.cfg"),
           "--override", "run.t_end=1e306", "--override", "scheme.dt=0.01"], "experiment.levels has 32"),
+        # levels[0] is the coarsest level, so the levels must be non-empty and strictly increasing
+        (["refine", "--config", str(PRESETS / "refine.cfg"), "--override", "experiment.levels=[16, 16, 32]"],
+         "experiment.levels"),
+        (["refine", "--config", str(PRESETS / "refine.cfg"), "--override", "experiment.levels=[32, 16, 64]"],
+         "experiment.levels"),
+        (["weakstrong", "--config", str(PRESETS / "weakstrong.cfg"),
+          "--override", "experiment.levels=[64, 32]", "--override", "run.t_end=0.0078125"], "experiment.levels"),
+        (["weakstrong", "--config", str(PRESETS / "weakstrong.cfg"),
+          "--override", "experiment.levels=[32, 32]", "--override", "run.t_end=0.0078125"], "experiment.levels"),
+        (["weakstrong", "--config", str(PRESETS / "weakstrong.cfg"), "--override", "experiment.levels=[]"],
+         "experiment.levels"),
     ], ids=["initial_key_misspelt", "random_smooth_negative_seed", "weakstrong_level_of_one_cell",
             "refine_level_of_one_cell", "refine_energy_margin_level_of_one_cell", "refine_t_end_zero",
             "refine_energy_margin_t_end_zero", "h_squared_overflows", "weakstrong_h_squared_overflows",
             "h_squared_underflows", "t_end_too_many_steps", "dt_too_many_steps", "step_count_infinite",
             "refine_level_misses_the_final_time", "refine_step_count_infinite",
-            "refine_finer_level_step_count_infinite"])
+            "refine_finer_level_step_count_infinite", "refine_repeated_levels", "refine_unordered_levels",
+            "weakstrong_decreasing_levels", "weakstrong_repeated_levels", "weakstrong_empty_levels"])
     def test_preset_with_a_bad_entry_exits_two(self, argv, named, tmp_path, capsys):
         code = main([*argv, "--outdir", str(tmp_path / "out")])
         err = capsys.readouterr().err

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from pathlib import Path
 
@@ -250,7 +251,8 @@ class TestHeatTerms:
 
     def test_each_sweep_evaluates_theta_terms_once(self, monkeypatch):
         """Per step on ``cosine``: two Laplacians per sweep (the phase residual's and the heat
-        terms'), G' at every sweep's check and G'' at every sweep's phase update."""
+        terms'), G' at every sweep's check and G'' at every sweep's phase update; after the
+        first step, the first check reuses the previous step's final one and evaluates none."""
         from fremond.config import load_config
         from fremond.harness import make_initial
 
@@ -269,14 +271,72 @@ class TestHeatTerms:
 
         monkeypatch.setattr(stepper, "_lap_values", counting_lap)
         monkeypatch.setattr(Potential, "convex", counting_convex)
-        for _ in range(16):
+        for k in range(16):
             laps[0], convex[1], convex[2] = 0, 0, 0
             stats = {}
             state = step(state, run.scheme, run.potential, stats)
             sweeps = stats["picard_iterations"]
             assert sweeps > 1
-            assert laps[0] == 2 * sweeps
-            assert convex == {1: sweeps, 2: sweeps - 1}
+            checks = sweeps if k == 0 else sweeps - 1
+            assert laps[0] == 2 * checks
+            assert convex == {1: checks, 2: sweeps - 1}
+
+
+def without_pieces(s):
+    """The same values as a State that carries no pieces of a final check."""
+    return State(s.t, s.theta, s.phi, s.phi_t)
+
+
+def assert_same_state(a, b):
+    assert a.t == b.t
+    for f in ("theta", "phi", "phi_t"):
+        assert getattr(a, f).values.tobytes() == getattr(b, f).values.tobytes(), f
+
+
+class TestReusedPieces:
+    """A step's first check reuses the pieces its predecessor's final check left on the State,
+    bitwise as if it computed them: each march equals one whose every step starts from a State
+    rebuilt without pieces."""
+
+    @staticmethod
+    def assert_march_as_rebuilt(init, cfg, potential, steps):
+        chained = rebuilt = init
+        for _ in range(steps):
+            chained = step(chained, cfg, potential)
+            rebuilt = step(without_pieces(rebuilt), cfg, potential)
+            assert chained._pieces is not None
+            assert_same_state(chained, rebuilt)
+
+    def test_cosine_steps(self):
+        from fremond.config import load_config
+        from fremond.harness import make_initial
+
+        run = load_config(Path(__file__).resolve().parents[1] / "presets" / "cosine.cfg")
+        self.assert_march_as_rebuilt(make_initial(run.grid, run.potential, run.initial), run.scheme,
+                                     run.potential, 64)
+
+    def test_batch_with_a_member_frozen_early(self, double_well, steady_pair):
+        g = Grid.line(16)
+        mode = g.cosine_mode()
+        moving = [initial_state(g, Field(g, 1.0 + 0.2 * mode), Field(g, amp * mode)) for amp in (0.2, 0.3)]
+        batch = stack_states([uniform_state(g, steady_pair[1], steady_pair[0]), *moving])  # member 0 freezes at once
+        self.assert_march_as_rebuilt(batch, SchemeConfig(dt=1e-3, epsilon=0.0), double_well, 8)
+
+    def test_2d_batch(self, double_well):
+        g = Grid.box(8, 8)
+        mode = g.cosine_mode()
+        members = [initial_state(g, Field(g, 1.0 + 0.2 * mode), Field(g, amp * mode)) for amp in (0.3, 0.1)]
+        self.assert_march_as_rebuilt(stack_states(members), SchemeConfig(dt=1e-3, epsilon=1e-3, p=4.0), double_well, 4)
+
+    @pytest.mark.parametrize("change, lam", [({"dt": 2e-3}, 4.0), ({"kappa": 0.5}, 4.0), ({"epsilon": 0.1}, 4.0),
+                                             ({}, 6.0)], ids=["dt", "kappa", "epsilon", "potential"])
+    def test_pieces_of_another_scheme_or_potential_are_ignored(self, change, lam):
+        g = Grid.line(16)
+        mode = g.cosine_mode()
+        cfg = SchemeConfig(dt=1e-3, epsilon=1e-3)
+        state = step(initial_state(g, Field(g, 1.0 + 0.2 * mode), Field(g, 0.3 * mode)), cfg, Potential.double_well())
+        cfg, potential = dataclasses.replace(cfg, **change), Potential.double_well(lam)
+        assert_same_state(step(state, cfg, potential), step(without_pieces(state), cfg, potential))
 
 
 def stack_states(states):
