@@ -179,40 +179,35 @@ def _cmd_weakstrong(args) -> int:
     return 0 if ok else 1
 
 
+# plot's charts: (CSV, SVG, title, y label, lines); a line is (label, column,
+# column subtracted or None), so the floor line is value - margin
+_CHARTS = (
+    ("energy.csv", "energy.svg", "energy", "E",
+     (("E_total", "E_total", None), ("E_thermal", "E_thermal", None), ("E_gradient", "E_gradient", None))),
+    ("floors_theta.csv", "floors.svg", "temperature minimum vs floor", "theta",
+     (("theta_min", "value", None), ("floor h(t)", "value", "margin"))),
+    ("relenergy.csv", "relenergy.svg", "relative energy vs Gronwall envelope", "E_rel",
+     (("E_rel", "E_rel", None), ("lhs", "lhs", None), ("envelope rhs", "rhs", None))),
+)
+
+
 def _cmd_plot(args) -> int:
     run_dir = harness.resolve_run_dir(args.run)
     outdir = Path(args.outdir) if args.outdir else run_dir
     outdir.mkdir(parents=True, exist_ok=True)
     made = []
-    if (run_dir / "energy.csv").exists():
-        cols = harness.read_csv_columns(run_dir / "energy.csv", "t", "E_total", "E_thermal", "E_gradient")
+    for csv_name, svg, title, ylabel, lines in _CHARTS:
+        if not (run_dir / csv_name).exists():
+            continue
+        needed = dict.fromkeys(c for _, name, sub in lines for c in (name, sub) if c is not None)  # once each
+        cols = harness.read_csv_columns(run_dir / csv_name, "t", *needed)
         write_line_chart(
-            outdir / "energy.svg",
-            [("E_total", cols["t"], cols["E_total"]),
-             ("E_thermal", cols["t"], cols["E_thermal"]),
-             ("E_gradient", cols["t"], cols["E_gradient"])],
-            title="energy", xlabel="t", ylabel="E",
+            outdir / svg,
+            [(label, cols["t"], cols[name] if sub is None else [v - m for v, m in zip(cols[name], cols[sub])])
+             for label, name, sub in lines],
+            title=title, xlabel="t", ylabel=ylabel,
         )
-        made.append("energy.svg")
-    if (run_dir / "floors_theta.csv").exists():
-        cols = harness.read_csv_columns(run_dir / "floors_theta.csv", "t", "value", "margin")
-        floor = [v - m for v, m in zip(cols["value"], cols["margin"])]
-        write_line_chart(
-            outdir / "floors.svg",
-            [("theta_min", cols["t"], cols["value"]), ("floor h(t)", cols["t"], floor)],
-            title="temperature minimum vs floor", xlabel="t", ylabel="theta",
-        )
-        made.append("floors.svg")
-    if (run_dir / "relenergy.csv").exists():
-        cols = harness.read_csv_columns(run_dir / "relenergy.csv", "t", "E_rel", "lhs", "rhs")
-        write_line_chart(
-            outdir / "relenergy.svg",
-            [("E_rel", cols["t"], cols["E_rel"]),
-             ("lhs", cols["t"], cols["lhs"]),
-             ("envelope rhs", cols["t"], cols["rhs"])],
-            title="relative energy vs Gronwall envelope", xlabel="t", ylabel="E_rel",
-        )
-        made.append("relenergy.svg")
+        made.append(svg)
     if not made:
         print(f"plot: no known CSVs in {run_dir}", file=sys.stderr)
         return 2

@@ -41,7 +41,7 @@ _EXPERIMENT_KINDS = {
     "levels": (int, True),
     "deltas": (float, True),
     "monitor": (str, False),
-    **dict.fromkeys(("theta_mean", "amplitude", "M"), (float, False)),
+    "M": (float, False),
 }
 
 # The keys each section accepts. [initial] accepts the keys of every preset, so

@@ -7,10 +7,10 @@ configuration in the run-config grammar, so any output tree can be re-run.
 
 Output tree:
     <outdir>/manifest.txt
-    <outdir>/run_<k>/trajectory.field    two snapshot records per state, in
+    <outdir>/run_0/trajectory.field      two snapshot records per state, in
                                          order (temperature first, then phase)
-    <outdir>/run_<k>/index.csv           step,t
-    <outdir>/run_<k>/<check>.csv         written by the check drivers
+    <outdir>/run_0/index.csv             step,t
+    <outdir>/run_0/<check>.csv           written by the check drivers
     <outdir>/summary.csv                 one row per experiment member
 """
 
@@ -155,17 +155,17 @@ class ExperimentConfig:
     run: RunConfig
     kind: str
     eps_values: list[float] = field(default_factory=list)
-    levels: list[int] | None = None  # None when not given
-    deltas: list[float] = field(default_factory=list)
+    levels: list[int] | None = None  # [grid] n when not given
+    deltas: list[float] = field(default_factory=lambda: [0.0, 0.1, 0.05, 0.025])
     monitor: str = "manufactured_error"
-    theta_mean: float = 2.0
-    amplitude: float = 0.5
     M: float = RelEnergyConfig.M
 
     def __post_init__(self):
-        # refine and weak_strong take levels[0] as the coarsest level: the dt scale n0
+        # refine and weak_strong take levels[0] as the coarsest level (see ``_levels``)
+        if self.levels is None:
+            self.levels = [self.run.grid.n[0]]
         levels = self.levels
-        if levels is not None and not (levels and all(a < b for a, b in zip(levels, levels[1:]))):
+        if not (levels and all(a < b for a, b in zip(levels, levels[1:]))):
             raise ConfigError(f"experiment.levels = {format_value(levels)}: must be non-empty and strictly increasing")
 
     @classmethod
@@ -187,7 +187,8 @@ class ManufacturedResult:
     l2_error: float
 
 
-def manufactured_error(grid: Grid, scheme: SchemeConfig, t_end: float, theta_mean: float, amplitude: float) -> float:
+def manufactured_error(grid: Grid, scheme: SchemeConfig, t_end: float, theta_mean: float = 2.0,
+                       amplitude: float = 0.5) -> float:
     """L2 error of the heat equation in isolation (phase frozen, eps = 0) against
     the separable exact solution mean + a e^{-kappa pi^2 sum_a 1/L_a^2 t} cosine_mode
     on ``grid``, at t_end, a whole number of steps."""
@@ -223,14 +224,29 @@ def _final_time(t_end: float, dt: float) -> float:
     return max(1.0, round(t_end / dt, 0)) * dt
 
 
-def _level(run: RunConfig, n: int, n0: int) -> tuple[Grid, SchemeConfig]:
-    """An experiment level's grid, n cells per axis on the run's extent, and the
-    run's scheme with dt scaled by (n0 / n)^2, so dt shrinks with h^2."""
-    try:
-        grid = Grid((n,) * run.grid.dim, run.grid.extent)
-    except ValueError as exc:
-        raise ConfigError(f"experiment.levels has {n}: {exc}") from exc
-    return grid, replace(run.scheme, dt=run.scheme.dt * (n0 / n) ** 2)
+def _levels(cfg: ExperimentConfig) -> tuple[list[tuple[Grid, SchemeConfig]], float]:
+    """Each level's grid, n cells per axis on the run's extent, and scheme, the run's with dt
+    scaled by ([grid] n / n)^2; and the final time T of every level, run.t_end > 0 rounded to
+    whole steps of the coarsest level (at least one). A level that cannot be built or does
+    not reach T in whole steps is a ConfigError naming it."""
+    run = cfg.run
+    if not run.t_end > 0:
+        raise ConfigError(f"run.t_end = {run.t_end!r}: {cfg.kind} needs t_end > 0")
+    built = []
+    for n in cfg.levels:
+        try:
+            grid = Grid((n,) * run.grid.dim, run.grid.extent)
+        except ValueError as exc:
+            raise ConfigError(f"experiment.levels has {n}: {exc}") from exc
+        built.append((grid, replace(run.scheme, dt=run.scheme.dt * (run.grid.n[0] / n) ** 2)))
+    t_end = _final_time(run.t_end, built[0][1].dt)
+    for n, (_, scheme) in zip(cfg.levels, built):
+        try:
+            scheme.whole_steps(t_end)
+        except ConfigError as exc:
+            raise ConfigError(f"experiment.levels has {n}: {exc} (the final time is run.t_end = {run.t_end:g} "
+                              "rounded to whole steps of the coarsest level's dt)") from exc
+    return built, t_end
 
 
 def _observed_orders(values: list[float], steps: list[float]) -> list[float]:
@@ -321,33 +337,20 @@ class RefinementReport:
 def refinement_study(cfg: ExperimentConfig) -> RefinementReport:
     """Observed convergence orders under simultaneous (h, dt) refinement,
     dt scaled with h^2 so the first-order time error stays subordinate. Every
-    monitor marches each level that ``_level`` builds to one final time T, run.t_end > 0
-    rounded to a whole number of the coarsest level's steps (at least one): the
-    margins the coupled run from [initial], ``manufactured_error`` the heat
-    equation alone. A level whose dt does not reach T in whole steps is a ConfigError."""
-    levels = cfg.levels or []
+    monitor marches each level that ``_levels`` builds to its one final time T: the
+    margins the coupled run from [initial], ``manufactured_error`` the heat equation alone."""
+    levels = cfg.levels
     if len(levels) < 3:
         raise ConfigError("refinement study needs at least three levels")
     monitors = ("manufactured_error", "energy_margin", "entropy_margin")
     if cfg.monitor not in monitors:
         raise ConfigError(f"experiment.monitor = {cfg.monitor}: expected one of {', '.join(monitors)}")
     run = cfg.run
-    if not run.t_end > 0:
-        raise ConfigError(f"run.t_end = {run.t_end!r}: refine needs t_end > 0")
-    n0 = run.grid.n[0]
-    built = [_level(run, n, n0) for n in levels]
-    coarse_dt = max(scheme.dt for _, scheme in built)
-    t_end = _final_time(run.t_end, coarse_dt)
-    for n, (_, scheme) in zip(levels, built):
-        try:
-            scheme.whole_steps(t_end)
-        except ConfigError as exc:
-            raise ConfigError(f"experiment.levels has {n}: {exc} (the final time is run.t_end = {run.t_end:g} "
-                              "rounded to whole steps of the coarsest level's dt)") from exc
+    built, t_end = _levels(cfg)
     values, dts = [], []
     for grid, scheme in built:
         if cfg.monitor == "manufactured_error":
-            values.append(manufactured_error(grid, scheme, t_end, cfg.theta_mean, cfg.amplitude))
+            values.append(manufactured_error(grid, scheme, t_end))
         else:
             init = make_initial(grid, run.potential, run.initial)
             traj = simulate(init, scheme, run.potential, t_end)
@@ -415,21 +418,17 @@ def weak_strong_experiment(cfg: ExperimentConfig) -> WeakStrongReport:
     must stay regular: the maximum of its xi monitor is recorded per level.
     """
     run = cfg.run
-    levels = cfg.levels or [run.grid.n[0]]
-    deltas = cfg.deltas or [0.0, 0.1, 0.05, 0.025]
-    if len(set(deltas)) < len(deltas) or min(deltas) < 0.0 or max(deltas) <= 0.0:
+    deltas = cfg.deltas
+    if len(set(deltas)) < len(deltas) or any(d < 0.0 for d in deltas) or not any(d > 0.0 for d in deltas):
         raise ConfigError(f"experiment.deltas = {format_value(deltas)}: must be distinct and nonnegative, "
                           "with at least one positive")
     if 0.0 not in deltas:
         deltas = [0.0] + deltas
     relcfg = RelEnergyConfig(M=cfg.M, lam=run.potential.lam)
-    n0 = levels[0]
+    built, t_end = _levels(cfg)
     rows: list[WeakStrongRow] = []
     xi_max: list[float] = []
-    multiplier = 1.0
-    scale = 1.0
-    for li, n in enumerate(levels):
-        grid, scheme = _level(run, n, n0)
+    for li, (n, (grid, scheme)) in enumerate(zip(cfg.levels, built)):
         ref_init = make_initial(grid, run.potential, run.initial)
         phi0, bump = ref_init.phi.values, grid.cosine_mode()
         batch_init = initial_state(
@@ -439,17 +438,16 @@ def weak_strong_experiment(cfg: ExperimentConfig) -> WeakStrongReport:
             phi_t_mode=run.initial.get("phi_t", "zero"),
             potential=run.potential,
         )
-        batch = simulate(batch_init, scheme, run.potential, run.t_end)
+        batch = simulate(batch_init, scheme, run.potential, t_end)
         ref = batch.member(0)
         xi_max.append(float(np.max(xi_monitor(ref.stack, scheme.kappa))))
-        if li == 0:
-            scale = max(1.0, energy(ref[0], run.potential).E_total)
         reports = {
             delta: gronwall_check(batch.member(j), ref, relcfg, run.potential, multiplier=1.0)
             for j, delta in enumerate(deltas, start=1)
         }
-        if li == 0:
+        if li == 0:  # calibrated on the coarsest level, as is the delta = 0 tolerance scale
             multiplier = fit_gronwall_multiplier([rep for delta, rep in reports.items() if delta > 0.0])
+            scale = max(1.0, energy(ref[0], run.potential).E_total)
         for delta, rep in reports.items():
             rows.append(
                 WeakStrongRow(
@@ -462,10 +460,8 @@ def weak_strong_experiment(cfg: ExperimentConfig) -> WeakStrongReport:
                     ratio=float(rep.E_rel[-1] / delta**2) if delta > 0 else math.nan,
                 )
             )
-    finest = [r for r in rows if r.level == len(levels) - 1 and r.delta > 0.0]
-    ratios = [r.ratio for r in finest]
-    spread = max(ratios) / min(ratios) if ratios else math.nan
-    return WeakStrongReport(multiplier, rows, xi_max, scale, spread)
+    ratios = [r.ratio for r in rows if r.level == len(built) - 1 and r.delta > 0.0]
+    return WeakStrongReport(multiplier, rows, xi_max, scale, max(ratios) / min(ratios))
 
 
 # --- persistence ----------------------------------------------------------------

@@ -58,7 +58,6 @@ class Potential:
 
     coeffs: tuple[float, ...]
     lam: float
-    kind: str = "polynomial"
 
     def __post_init__(self):
         coeffs = tuple(float(c) for c in self.coeffs)
@@ -86,12 +85,12 @@ class Potential:
     @classmethod
     def double_well(cls, lam: float = 4.0) -> "Potential":
         """F(r) = (r^2 - 1)^2; F'' has minimum -4, so lambda = 4 is admissible."""
-        return cls((1.0, 0.0, -2.0, 0.0, 1.0), lam, kind="double_well")
+        return cls((1.0, 0.0, -2.0, 0.0, 1.0), lam)
 
     @classmethod
     def zero(cls) -> "Potential":
         """F identically 0 (linear test regime); only lambda = 0 makes sense."""
-        return cls((0.0,), 0.0, kind="zero")
+        return cls((0.0,), 0.0)
 
     @classmethod
     def from_coefficients(cls, coeffs, lam: float) -> "Potential":
@@ -113,7 +112,6 @@ class ValidationReport:
     growth_constant_f: float    # smallest lattice c with |F'| log(e+|F'|) <= c (1+|F|)
     growth_constant_g: float    # same for G against 1+G
     f_lower_bound: float        # min over lattice of F
-    passed: bool
 
 
 def check_convexity(pot: Potential, lo: float = -10.0, hi: float = 10.0, samples: int = 10_000) -> float:
@@ -148,15 +146,12 @@ def validate_hypotheses(
     cf = float(np.max(np.abs(d1) * np.log(np.e + np.abs(d1)) / (1.0 + np.abs(f))))
     cg = float(np.max(np.abs(g1) * np.log(np.e + np.abs(g1)) / (1.0 + np.abs(g))))
 
-    passed = lambda_margin >= 0.0 and coercive
-    report = ValidationReport(
+    if not coercive:
+        raise PotentialValidationError("F'(y) sgn(y) <= 0 at the lattice ends; F not coercive")
+    return ValidationReport(
         lambda_margin=lambda_margin,
         coercive=coercive,
         growth_constant_f=cf,
         growth_constant_g=cg,
         f_lower_bound=float(np.min(f)),
-        passed=passed,
     )
-    if not coercive:
-        raise PotentialValidationError("F'(y) sgn(y) <= 0 at the lattice ends; F not coercive")
-    return report

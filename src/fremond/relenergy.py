@@ -213,8 +213,9 @@ def gronwall_check(
 
 def fit_gronwall_multiplier(reports: Iterable[GronwallReport]) -> float:
     """Smallest multiplier >= 1 that keeps every step margin of every
-    multiplier-1 report nonnegative; a report with E_rel(0) <= 0 imposes none."""
-    fits = [float(np.max(r.lhs[1:] / r.rhs[1:])) for r in reports if r.E_rel[0] > 0.0]
+    multiplier-1 report nonnegative; a report with E_rel(0) <= 0, or with no step
+    after t = 0, imposes none."""
+    fits = [float(np.max(r.lhs[1:] / r.rhs[1:])) for r in reports if r.E_rel[0] > 0.0 and len(r.lhs) > 1]
     return max([1.0, *fits])
 
 

@@ -140,6 +140,8 @@ class TestBadConfigValues:
         ("weakstrong", "experiment.deltas=[0.0, -0.1]"),  # distinct and nonnegative, at least one positive
         ("weakstrong", "experiment.deltas=[0.0]"),
         ("weakstrong", "experiment.deltas=[0.1, 0.1, 0.05]"),
+        ("weakstrong", "experiment.deltas=[]"),  # given empty, not the default deltas
+        ("weakstrong", "experiment.theta_mean=2.0"),  # the manufactured solution is fixed, not a config key
     ])
     def test_exits_two_naming_the_entry(self, verb, override, tmp_path, capsys):
         assert_config_error_names_entry(verb, override, tmp_path, capsys)
@@ -202,13 +204,18 @@ class TestBadConfigValues:
           "--override", "experiment.levels=[32, 32]", "--override", "run.t_end=0.0078125"], "experiment.levels"),
         (["weakstrong", "--config", str(PRESETS / "weakstrong.cfg"), "--override", "experiment.levels=[]"],
          "experiment.levels"),
+        # weakstrong takes its levels and final time by refine's rule
+        (["weakstrong", "--config", str(PRESETS / "weakstrong.cfg"), "--override", "run.t_end=0"], "run.t_end"),
+        (["weakstrong", "--config", str(PRESETS / "weakstrong.cfg"), "--override", "experiment.levels=[32, 33]"],
+         "experiment.levels has 33"),
     ], ids=["initial_key_misspelt", "random_smooth_negative_seed", "weakstrong_level_of_one_cell",
             "refine_level_of_one_cell", "refine_energy_margin_level_of_one_cell", "refine_t_end_zero",
             "refine_energy_margin_t_end_zero", "h_squared_overflows", "weakstrong_h_squared_overflows",
             "h_squared_underflows", "t_end_too_many_steps", "dt_too_many_steps", "step_count_infinite",
             "refine_level_misses_the_final_time", "refine_step_count_infinite",
             "refine_finer_level_step_count_infinite", "refine_repeated_levels", "refine_unordered_levels",
-            "weakstrong_decreasing_levels", "weakstrong_repeated_levels", "weakstrong_empty_levels"])
+            "weakstrong_decreasing_levels", "weakstrong_repeated_levels", "weakstrong_empty_levels",
+            "weakstrong_t_end_zero", "weakstrong_level_misses_the_final_time"])
     def test_preset_with_a_bad_entry_exits_two(self, argv, named, tmp_path, capsys):
         code = main([*argv, "--outdir", str(tmp_path / "out")])
         err = capsys.readouterr().err
@@ -416,6 +423,18 @@ class TestRelEnergy:
               "--override", "scheme.epsilon=1e-2", "--outdir", str(b)])
         assert main(["relenergy", "--run", str(b), "--ref", str(a)]) == 0
         assert "report only" in capsys.readouterr().out
+
+    def test_calibrate_on_runs_of_one_state(self, tmp_path, capsys):
+        # no step after t = 0, so the fit has nothing to scale
+        cosine = str(PRESETS / "cosine.cfg")
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert main(["simulate", "--config", cosine, "--override", "run.t_end=0", "--outdir", str(a)]) == 0
+        assert main(["simulate", "--config", cosine, "--override", "run.t_end=0",
+                     "--override", "initial.phi_amp=0.2", "--outdir", str(b)]) == 0
+        capsys.readouterr()
+        assert main(["relenergy", "--run", str(b), "--ref", str(a), "--calibrate"]) == 0
+        out, err = capsys.readouterr()
+        assert "calibrated multiplier = 1.0" in out and "Traceback" not in err
 
 
     @pytest.mark.parametrize("verb, option", [

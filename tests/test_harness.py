@@ -55,6 +55,9 @@ t_end = 0.016
 """
 
 
+ROOT = Path(__file__).resolve().parents[1]
+
+
 def base_run(extra: str = ""):
     return build_run_config(parse_config_text(BASE_CFG + extra))
 
@@ -81,7 +84,7 @@ class TestConfig:
         run = base_run()
         assert run.grid.n == (16,)
         assert run.scheme.dt == 1e-3
-        assert run.potential.kind == "double_well"
+        assert run.potential.coeffs == (1.0, 0.0, -2.0, 0.0, 1.0)
         assert run.t_end == 0.016
 
     def test_2d_grid_block(self):
@@ -116,6 +119,13 @@ class TestConfig:
         cfg = ExperimentConfig.from_run(run)
         assert cfg == ExperimentConfig(run=run, kind="refine", levels=[8, 16, 32], M=5.0)
         assert type(cfg.M) is float
+
+    @pytest.mark.parametrize("path", [*sorted((ROOT / "presets").glob("*.cfg")), ROOT / "bench" / "box2d.cfg"],
+                             ids=lambda path: path.name)
+    def test_shipped_configs_load(self, path):
+        run = load_config(path)  # an unknown key, such as a deleted one, is a ConfigError
+        if run.experiment:
+            ExperimentConfig.from_run(run)
 
     def test_missing_dt_rejected(self):
         with pytest.raises(ConfigError):
@@ -270,7 +280,6 @@ class TestRefinement:
         run = build_run_config(parse_config_text(BASE_CFG.replace("t_end = 0.016", "t_end = 0.1")))
         cfg = ExperimentConfig(
             run=run, kind="refine", levels=[16, 32, 64], monitor="manufactured_error",
-            theta_mean=2.0, amplitude=0.5,
         )
         run.scheme = replace(run.scheme, dt=(1 / 16) ** 2, epsilon=0.0)
         rep = refinement_study(cfg)
@@ -317,6 +326,25 @@ class TestWeakStrong:
         rep = weak_strong_experiment(cfg)
         assert batches == [(1 + len(deltas), 16), (1 + len(deltas), 32)]
         assert [r.E_rel_max for r in rep.rows if r.delta == 0.0] == [0.0, 0.0]
+
+    @pytest.mark.parametrize("t_end, coarse_steps", [(0.0078125, 4), (0.1, 51)])
+    def test_levels_march_as_in_refine(self, t_end, coarse_steps, monkeypatch):
+        # on the weakstrong preset ([grid] n = 32) level 16 steps 4 dt in both verbs, and
+        # both march to t_end rounded to whole steps of it: 0.1 is 51.2 of them
+        marched = []
+
+        def recording(init, scheme, potential, t):
+            marched.append((init.grid.n[0], scheme.dt, t))
+            return simulate(init, scheme, potential, t)
+
+        monkeypatch.setattr(harness, "simulate", recording)
+        run = load_config(ROOT / "presets" / "weakstrong.cfg", ["experiment.levels=[16, 32]", f"run.t_end={t_end!r}"])
+        dt, final = run.scheme.dt, coarse_steps * (4 * run.scheme.dt)
+        weak_strong_experiment(ExperimentConfig.from_run(run))
+        assert marched == [(16, 4 * dt, final), (32, dt, final)]
+        marched.clear()
+        refinement_study(ExperimentConfig(run=run, kind="refine", levels=[16, 32, 64], monitor="energy_margin"))
+        assert marched == [(16, 4 * dt, final), (32, dt, final), (64, dt / 4, final)]
 
 
 class TestPersistence:
