@@ -29,11 +29,10 @@ from .stepper import (
     Trajectory,
     heat_step,
     initial_state,
-    phase_floor,
     phase_step,
-    positivity_floor,
     simulate,
     step,
 )
+from .thermo import phase_floor, positivity_floor
 
 __version__ = "0.1.0"

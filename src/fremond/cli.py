@@ -96,33 +96,31 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_relenergy(args) -> int:
-    if not 0 < args.multiplier < np.inf:
-        raise ConfigError(f"--multiplier {args.multiplier!r}: must be positive and finite")
     traj, run = harness.load_run_dir(args.run)
     ref, _ = harness.load_run_dir(args.ref)
     try:
         require_comparable(traj, ref)
     except ValueError as exc:
         raise ConfigError(f"runs {args.run} and {args.ref} cannot be compared: {exc}") from exc
-    cfg = RelEnergyConfig(M=args.M, lam=run.potential.lam)
-    multiplier = args.multiplier
+    report = gronwall_check(traj, ref, RelEnergyConfig(M=args.M, lam=run.potential.lam), run.potential)
+    multiplier = 1.0
     if args.calibrate:
-        multiplier = fit_gronwall_multiplier([gronwall_check(traj, ref, cfg, run.potential, multiplier=1.0)])
+        multiplier = fit_gronwall_multiplier([report])
         print(f"calibrated multiplier = {multiplier!r}")
-    report = gronwall_check(traj, ref, cfg, run.potential, multiplier=multiplier)
-    header, rows = report.csv_rows()
+    header, rows = report.csv_rows(multiplier)
     harness.write_csv(harness.resolve_run_dir(args.run) / "relenergy.csv", header, rows,
-                      comment=f"multiplier = {report.multiplier!r}")
+                      comment=f"multiplier = {multiplier!r}")
     if report.E_rel[0] <= 0.0 and len(report.E_rel) > 1 and float(np.max(report.E_rel)) > 0.0:
         # coinciding initial data but different dynamics (e.g. an eps pair):
         # the envelope degenerates to zero, so the drift is reported, not judged
         print(f"relenergy: E_rel(0) = 0; drift report only, max E_rel {float(np.max(report.E_rel))!r}")
         return 0
-    tol = 1e-10 * max(1.0, float(np.max(report.rhs)) if len(report.rhs) else 1.0)
-    if report.min_margin < -tol:
-        print(f"relenergy: envelope violated, min margin {report.min_margin!r}", file=sys.stderr)
+    rhs = report.envelope(multiplier)
+    min_margin = float(np.min(rhs - report.lhs))
+    if min_margin < -1e-10 * max(1.0, float(np.max(rhs))):
+        print(f"relenergy: envelope violated, min margin {min_margin!r}", file=sys.stderr)
         return 1
-    print(f"relenergy: envelope holds (multiplier {report.multiplier!r}), min margin {report.min_margin!r}")
+    print(f"relenergy: envelope holds (multiplier {multiplier!r}), min margin {min_margin!r}")
     return 0
 
 
@@ -262,8 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--run", required=True, help="trajectory under test")
     p.add_argument("--ref", required=True, help="reference (strong) trajectory")
     p.add_argument("--M", type=float, default=RelEnergyConfig.M)
-    p.add_argument("--multiplier", type=float, default=1.0)
-    p.add_argument("--calibrate", action="store_true", help="fit the envelope multiplier first")
+    p.add_argument("--calibrate", action="store_true", help="judge at the multiplier fitted on this pair, not at 1")
     p.set_defaults(fn=_cmd_relenergy)
 
     for verb, fn, kind in (

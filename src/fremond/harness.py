@@ -359,7 +359,7 @@ def refinement_study(cfg: ExperimentConfig) -> RefinementReport:
                 values.append(float(np.max(np.abs(echeck.margins))))
             else:
                 ent = entropy_inequality_check(traj, TEST_FUNCTIONS["one"]())
-                values.append(max(0.0, -ent.min_margin))
+                values.append(abs(ent.min_margin))
         dts.append(scheme.dt)
     hs = [1.0 / n for n in levels]
     return RefinementReport(
@@ -442,7 +442,7 @@ def weak_strong_experiment(cfg: ExperimentConfig) -> WeakStrongReport:
         ref = batch.member(0)
         xi_max.append(float(np.max(xi_monitor(ref.stack, scheme.kappa))))
         reports = {
-            delta: gronwall_check(batch.member(j), ref, relcfg, run.potential, multiplier=1.0)
+            delta: gronwall_check(batch.member(j), ref, relcfg, run.potential)
             for j, delta in enumerate(deltas, start=1)
         }
         if li == 0:  # calibrated on the coarsest level, as is the delta = 0 tolerance scale

@@ -108,7 +108,6 @@ class Potential:
 @dataclass(frozen=True)
 class ValidationReport:
     lambda_margin: float        # min over lattice of F'' + lambda
-    coercive: bool              # F'(y) sgn(y) > 0 at both lattice ends
     growth_constant_f: float    # smallest lattice c with |F'| log(e+|F'|) <= c (1+|F|)
     growth_constant_g: float    # same for G against 1+G
     f_lower_bound: float        # min over lattice of F
@@ -138,7 +137,8 @@ def validate_hypotheses(
     ys = np.linspace(lo, hi, samples)
     d1 = pot.eval(ys, 1)
     degree = len(pot.coeffs) - 1
-    coercive = bool(d1[0] * np.sign(ys[0]) > 0 and d1[-1] * np.sign(ys[-1]) > 0) and degree >= 2
+    if not (d1[0] * np.sign(ys[0]) > 0 and d1[-1] * np.sign(ys[-1]) > 0 and degree >= 2):
+        raise PotentialValidationError("F'(y) sgn(y) <= 0 at the lattice ends; F not coercive")
 
     f = pot.eval(ys, 0)
     g = pot.convex(ys, 0)
@@ -146,11 +146,8 @@ def validate_hypotheses(
     cf = float(np.max(np.abs(d1) * np.log(np.e + np.abs(d1)) / (1.0 + np.abs(f))))
     cg = float(np.max(np.abs(g1) * np.log(np.e + np.abs(g1)) / (1.0 + np.abs(g))))
 
-    if not coercive:
-        raise PotentialValidationError("F'(y) sgn(y) <= 0 at the lattice ends; F not coercive")
     return ValidationReport(
         lambda_margin=lambda_margin,
-        coercive=coercive,
         growth_constant_f=cf,
         growth_constant_g=cg,
         f_lower_bound=float(np.min(f)),

@@ -22,7 +22,8 @@ and dissipation
 the Gronwall envelope   E(t) + int_0^t W e^{int_s^t K} <= E(0) e^{int_0^t K}
 holds up to a nonconstructive constant, absorbed here into a single
 calibration multiplier on the right-hand side, fitted once on a coarse run
-and then held fixed.
+and then held fixed. ``gronwall_check`` returns the envelope at multiplier 1,
+and ``GronwallReport.envelope(m)`` is the one place that scales it.
 Given two trajectories' stacked States (``Trajectory.stack``) in place of
 two States, each functional returns its series over time; ``gronwall_check``
 gets E, W and K that way.
@@ -146,27 +147,28 @@ def k_factor(ref: State) -> float | np.ndarray:
 
 @dataclass
 class GronwallReport:
+    """The multiplier-1 Gronwall envelope of one trajectory pair (see
+    ``gronwall_check``); ``envelope(m)`` is the one place that scales it."""
+
     times: np.ndarray
     E_rel: np.ndarray
     W: np.ndarray
     K: np.ndarray
     lhs: np.ndarray
-    rhs: np.ndarray
-    margins: np.ndarray
-    multiplier: float
+    growth: np.ndarray
 
-    @property
-    def min_margin(self) -> float:
-        return float(self.margins.min()) if len(self.margins) else 0.0
+    def envelope(self, multiplier: float) -> np.ndarray:
+        """Right-hand side multiplier * E_rel(0) * exp(int_0^t K)."""
+        return multiplier * self.E_rel[0] * self.growth
 
     def min_step_margin(self, multiplier: float) -> float:
-        """Smallest margin after t = 0 with this multiplier-1 envelope scaled
-        by ``multiplier``; 0.0 for a single state."""
-        margins = multiplier * self.rhs - self.lhs
+        """Smallest margin envelope - lhs after t = 0; 0.0 for a single state."""
+        margins = self.envelope(multiplier) - self.lhs
         return float(np.min(margins[1:])) if len(margins) > 1 else 0.0
 
-    def csv_rows(self):
-        rows = zip(range(len(self.times)), self.times, self.E_rel, self.W, self.K, self.lhs, self.rhs, self.margins)
+    def csv_rows(self, multiplier: float):
+        rhs = self.envelope(multiplier)
+        rows = zip(range(len(self.times)), self.times, self.E_rel, self.W, self.K, self.lhs, rhs, rhs - self.lhs)
         return ["step", "t", "E_rel", "W", "K", "lhs", "rhs", "margin"], list(rows)
 
 
@@ -185,14 +187,14 @@ def gronwall_check(
     ref_traj: Trajectory,
     cfg: RelEnergyConfig,
     potential: Potential,
-    multiplier: float = 1.0,
 ) -> GronwallReport:
-    """Discrete Gronwall envelope with left-endpoint time quadrature.
+    """Discrete Gronwall envelope at multiplier 1, left-endpoint time quadrature:
 
     lhs(t^n) = E(t^n) + sum_{k<n} dt W(t_k) exp(sum_{k<=j<n} dt K(t_j)),
-    rhs(t^n) = multiplier * E(t^0) * exp(sum_{k<n} dt K(t_k)),
-    margin = rhs - lhs. The multiplier stands in for the nonconstructive
-    constant of the continuum estimate; see fit_gronwall_multiplier.
+    growth(t^n) = exp(sum_{k<n} dt K(t_k)); the envelope at multiplier m is
+    ``GronwallReport.envelope(m)`` = m * E(t^0) * growth, the margin envelope - lhs.
+    The multiplier stands in for the nonconstructive constant of the continuum
+    estimate; see fit_gronwall_multiplier.
     """
     require_comparable(traj, ref_traj)
     s, r = traj.stack, ref_traj.stack
@@ -206,16 +208,15 @@ def gronwall_check(
     # sum_k dt W_k exp(IK[n]-IK[k]) = exp(IK[n]) * sum_k dt W_k exp(-IK[k])
     S = np.zeros(N)
     S[1:] = np.cumsum(dt * W[:-1] * np.exp(-IK[:-1]))
-    lhs = E + np.exp(IK) * S
-    rhs = multiplier * E[0] * np.exp(IK)
-    return GronwallReport(traj.times, E, W, K, lhs, rhs, rhs - lhs, multiplier)
+    growth = np.exp(IK)
+    return GronwallReport(traj.times, E, W, K, E + growth * S, growth)
 
 
 def fit_gronwall_multiplier(reports: Iterable[GronwallReport]) -> float:
-    """Smallest multiplier >= 1 that keeps every step margin of every
-    multiplier-1 report nonnegative; a report with E_rel(0) <= 0, or with no step
-    after t = 0, imposes none."""
-    fits = [float(np.max(r.lhs[1:] / r.rhs[1:])) for r in reports if r.E_rel[0] > 0.0 and len(r.lhs) > 1]
+    """Smallest multiplier >= 1 that keeps every step margin of every report
+    nonnegative; a report with E_rel(0) <= 0, or with no step after t = 0,
+    imposes none."""
+    fits = [float(np.max(r.lhs[1:] / r.envelope(1.0)[1:])) for r in reports if r.E_rel[0] > 0.0 and len(r.lhs) > 1]
     return max([1.0, *fits])
 
 

@@ -31,6 +31,7 @@ series over time; the checks take their series that way, in one array pass.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -39,7 +40,7 @@ import numpy as np
 from .errors import NonpositiveTemperature
 from .grid import Field, Grid, _dirichlet_values, _grad_sq_values
 from .potential import Potential
-from .stepper import State, Trajectory, phase_floor, _rk4_advance
+from .stepper import State, Trajectory
 
 __all__ = [
     "EnergyReport",
@@ -52,6 +53,8 @@ __all__ = [
     "energy_inequality_check",
     "entropy_inequality_check",
     "floors_check",
+    "positivity_floor",
+    "phase_floor",
 ]
 
 
@@ -240,6 +243,46 @@ def entropy_inequality_check(traj: Trajectory, test_fn: TestFunction) -> Entropy
 
 
 # --- floors ------------------------------------------------------------------
+
+
+def _floor_rhs(h: float, p: float) -> float:
+    return -(math.copysign(abs(h) ** p, h)) - 0.5 * h * h
+
+
+def _rk4_advance(h: float, width: float, substeps: int, p: float) -> float:
+    dt = width / substeps
+    for _ in range(substeps):
+        k1 = _floor_rhs(h, p)
+        k2 = _floor_rhs(h + 0.5 * dt * k1, p)
+        k3 = _floor_rhs(h + 0.5 * dt * k2, p)
+        k4 = _floor_rhs(h + dt * k3, p)
+        h = h + dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+    return h
+
+
+def positivity_floor(t: float, theta_min0: float, p: float) -> float:
+    """Lower envelope h(t) for the temperature minimum.
+
+    h solves h' = -h^p - h^2/2 with h(0) = min theta_0 (the worst-case decay
+    that the heat equation allows at a spatial minimum), integrated with a
+    classical 4th-order one-step method at step t/10^4.
+    """
+    if theta_min0 <= 0:
+        raise ValueError("theta_min0 must be positive")
+    if t < 0:
+        raise ValueError("t must be nonnegative")
+    if t == 0.0:
+        return theta_min0
+    return _rk4_advance(theta_min0, t, 10_000, p)
+
+
+def phase_floor(t: float, K: float, lam: float) -> float:
+    """Lower bound -K e^{2 lam t} for the phase field when phi_0 >= -K."""
+    if t < 0:
+        raise ValueError("t must be nonnegative")
+    if K < 0:
+        raise ValueError("K must be nonnegative")
+    return -K * math.exp(2.0 * lam * t)
 
 
 @dataclass

@@ -1,3 +1,4 @@
+import argparse
 import random
 import re
 from pathlib import Path
@@ -5,10 +6,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fremond import cli
 from fremond.cli import main
 from fremond.config import _EXPERIMENT_KINDS, _SCHEME_KINDS, SECTION_KEYS, load_config
 from fremond.grid import Field, Grid, write_snapshot
 from fremond.harness import load_run_dir, read_csv, read_csv_columns, write_csv
+from fremond.relenergy import RelEnergyConfig, gronwall_check
 
 
 STEADY_CFG = """
@@ -333,6 +336,31 @@ class TestCorruptionSweep:
         assert "Traceback" not in capsys.readouterr().err
 
 
+VERB_OPTIONS = {
+    "simulate": ["--config", "--override", "--outdir"],
+    "check": ["--run"],
+    "relenergy": ["--run", "--ref", "--M", "--calibrate"],
+    "sweep": ["--config", "--override", "--outdir"],
+    "refine": ["--config", "--override", "--outdir"],
+    "weakstrong": ["--config", "--override", "--outdir"],
+    "plot": ["--run", "--outdir"],
+}
+
+
+def verb_parsers():
+    return next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+class TestParser:
+    def test_verbs(self):
+        assert list(verb_parsers()) == list(VERB_OPTIONS)
+
+    @pytest.mark.parametrize("verb", list(VERB_OPTIONS))
+    def test_option_strings(self, verb):
+        actions = verb_parsers()[verb]._actions
+        assert [s for a in actions for s in a.option_strings if s not in ("-h", "--help")] == VERB_OPTIONS[verb]
+
+
 class TestUnknownVerb:
     def test_unknown_verb_exits_two(self, capsys):
         assert main(["transmogrify"]) == 2
@@ -368,6 +396,13 @@ class TestCheck:
         err = capsys.readouterr().err
         assert "energy: first failing row: step=" in err
         assert "np." not in err and "pass=false" in err
+
+    def test_zero_potential_from_a_config_runs_and_checks(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(PRESETS / "cosine.cfg"), "--override", "potential.potential=zero",
+                     "--override", "potential.lambda=0", "--override", "run.t_end=0.0078125",
+                     "--outdir", str(out)]) == 0
+        assert main(["check", "--run", str(out)]) == 0
 
     @pytest.mark.parametrize("flag", ["--entropy-tol", "--floor-tol"])
     def test_removed_tolerance_flags_exit_two(self, flag, steady_cfg, tmp_path, capsys):
@@ -439,11 +474,9 @@ class TestRelEnergy:
 
     @pytest.mark.parametrize("verb, option", [
         ("relenergy", ["--M", "nan"]),
-        ("relenergy", ["--multiplier", "nan"]),
         ("relenergy", ["--M", "0"]),
-        ("relenergy", ["--multiplier", "-1"]),
         ("weakstrong", ["--override", "experiment.M=0"]),
-    ], ids=["M_nan", "multiplier_nan", "M_zero", "multiplier_negative", "weakstrong_M_zero"])
+    ], ids=["M_nan", "M_zero", "weakstrong_M_zero"])
     def test_weight_or_multiplier_not_positive_and_finite_exits_two(self, verb, option, steady_cfg, tmp_path,
                                                                      capsys):
         if verb == "relenergy":
@@ -458,6 +491,62 @@ class TestRelEnergy:
         err = capsys.readouterr().err
         assert code == 2
         assert "must be positive and finite" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("value", ["2", "nan", "-1"], ids=["multiplier_two", "multiplier_nan",
+                                                              "multiplier_negative"])
+    def test_removed_multiplier_flag_exits_two(self, value, steady_cfg, tmp_path, capsys):
+        run = tmp_path / "run"
+        assert main(["simulate", "--config", str(steady_cfg), "--outdir", str(run)]) == 0
+        capsys.readouterr()
+        assert main(["relenergy", "--run", str(run), "--ref", str(run), "--multiplier", value]) == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --multiplier" in err and "Traceback" not in err
+
+
+@pytest.fixture(scope="module")
+def cosine_pair(tmp_path_factory):
+    """Reference and perturbed 65-state runs of presets/cosine.cfg whose envelope
+    needs a multiplier just above 1."""
+    root = tmp_path_factory.mktemp("pair")
+    short = ["--override", "run.t_end=0.0078125"]
+    ref, pert = root / "ref", root / "pert"
+    assert main(["simulate", "--config", str(PRESETS / "cosine.cfg"), *short, "--outdir", str(ref)]) == 0
+    assert main(["simulate", "--config", str(PRESETS / "cosine.cfg"), *short, "--override", "initial.phi_base=-0.8",
+                 "--override", "initial.phi_amp=0.1", "--outdir", str(pert)]) == 0
+    return pert, ref
+
+
+class TestRelEnergyPair:
+    def test_envelope_at_multiplier_one_is_violated(self, cosine_pair, capsys):
+        pert, ref = cosine_pair
+        capsys.readouterr()
+        assert main(["relenergy", "--run", str(pert), "--ref", str(ref)]) == 1
+        assert "relenergy: envelope violated, min margin -0.0010188088450338029\n" in capsys.readouterr().err
+
+    def test_calibrated_envelope_holds_and_is_written_scaled_once(self, cosine_pair, capsys):
+        pert, ref = cosine_pair
+        capsys.readouterr()
+        assert main(["relenergy", "--run", str(pert), "--ref", str(ref), "--calibrate"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("calibrated multiplier = 1.0001815003387013\n")
+        m = 1.0001815003387013
+        traj, run = load_run_dir(pert)
+        rep = gronwall_check(traj, load_run_dir(ref)[0], RelEnergyConfig(lam=run.potential.lam), run.potential)
+        IK = np.concatenate([[0.0], np.cumsum(traj.config.dt * rep.K[:-1])])
+        cols = read_csv_columns(pert / "run_0" / "relenergy.csv", "rhs")
+        assert np.array_equal(cols["rhs"], m * rep.E_rel[0] * np.exp(IK))
+
+    def test_calibrate_computes_one_envelope(self, cosine_pair, monkeypatch):
+        pert, ref = cosine_pair
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return gronwall_check(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "gronwall_check", counting)
+        assert main(["relenergy", "--run", str(pert), "--ref", str(ref), "--calibrate"]) == 0
+        assert len(calls) == 1
 
 
 class TestExperimentVerbs:

@@ -292,6 +292,15 @@ class TestRefinement:
         rep = refinement_study(cfg)
         assert all(0.8 <= q <= 1.5 for q in rep.orders_dt)
 
+    def test_entropy_margin_first_order_in_dt(self):
+        # the monitor is |min margin|, so it has orders while the entropy law holds
+        run = build_run_config(parse_config_text(BASE_CFG.replace("t_end = 0.016", "t_end = 0.03125")))
+        run.scheme = replace(run.scheme, dt=(1 / 16) ** 2 / 2)
+        cfg = ExperimentConfig(run=run, kind="refine", levels=[16, 32, 64], monitor="entropy_margin")
+        rep = refinement_study(cfg)
+        assert all(v > 0.0 for _, _, v in rep.levels)
+        assert all(0.8 <= q <= 1.5 for q in rep.orders_dt)
+
 
 class TestWeakStrong:
     def test_small_experiment(self):

@@ -95,7 +95,6 @@ class TestValidation:
     def test_double_well_default_passes(self, double_well):
         rep = validate_hypotheses(double_well, -10, 10, 10_000)
         assert rep.lambda_margin >= 0.0
-        assert rep.coercive
         assert np.isfinite(rep.growth_constant_f)
         assert np.isfinite(rep.growth_constant_g)
         # F stays above the bound implied by the growth constant report

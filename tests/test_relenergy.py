@@ -173,17 +173,27 @@ class TestGronwall:
         assert np.all(rep.E_rel == 0.0)
         assert np.all(rep.W == 0.0)
         assert np.all(rep.lhs == 0.0)
-        assert np.all(rep.rhs == 0.0)
-        assert np.all(rep.margins == 0.0)
+        assert np.all(rep.envelope(1.0) == 0.0)
+        assert rep.min_step_margin(1.0) == 0.0
 
     def test_perturbed_run_respects_calibrated_envelope(self, double_well):
         ref = self._cosine_traj(double_well)
         pert = self._cosine_traj(double_well, delta=0.05)
         cfg = RelEnergyConfig(M=10.0, lam=4.0)
-        mult = fit_gronwall_multiplier([gronwall_check(pert, ref, cfg, double_well, multiplier=1.0)])
-        rep = gronwall_check(pert, ref, cfg, double_well, multiplier=mult)
-        assert rep.min_margin >= -1e-12 * max(1.0, float(np.max(rep.rhs)))
+        rep = gronwall_check(pert, ref, cfg, double_well)
+        rhs = rep.envelope(fit_gronwall_multiplier([rep]))
+        assert float(np.min(rhs - rep.lhs)) >= -1e-12 * max(1.0, float(np.max(rhs)))
         assert rep.E_rel[0] > 0.0
+
+    def test_envelope_scales_the_multiplier_one_envelope_once(self, double_well):
+        ref = self._cosine_traj(double_well)
+        pert = self._cosine_traj(double_well, delta=0.05)
+        rep = gronwall_check(pert, ref, RelEnergyConfig(lam=4.0), double_well)
+        one = rep.envelope(1.0)
+        IK = np.concatenate([[0.0], np.cumsum(1e-4 * rep.K[:-1])])
+        assert np.array_equal(one, rep.E_rel[0] * np.exp(IK))
+        assert np.array_equal(rep.envelope(2.0), 2.0 * one)
+        assert rep.min_step_margin(2.0) == float(np.min(2.0 * one[1:] - rep.lhs[1:]))
 
     @pytest.mark.parametrize("grid", [Grid.line(24), Grid.box(6, 5)], ids=["line24", "box6x5"])
     def test_stacked_series_equal_the_per_state_values_bitwise(self, grid, double_well):

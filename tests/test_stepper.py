@@ -24,13 +24,12 @@ from fremond.stepper import (
     Trajectory,
     heat_step,
     initial_state,
-    phase_floor,
     phase_step,
-    positivity_floor,
     simulate,
     step,
 )
 from fremond.stepper import NEWTON_TOL, _heat_linearized, _heat_terms, _solve_helmholtz
+from fremond.thermo import phase_floor, positivity_floor
 
 
 def scalar_newton(f, df, x0, tol=1e-14, max_iter=100):

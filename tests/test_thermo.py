@@ -244,7 +244,7 @@ class TestFloors:
         assert rep.phi_floor[0] == pytest.approx(min(0.0, traj[0].phi.min()), abs=1e-14)
 
     def test_incremental_floor_matches_one_shot(self, small_cosine_run):
-        from fremond.stepper import positivity_floor
+        from fremond.thermo import positivity_floor
 
         traj, _ = small_cosine_run
         rep = floors_check(traj, lam=4.0)
