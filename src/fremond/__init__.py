@@ -21,7 +21,7 @@ from .errors import (
     SimulationAborted,
     SolverError,
 )
-from .grid import Field, Grid, grad_sq, integrate, laplacian_neumann, norm
+from .grid import Field, Grid, integrate, laplacian_neumann, norm
 from .potential import Potential, validate_hypotheses
 from .stepper import (
     SchemeConfig,

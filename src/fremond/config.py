@@ -158,6 +158,8 @@ class RunConfig:
 
 def _build_grid(sec: dict) -> Grid:
     dim = coerce(sec.get("dim", 1), int, "grid.dim")
+    if dim not in (1, 2):
+        raise ConfigError(f"grid.dim = {dim}: must be 1 or 2")
     n = sec.get("n", 64)
     extent = sec.get("extent", 1.0)
     ns = tuple(coerce(n if isinstance(n, list) else [n] * dim, int, "grid.n", many=True))
@@ -181,7 +183,7 @@ def _build_potential(sec: dict) -> Potential:
     lam = coerce(sec.get("lambda", 4.0), float, "potential.lambda")
     try:
         if isinstance(spec, list):
-            pot = Potential.from_coefficients(coerce(spec, float, "potential.potential", many=True), lam)
+            pot = Potential(tuple(coerce(spec, float, "potential.potential", many=True)), lam)
         elif spec == "double_well":
             pot = Potential.double_well(lam)
         elif spec == "zero":
@@ -191,7 +193,7 @@ def _build_potential(sec: dict) -> Potential:
         else:
             raise ConfigError(f"[potential] unknown potential {spec!r}")
     except PotentialValidationError as exc:
-        raise ConfigError(f"[potential] {exc}") from exc
+        raise ConfigError(f"potential.potential = {format_value(spec)}, potential.lambda = {lam!r}: {exc}") from exc
     try:
         check_convexity(pot)
     except PotentialValidationError as exc:
@@ -230,7 +232,7 @@ def load_config(path, overrides: list[str] | None = None) -> RunConfig:
     try:
         with open(path) as fh:
             sections = parse_config_text(fh.read())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if overrides:
         apply_overrides(sections, overrides)

@@ -7,12 +7,13 @@ boundary face differences vanish identically and the discrete divergence
 theorem holds exactly:
 
     sum_cells laplacian(f) * h^d = 0          (to round-off)
-    sum_cells f * (-laplacian(f)) * h^d = dirichlet_form(f, f)   (exactly)
+    sum_cells f * (-laplacian(f)) * h^d = _dirichlet_values(f, f)   (exactly)
 
-``grad_sq`` distributes the face-based Dirichlet form back onto cells, half a
-face contribution to each adjacent cell; boundary faces contribute zero. In
-2D, corner cells simply receive the two interior-face halves per axis, the
-same rule as everywhere else (there is no special corner stencil).
+``_grad_sq_values`` distributes that face-based Dirichlet form back onto cells,
+half a face contribution to each adjacent cell; boundary faces contribute zero
+(f(x) = x gives 1 inside and 1/2 at the ends). In 2D, corner cells simply
+receive the two interior-face halves per axis, the same rule as everywhere else
+(there is no special corner stencil).
 
 A snapshot file is text, one record per field, and all of its records live
 on one grid: ``write_snapshots`` writes a stacked Field (a leading record
@@ -33,13 +34,9 @@ __all__ = [
     "Field",
     "same_grid",
     "laplacian_neumann",
-    "grad_sq",
-    "dirichlet_form",
     "integrate",
     "norm",
-    "write_snapshot",
     "write_snapshots",
-    "read_snapshot",
     "read_snapshots",
 ]
 
@@ -219,24 +216,6 @@ def laplacian_neumann(f: Field) -> Field:
     return Field(f.grid, _lap_values(f.values, f.grid))
 
 
-def grad_sq(f: Field) -> Field:
-    """Pointwise squared-gradient surrogate, consistent with the Dirichlet form.
-
-    Nonnegative by construction; summing against the cell volume reproduces
-    ``dirichlet_form(f, f)`` exactly, hence sum f*(-lap f)*h^d as well.
-    Boundary cells see only their interior face (the mirrored face difference
-    is zero), so e.g. f(x)=x gives 1 in the interior and 1/2 at the ends.
-    """
-    return Field(f.grid, _grad_sq_values(f.values, f.grid))
-
-
-def dirichlet_form(f: Field, g: Field) -> float:
-    """Discrete integral of grad f . grad g (zero-flux boundary faces omitted)."""
-    if not same_grid(f.grid, g.grid):
-        raise ValueError("fields live on different grids")
-    return _dirichlet_values(f.values, g.values, f.grid)
-
-
 def integrate(f: Field) -> float:
     """Midpoint-rule integral, sum of values times cell volume."""
     return float(f.values.sum()) * f.grid.cell_volume
@@ -322,14 +301,3 @@ def read_snapshots(path) -> tuple[Field, np.ndarray]:
         return Field(grid, np.reshape(values, (-1, *n))), np.array(times)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-
-
-def write_snapshot(f: Field, path, t: float = 0.0) -> None:
-    """One field as a one-record snapshot file."""
-    write_snapshots(Field(f.grid, f.values[None]), path, [t])
-
-
-def read_snapshot(path) -> tuple[Field, float]:
-    """The first record of a snapshot file and its time."""
-    f, times = read_snapshots(path)
-    return Field(f.grid, f.values[0]), float(times[0])

@@ -26,7 +26,7 @@ import numpy as np
 
 from .config import _EXPERIMENT_KINDS, RunConfig, build_run_config, coerce, format_value, parse_config_text, render_config
 from .errors import ConfigError, SimulationAborted
-from .grid import Field, Grid, norm, read_snapshot, read_snapshots, same_grid, write_snapshots
+from .grid import Field, Grid, norm, read_snapshots, same_grid, write_snapshots
 from .potential import Potential
 from .relenergy import RelEnergyConfig, fit_gronwall_multiplier, gronwall_check, xi_monitor
 from .stepper import (
@@ -113,8 +113,9 @@ def make_initial(grid: Grid, potential: Potential, params: dict) -> State:
         for key in ("theta_file", "phi_file"):
             if key not in params:
                 raise ConfigError(f"initial.{key} is required by preset snapshot")
-        theta, _ = read_snapshot(params["theta_file"])
-        phi, _ = read_snapshot(params["phi_file"])
+        theta_records, _ = read_snapshots(params["theta_file"])
+        phi_records, _ = read_snapshots(params["phi_file"])
+        theta, phi = Field(theta_records.grid, theta_records.values[0]), Field(phi_records.grid, phi_records.values[0])
         if not (same_grid(theta.grid, grid) and same_grid(phi.grid, grid)):
             raise ConfigError(f"snapshot grid (n = {theta.grid.n}, extent = {theta.grid.extent}) does not match "
                               f"the configured [grid] (n = {grid.n}, extent = {grid.extent})")
@@ -486,7 +487,7 @@ def read_csv(path) -> tuple[list[str], list[list[str]]]:
     with open(path, newline="") as fh:
         try:
             rows = list(csv.reader((ln for ln in fh if ln.strip() and not ln.startswith("#")), strict=True))
-        except csv.Error as exc:
+        except (csv.Error, UnicodeDecodeError) as exc:
             raise ConfigError(f"{path}: {exc}") from exc
     if not rows:
         raise ConfigError(f"{path}: empty CSV file")
@@ -552,7 +553,10 @@ def load_run_dir(run_dir) -> tuple[Trajectory, RunConfig]:
     persisted run directory (see ``resolve_run_dir``)."""
     run_dir = resolve_run_dir(run_dir)
     manifest = _find_manifest(run_dir)
-    run = build_run_config(parse_config_text(manifest.read_text()))
+    try:
+        run = build_run_config(parse_config_text(manifest.read_text()))
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{manifest}: {exc}") from exc
     index, path = run_dir / "index.csv", run_dir / "trajectory.field"
     times = np.array(read_csv_columns(index, "step", "t")["t"])
     if len(times) == 0:

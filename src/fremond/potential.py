@@ -65,6 +65,8 @@ class Potential:
             coeffs = coeffs[:-1]
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "lam", float(self.lam))
+        if not coeffs:
+            raise PotentialValidationError("F needs at least one coefficient")
         if self.lam < 0:
             raise PotentialValidationError("lambda must be nonnegative")
         if len(coeffs) >= 2 and coeffs[1] != 0.0:
@@ -91,10 +93,6 @@ class Potential:
     def zero(cls) -> "Potential":
         """F identically 0 (linear test regime); only lambda = 0 makes sense."""
         return cls((0.0,), 0.0)
-
-    @classmethod
-    def from_coefficients(cls, coeffs, lam: float) -> "Potential":
-        return cls(tuple(coeffs), lam)
 
     def eval(self, y, order: int = 0):
         """F and derivatives up to F''' by exact Horner evaluation."""

@@ -22,7 +22,8 @@ until both residuals meet their thresholds. ``phase_step`` and ``heat_step``
 run Newton on one equation with the other's input fixed. The linearized
 operators (1/dt) I - lap + G''(phi) and (1/dt) I - kappa lap + diag(eps p |th|^{p-1} + d)
 are symmetric positive definite in all sane regimes and are solved directly
-(tridiagonal) in 1D and by Jacobi-preconditioned conjugate gradients in 2D.
+(tridiagonal) in 1D and in 2D by conjugate gradients preconditioned with the exact
+inverse of their mean shift plus the Laplacian part, which the DCT-II diagonalizes.
 Each heat iterate computes its terms in theta alone once (``_heat_terms``), and
 its residual and Jacobian at every rate d share them. A step's final check leaves
 its pieces in u alone (the phase left side and the heat terms) on the State it
@@ -35,7 +36,8 @@ has its own residual thresholds, and one freeze rule (``_update``) serves every
 Newton update: a member that has met them gets its previous values back, so it
 comes out bitwise equal to its solo solve. In 1D all members go through one
 tridiagonal solve, their blocks decoupled by zero off-diagonal entries at the
-seams; in 2D each member gets its own conjugate-gradient solve.
+seams; in 2D through one conjugate-gradient solve, whose inner products reduce
+over each member's grid axes and whose steps stop member by member.
 """
 
 from __future__ import annotations
@@ -108,10 +110,10 @@ class SchemeConfig:
             raise ConfigError("fp_max_iter must be at least 1")
 
     def whole_steps(self, span: float) -> int:
-        """span / dt, a ConfigError unless it is finite and a whole number to round-off."""
+        """span / dt, a ConfigError unless it is finite, a whole number to round-off and nonzero for span > 0."""
         if not math.isfinite(ratio := span / self.dt):
             raise ConfigError(f"(t_end - t0) = {span:g} takes too many steps of dt = {self.dt:g} to count")
-        if abs((count := round(ratio)) * self.dt - span) > 1e-8 * max(self.dt, span):
+        if abs((count := round(ratio)) * self.dt - span) > 1e-8 * max(self.dt, span) or count == 0 < span:
             raise ConfigError(f"(t_end - t0) = {span:g} is not an integer multiple of dt = {self.dt:g}")
         return count
 
@@ -227,19 +229,6 @@ def initial_state(
 # --- linear solves ---------------------------------------------------------
 
 
-def _neg_lap_diag(grid: Grid) -> np.ndarray:
-    """Diagonal of -lap with mirrored ghosts: one 1/h^2 per interior face."""
-    diag = np.zeros(grid.shape)
-    for axis in range(grid.dim):
-        contrib = np.full(grid.n[axis], 2.0) / grid.h2[axis]
-        contrib[0] /= 2.0
-        contrib[-1] /= 2.0
-        shape = [1] * grid.dim
-        shape[axis] = grid.n[axis]
-        diag = diag + contrib.reshape(shape)
-    return diag
-
-
 _GTSV = get_lapack_funcs("gtsv", dtype=np.float64)
 
 
@@ -257,9 +246,22 @@ def _band(w: float, n: int, members: int) -> tuple[np.ndarray, np.ndarray]:
     return edge, off
 
 
+@lru_cache(maxsize=64)
+def _neg_lap_eigenvalues(n: tuple[int, ...], h2: tuple[float, ...]) -> np.ndarray:
+    """The eigenvalues of -lap with mirrored ghosts, sum over the axes of (2 - 2 cos(pi k / n)) / h^2,
+    indexed like the orthonormal DCT-II coefficients that diagonalize it. Read-only, as ``_band``."""
+    eig = 0.0
+    for k, w in zip(n, h2):
+        eig = np.add.outer(eig, (2.0 - 2.0 * np.cos(np.pi * np.arange(k) / k)) / w)
+    eig.flags.writeable = False
+    return eig
+
+
 def _solve_helmholtz(diag: np.ndarray, c: float, rhs: np.ndarray, grid: Grid) -> np.ndarray:
-    """Solve (diag(v) + c * (-lap)) x = rhs for every stacked member: in 1D one direct
-    tridiagonal solve over all members, in 2D one PCG solve per member."""
+    """Solve (diag(v) + c * (-lap)) x = rhs for every stacked member: in 1D by one direct tridiagonal
+    solve, in 2D by one conjugate-gradient solve preconditioned per member by the exact inverse of
+    mean(v) + c (-lap), which the orthonormal DCT-II diagonalizes. A member stops once its residual
+    meets LINEAR_TOL ||rhs||; its steps are 0 from then on, so its x is bitwise that of a solo solve."""
     if grid.dim == 1:
         w = c / grid.h2[0]
         edge, off = _band(w, grid.n[0], rhs.size // grid.n[0])
@@ -269,36 +271,34 @@ def _solve_helmholtz(diag: np.ndarray, c: float, rhs: np.ndarray, grid: Grid) ->
         if info != 0:
             raise LinearSolveFailed(f"tridiagonal solve failed (LAPACK gtsv info = {info})")
         return x.reshape(rhs.shape)
-    x = np.empty_like(rhs)
-    for member in np.ndindex(rhs.shape[: -grid.dim]):
-        x[member] = _pcg(diag[member], c, rhs[member], grid)
-    return x
+    from scipy.fft import dctn, idctn  # here, not at module level: 1D runs and every CLI start skip its import
 
+    axes = grid.axes
 
-def _pcg(diag: np.ndarray, c: float, rhs: np.ndarray, grid: Grid) -> np.ndarray:
-    precond = 1.0 / (diag + c * _neg_lap_diag(grid))
-    x = np.zeros_like(rhs)
-    r = rhs.copy()
-    z = precond * r
-    d = z.copy()
-    rz = float(np.sum(r * z))
-    bnorm = float(np.sqrt(np.sum(rhs * rhs)))
-    stop = max(LINEAR_TOL * bnorm, 1e-300)
+    def dot(a, b):
+        return np.add.reduce(a * b, axis=axes, keepdims=True)
+
+    shift = np.mean(diag, axis=axes, keepdims=True)
+    if not np.all(shift > 0.0):  # else 1^T A 1 = sum(v) <= 0: A is not positive definite
+        raise LinearSolveFailed("operator lost positive definiteness")
+    shift = shift + c * _neg_lap_eigenvalues(grid.n, grid.h2)
+    x, r, d, rz = np.zeros_like(rhs), rhs.copy(), np.zeros_like(rhs), 1.0  # d = 0: the first direction is z
+    stop = np.maximum(LINEAR_TOL * np.sqrt(dot(rhs, rhs)), 1e-300)
     max_iter = 20 * grid.num_cells
     for _ in range(max_iter):
-        if math.sqrt(float(np.sum(r * r))) <= stop:
+        if np.all(done := np.sqrt(dot(r, r)) <= stop):
             return x
+        z = idctn(dctn(r, axes=axes, norm="ortho") / shift, axes=axes, norm="ortho")
+        rz_new = dot(r, z)
+        d = z + np.divide(rz_new, rz, out=np.zeros_like(rz_new), where=~done) * d
+        rz = rz_new
         ad = diag * d - c * _lap_values(d, grid)
-        dad = float(np.sum(d * ad))
-        if dad <= 0.0 or not math.isfinite(dad):
+        dad = dot(d, ad)
+        if np.any(~done & ~((dad > 0.0) & (dad < np.inf))):
             raise LinearSolveFailed("operator lost positive definiteness")
-        alpha = rz / dad
+        alpha = np.divide(rz, dad, out=np.zeros_like(rz), where=~done)
         x += alpha * d
         r -= alpha * ad
-        z = precond * r
-        rz_new = float(np.sum(r * z))
-        d = z + (rz_new / rz) * d
-        rz = rz_new
     raise LinearSolveFailed(f"CG did not reach tol={LINEAR_TOL:g} in {max_iter} iterations")
 
 

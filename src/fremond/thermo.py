@@ -282,7 +282,10 @@ def phase_floor(t: float, K: float, lam: float) -> float:
         raise ValueError("t must be nonnegative")
     if K < 0:
         raise ValueError("K must be nonnegative")
-    return -K * math.exp(2.0 * lam * t)
+    try:
+        return -K * math.exp(2.0 * lam * t)
+    except OverflowError:  # e^{2 lam t} beyond the float range
+        return -math.inf if K > 0 else -0.0
 
 
 @dataclass
@@ -301,10 +304,6 @@ class FloorsReport:
     @property
     def phi_ok(self) -> np.ndarray:
         return self.phi_min >= self.phi_floor - self.tol
-
-    @property
-    def all_pass(self) -> bool:
-        return bool(np.all(self.theta_ok) and np.all(self.phi_ok))
 
     def csv_rows(self, which: str = "theta"):
         if which == "theta":

@@ -1,6 +1,9 @@
 import argparse
+import os
 import random
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +12,7 @@ import pytest
 from fremond import cli
 from fremond.cli import main
 from fremond.config import _EXPERIMENT_KINDS, _SCHEME_KINDS, SECTION_KEYS, load_config
-from fremond.grid import Field, Grid, write_snapshot
+from fremond.grid import Field, Grid, write_snapshots
 from fremond.harness import load_run_dir, read_csv, read_csv_columns, write_csv
 from fremond.relenergy import RelEnergyConfig, gronwall_check
 
@@ -145,6 +148,8 @@ class TestBadConfigValues:
         ("weakstrong", "experiment.deltas=[0.1, 0.1, 0.05]"),
         ("weakstrong", "experiment.deltas=[]"),  # given empty, not the default deltas
         ("weakstrong", "experiment.theta_mean=2.0"),  # the manufactured solution is fixed, not a config key
+        ("simulate", "grid.dim=1e300"),  # checked before it sizes the n and extent lists
+        ("simulate", "potential.potential=[]"),
     ])
     def test_exits_two_naming_the_entry(self, verb, override, tmp_path, capsys):
         assert_config_error_names_entry(verb, override, tmp_path, capsys)
@@ -211,6 +216,9 @@ class TestBadConfigValues:
         (["weakstrong", "--config", str(PRESETS / "weakstrong.cfg"), "--override", "run.t_end=0"], "run.t_end"),
         (["weakstrong", "--config", str(PRESETS / "weakstrong.cfg"), "--override", "experiment.levels=[32, 33]"],
          "experiment.levels has 33"),
+        # a positive span takes at least one step
+        (["simulate", "--config", str(PRESETS / "cosine.cfg"), "--override", "scheme.dt=1e8"],
+         "(t_end - t0) = 0.25 is not an integer multiple of dt = 1e+08"),
     ], ids=["initial_key_misspelt", "random_smooth_negative_seed", "weakstrong_level_of_one_cell",
             "refine_level_of_one_cell", "refine_energy_margin_level_of_one_cell", "refine_t_end_zero",
             "refine_energy_margin_t_end_zero", "h_squared_overflows", "weakstrong_h_squared_overflows",
@@ -218,7 +226,7 @@ class TestBadConfigValues:
             "refine_level_misses_the_final_time", "refine_step_count_infinite",
             "refine_finer_level_step_count_infinite", "refine_repeated_levels", "refine_unordered_levels",
             "weakstrong_decreasing_levels", "weakstrong_repeated_levels", "weakstrong_empty_levels",
-            "weakstrong_t_end_zero", "weakstrong_level_misses_the_final_time"])
+            "weakstrong_t_end_zero", "weakstrong_level_misses_the_final_time", "dt_beyond_the_span"])
     def test_preset_with_a_bad_entry_exits_two(self, argv, named, tmp_path, capsys):
         code = main([*argv, "--outdir", str(tmp_path / "out")])
         err = capsys.readouterr().err
@@ -255,17 +263,23 @@ class TestCorruptInput:
          "energy.csv: header lacks column E_total"),
         ("plot", "run_0/energy.csv", lambda text: re.sub(r"(?m)^3,.*$", "1,abc", text, count=1),
          "energy.csv: row '1,abc'"),
+        # "\udcff" is written as the byte 0xff, which is not UTF-8
+        ("simulate", "manifest.txt", lambda text: text + "# \udcff\n", "manifest.txt"),
+        ("check", "manifest.txt", lambda text: text + "# \udcff\n", "manifest.txt"),
+        ("check", "run_0/index.csv", lambda text: text + "# \udcff\n", "index.csv"),
+        ("plot", "run_0/energy.csv", lambda text: text + "# \udcff\n", "energy.csv"),
     ], ids=["snapshot_preset_without_files", "empty_energy_csv", "empty_index_csv", "index_row_truncated",
             "index_csv_header_only", "manifest_dt_edited", "manifest_n_edited", "manifest_extent_edited",
             "snapshot_header_without_h", "nan_in_snapshot",
-            "last_record_dropped", "record_time_edited", "energy_csv_column_renamed", "energy_csv_short_row"])
+            "last_record_dropped", "record_time_edited", "energy_csv_column_renamed", "energy_csv_short_row",
+            "config_not_utf8", "manifest_not_utf8", "index_csv_not_utf8", "energy_csv_not_utf8"])
     def test_exits_two_without_traceback(self, verb, target, edit, named, steady_cfg, tmp_path, capsys):
         out = tmp_path / "out"
         assert main(["simulate", "--config", str(steady_cfg), "--outdir", str(out)]) == 0
         path = out / target
         text = path.read_text()
         assert edit(text) != text
-        path.write_text(edit(text))
+        path.write_text(edit(text), errors="surrogateescape")
         if verb == "simulate":
             argv = ["simulate", "--config", str(out / "manifest.txt"), "--outdir", str(tmp_path / "again")]
         else:
@@ -280,8 +294,8 @@ class TestCorruptInput:
     def test_snapshot_on_another_grid_exits_two(self, tmp_path, capsys):
         # same cell count as [grid], twice its extent
         g = Grid((16,), (2.0,))
-        write_snapshot(Field.full(g, 1.5), tmp_path / "theta.field")
-        write_snapshot(Field.full(g, 0.25), tmp_path / "phi.field")
+        write_snapshots(Field(g, np.full((1, *g.shape), 1.5)), tmp_path / "theta.field", [0.0])
+        write_snapshots(Field(g, np.full((1, *g.shape), 0.25)), tmp_path / "phi.field", [0.0])
         cfg = tmp_path / "snapshot.cfg"
         cfg.write_text(STEADY_CFG.replace("preset = steady\nphi_star = 1.1", "preset = snapshot\n"
                                           f"theta_file = {tmp_path / 'theta.field'}\nphi_file = {tmp_path / 'phi.field'}"))
@@ -361,6 +375,13 @@ class TestParser:
         assert [s for a in actions for s in a.option_strings if s not in ("-h", "--help")] == VERB_OPTIONS[verb]
 
 
+def test_importing_the_cli_leaves_scipy_fft_unloaded():
+    # only the 2D linear solve uses scipy.fft, and its import would add to every CLI start
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = "import sys, fremond.cli; sys.exit('scipy.fft' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)}).returncode == 0
+
+
 class TestUnknownVerb:
     def test_unknown_verb_exits_two(self, capsys):
         assert main(["transmogrify"]) == 2
@@ -377,6 +398,14 @@ class TestCheck:
         assert main(["check", "--run", str(out)]) == 0
         for name in ("energy_check", "entropy_one", "entropy_cosine", "floors_theta", "floors_phi"):
             assert (out / "run_0" / f"{name}.csv").exists()
+
+    def test_run_past_the_float_range_of_the_phase_floor_checks_on_its_merits(self, tmp_path, capsys):
+        # the floor's e^{2 lam t} overflows once 2 lam t > 709: lambda 4 and t = 100
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(PRESETS / "steady.cfg"), "--override", "run.t_end=100",
+                     "--override", "scheme.dt=0.5", "--outdir", str(out)]) == 0
+        assert main(["check", "--run", str(out)]) == 0
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_hand_edited_negative_temperature_fails(self, cosine_cfg, tmp_path, capsys):
         out = tmp_path / "out"

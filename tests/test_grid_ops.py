@@ -7,18 +7,14 @@ from fremond.errors import ConfigError
 from fremond.grid import (
     Field,
     Grid,
-    dirichlet_form,
-    grad_sq,
     integrate,
     laplacian_neumann,
     norm,
-    read_snapshot,
     read_snapshots,
     same_grid,
-    write_snapshot,
     write_snapshots,
 )
-from fremond.grid import _grad_sq_values, _lap_values
+from fremond.grid import _dirichlet_values, _grad_sq_values, _lap_values
 
 
 def reference_laplacian_1d(v, h):
@@ -176,22 +172,22 @@ class TestLaplacian:
 class TestGradSq:
     def test_constant_is_zero(self):
         g = Grid.box(6, 6)
-        assert np.all(grad_sq(Field.full(g, -2.0)).values == 0.0)
+        assert np.all(_grad_sq_values(np.full(g.shape, -2.0), g) == 0.0)
 
     def test_linear_profile_hand_stencil(self):
         # f(x) = x on n=8: interior cells see two unit face slopes, ends one
         g = Grid.line(8)
         (x,) = g.meshgrid()
-        out = grad_sq(Field(g, x))
+        out = _grad_sq_values(x, g)
         expected = np.ones(8)
         expected[0] = expected[-1] = 0.5
-        assert np.allclose(out.values, expected, atol=1e-13)
+        assert np.allclose(out, expected, atol=1e-13)
 
     def test_nonnegative(self):
         rng = np.random.default_rng(3)
         g = Grid.box(5, 8)
         f = Field(g, rng.normal(size=g.shape))
-        assert grad_sq(f).min() >= 0.0
+        assert _grad_sq_values(f.values, g).min() >= 0.0
 
     def test_summation_by_parts_100_random_fields(self):
         rng = np.random.default_rng(42)
@@ -199,9 +195,9 @@ class TestGradSq:
             g = Grid.line(24) if k % 2 == 0 else Grid.box(6, 5)
             f = Field(g, rng.normal(size=g.shape))
             lhs = integrate(Field(g, f.values * (-laplacian_neumann(f).values)))
-            rhs = integrate(grad_sq(f))
+            rhs = integrate(Field(g, _grad_sq_values(f.values, g)))
             assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
-            assert rhs == pytest.approx(dirichlet_form(f, f), rel=1e-13, abs=1e-13)
+            assert rhs == pytest.approx(_dirichlet_values(f.values, f.values, g), rel=1e-13, abs=1e-13)
 
 
 class TestIntegrate:
@@ -258,23 +254,23 @@ class TestSnapshots:
         rng = np.random.default_rng(11)
         f = Field(g, rng.normal(size=13))
         path = tmp_path / "f.field"
-        write_snapshot(f, path, t=0.375)
-        g2, t2 = read_snapshot(path)
-        assert t2 == 0.375
+        write_snapshots(Field(g, f.values[None]), path, [0.375])
+        g2, t2 = read_snapshots(path)
+        assert t2.tolist() == [0.375]
         assert same_grid(g2.grid, g)
-        assert np.array_equal(g2.values, f.values)
+        assert np.array_equal(g2.values, f.values[None])
 
     def test_roundtrip_2d_row_major(self, tmp_path):
         g = Grid.box(3, 4)
         f = Field(g, np.arange(12.0).reshape(3, 4))
         path = tmp_path / "f.field"
-        write_snapshot(f, path, t=0.0)
+        write_snapshots(Field(g, f.values[None]), path, [0.0])
         text = path.read_text().splitlines()
         assert text[0].startswith("FIELD dim=2 n=3,4 h=")
         flat = [float(x) for line in text[1:] for x in line.split()]
         assert flat == list(range(12))  # row-major order on disk
-        back, _ = read_snapshot(path)
-        assert np.array_equal(back.values, f.values)
+        back, _ = read_snapshots(path)
+        assert np.array_equal(back.values, f.values[None])
 
     def test_concatenated_records(self, tmp_path):
         g = Grid.line(5)
@@ -300,8 +296,8 @@ class TestSnapshots:
 
     def test_records_on_two_grids_rejected(self, tmp_path):
         a, b = tmp_path / "a.field", tmp_path / "b.field"
-        write_snapshot(Field.full(Grid.line(5), 1.0), a)
-        write_snapshot(Field.full(Grid.line(5, 2.0), 1.0), b, t=0.1)
+        write_snapshots(Field(Grid.line(5), np.ones((1, 5))), a, [0.0])
+        write_snapshots(Field(Grid.line(5, 2.0), np.ones((1, 5))), b, [0.1])
         path = tmp_path / "mixed.field"
         path.write_text(a.read_text() + b.read_text())
         with pytest.raises(ConfigError, match="mixed.field"):
@@ -321,4 +317,4 @@ class TestSnapshots:
         path = tmp_path / "bad.field"
         path.write_text("NOTAFIELD dim=1\n")
         with pytest.raises(ConfigError, match="bad.field"):
-            read_snapshot(path)
+            read_snapshots(path)

@@ -8,7 +8,7 @@ import pytest
 from fremond.config import SECTION_KEYS, build_run_config, load_config, parse_config_text, render_config
 from fremond import harness
 from fremond.errors import ConfigError, PositivityLost, SimulationAborted
-from fremond.grid import Field, Grid, write_snapshot
+from fremond.grid import Field, Grid, write_snapshots
 from fremond.harness import (
     ExperimentConfig,
     closed_form_uniform_theta,
@@ -206,8 +206,8 @@ class TestPresets:
 
     def test_snapshot_preset(self, tmp_path, double_well):
         g = Grid.line(8)
-        write_snapshot(Field.full(g, 1.5), tmp_path / "th.field")
-        write_snapshot(Field.full(g, 0.25), tmp_path / "ph.field")
+        write_snapshots(Field(g, np.full((1, *g.shape), 1.5)), tmp_path / "th.field", [0.0])
+        write_snapshots(Field(g, np.full((1, *g.shape), 0.25)), tmp_path / "ph.field", [0.0])
         s = make_initial(
             g, double_well,
             {"preset": "snapshot", "theta_file": str(tmp_path / "th.field"), "phi_file": str(tmp_path / "ph.field")},

@@ -49,7 +49,7 @@ class TestConvexPart:
 class TestDerivativeConsistency:
     @pytest.mark.parametrize("order", [1, 2, 3])
     def test_matches_central_difference(self, order):
-        pot = Potential.from_coefficients([0.3, 0.0, -1.5, 0.0, 0.25, 0.0, 0.125], lam=3.5)
+        pot = Potential((0.3, 0.0, -1.5, 0.0, 0.25, 0.0, 0.125), lam=3.5)
         rng = np.random.default_rng(5)
         eps = 1e-5
         for fn in (pot.eval, pot.convex):
@@ -60,7 +60,7 @@ class TestDerivativeConsistency:
 
 def random_even_potential(rng, degree):
     """Random coefficients with F'(0) = 0 and a positive leading one."""
-    return Potential.from_coefficients([rng.normal(), 0.0, *rng.normal(size=degree - 2), rng.uniform(0.1, 1.0)], 2.0)
+    return Potential((rng.normal(), 0.0, *rng.normal(size=degree - 2), rng.uniform(0.1, 1.0)), 2.0)
 
 
 def reference_horner(table, y, order):
@@ -107,7 +107,7 @@ class TestValidation:
             validate_hypotheses(pot)
 
     def test_pure_quartic_with_zero_lambda(self):
-        pot = Potential.from_coefficients([0, 0, 0, 0, 1.0], lam=0.0)
+        pot = Potential((0, 0, 0, 0, 1.0), lam=0.0)
         validate_hypotheses(pot)  # raises unless every hypothesis holds
 
     def test_sample_count_precondition(self, double_well):
@@ -118,16 +118,16 @@ class TestValidation:
 class TestConstruction:
     def test_rejects_odd_degree(self):
         with pytest.raises(PotentialValidationError):
-            Potential.from_coefficients([0, 0, 1, 1], lam=1.0)
+            Potential((0, 0, 1, 1), lam=1.0)
 
     def test_rejects_negative_leading(self):
         with pytest.raises(PotentialValidationError):
-            Potential.from_coefficients([0, 0, -1.0], lam=1.0)
+            Potential((0, 0, -1.0), lam=1.0)
 
     def test_rejects_nonzero_slope_at_origin(self):
         # F'(0) != 0 would need a silent renormalization; rejected instead
         with pytest.raises(PotentialValidationError):
-            Potential.from_coefficients([0, 1.0, 0, 0, 1.0], lam=1.0)
+            Potential((0, 1.0, 0, 0, 1.0), lam=1.0)
 
     def test_rejects_negative_lambda(self):
         with pytest.raises(PotentialValidationError):

@@ -189,7 +189,7 @@ class TestHeatStep:
             heat_step(prev, Field.full(g, -1.0), SchemeConfig(dt=1.0, epsilon=0.0))
 
 
-class TestHelmholtz1D:
+class TestHelmholtz:
     def test_matches_banded_reference_bitwise(self):
         rng = np.random.default_rng(3)
         for n in (2, 3, 16, 101):
@@ -207,15 +207,55 @@ class TestHelmholtz1D:
                 ab[2, :-1] = -w
                 assert np.array_equal(_solve_helmholtz(diag, c, rhs, g), solve_banded((1, 1), ab, rhs))
 
-    def test_stacked_members_solve_bitwise_as_alone(self):
-        # zero off-diagonal entries at the block seams decouple the members exactly
+    @pytest.mark.parametrize("grid", [Grid.line(16, 1.5), Grid.box(16, 12, (1.0, 1.5))], ids=["line", "box"])
+    @pytest.mark.parametrize("zero_rhs", [False, True], ids=["random_rhs", "zero_rhs"])
+    def test_stacked_members_solve_bitwise_as_alone(self, grid, zero_rhs):
+        # 1D: zero off-diagonal entries at the block seams decouple the members exactly;
+        # 2D: a member that meets its stop takes zero-length steps from then on
         rng = np.random.default_rng(5)
-        g = Grid.line(16, 1.5)
-        diag, rhs = rng.uniform(1.0, 1e4, size=(3, 16)), rng.normal(size=(3, 16))
-        x = _solve_helmholtz(diag, 0.7, rhs, g)
-        assert x.shape == (3, 16)
+        diag, rhs = rng.uniform(1.0, 1e4, size=(3, *grid.shape)), rng.normal(size=(3, *grid.shape))
+        if zero_rhs:
+            rhs[1] = 0.0
+        x = _solve_helmholtz(diag, 0.7, rhs, grid)
+        assert x.shape == (3, *grid.shape)
         for j in range(3):
-            assert np.array_equal(x[j], _solve_helmholtz(diag[j], 0.7, rhs[j], g))
+            assert x[j].tobytes() == _solve_helmholtz(diag[j], 0.7, rhs[j], grid).tobytes()
+
+    @pytest.mark.parametrize("n", [64, 128])
+    def test_cg_iterations_per_solve_do_not_grow_with_n(self, n, monkeypatch):
+        """One Laplacian per CG iteration: on one step of the 2D bench box, every solve takes at most 6."""
+        from fremond.config import load_config
+        from fremond.harness import make_initial
+
+        run = load_config(Path(__file__).resolve().parents[1] / "bench" / "box2d.cfg", [f"grid.n={n}"])
+        state = make_initial(run.grid, run.potential, run.initial)
+        laps, per_solve = [0], []
+        lap, solve = stepper._lap_values, stepper._solve_helmholtz
+
+        def counting_lap(*args):
+            laps[0] += 1
+            return lap(*args)
+
+        def counting_solve(*args):
+            before = laps[0]
+            x = solve(*args)
+            per_solve.append(laps[0] - before)
+            return x
+
+        monkeypatch.setattr(stepper, "_lap_values", counting_lap)
+        monkeypatch.setattr(stepper, "_solve_helmholtz", counting_solve)
+        step(state, run.scheme, run.potential)
+        assert len(per_solve) == 10 and max(per_solve) <= 6
+
+    @pytest.mark.parametrize("fill, cell", [(0.0, 0.0), (10.0, -1000.0)], ids=["singular", "indefinite"])
+    def test_2d_operator_not_positive_definite_is_linear_solve_failure(self, fill, cell):
+        # zero: the constant vector is in the kernel; one cell at -1000: its unit vector has a negative form,
+        # though the mean of the diagonal stays positive
+        g = Grid.box(16, 16)
+        diag = np.full(g.shape, fill)
+        diag[3, 5] = cell
+        with pytest.raises(LinearSolveFailed, match="positive definiteness"):
+            _solve_helmholtz(diag, 1e-3, np.random.default_rng(0).normal(size=g.shape), g)
 
 
 def reference_heat_residual(u, rhs, d, cfg, grid):
@@ -388,6 +428,25 @@ class TestBatch:
             assert np.array_equal(member.times, alone.times)
             for f in ("theta", "phi", "phi_t"):
                 assert np.array_equal(getattr(member.stack, f).values, getattr(alone.stack, f).values), (j, f)
+
+    def test_2d_members_at_64_step_bitwise_as_alone(self):
+        """On the bench box at n = 64, three members that take 5, 6 and 7 sweeps alone."""
+        from fremond.config import load_config
+        from fremond.harness import make_initial
+
+        run = load_config(Path(__file__).resolve().parents[1] / "bench" / "box2d.cfg", ["grid.n=64"])
+        solos = [make_initial(run.grid, run.potential, params) for params in (
+            {"preset": "cosine_bump", "phi_amp": 0.2}, {"preset": "cosine_bump"}, {"preset": "random_smooth", "seed": 1})]
+        outs, counts = [], []
+        for s in solos:
+            stats = {}
+            outs.append(step(s, run.scheme, run.potential, stats))
+            counts.append(stats["picard_iterations"])
+        assert counts == [5, 6, 7]
+        batch = step(stack_states(solos), run.scheme, run.potential)
+        for j, out in enumerate(outs):
+            for f in ("theta", "phi", "phi_t"):
+                assert getattr(batch, f).values[j].tobytes() == getattr(out, f).values.tobytes(), (j, f)
 
     def test_a_member_losing_positivity_aborts_the_batch(self, double_well):
         # theta 0.1 under a phase far above its well: d < -1/dt drives that member negative
@@ -674,6 +733,12 @@ class TestFloors:
         assert phase_floor(5.0, 1.0, 0.0) == -1.0
         assert phase_floor(0.25, 1.0, 4.0) == pytest.approx(-math.exp(2.0), rel=1e-14)
         assert phase_floor(1.0, 0.0, 4.0) == 0.0
+
+    def test_phase_floor_past_the_float_range(self):
+        # e^{2 lam t} is finite up to 2 lam t = 709.78
+        assert phase_floor(88.0, 0.5, 4.0) == -0.5 * math.exp(704.0)
+        assert phase_floor(100.0, 0.5, 4.0) == -math.inf
+        assert math.copysign(1.0, phase_floor(100.0, 0.0, 4.0)) == math.copysign(1.0, phase_floor(1.0, 0.0, 4.0)) == -1.0
 
 
 class TestTrajectory:
