@@ -68,10 +68,6 @@ class Grid:
     def line(cls, n: int, extent: float = 1.0) -> "Grid":
         return cls((n,), (extent,))
 
-    @classmethod
-    def box(cls, nx: int, ny: int, extent=(1.0, 1.0)) -> "Grid":
-        return cls((nx, ny), tuple(extent))
-
     @property
     def dim(self) -> int:
         return len(self.n)
@@ -150,9 +146,6 @@ class Field:
     def min(self) -> float:
         return float(self.values.min())
 
-    def max(self) -> float:
-        return float(self.values.max())
-
 
 def same_grid(a: Grid, b: Grid) -> bool:
     """Equal cell counts and spacings up to round-off (snapshot round-trips
@@ -222,17 +215,12 @@ def integrate(f: Field) -> float:
 
 
 def norm(f: Field, kind: str = "L2") -> float:
-    """Discrete norms: L1, L2, H1semi (Dirichlet form), H1."""
+    """Discrete norms: L1, L2."""
     vol = f.grid.cell_volume
     if kind == "L1":
         return float(np.abs(f.values).sum()) * vol
     if kind == "L2":
         return float(np.sqrt(np.sum(f.values**2) * vol))
-    if kind == "H1semi":
-        return float(np.sqrt(_dirichlet_values(f.values, f.values, f.grid)))
-    if kind == "H1":
-        l2 = np.sum(f.values**2) * vol
-        return float(np.sqrt(l2 + _dirichlet_values(f.values, f.values, f.grid)))
     raise ValueError(f"unknown norm kind {kind!r}")
 
 

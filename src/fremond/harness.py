@@ -28,7 +28,7 @@ from .config import _EXPERIMENT_KINDS, RunConfig, build_run_config, coerce, form
 from .errors import ConfigError, SimulationAborted
 from .grid import Field, Grid, norm, read_snapshots, same_grid, write_snapshots
 from .potential import Potential
-from .relenergy import RelEnergyConfig, fit_gronwall_multiplier, gronwall_check, xi_monitor
+from .relenergy import RelEnergyConfig, envelope_holds, fit_gronwall_multiplier, gronwall_check, xi_monitor
 from .stepper import (
     SchemeConfig,
     State,
@@ -105,14 +105,17 @@ def make_initial(grid: Grid, potential: Potential, params: dict) -> State:
     elif preset == "steady":
         phi_star = num("phi_star", 1.1)
         theta_star = potential.eval(phi_star, 1)
-        if theta_star <= 0:
-            raise ConfigError(f"steady preset needs F'(phi_star) > 0, got {theta_star:.3g}")
+        if not 0 < theta_star < math.inf:
+            raise ConfigError(f"initial.phi_star = {format_value(phi_star)}: steady preset needs "
+                              f"F'(phi_star) positive and finite, got {theta_star:.3g}")
         theta = Field.full(grid, theta_star)
         phi = Field.full(grid, phi_star)
     elif preset == "snapshot":
         for key in ("theta_file", "phi_file"):
             if key not in params:
                 raise ConfigError(f"initial.{key} is required by preset snapshot")
+            if not isinstance(params[key], str):  # open() would take an int as a file descriptor
+                raise ConfigError(f"initial.{key} = {format_value(params[key])}: expected a file name")
         theta_records, _ = read_snapshots(params["theta_file"])
         phi_records, _ = read_snapshots(params["phi_file"])
         theta, phi = Field(theta_records.grid, theta_records.values[0]), Field(phi_records.grid, phi_records.values[0])
@@ -312,15 +315,12 @@ def eps_sweep(cfg: ExperimentConfig) -> EpsSweepReport:
             EpsSweepRow(eps, "ok", float(echeck.energies[-1]), ent.min_margin, float(echeck.reg_cumulative[-1]))
         )
         finals.append(traj[-1])
-    theta_d, phi_d = [], []
-    for a, b in zip(finals, finals[1:]):
-        if a is None or b is None:
-            theta_d.append(math.nan)
-            phi_d.append(math.nan)
-        else:
-            theta_d.append(norm(Field(a.grid, a.theta.values - b.theta.values), "L1"))
-            phi_d.append(norm(Field(a.grid, a.phi.values - b.phi.values), "L1"))
-    return EpsSweepReport(rows, theta_d, phi_d)
+    def distances(name: str) -> list[float]:  # nan where either run failed
+        return [math.nan if a is None or b is None else
+                norm(Field(a.grid, getattr(a, name).values - getattr(b, name).values), "L1")
+                for a, b in zip(finals, finals[1:])]
+
+    return EpsSweepReport(rows, distances("theta"), distances("phi"))
 
 
 @dataclass
@@ -387,18 +387,17 @@ class WeakStrongReport:
     multiplier: float
     rows: list[WeakStrongRow]
     xi_max: list[float]          # per level, along the reference
-    zero_delta_scale: float      # tolerance scale for the delta=0 regression
+    scale: float                 # the coarsest reference's initial total energy, envelope_holds' scale
     ratios_spread: float         # max/min of E_rel(T)/delta^2 on the finest level
 
     @property
     def zero_delta_pass(self) -> bool:
-        zs = [r.E_rel_max for r in self.rows if r.delta == 0.0]
-        return all(z <= 1e-12 * self.zero_delta_scale for z in zs)
+        # delta = 0 has a zero envelope, so its margin is at most -E_rel
+        return all(envelope_holds(-r.E_rel_max, self.scale) for r in self.rows if r.delta == 0.0)
 
     @property
     def envelope_pass(self) -> bool:
-        tol = 1e-12 * max(1.0, self.zero_delta_scale)
-        return all(r.min_gronwall_margin >= -tol for r in self.rows if r.delta > 0.0)
+        return all(envelope_holds(r.min_gronwall_margin, self.scale) for r in self.rows if r.delta > 0.0)
 
     def summary_rows(self):
         header = ["level", "n", "delta", "E_rel_max", "E_rel_final", "min_margin", "ratio"]
@@ -446,9 +445,9 @@ def weak_strong_experiment(cfg: ExperimentConfig) -> WeakStrongReport:
             delta: gronwall_check(batch.member(j), ref, relcfg, run.potential)
             for j, delta in enumerate(deltas, start=1)
         }
-        if li == 0:  # calibrated on the coarsest level, as is the delta = 0 tolerance scale
+        if li == 0:  # calibrated on the coarsest level, as is the verdicts' tolerance scale
             multiplier = fit_gronwall_multiplier([rep for delta, rep in reports.items() if delta > 0.0])
-            scale = max(1.0, energy(ref[0], run.potential).E_total)
+            scale = energy(ref[0], run.potential).E_total
         for delta, rep in reports.items():
             rows.append(
                 WeakStrongRow(

@@ -23,7 +23,8 @@ the Gronwall envelope   E(t) + int_0^t W e^{int_s^t K} <= E(0) e^{int_0^t K}
 holds up to a nonconstructive constant, absorbed here into a single
 calibration multiplier on the right-hand side, fitted once on a coarse run
 and then held fixed. ``gronwall_check`` returns the envelope at multiplier 1,
-and ``GronwallReport.envelope(m)`` is the one place that scales it.
+``GronwallReport.envelope(m)`` is the one place that scales it, and
+``envelope_holds`` the one rule that judges it.
 Given two trajectories' stacked States (``Trajectory.stack``) in place of
 two States, each functional returns its series over time; ``gronwall_check``
 gets E, W and K that way.
@@ -53,6 +54,7 @@ __all__ = [
     "k_factor",
     "require_comparable",
     "gronwall_check",
+    "envelope_holds",
     "fit_gronwall_multiplier",
     "xi_monitor",
     "log_l1_bound",
@@ -145,6 +147,13 @@ def k_factor(ref: State) -> float | np.ndarray:
     return np.max(np.abs(pt), axis=axes) + np.max(pt * pt / ref.theta.values, axis=axes) + 1.0
 
 
+def envelope_holds(margin: float, scale: float) -> bool:
+    """The one verdict on a Gronwall margin (``GronwallReport.min_step_margin``): it holds
+    at >= -1e-12 * max(1, scale), scale being the reference's initial total energy (the
+    round-off floor of the energy evaluation), unless the pair is ``report_only``."""
+    return margin >= -1e-12 * max(1.0, scale)
+
+
 @dataclass
 class GronwallReport:
     """The multiplier-1 Gronwall envelope of one trajectory pair (see
@@ -161,8 +170,15 @@ class GronwallReport:
         """Right-hand side multiplier * E_rel(0) * exp(int_0^t K)."""
         return multiplier * self.E_rel[0] * self.growth
 
+    @property
+    def report_only(self) -> bool:
+        """E_rel(0) <= 0 < max E_rel: coinciding initial data but different dynamics (e.g. an
+        eps pair). The envelope degenerates to zero, so the drift is reported, not judged."""
+        return self.E_rel[0] <= 0.0 < np.max(self.E_rel)
+
     def min_step_margin(self, multiplier: float) -> float:
-        """Smallest margin envelope - lhs after t = 0; 0.0 for a single state."""
+        """Smallest margin envelope - lhs after t = 0, the margin ``envelope_holds`` judges
+        (at t = 0 it is (m - 1) E_rel(0)); 0.0 for a single state."""
         margins = self.envelope(multiplier) - self.lhs
         return float(np.min(margins[1:])) if len(margins) > 1 else 0.0
 

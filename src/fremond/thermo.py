@@ -192,13 +192,14 @@ class EntropyCheckReport:
     times: np.ndarray             # t^1 .. t^N
     margins: np.ndarray           # rhs - lhs, predicted >= 0 up to discretization
     entropy_values: np.ndarray    # int vartheta(t^n) (log theta^n + phi^n)
+    tol: float                    # a row passes at margin >= -tol: 100 dt, the margin's O(dt) discretization error
 
     @property
     def min_margin(self) -> float:
         return float(self.margins.min()) if len(self.margins) else 0.0
 
-    def csv_rows(self, tol: float = 0.0):
-        rows = zip(range(1, len(self.times) + 1), self.times, self.entropy_values, self.margins, self.margins >= -tol)
+    def csv_rows(self):
+        rows = zip(range(1, len(self.times) + 1), self.times, self.entropy_values, self.margins, self.margins >= -self.tol)
         return ["step", "t", "value", "margin", "pass"], list(rows)
 
 
@@ -207,9 +208,9 @@ def entropy_inequality_check(traj: Trajectory, test_fn: TestFunction) -> Entropy
 
     Reports margin(t^n) = rhs(t^n) - lhs(t^n) of the transcription described
     in the module docstring; positive margins mean entropy production
-    dominates, as predicted. Margins are reported with tolerances by callers,
-    never asserted one-signed, since no quadrature is known to make the
-    discrete margin provably nonnegative.
+    dominates, as predicted. A row passes at margin >= -100 dt, never asserted
+    one-signed, since no quadrature is known to make the discrete margin
+    provably nonnegative.
     """
     cfg = traj.config
     kappa, eps, p, dt = cfg.kappa, cfg.epsilon, cfg.p, cfg.dt
@@ -239,7 +240,7 @@ def entropy_inequality_check(traj: Trajectory, test_fn: TestFunction) -> Entropy
     density *= vt[:-1]
     production = dt * np.sum(density, axis=axes) * vol
     lhs = -boundary[1:] + boundary[0] + np.cumsum(production)
-    return EntropyCheckReport(test_fn.name, traj.times[1:], np.cumsum(flux) - lhs, boundary[1:])
+    return EntropyCheckReport(test_fn.name, traj.times[1:], np.cumsum(flux) - lhs, boundary[1:], 100.0 * dt)
 
 
 # --- floors ------------------------------------------------------------------

@@ -219,6 +219,9 @@ class TestBadConfigValues:
         # a positive span takes at least one step
         (["simulate", "--config", str(PRESETS / "cosine.cfg"), "--override", "scheme.dt=1e8"],
          "(t_end - t0) = 0.25 is not an integer multiple of dt = 1e+08"),
+        # F'(phi_star) overflows to inf, which is no temperature
+        (["simulate", "--config", str(PRESETS / "steady.cfg"), "--override", "initial.phi_star=1e300"],
+         "initial.phi_star"),
     ], ids=["initial_key_misspelt", "random_smooth_negative_seed", "weakstrong_level_of_one_cell",
             "refine_level_of_one_cell", "refine_energy_margin_level_of_one_cell", "refine_t_end_zero",
             "refine_energy_margin_t_end_zero", "h_squared_overflows", "weakstrong_h_squared_overflows",
@@ -226,7 +229,8 @@ class TestBadConfigValues:
             "refine_level_misses_the_final_time", "refine_step_count_infinite",
             "refine_finer_level_step_count_infinite", "refine_repeated_levels", "refine_unordered_levels",
             "weakstrong_decreasing_levels", "weakstrong_repeated_levels", "weakstrong_empty_levels",
-            "weakstrong_t_end_zero", "weakstrong_level_misses_the_final_time", "dt_beyond_the_span"])
+            "weakstrong_t_end_zero", "weakstrong_level_misses_the_final_time", "dt_beyond_the_span",
+            "steady_phi_star_overflows"])
     def test_preset_with_a_bad_entry_exits_two(self, argv, named, tmp_path, capsys):
         code = main([*argv, "--outdir", str(tmp_path / "out")])
         err = capsys.readouterr().err
@@ -443,16 +447,28 @@ class TestCheck:
         assert f"unrecognized arguments: {flag}" in err and "Traceback" not in err
 
     def test_check_matches_direct_api_byte_for_byte(self, cosine_cfg, tmp_path):
-        from fremond.thermo import energy_inequality_check
+        from fremond.thermo import TEST_FUNCTIONS, energy_inequality_check, entropy_inequality_check, floors_check
 
-        out = tmp_path / "out"
+        out, ref = tmp_path / "out", tmp_path / "ref"
         main(["simulate", "--config", str(cosine_cfg), "--outdir", str(out)])
+        main(["simulate", "--config", str(cosine_cfg), "--override", "initial.phi_amp=0.35", "--outdir", str(ref)])
         main(["check", "--run", str(out)])
+        main(["relenergy", "--run", str(out), "--ref", str(ref)])
         traj, run = load_run_dir(out)
-        rep = energy_inequality_check(traj, run.potential)
-        header, rows = rep.csv_rows()
-        write_csv(tmp_path / "direct.csv", header, rows)
-        assert (tmp_path / "direct.csv").read_bytes() == (out / "run_0" / "energy_check.csv").read_bytes()
+        floors = floors_check(traj, lam=run.potential.lam)
+        tables = {
+            "energy_check": energy_inequality_check(traj, run.potential).csv_rows(),
+            **{f"entropy_{name}": entropy_inequality_check(traj, TEST_FUNCTIONS[name]()).csv_rows()
+               for name in ("one", "cosine")},
+            "floors_theta": floors.csv_rows("theta"),
+            "floors_phi": floors.csv_rows("phi"),
+        }
+        for stem, (header, rows) in tables.items():
+            write_csv(tmp_path / f"{stem}.csv", header, rows)
+        rep = gronwall_check(traj, load_run_dir(ref)[0], RelEnergyConfig(lam=run.potential.lam), run.potential)
+        write_csv(tmp_path / "relenergy.csv", *rep.csv_rows(1.0), comment="multiplier = 1.0")
+        for stem in [*tables, "relenergy"]:
+            assert (tmp_path / f"{stem}.csv").read_bytes() == (out / "run_0" / f"{stem}.csv").read_bytes(), stem
 
 
 class TestRelEnergy:
@@ -576,6 +592,21 @@ class TestRelEnergyPair:
         monkeypatch.setattr(cli, "gronwall_check", counting)
         assert main(["relenergy", "--run", str(pert), "--ref", str(ref), "--calibrate"]) == 0
         assert len(calls) == 1
+
+
+def test_holding_pair_reports_its_smallest_step_margin(tmp_path, capsys):
+    # at t = 0 the margin is (m - 1) E_rel(0), zero at m = 1, so the minimum over every state read 0.0
+    short = ["--config", str(PRESETS / "cosine.cfg"), "--override", "run.t_end=0.0244140625"]
+    ref, pert = tmp_path / "ref", tmp_path / "pert"
+    assert main(["simulate", *short, "--outdir", str(ref)]) == 0
+    assert main(["simulate", *short, "--override", "initial.phi_amp=0.35", "--outdir", str(pert)]) == 0
+    capsys.readouterr()
+    assert main(["relenergy", "--run", str(pert), "--ref", str(ref)]) == 0
+    out = capsys.readouterr().out
+    assert out == "relenergy: envelope holds (multiplier 1.0), min margin 2.613598790020613e-05\n"
+    traj, run = load_run_dir(pert)
+    rep = gronwall_check(traj, load_run_dir(ref)[0], RelEnergyConfig(lam=run.potential.lam), run.potential)
+    assert rep.min_step_margin(1.0) == 2.613598790020613e-05
 
 
 class TestExperimentVerbs:

@@ -120,13 +120,14 @@ class TestLaplacian:
         assert np.allclose(out.values, reference_laplacian_1d(v, g.h[0]), rtol=1e-13, atol=1e-10)
 
     def test_matches_reference_loop_2d(self):
-        g = Grid.box(4, 5, (1.0, 2.0))
+        g = Grid((4, 5), (1.0, 2.0))
         rng = np.random.default_rng(8)
         v = rng.normal(size=(4, 5))
         out = laplacian_neumann(Field(g, v))
         assert np.allclose(out.values, reference_laplacian_2d(v, g.h[0], g.h[1]), rtol=1e-13, atol=1e-10)
 
-    @pytest.mark.parametrize("grid", [Grid.line(2), Grid.line(64), Grid.box(16, 16), Grid.box(8, 12, (1.0, 2.0))],
+    @pytest.mark.parametrize("grid", [Grid.line(2), Grid.line(64), Grid((16, 16), (1.0, 1.0)),
+                                      Grid((8, 12), (1.0, 2.0))],
                              ids=["line2", "line64", "box16x16", "box8x12"])
     def test_slice_stencil_equals_padded_reference_bitwise(self, grid):
         rng = np.random.default_rng(11)
@@ -136,7 +137,7 @@ class TestLaplacian:
                 assert np.array_equal(op(v, grid), reference(v, grid)), op.__name__
 
     def test_tensor_eigenfunction_2d(self):
-        g = Grid.box(4, 4)
+        g = Grid((4, 4), (1.0, 1.0))
         X, Y = g.meshgrid()
         f = Field(g, np.cos(np.pi * X) * np.cos(np.pi * Y))
         h = g.h[0]
@@ -146,7 +147,7 @@ class TestLaplacian:
 
     def test_discrete_conservation(self):
         rng = np.random.default_rng(21)
-        for g in (Grid.line(33), Grid.box(7, 9)):
+        for g in (Grid.line(33), Grid((7, 9), (1.0, 1.0))):
             for _ in range(20):
                 f = Field(g, rng.normal(size=g.shape))
                 lap = laplacian_neumann(f)
@@ -171,7 +172,7 @@ class TestLaplacian:
 
 class TestGradSq:
     def test_constant_is_zero(self):
-        g = Grid.box(6, 6)
+        g = Grid((6, 6), (1.0, 1.0))
         assert np.all(_grad_sq_values(np.full(g.shape, -2.0), g) == 0.0)
 
     def test_linear_profile_hand_stencil(self):
@@ -185,14 +186,14 @@ class TestGradSq:
 
     def test_nonnegative(self):
         rng = np.random.default_rng(3)
-        g = Grid.box(5, 8)
+        g = Grid((5, 8), (1.0, 1.0))
         f = Field(g, rng.normal(size=g.shape))
         assert _grad_sq_values(f.values, g).min() >= 0.0
 
     def test_summation_by_parts_100_random_fields(self):
         rng = np.random.default_rng(42)
         for k in range(100):
-            g = Grid.line(24) if k % 2 == 0 else Grid.box(6, 5)
+            g = Grid.line(24) if k % 2 == 0 else Grid((6, 5), (1.0, 1.0))
             f = Field(g, rng.normal(size=g.shape))
             lhs = integrate(Field(g, f.values * (-laplacian_neumann(f).values)))
             rhs = integrate(Field(g, _grad_sq_values(f.values, g)))
@@ -224,7 +225,7 @@ class TestNorms:
     def test_zero_field(self):
         g = Grid.line(9)
         z = Field.zeros(g)
-        for kind in ("L1", "L2", "H1semi", "H1"):
+        for kind in ("L1", "L2"):
             assert norm(z, kind) == 0.0
 
     def test_constant_on_unit_domain(self):
@@ -232,8 +233,6 @@ class TestNorms:
         c = Field.full(g, -3.0)
         assert norm(c, "L1") == pytest.approx(3.0, abs=1e-13)
         assert norm(c, "L2") == pytest.approx(3.0, abs=1e-13)
-        assert norm(c, "H1semi") == 0.0
-        assert norm(c, "H1") == pytest.approx(3.0, abs=1e-13)
 
     def test_cosine_l2_is_half(self):
         # cos^2 = 1/2 + cos(2 pi x)/2 and the lattice sum of the oscillatory
@@ -261,7 +260,7 @@ class TestSnapshots:
         assert np.array_equal(g2.values, f.values[None])
 
     def test_roundtrip_2d_row_major(self, tmp_path):
-        g = Grid.box(3, 4)
+        g = Grid((3, 4), (1.0, 1.0))
         f = Field(g, np.arange(12.0).reshape(3, 4))
         path = tmp_path / "f.field"
         write_snapshots(Field(g, f.values[None]), path, [0.0])
@@ -283,7 +282,7 @@ class TestSnapshots:
         assert times.tolist() == [0.0, 0.1]
 
     def test_stacked_roundtrip_2d_bitwise(self, tmp_path):
-        g = Grid.box(3, 4, extent=(0.3, 1.7))
+        g = Grid((3, 4), (0.3, 1.7))
         rng = np.random.default_rng(5)
         values = rng.normal(size=(6, 3, 4)) * 10.0 ** rng.integers(-30, 30, size=(6, 3, 4))
         times = rng.random(6) * 1e-3

@@ -187,7 +187,7 @@ class TestPresets:
                     out += c * np.cos(np.pi * k * X / grid.extent[0]) * np.cos(np.pi * m * Y / grid.extent[1])
         return out / np.max(np.abs(out))
 
-    @pytest.mark.parametrize("grid", [Grid.line(32), Grid.box(12, 9, (1.0, 0.75))], ids=["line32", "box12x9"])
+    @pytest.mark.parametrize("grid", [Grid.line(32), Grid((12, 9), (1.0, 0.75))], ids=["line32", "box12x9"])
     @pytest.mark.parametrize("seed", [0, 7, 12345])
     def test_random_smooth_matches_the_per_dimension_series_bitwise(self, double_well, grid, seed):
         s = make_initial(grid, double_well, {"preset": "random_smooth", "seed": seed})

@@ -8,6 +8,7 @@ from fremond.grid import Field, Grid
 from fremond.relenergy import (
     RelEnergyConfig,
     coercivity_check,
+    envelope_holds,
     dissipation_W,
     fit_gronwall_multiplier,
     gronwall_check,
@@ -195,7 +196,23 @@ class TestGronwall:
         assert np.array_equal(rep.envelope(2.0), 2.0 * one)
         assert rep.min_step_margin(2.0) == float(np.min(2.0 * one[1:] - rep.lhs[1:]))
 
-    @pytest.mark.parametrize("grid", [Grid.line(24), Grid.box(6, 5)], ids=["line24", "box6x5"])
+    def test_envelope_holds_down_to_round_off_of_the_scale(self):
+        assert envelope_holds(-1e-12, 0.5) and not envelope_holds(-1.5e-12, 0.5)  # the scale counts from 1
+        assert envelope_holds(-1e-11, 10.0) and not envelope_holds(-1.5e-11, 10.0)
+
+    def test_calibrated_pair_is_judged_and_an_eps_pair_is_report_only(self, double_well):
+        ref = self._cosine_traj(double_well)
+        rep = gronwall_check(self._cosine_traj(double_well, delta=0.05), ref, RelEnergyConfig(lam=4.0), double_well)
+        assert not rep.report_only
+        assert envelope_holds(rep.min_step_margin(fit_gronwall_multiplier([rep])), 1.0)
+        assert not envelope_holds(rep.min_step_margin(0.5), 1.0)
+        # same initial data, another eps: E_rel(0) = 0 < max E_rel, so the drift is reported, not judged
+        other = simulate(ref[0], SchemeConfig(dt=1e-4, epsilon=1e-1, p=4.0), double_well, 32 * 1e-4)
+        drift = gronwall_check(other, ref, RelEnergyConfig(lam=4.0), double_well)
+        assert drift.E_rel[0] == 0.0 < np.max(drift.E_rel)
+        assert drift.report_only
+
+    @pytest.mark.parametrize("grid", [Grid.line(24), Grid((6, 5), (1.0, 1.0))], ids=["line24", "box6x5"])
     def test_stacked_series_equal_the_per_state_values_bitwise(self, grid, double_well):
         mode = grid.cosine_mode()
         cfg, relcfg = SchemeConfig(dt=1e-4, epsilon=1e-3, p=4.0), RelEnergyConfig(lam=4.0)

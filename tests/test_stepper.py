@@ -179,7 +179,7 @@ class TestHeatStep:
         prev = uniform_state(g, 1.0, 0.0)
         with pytest.raises(NewtonDiverged, match="heat Newton stalled"):
             heat_step(prev, prev.phi, SchemeConfig(dt=0.01, epsilon=0.5, fp_max_iter=2))
-        assert heat_step(prev, prev.phi, SchemeConfig(dt=0.01, epsilon=0.5, fp_max_iter=3)).max() < 1.0
+        assert heat_step(prev, prev.phi, SchemeConfig(dt=0.01, epsilon=0.5, fp_max_iter=3)).values.max() < 1.0
 
     def test_singular_jacobian_is_linear_solve_failure(self):
         # d = -1/dt cancels the identity: the Jacobian is kappa (-lap), singular
@@ -207,7 +207,7 @@ class TestHelmholtz:
                 ab[2, :-1] = -w
                 assert np.array_equal(_solve_helmholtz(diag, c, rhs, g), solve_banded((1, 1), ab, rhs))
 
-    @pytest.mark.parametrize("grid", [Grid.line(16, 1.5), Grid.box(16, 12, (1.0, 1.5))], ids=["line", "box"])
+    @pytest.mark.parametrize("grid", [Grid.line(16, 1.5), Grid((16, 12), (1.0, 1.5))], ids=["line", "box"])
     @pytest.mark.parametrize("zero_rhs", [False, True], ids=["random_rhs", "zero_rhs"])
     def test_stacked_members_solve_bitwise_as_alone(self, grid, zero_rhs):
         # 1D: zero off-diagonal entries at the block seams decouple the members exactly;
@@ -251,7 +251,7 @@ class TestHelmholtz:
     def test_2d_operator_not_positive_definite_is_linear_solve_failure(self, fill, cell):
         # zero: the constant vector is in the kernel; one cell at -1000: its unit vector has a negative form,
         # though the mean of the diagonal stays positive
-        g = Grid.box(16, 16)
+        g = Grid((16, 16), (1.0, 1.0))
         diag = np.full(g.shape, fill)
         diag[3, 5] = cell
         with pytest.raises(LinearSolveFailed, match="positive definiteness"):
@@ -274,7 +274,7 @@ class TestHeatTerms:
 
     @pytest.mark.parametrize("epsilon", [0.0, 1e-3, 0.5])
     @pytest.mark.parametrize("grid, shape", [(Grid.line(16, 1.5), (16,)), (Grid.line(16), (3, 16)),
-                                             (Grid.box(8, 6, (1.0, 2.0)), (2, 8, 6))],
+                                             (Grid((8, 6), (1.0, 2.0)), (2, 8, 6))],
                              ids=["solo", "batch", "2d_batch"])
     def test_bitwise_equal_to_the_whole_evaluation(self, epsilon, grid, shape):
         rng = np.random.default_rng(11)
@@ -362,7 +362,7 @@ class TestReusedPieces:
         self.assert_march_as_rebuilt(batch, SchemeConfig(dt=1e-3, epsilon=0.0), double_well, 8)
 
     def test_2d_batch(self, double_well):
-        g = Grid.box(8, 8)
+        g = Grid((8, 8), (1.0, 1.0))
         mode = g.cosine_mode()
         members = [initial_state(g, Field(g, 1.0 + 0.2 * mode), Field(g, amp * mode)) for amp in (0.3, 0.1)]
         self.assert_march_as_rebuilt(stack_states(members), SchemeConfig(dt=1e-3, epsilon=1e-3, p=4.0), double_well, 4)
@@ -416,7 +416,7 @@ class TestBatch:
                 assert np.array_equal(getattr(batch, f).values[j], getattr(out, f).values), (j, f)
 
     def test_2d_members_march_bitwise_as_alone(self, double_well):
-        g = Grid.box(8, 8)
+        g = Grid((8, 8), (1.0, 1.0))
         mode = g.cosine_mode()
         cfg = SchemeConfig(dt=1e-3, epsilon=1e-3, p=4.0)
         solos = [initial_state(g, Field(g, 1.0 + 0.2 * mode), Field(g, amp * mode)) for amp in (0.3, 0.1)]
@@ -563,7 +563,7 @@ class TestStep:
         stats = {}
         out = step(prev, cfg, double_well, stats)
         assert stats["picard_iterations"] > 1
-        assert out.theta.max() < theta_star
+        assert out.theta.values.max() < theta_star
 
     def test_uniform_step_matches_composed_scalar_oracle(self, double_well):
         g = Grid.line(16)
@@ -604,7 +604,7 @@ class TestStep:
         dist = math.sqrt(float(np.sum((phi_re.values - out.phi.values) ** 2)) * vol)
         assert dist < 10 * NEWTON_TOL
 
-    @pytest.mark.parametrize("grid", [Grid.line(32), Grid.box(8, 8)], ids=["line32", "box8x8"])
+    @pytest.mark.parametrize("grid", [Grid.line(32), Grid((8, 8), (1.0, 1.0))], ids=["line32", "box8x8"])
     def test_both_halves_reproduce_the_coupled_step(self, grid, double_well):
         # at the converged sweep each equation is solved for the other's output
         rng = np.random.default_rng(17)
@@ -641,7 +641,7 @@ class TestStep:
             step(init, cfg, double_well)
 
     def test_2d_step_runs_and_stays_positive(self, double_well):
-        g = Grid.box(8, 8)
+        g = Grid((8, 8), (1.0, 1.0))
         X, Y = g.meshgrid()
         mode = np.cos(np.pi * X) * np.cos(np.pi * Y)
         init = initial_state(g, Field(g, 1.0 + 0.2 * mode), Field(g, 0.3 * mode))

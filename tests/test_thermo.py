@@ -199,7 +199,7 @@ class TestEntropyInequality:
 class TestTwoDimensional:
     def test_short_2d_run_diagnostics(self, double_well):
         # exercises the conjugate-gradient solve path end to end
-        g = Grid.box(8, 8)
+        g = Grid((8, 8), (1.0, 1.0))
         X, Y = g.meshgrid()
         mode = np.cos(np.pi * X) * np.cos(np.pi * Y)
         init = initial_state(g, Field(g, 1.0 + 0.2 * mode), Field(g, 0.3 * mode))
