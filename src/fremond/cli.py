@@ -21,6 +21,7 @@ import argparse
 import os
 import sys
 from dataclasses import astuple, fields
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -93,7 +94,7 @@ def _cmd_relenergy(args) -> int:
     traj, run = harness.load_run_dir(args.run)
     ref, ref_run = harness.load_run_dir(args.ref)
     try:
-        require_comparable(traj, ref)
+        require_comparable(traj, ref, run.potential, ref_run.potential)
     except ValueError as exc:
         raise ConfigError(f"runs {args.run} and {args.ref} cannot be compared: {exc}") from exc
     report = gronwall_check(traj, ref, RelEnergyConfig(M=args.M, lam=run.potential.lam), run.potential)
@@ -224,6 +225,7 @@ comment. Full grammar: docs/config.md. Example:
 """
 
 
+@cache  # once per process: parsing leaves the parser as it was, and in-process callers of main are many
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fremond",

@@ -26,35 +26,27 @@ from .grid import Grid
 from .potential import Potential, PotentialValidationError, check_convexity
 from .stepper import SchemeConfig
 
-__all__ = ["RunConfig", "SECTION_KEYS", "parse_config_text", "apply_overrides", "build_run_config",
+__all__ = ["RunConfig", "KEY_KINDS", "SECTION_KEYS", "parse_config_text", "apply_overrides", "build_run_config",
            "load_config", "render_config", "coerce", "format_value"]
 
 _NUMBER = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 _INT = re.compile(r"^[+-]?\d+$")
 
-_SCHEME_KINDS = {**dict.fromkeys(("dt", "kappa", "epsilon", "p"), float), "fp_max_iter": int}
-
-# [experiment] keys: element type, and whether the value is a list of them
-_EXPERIMENT_KINDS = {
-    "kind": (str, False),
-    "eps_values": (float, True),
-    "levels": (int, True),
-    "deltas": (float, True),
-    "monitor": (str, False),
-    "M": (float, False),
+# Each accepted key's kind: int, float or str, [kind] for a list of them, or None where
+# the section has its own scalar-or-list rule. [initial] accepts the keys of every
+# preset, so a config that switches presets by override may keep the old preset's keys.
+KEY_KINDS: dict[str, dict[str, object]] = {
+    "grid": {"dim": int, "n": None, "extent": None},
+    "scheme": {"dt": float, "kappa": float, "epsilon": float, "p": float, "fp_max_iter": int},
+    "potential": {"potential": None, "lambda": float},
+    "initial": {"preset": str, "phi_t": str, "theta0": float, "phi0": float, "theta_base": float, "theta_amp": float,
+                "phi_base": float, "phi_amp": float, "seed": int, "phi_star": float, "theta_file": str, "phi_file": str},
+    "run": {"t_end": float, "outdir": None},
+    "experiment": {"kind": str, "eps_values": [float], "levels": [int], "deltas": [float], "monitor": str, "M": float},
 }
 
-# The keys each section accepts. [initial] accepts the keys of every preset, so
-# a config that switches presets by override may keep the old preset's keys.
-SECTION_KEYS: dict[str, tuple[str, ...]] = {
-    "grid": ("dim", "n", "extent"),
-    "scheme": tuple(_SCHEME_KINDS),
-    "potential": ("potential", "lambda"),
-    "initial": ("preset", "phi_t", "theta0", "phi0", "theta_base", "theta_amp", "phi_base", "phi_amp", "seed",
-                "phi_star", "theta_file", "phi_file"),
-    "run": ("t_end", "outdir"),
-    "experiment": tuple(_EXPERIMENT_KINDS),
-}
+# The keys each section accepts.
+SECTION_KEYS: dict[str, tuple[str, ...]] = {sec: tuple(kinds) for sec, kinds in KEY_KINDS.items()}
 
 
 def _parse_value(text: str):
@@ -74,19 +66,23 @@ def _parse_value(text: str):
     return text
 
 
-def coerce(raw, kind, where: str, many: bool = False):
-    """kind(raw), or [kind(x) for x in raw] when many; a ConfigError naming the
-    entry ``where`` (section.key) when that fails, gives nan or inf, reads a bool
-    as a number, or changes the value (an int from 16.5; 64.0 gives 64)."""
+def coerce(raw, kind, where: str):
+    """raw as ``kind``, one of int, float, str or [kind] for a list of them; a ConfigError
+    naming the entry ``where`` (section.key) when that fails, gives nan or inf, reads a bool
+    as a number, changes the value (an int from 16.5; 64.0 gives 64), or finds a non-string
+    where a string is due."""
+    many = isinstance(kind, list)
+    elem = kind[0] if many else kind
     items = raw if many else [raw]
     try:
-        out = [kind(x) for x in items]
+        out = [elem(x) for x in items]
         if (not many or isinstance(raw, list)) and all(
-                math.isfinite(y) and not isinstance(x, bool) and (kind is not int or x == y) for x, y in zip(items, out)):
+                isinstance(x, str) if elem is str else
+                math.isfinite(y) and not isinstance(x, bool) and (elem is not int or x == y) for x, y in zip(items, out)):
             return out if many else out[0]
     except (TypeError, ValueError, OverflowError):
         pass
-    raise ConfigError(f"{where} = {format_value(raw)}: expected {'a list of ' * many}{kind.__name__}")
+    raise ConfigError(f"{where} = {format_value(raw)}: expected {'a list of ' * many}{elem.__name__}")
 
 
 def format_value(v) -> str:
@@ -149,21 +145,21 @@ class RunConfig:
     grid: Grid
     scheme: SchemeConfig
     potential: Potential
-    initial: dict
+    initial: dict           # the typed [initial] entries
     t_end: float
     outdir: str | None = None
-    experiment: dict = field(default_factory=dict)
-    sections: dict = field(default_factory=dict)
+    experiment: dict = field(default_factory=dict)  # the typed [experiment] entries
+    sections: dict = field(default_factory=dict)    # every entry as parsed, for manifests
 
 
 def _build_grid(sec: dict) -> Grid:
-    dim = coerce(sec.get("dim", 1), int, "grid.dim")
+    dim = sec.get("dim", 1)
     if dim not in (1, 2):
         raise ConfigError(f"grid.dim = {dim}: must be 1 or 2")
     n = sec.get("n", 64)
     extent = sec.get("extent", 1.0)
-    ns = tuple(coerce(n if isinstance(n, list) else [n] * dim, int, "grid.n", many=True))
-    exts = tuple(coerce(extent if isinstance(extent, list) else [extent] * dim, float, "grid.extent", many=True))
+    ns = tuple(coerce(n if isinstance(n, list) else [n] * dim, [int], "grid.n"))
+    exts = tuple(coerce(extent if isinstance(extent, list) else [extent] * dim, [float], "grid.extent"))
     if len(ns) != dim or len(exts) != dim:
         raise ConfigError(f"[grid] dim={dim} inconsistent with n={n}, extent={extent}")
     try:
@@ -175,15 +171,15 @@ def _build_grid(sec: dict) -> Grid:
 def _build_scheme(sec: dict) -> SchemeConfig:
     if "dt" not in sec:
         raise ConfigError("[scheme] must set dt")
-    return SchemeConfig(**{k: coerce(sec[k], kind, f"scheme.{k}") for k, kind in _SCHEME_KINDS.items() if k in sec})
+    return SchemeConfig(**sec)
 
 
 def _build_potential(sec: dict) -> Potential:
     spec = sec.get("potential", "double_well")
-    lam = coerce(sec.get("lambda", 4.0), float, "potential.lambda")
+    lam = sec.get("lambda", 4.0)
     try:
         if isinstance(spec, list):
-            pot = Potential(tuple(coerce(spec, float, "potential.potential", many=True)), lam)
+            pot = Potential(tuple(coerce(spec, [float], "potential.potential")), lam)
         elif spec == "double_well":
             pot = Potential.double_well(lam)
         elif spec == "zero":
@@ -202,28 +198,26 @@ def _build_potential(sec: dict) -> Potential:
 
 
 def build_run_config(sections: dict[str, dict]) -> RunConfig:
-    unknown = set(sections) - set(SECTION_KEYS)
+    """The run a parsed config describes, every entry typed by ``KEY_KINDS`` once, here."""
+    unknown = set(sections) - set(KEY_KINDS)
     if unknown:
         raise ConfigError(f"unknown config sections: {sorted(unknown)}")
     unknown_keys = [f"{sec}.{key}" for sec, entries in sections.items() for key in entries
-                    if key not in SECTION_KEYS[sec]]
+                    if key not in KEY_KINDS[sec]]
     if unknown_keys:
         raise ConfigError(f"unknown config keys: {', '.join(unknown_keys)}")
-    grid = _build_grid(sections.get("grid", {}))
-    scheme = _build_scheme(sections.get("scheme", {}))
-    potential = _build_potential(sections.get("potential", {}))
-    initial = dict(sections.get("initial", {"preset": "uniform"}))
-    run = sections.get("run", {})
-    t_end = coerce(run.get("t_end", 0.0), float, "run.t_end")
+    typed = {sec: {key: raw if KEY_KINDS[sec][key] is None else coerce(raw, KEY_KINDS[sec][key], f"{sec}.{key}")
+                   for key, raw in entries.items()} for sec, entries in sections.items()}
+    run = typed.get("run", {})
     outdir = run.get("outdir")
     return RunConfig(
-        grid=grid,
-        scheme=scheme,
-        potential=potential,
-        initial=initial,
-        t_end=t_end,
+        grid=_build_grid(typed.get("grid", {})),
+        scheme=_build_scheme(typed.get("scheme", {})),
+        potential=_build_potential(typed.get("potential", {})),
+        initial=typed.get("initial", {"preset": "uniform"}),
+        t_end=run.get("t_end", 0.0),
         outdir=str(outdir) if outdir is not None else None,
-        experiment=dict(sections.get("experiment", {})),
+        experiment=typed.get("experiment", {}),
         sections=sections,
     )
 

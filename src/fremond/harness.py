@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import _EXPERIMENT_KINDS, RunConfig, build_run_config, coerce, format_value, parse_config_text, render_config
+from .config import RunConfig, build_run_config, format_value, parse_config_text, render_config
 from .errors import ConfigError, SimulationAborted
 from .grid import Field, Grid, norm, read_snapshots, same_grid, write_snapshots
 from .potential import Potential
@@ -81,29 +81,24 @@ def _random_smooth_mode(grid: Grid, seed: int, modes: int = 4) -> np.ndarray:
 
 
 def make_initial(grid: Grid, potential: Potential, params: dict) -> State:
-    """Build the initial state from an [initial] config block."""
-    def num(key: str, default: float, kind=float):
-        return coerce(params.get(key, default), kind, f"initial.{key}")
-
+    """Build the initial state from the typed entries of an [initial] block
+    (``RunConfig.initial``); a preset reads its own keys, the defaults filling the rest.
+    Initial data of a nonpositive temperature or a non-finite energy E(0) is a ConfigError."""
     preset = params.get("preset", "uniform")
-    phi_t_mode = params.get("phi_t", "zero")
     if preset == "uniform":
-        theta = Field.full(grid, num("theta0", 1.0))
-        phi = Field.full(grid, num("phi0", 0.0))
-    elif preset == "cosine_bump":
-        mode = grid.cosine_mode()
-        theta = Field(grid, num("theta_base", 1.0) + num("theta_amp", 0.2) * mode)
-        phi = Field(grid, num("phi_base", 0.0) + num("phi_amp", 0.3) * mode)
-    elif preset == "random_smooth":
-        seed = num("seed", 0, int)
-        if seed < 0:
-            raise ConfigError(f"initial.seed = {seed}: must be nonnegative")
-        tmode = _random_smooth_mode(grid, seed)
-        pmode = _random_smooth_mode(grid, seed + 1)
-        theta = Field(grid, num("theta_base", 1.0) + num("theta_amp", 0.2) * tmode)
-        phi = Field(grid, num("phi_base", 0.0) + num("phi_amp", 0.3) * pmode)
+        theta = Field.full(grid, params.get("theta0", 1.0))
+        phi = Field.full(grid, params.get("phi0", 0.0))
+    elif preset in ("cosine_bump", "random_smooth"):
+        tmode = pmode = grid.cosine_mode()
+        if preset == "random_smooth":
+            seed = params.get("seed", 0)
+            if seed < 0:
+                raise ConfigError(f"initial.seed = {seed}: must be nonnegative")
+            tmode, pmode = _random_smooth_mode(grid, seed), _random_smooth_mode(grid, seed + 1)
+        theta = Field(grid, params.get("theta_base", 1.0) + params.get("theta_amp", 0.2) * tmode)
+        phi = Field(grid, params.get("phi_base", 0.0) + params.get("phi_amp", 0.3) * pmode)
     elif preset == "steady":
-        phi_star = num("phi_star", 1.1)
+        phi_star = params.get("phi_star", 1.1)
         theta_star = potential.eval(phi_star, 1)
         if not 0 < theta_star < math.inf:
             raise ConfigError(f"initial.phi_star = {format_value(phi_star)}: steady preset needs "
@@ -114,8 +109,6 @@ def make_initial(grid: Grid, potential: Potential, params: dict) -> State:
         for key in ("theta_file", "phi_file"):
             if key not in params:
                 raise ConfigError(f"initial.{key} is required by preset snapshot")
-            if not isinstance(params[key], str):  # open() would take an int as a file descriptor
-                raise ConfigError(f"initial.{key} = {format_value(params[key])}: expected a file name")
         theta_records, _ = read_snapshots(params["theta_file"])
         phi_records, _ = read_snapshots(params["phi_file"])
         theta, phi = Field(theta_records.grid, theta_records.values[0]), Field(phi_records.grid, phi_records.values[0])
@@ -126,7 +119,11 @@ def make_initial(grid: Grid, potential: Potential, params: dict) -> State:
         raise ConfigError(f"unknown initial preset {preset!r}")
     if theta.min() <= 0:
         raise ConfigError(f"initial temperature must be positive, min = {theta.min():.3g}")
-    return initial_state(grid, theta, phi, phi_t_mode=phi_t_mode, potential=potential)
+    init = initial_state(grid, theta, phi, phi_t_mode=params.get("phi_t", "zero"), potential=potential)
+    e0 = energy(init, potential).E_total
+    if not math.isfinite(e0):
+        raise ConfigError(f"initial preset {preset}: the energy E(0) = {format_value(e0)} is not finite")
+    return init
 
 
 def run_simulation(run: RunConfig) -> Trajectory:
@@ -174,14 +171,10 @@ class ExperimentConfig:
 
     @classmethod
     def from_run(cls, run: RunConfig) -> "ExperimentConfig":
-        """The run's [experiment] entries coerced to their kinds; the fields' defaults fill the rest."""
-        ex = run.experiment
-        if "kind" not in ex:
+        """The run's typed [experiment] entries; the fields' defaults fill the rest."""
+        if "kind" not in run.experiment:
             raise ConfigError("config has no [experiment] section with a kind")
-        return cls(run=run, **{
-            key: str(ex[key]) if kind is str else coerce(ex[key], kind, f"experiment.{key}", many)
-            for key, (kind, many) in _EXPERIMENT_KINDS.items() if key in ex
-        })
+        return cls(run=run, **run.experiment)
 
 
 @dataclass

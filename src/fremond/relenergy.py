@@ -188,14 +188,20 @@ class GronwallReport:
         return ["step", "t", "E_rel", "W", "K", "lhs", "rhs", "margin"], list(rows)
 
 
-def require_comparable(traj: Trajectory, ref_traj: Trajectory) -> None:
-    """ValueError unless both trajectories have the same length, grid and times."""
+def require_comparable(traj: Trajectory, ref_traj: Trajectory, potential: Potential | None = None,
+                       ref_potential: Potential | None = None) -> None:
+    """ValueError unless both trajectories have the same length, grid, times and kappa,
+    and the same potential where given: runs of one system (eps and p may differ)."""
     if len(traj) != len(ref_traj):
         raise ValueError(f"trajectories have different lengths ({len(traj)} and {len(ref_traj)} states)")
     if not same_grid(traj.grid, ref_traj.grid):
         raise ValueError("trajectories live on different grids")
     if np.max(np.abs(traj.times - ref_traj.times)) > 1e-9 * max(traj.config.dt, 1e-30):
         raise ValueError("trajectories are not sampled at the same times")
+    if traj.config.kappa != ref_traj.config.kappa:
+        raise ValueError(f"trajectories have different kappa ({traj.config.kappa!r} and {ref_traj.config.kappa!r})")
+    if potential != ref_potential:
+        raise ValueError(f"runs have different potentials ({potential} and {ref_potential})")
 
 
 def gronwall_check(

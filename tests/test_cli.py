@@ -11,7 +11,8 @@ import pytest
 
 from fremond import cli
 from fremond.cli import main
-from fremond.config import _EXPERIMENT_KINDS, _SCHEME_KINDS, SECTION_KEYS, load_config
+from fremond.config import KEY_KINDS, load_config
+from fremond.errors import ConfigError
 from fremond.grid import Field, Grid, write_snapshots
 from fremond.harness import load_run_dir, read_csv, read_csv_columns, write_csv
 from fremond.relenergy import RelEnergyConfig, gronwall_check
@@ -157,13 +158,11 @@ class TestBadConfigValues:
     def test_integral_float_in_an_int_key_loads(self, steady_cfg):
         assert load_config(steady_cfg, ["grid.n=64.0"]).grid.n == (64,)
 
-    # every numeric key, generated from the kinds tables so that a key added later is covered
-    NUMERIC_KEYS = (
-        [("simulate", f"grid.{key}") for key in SECTION_KEYS["grid"]]
-        + [("simulate", f"scheme.{key}") for key in _SCHEME_KINDS]
-        + [("simulate", "potential.lambda"), ("simulate", "run.t_end")]
-        + [("weakstrong", f"experiment.{key}") for key, (kind, _) in _EXPERIMENT_KINDS.items() if kind is not str]
-    )
+    # every numeric key, generated from the kinds table so that a key added later is covered;
+    # [initial] runs under the cosine_bump preset, which reads neither theta0, phi0, seed nor phi_star
+    NUMERIC_KEYS = [("weakstrong" if sec == "experiment" else "simulate", f"{sec}.{key}")
+                    for sec, kinds in KEY_KINDS.items() for key, kind in kinds.items()
+                    if kind in (int, float, [int], [float]) or f"{sec}.{key}" in ("grid.n", "grid.extent")]
 
     @pytest.mark.parametrize("verb, key", NUMERIC_KEYS)
     def test_text_in_a_numeric_key_exits_two(self, verb, key, tmp_path, capsys):
@@ -222,6 +221,9 @@ class TestBadConfigValues:
         # F'(phi_star) overflows to inf, which is no temperature
         (["simulate", "--config", str(PRESETS / "steady.cfg"), "--override", "initial.phi_star=1e300"],
          "initial.phi_star"),
+        # F'(phi_star) is finite, but F(phi_star) overflows, and so does the energy E(0)
+        (["simulate", "--config", str(PRESETS / "steady.cfg"), "--override", "grid.n=8",
+          "--override", "run.t_end=0.01", "--override", "initial.phi_star=1e100"], "initial preset steady"),
     ], ids=["initial_key_misspelt", "random_smooth_negative_seed", "weakstrong_level_of_one_cell",
             "refine_level_of_one_cell", "refine_energy_margin_level_of_one_cell", "refine_t_end_zero",
             "refine_energy_margin_t_end_zero", "h_squared_overflows", "weakstrong_h_squared_overflows",
@@ -230,7 +232,7 @@ class TestBadConfigValues:
             "refine_finer_level_step_count_infinite", "refine_repeated_levels", "refine_unordered_levels",
             "weakstrong_decreasing_levels", "weakstrong_repeated_levels", "weakstrong_empty_levels",
             "weakstrong_t_end_zero", "weakstrong_level_misses_the_final_time", "dt_beyond_the_span",
-            "steady_phi_star_overflows"])
+            "steady_phi_star_overflows", "steady_energy_overflows"])
     def test_preset_with_a_bad_entry_exits_two(self, argv, named, tmp_path, capsys):
         code = main([*argv, "--outdir", str(tmp_path / "out")])
         err = capsys.readouterr().err
@@ -309,22 +311,25 @@ class TestCorruptInput:
         assert "snapshot grid" in err and "extent = (2.0,)" in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("override", ["run.t_end=0.1", "grid.n=8"], ids=["lengths", "grids"])
+    # relative energy compares runs of one system: eps and p may differ, the potential and kappa not
+    @pytest.mark.parametrize("override", ["run.t_end=0.1", "grid.n=8", "potential.lambda=6", "scheme.kappa=2"],
+                             ids=["lengths", "grids", "potentials", "kappas"])
     def test_relenergy_on_mismatched_runs_exits_two(self, override, steady_cfg, tmp_path, capsys):
         run, ref = tmp_path / "run", tmp_path / "ref"
         assert main(["simulate", "--config", str(steady_cfg), "--outdir", str(run)]) == 0
         assert main(["simulate", "--config", str(steady_cfg), "--override", override, "--outdir", str(ref)]) == 0
-        capsys.readouterr()
-        code = main(["relenergy", "--run", str(run), "--ref", str(ref)])
-        err = capsys.readouterr().err
-        assert code == 2
-        assert err.startswith("config error: ") and str(run) in err and str(ref) in err
-        assert "Traceback" not in err
+        for a, b in ((run, ref), (ref, run)):
+            capsys.readouterr()
+            code = main(["relenergy", "--run", str(a), "--ref", str(b)])
+            err = capsys.readouterr().err
+            assert code == 2
+            assert err.startswith("config error: ") and str(run) in err and str(ref) in err
+            assert "Traceback" not in err
 
 
 class TestCorruptionSweep:
-    """One seeded edit to one persisted artifact of a short run: check and plot
-    exit 0, 1 or 2 and never raise."""
+    """One seeded edit to one persisted artifact of a short run: check, plot and
+    relenergy exit 0, 1 or 2 and never raise."""
 
     ARTIFACTS = ["manifest.txt", "run_0/index.csv", "run_0/trajectory.field", "run_0/energy.csv"]
 
@@ -342,15 +347,28 @@ class TestCorruptionSweep:
             lines[k] = lines[k][:m.start()] + kind + lines[k][m.end():]
         return "".join(lines)
 
-    @pytest.mark.parametrize("seed", range(32))
-    def test_check_and_plot_exit_with_a_code(self, seed, steady_cfg, tmp_path, capsys):
-        rng = random.Random(seed)
-        out = tmp_path / "out"
-        assert main(["simulate", "--config", str(steady_cfg), "--outdir", str(out)]) == 0
+    def corrupted_run(self, rng, cfg, out, *overrides):
+        """A run of ``cfg`` in ``out`` with one of its artifacts corrupted."""
+        assert main(["simulate", "--config", str(cfg), *overrides, "--outdir", str(out)]) == 0
         path = out / rng.choice(self.ARTIFACTS)
         path.write_text(self.corrupt(path.read_text(), rng))
+        return out
+
+    @pytest.mark.parametrize("seed", range(32))
+    def test_check_and_plot_exit_with_a_code(self, seed, steady_cfg, tmp_path, capsys):
+        out = self.corrupted_run(random.Random(seed), steady_cfg, tmp_path / "out")
         for verb in ("check", "plot"):
             assert main([verb, "--run", str(out)]) in (0, 1, 2)
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed", range(32))
+    def test_relenergy_exits_with_a_code_in_both_orders(self, seed, steady_cfg, tmp_path, capsys):
+        # a perturbed steady state, so that E_rel(0) > 0 and the envelope is judged
+        ref = tmp_path / "ref"
+        assert main(["simulate", "--config", str(steady_cfg), "--outdir", str(ref)]) == 0
+        out = self.corrupted_run(random.Random(seed), steady_cfg, tmp_path / "out", "--override", "initial.phi_star=1.2")
+        for run, against in ((out, ref), (ref, out)):
+            assert main(["relenergy", "--run", str(run), "--ref", str(against)]) in (0, 1, 2)
         assert "Traceback" not in capsys.readouterr().err
 
 
@@ -377,6 +395,19 @@ class TestParser:
     def test_option_strings(self, verb):
         actions = verb_parsers()[verb]._actions
         assert [s for a in actions for s in a.option_strings if s not in ("-h", "--help")] == VERB_OPTIONS[verb]
+
+    def test_successive_calls_share_one_parser_and_see_only_their_own_overrides(self, monkeypatch):
+        seen = []
+
+        def recording(path, overrides):
+            seen.append(overrides)
+            raise ConfigError("recorded")
+
+        monkeypatch.setattr(cli, "load_config", recording)
+        for overrides in (["grid.n=8", "run.t_end=0"], ["scheme.dt=0.5"], []):
+            assert main(["simulate", "--config", "any.cfg", *(a for o in overrides for a in ("--override", o))]) == 2
+        assert seen == [["grid.n=8", "run.t_end=0"], ["scheme.dt=0.5"], []]
+        assert cli.build_parser() is cli.build_parser()
 
 
 def test_importing_the_cli_leaves_scipy_fft_unloaded():
