@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import astuple, fields
 from functools import cache
 from pathlib import Path
 
@@ -53,9 +52,8 @@ def _cmd_simulate(args) -> int:
     harness.write_manifest(outdir, run.sections)
     run_dir = outdir / "run_0"
     harness.persist_trajectory(traj, run_dir)
-    r = energy(traj.stack, run.potential)
-    header = ["step", *(f.name for f in fields(r))]
-    harness.write_csv(run_dir / "energy.csv", header, zip(range(len(traj)), *astuple(r)))
+    series = vars(energy(traj.stack, run.potential))  # the report's fields in order
+    harness.write_csv(run_dir / "energy.csv", ["step", *series], [np.arange(len(traj)), *series.values()])
     print(f"simulate: {len(traj)} states written to {run_dir}")
     return 0
 
@@ -66,21 +64,21 @@ def _cmd_check(args) -> int:
     failures = []
 
     def record(name: str, stem: str, table) -> None:
-        """Write one check's CSV and note its first failing row."""
-        header, rows = table
-        harness.write_csv(run_dir / f"{stem}.csv", header, rows)
-        bad = next((row for row in rows if not row[-1]), None)
-        if bad is not None:
-            cells = ", ".join(f"{key}={format_value(v)}" for key, v in zip(header, bad))
+        """Write one check's CSV and note its first failing row, the first False in its pass column."""
+        header, columns = table
+        harness.write_csv(run_dir / f"{stem}.csv", header, columns)
+        bad = np.flatnonzero(~columns[-1])
+        if len(bad):
+            cells = ", ".join(f"{key}={format_value(col[bad[0]])}" for key, col in zip(header, columns))
             failures.append(f"{name}: first failing row: {cells}")
 
-    record("energy", "energy_check", energy_inequality_check(traj, run.potential).csv_rows())
+    record("energy", "energy_check", energy_inequality_check(traj, run.potential).csv_columns())
     for tf_name in ("one", "cosine"):
         rep = entropy_inequality_check(traj, TEST_FUNCTIONS[tf_name]())
-        record(f"entropy({tf_name})", f"entropy_{tf_name}", rep.csv_rows())
+        record(f"entropy({tf_name})", f"entropy_{tf_name}", rep.csv_columns())
     floors = floors_check(traj, lam=run.potential.lam)
     for which in ("theta", "phi"):
-        record(f"floors({which})", f"floors_{which}", floors.csv_rows(which))
+        record(f"floors({which})", f"floors_{which}", floors.csv_columns(which))
 
     if failures:
         for msg in failures:
@@ -102,8 +100,7 @@ def _cmd_relenergy(args) -> int:
     if args.calibrate:
         multiplier = fit_gronwall_multiplier([report])
         print(f"calibrated multiplier = {multiplier!r}")
-    header, rows = report.csv_rows(multiplier)
-    harness.write_csv(harness.resolve_run_dir(args.run) / "relenergy.csv", header, rows,
+    harness.write_csv(harness.resolve_run_dir(args.run) / "relenergy.csv", *report.csv_columns(multiplier),
                       comment=f"multiplier = {multiplier!r}")
     if report.report_only:
         print(f"relenergy: E_rel(0) = 0; drift report only, max E_rel {float(np.max(report.E_rel))!r}")
@@ -129,16 +126,9 @@ def _experiment(args, kind: str):
 def _cmd_sweep(args) -> int:
     run, cfg, outdir = _experiment(args, "eps_sweep")
     report = harness.eps_sweep(cfg)
-    header, rows = report.summary_rows()
-    harness.write_csv(outdir / "summary.csv", header, rows)
-    harness.write_csv(
-        outdir / "distances.csv",
-        ["eps_hi", "eps_lo", "theta_l1", "phi_l1"],
-        [
-            (cfg.eps_values[i], cfg.eps_values[i + 1], report.theta_distances[i], report.phi_distances[i])
-            for i in range(len(report.theta_distances))
-        ],
-    )
+    harness.write_csv(outdir / "summary.csv", *report.summary_columns())
+    harness.write_csv(outdir / "distances.csv", ["eps_hi", "eps_lo", "theta_l1", "phi_l1"],
+                      [cfg.eps_values[:-1], cfg.eps_values[1:], report.theta_distances, report.phi_distances])
     bad = [r for r in report.rows if r.status != "ok"]
     for r in bad:
         print(f"eps = {r.eps!r}: {r.status}", file=sys.stderr)
@@ -149,8 +139,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_refine(args) -> int:
     run, cfg, outdir = _experiment(args, "refine")
     report = harness.refinement_study(cfg)
-    header, rows = report.summary_rows()
-    harness.write_csv(outdir / "summary.csv", header, rows)
+    harness.write_csv(outdir / "summary.csv", *report.summary_columns())
     print(f"refine[{report.monitor}]: orders in dt {[f'{q:.2f}' for q in report.orders_dt]}, "
           f"in h {[f'{q:.2f}' for q in report.orders_h]}")
     return 0
@@ -159,8 +148,7 @@ def _cmd_refine(args) -> int:
 def _cmd_weakstrong(args) -> int:
     run, cfg, outdir = _experiment(args, "weak_strong")
     report = harness.weak_strong_experiment(cfg)
-    header, rows = report.summary_rows()
-    harness.write_csv(outdir / "summary.csv", header, rows)
+    harness.write_csv(outdir / "summary.csv", *report.summary_columns())
     print(f"weakstrong: multiplier {report.multiplier!r}, ratio spread {report.ratios_spread:.3g}, "
           f"xi_max {max(report.xi_max):.3g}")
     ok = report.zero_delta_pass and report.envelope_pass
@@ -283,7 +271,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.fn(args)
+        with np.errstate(all="ignore"):  # every non-finite result is caught and given an exit code
+            return args.fn(args)
     except SolverError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 3

@@ -27,7 +27,7 @@ from .potential import Potential, PotentialValidationError, check_convexity
 from .stepper import SchemeConfig
 
 __all__ = ["RunConfig", "KEY_KINDS", "SECTION_KEYS", "parse_config_text", "apply_overrides", "build_run_config",
-           "load_config", "render_config", "coerce", "format_value"]
+           "load_config", "render_config", "coerce", "format_value", "format_column"]
 
 _NUMBER = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 _INT = re.compile(r"^[+-]?\d+$")
@@ -95,6 +95,18 @@ def format_value(v) -> str:
     if isinstance(v, (list, tuple)):
         return "[" + ", ".join(map(format_value, v)) + "]"
     return str(v)
+
+
+# format_value of a Python float, bool or int, by the dtype kind whose tolist gives it
+_COLUMN_FORMATS = {"f": repr, "b": {True: "true", False: "false"}.__getitem__, "i": str, "u": str}
+
+
+def format_column(col) -> list[str]:
+    """format_value of every cell of ``col``: a 1-D float, bool or integer ndarray of at most
+    64 bits in one ``tolist`` pass, anything else (a list, an object array) cell by cell."""
+    kind = col.dtype.kind if isinstance(col, np.ndarray) and col.ndim == 1 and col.dtype.itemsize <= 8 else None
+    fmt = _COLUMN_FORMATS.get(kind)
+    return list(map(fmt, col.tolist())) if fmt else list(map(format_value, col))
 
 
 def parse_config_text(text: str) -> dict[str, dict]:

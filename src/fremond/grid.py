@@ -22,6 +22,7 @@ axis) and ``read_snapshots`` reads it back as one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -251,7 +252,7 @@ def read_snapshots(path) -> tuple[Field, np.ndarray]:
     """Every record of a snapshot file as one Field, values of shape
     (records, *grid.shape), and the records' times. A malformed record, an
     empty file or records on different grids is a ConfigError naming the file."""
-    values, times, grid_nh = [], [], None
+    values, times, grid_nh, grid_text = [], [], None, None
     try:
         with open(path) as fh:
             lines = (line for line in fh if line.strip())
@@ -263,14 +264,14 @@ def read_snapshots(path) -> tuple[Field, np.ndarray]:
                 missing = [k for k in ("dim", "n", "h", "t") if k not in kv]
                 if missing:
                     raise ValueError(f"snapshot header lacks {', '.join(missing)}: {header!r}")
-                n = tuple(int(x) for x in kv["n"].split(","))
-                h = tuple(float(x) for x in kv["h"].split(","))
-                if not len(n) == len(h) == int(kv["dim"]):
-                    raise ValueError(f"inconsistent snapshot header: {header!r}")
-                if grid_nh not in (None, (n, h)):
-                    raise ValueError(f"record {len(times)} is on another grid than record 0: {header!r}")
-                grid_nh = (n, h)
-                count = int(np.prod(n))
+                if (kv["dim"], kv["n"], kv["h"]) != grid_text:  # parsed only where the text changes
+                    n = tuple(int(x) for x in kv["n"].split(","))
+                    h = tuple(float(x) for x in kv["h"].split(","))
+                    if not len(n) == len(h) == int(kv["dim"]):
+                        raise ValueError(f"inconsistent snapshot header: {header!r}")
+                    if grid_nh not in (None, (n, h)):
+                        raise ValueError(f"record {len(times)} is on another grid than record 0: {header!r}")
+                    grid_nh, grid_text, count = (n, h), (kv["dim"], kv["n"], kv["h"]), math.prod(n)
                 tokens: list[str] = []
                 while len(tokens) < count:
                     line = next(lines, None)

@@ -19,12 +19,12 @@ from __future__ import annotations
 import csv
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
-from .config import RunConfig, build_run_config, format_value, parse_config_text, render_config
+from .config import RunConfig, build_run_config, format_column, format_value, parse_config_text, render_config
 from .errors import ConfigError, SimulationAborted
 from .grid import Field, Grid, norm, read_snapshots, same_grid, write_snapshots
 from .potential import Potential
@@ -273,9 +273,9 @@ class EpsSweepReport:
     theta_distances: list[float]   # L1 distance of final temperatures, consecutive eps
     phi_distances: list[float]
 
-    def summary_rows(self):
-        header = ["eps", "status", "E_final", "entropy_min_margin", "reg_dissipation"]
-        return header, [(r.eps, r.status, r.E_final, r.entropy_min_margin, r.reg_dissipation) for r in self.rows]
+    def summary_columns(self):
+        header = [f.name for f in fields(EpsSweepRow)]
+        return header, [[getattr(r, name) for r in self.rows] for name in header]
 
 
 def eps_sweep(cfg: ExperimentConfig) -> EpsSweepReport:
@@ -323,9 +323,8 @@ class RefinementReport:
     orders_dt: list[float]
     orders_h: list[float]
 
-    def summary_rows(self):
-        header = ["n", "dt", "value"]
-        return header, [(n, dt, v) for n, dt, v in self.levels]
+    def summary_columns(self):
+        return ["n", "dt", "value"], list(zip(*self.levels))
 
 
 def refinement_study(cfg: ExperimentConfig) -> RefinementReport:
@@ -392,12 +391,9 @@ class WeakStrongReport:
     def envelope_pass(self) -> bool:
         return all(envelope_holds(r.min_gronwall_margin, self.scale) for r in self.rows if r.delta > 0.0)
 
-    def summary_rows(self):
+    def summary_columns(self):
         header = ["level", "n", "delta", "E_rel_max", "E_rel_final", "min_margin", "ratio"]
-        return header, [
-            (r.level, r.n, r.delta, r.E_rel_max, r.E_rel_final, r.min_gronwall_margin, r.ratio)
-            for r in self.rows
-        ]
+        return header, [[getattr(r, f.name) for r in self.rows] for f in fields(WeakStrongRow)]
 
 
 def weak_strong_experiment(cfg: ExperimentConfig) -> WeakStrongReport:
@@ -460,9 +456,13 @@ def weak_strong_experiment(cfg: ExperimentConfig) -> WeakStrongReport:
 # --- persistence ----------------------------------------------------------------
 
 
-def write_csv(path, header, rows, comment: str | None = None) -> None:
-    """One header line and one line per row, a cell quoted only where it holds a comma
-    or a quote; ``comment`` goes first as a '#' line."""
+def write_csv(path, header, columns, comment: str | None = None) -> None:
+    """One header line and one line per row of the equal-length ``columns``, each cell
+    by ``format_column`` and quoted only where it holds a comma or a quote; ``comment``
+    goes first as a '#' line. Columns of unequal length are a ValueError."""
+    rows = len(columns[0]) if columns else 0
+    if any(len(col) != rows for col in columns):
+        raise ValueError(f"{path}: columns of unequal lengths {[len(col) for col in columns]}")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
@@ -470,7 +470,8 @@ def write_csv(path, header, rows, comment: str | None = None) -> None:
             fh.write(f"# {comment}\n")
         out = csv.writer(fh, lineterminator="\n")
         out.writerow(header)
-        out.writerows(map(format_value, row) for row in rows)
+        for i in range(0, rows, 256):  # a block of rows at a time, so that memory stays flat
+            out.writerows(zip(*(format_column(col[i:i + 256]) for col in columns)))
 
 
 def read_csv(path) -> tuple[list[str], list[list[str]]]:
@@ -520,7 +521,7 @@ def persist_trajectory(traj: Trajectory, run_dir) -> None:
     s = traj.stack
     records = np.stack([s.theta.values, s.phi.values], axis=1).reshape(-1, *s.grid.shape)
     write_snapshots(Field(s.grid, records), run_dir / "trajectory.field", np.repeat(s.t, 2))
-    write_csv(run_dir / "index.csv", ["step", "t"], enumerate(s.t))
+    write_csv(run_dir / "index.csv", ["step", "t"], [np.arange(len(s.t)), s.t])
 
 
 def _find_manifest(path: Path) -> Path:

@@ -182,10 +182,10 @@ class GronwallReport:
         margins = self.envelope(multiplier) - self.lhs
         return float(np.min(margins[1:])) if len(margins) > 1 else 0.0
 
-    def csv_rows(self, multiplier: float):
+    def csv_columns(self, multiplier: float):
         rhs = self.envelope(multiplier)
-        rows = zip(range(len(self.times)), self.times, self.E_rel, self.W, self.K, self.lhs, rhs, rhs - self.lhs)
-        return ["step", "t", "E_rel", "W", "K", "lhs", "rhs", "margin"], list(rows)
+        return (["step", "t", "E_rel", "W", "K", "lhs", "rhs", "margin"],
+                [np.arange(len(self.times)), self.times, self.E_rel, self.W, self.K, self.lhs, rhs, rhs - self.lhs])
 
 
 def require_comparable(traj: Trajectory, ref_traj: Trajectory, potential: Potential | None = None,

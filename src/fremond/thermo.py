@@ -115,11 +115,10 @@ class EnergyCheckReport:
     def per_step_increase(self) -> np.ndarray:
         return np.diff(self.energies)
 
-    def csv_rows(self):
-        e0 = self.energies[0]
-        passed = self.energies <= e0 + 1e-4 * abs(e0)
-        rows = zip(range(len(self.times)), self.times, self.energies, self.margins, passed)
-        return ["step", "t", "value", "margin", "pass"], list(rows)
+    def csv_columns(self):
+        passed = self.energies <= self.energies[0] + 1e-4 * abs(self.energies[0])
+        return ["step", "t", "value", "margin", "pass"], [np.arange(len(self.times)), self.times, self.energies,
+                                                          self.margins, passed]
 
 
 def energy_inequality_check(traj: Trajectory, potential: Potential) -> EnergyCheckReport:
@@ -198,9 +197,9 @@ class EntropyCheckReport:
     def min_margin(self) -> float:
         return float(self.margins.min()) if len(self.margins) else 0.0
 
-    def csv_rows(self):
-        rows = zip(range(1, len(self.times) + 1), self.times, self.entropy_values, self.margins, self.margins >= -self.tol)
-        return ["step", "t", "value", "margin", "pass"], list(rows)
+    def csv_columns(self):
+        return ["step", "t", "value", "margin", "pass"], [np.arange(1, len(self.times) + 1), self.times,
+                                                          self.entropy_values, self.margins, self.margins >= -self.tol]
 
 
 def entropy_inequality_check(traj: Trajectory, test_fn: TestFunction) -> EntropyCheckReport:
@@ -306,13 +305,10 @@ class FloorsReport:
     def phi_ok(self) -> np.ndarray:
         return self.phi_min >= self.phi_floor - self.tol
 
-    def csv_rows(self, which: str = "theta"):
-        if which == "theta":
-            vals, floors, oks = self.theta_min, self.theta_floor, self.theta_ok
-        else:
-            vals, floors, oks = self.phi_min, self.phi_floor, self.phi_ok
-        rows = zip(range(len(self.times)), self.times, vals, vals - floors, oks.tolist())
-        return ["step", "t", "value", "margin", "pass"], list(rows)
+    def csv_columns(self, which: str = "theta"):
+        vals, floors, oks = ((self.theta_min, self.theta_floor, self.theta_ok) if which == "theta" else
+                             (self.phi_min, self.phi_floor, self.phi_ok))
+        return ["step", "t", "value", "margin", "pass"], [np.arange(len(self.times)), self.times, vals, vals - floors, oks]
 
 
 def floors_check(traj: Trajectory, *, lam: float, tol: float = 1e-10) -> FloorsReport:

@@ -488,16 +488,16 @@ class TestCheck:
         traj, run = load_run_dir(out)
         floors = floors_check(traj, lam=run.potential.lam)
         tables = {
-            "energy_check": energy_inequality_check(traj, run.potential).csv_rows(),
-            **{f"entropy_{name}": entropy_inequality_check(traj, TEST_FUNCTIONS[name]()).csv_rows()
+            "energy_check": energy_inequality_check(traj, run.potential).csv_columns(),
+            **{f"entropy_{name}": entropy_inequality_check(traj, TEST_FUNCTIONS[name]()).csv_columns()
                for name in ("one", "cosine")},
-            "floors_theta": floors.csv_rows("theta"),
-            "floors_phi": floors.csv_rows("phi"),
+            "floors_theta": floors.csv_columns("theta"),
+            "floors_phi": floors.csv_columns("phi"),
         }
-        for stem, (header, rows) in tables.items():
-            write_csv(tmp_path / f"{stem}.csv", header, rows)
+        for stem, (header, columns) in tables.items():
+            write_csv(tmp_path / f"{stem}.csv", header, columns)
         rep = gronwall_check(traj, load_run_dir(ref)[0], RelEnergyConfig(lam=run.potential.lam), run.potential)
-        write_csv(tmp_path / "relenergy.csv", *rep.csv_rows(1.0), comment="multiplier = 1.0")
+        write_csv(tmp_path / "relenergy.csv", *rep.csv_columns(1.0), comment="multiplier = 1.0")
         for stem in [*tables, "relenergy"]:
             assert (tmp_path / f"{stem}.csv").read_bytes() == (out / "run_0" / f"{stem}.csv").read_bytes(), stem
 

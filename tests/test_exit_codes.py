@@ -1,12 +1,17 @@
 """The exit-code contract, generated from the config schema: every key of
 ``config.SECTION_KEYS`` set to each hostile value exits 0, 2 or 3 from an
-in-process ``cli.main`` call, or 1 with a verdict line, never by an exception.
+in-process ``cli.main`` call, or 1 with a verdict line, never by an exception
+and with no numeric RuntimeWarning on the way.
 
 [grid] to [run] run on a one-step ``simulate`` of presets/steady.cfg at 8 cells,
 once per initial preset and once in 2D; [experiment] runs on ``weakstrong``,
 ``refine`` and ``sweep`` at toy levels."""
 
+import os
 import re
+import subprocess
+import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -65,14 +70,17 @@ def assert_every_value_exits_by_contract(argv, key, outdir, capsys):
     for value in HOSTILE:
         run = [*argv, "--override", f"{key}={value}", "--outdir", str(outdir)]
         capsys.readouterr()
-        try:
-            code = main(run)
-        except Exception as exc:  # the contract: nothing escapes main
-            broken.append(f"{key}={value}: {type(exc).__name__}: {exc}")
-            continue
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", RuntimeWarning)  # what would otherwise print to stderr
+            try:
+                code = main(run)
+            except Exception as exc:  # the contract: nothing escapes main
+                broken.append(f"{key}={value}: {type(exc).__name__}: {exc}")
+                continue
         err = capsys.readouterr().err
-        if code not in (0, 1, 2, 3) or "Traceback" in err or (code == 1 and not VERDICT.search(err)):
-            broken.append(f"{key}={value}: exit {code}, stderr {err!r}")
+        warned = [f"{w.filename}:{w.lineno}: {w.message}" for w in caught if issubclass(w.category, RuntimeWarning)]
+        if code not in (0, 1, 2, 3) or "Traceback" in err or warned or (code == 1 and not VERDICT.search(err)):
+            broken.append(f"{key}={value}: exit {code}, stderr {err!r}, RuntimeWarnings {warned}")
     assert not broken, "\n".join(broken)
 
 
@@ -95,3 +103,13 @@ def test_every_base_runs(base, snapshot_base, tmp_path):
     # a base that failed on its own would leave the cases above testing only its error
     argv = EXPERIMENTS.get(base) or [*STEADY, *(snapshot_base if base == "snapshot" else SIMULATE_BASES[base])]
     assert main([*argv, "--outdir", str(tmp_path / "out")]) == 0
+
+
+def test_overflowing_initial_data_prints_only_its_error_line(tmp_path):
+    # a separate process, so that a numpy warning would reach the real stderr
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-m", "fremond.cli", *STEADY, *_overrides("initial.phi_star=1e100"),
+                           "--outdir", str(tmp_path / "out")],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("config error: ") and proc.stderr.count("\n") == 1, proc.stderr

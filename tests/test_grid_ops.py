@@ -299,8 +299,42 @@ class TestSnapshots:
         write_snapshots(Field(Grid.line(5, 2.0), np.ones((1, 5))), b, [0.1])
         path = tmp_path / "mixed.field"
         path.write_text(a.read_text() + b.read_text())
-        with pytest.raises(ConfigError, match="mixed.field"):
+        with pytest.raises(ConfigError, match="mixed.field: record 1 is on another grid than record 0"):
             read_snapshots(path)
+
+    @staticmethod
+    def _three_records(tmp_path, edit_header=None, edit_values=None):
+        """Three records on one grid, record 2's header or value line edited; the path."""
+        path = tmp_path / "three.field"
+        write_snapshots(Field(Grid.line(4), np.arange(12.0).reshape(3, 4) / 7.0), path, [0.0, 0.5, 1.0])
+        lines = path.read_text().splitlines()
+        if edit_header:
+            lines[4] = edit_header(lines[4])
+        if edit_values:
+            lines[5] = edit_values(lines[5])
+        path.write_text("\n".join(lines) + "\n")
+        return path
+
+    @pytest.mark.parametrize("edit_header, edit_values, message", [
+        (lambda hd: hd.rsplit(" t=", 1)[0], None, "snapshot header lacks t"),
+        (lambda hd: hd.replace("FIELD", "FIELDS"), None, "bad snapshot header"),
+        (lambda hd: hd.replace("n=4", "n=3"), None, "record 2 is on another grid"),
+        (None, lambda vals: vals + " 1.0", "trailing values"),
+    ], ids=["no_t", "tag", "grid", "count"])
+    def test_a_later_record_is_checked_in_full(self, tmp_path, edit_header, edit_values, message):
+        path = self._three_records(tmp_path, edit_header, edit_values)
+        with pytest.raises(ConfigError, match=message):
+            read_snapshots(path)
+
+    def test_a_header_in_another_key_order_or_spelling_reads_bitwise_equal(self, tmp_path):
+        want, want_t = read_snapshots(self._three_records(tmp_path))
+        reordered = lambda hd: "FIELD " + " ".join(reversed(hd.split()[1:])).replace("h=0.25", "h=2.5e-1")
+        path = self._three_records(tmp_path, edit_header=reordered)
+        assert path.read_text().splitlines()[4] == "FIELD t=1.0 h=2.5e-1 n=4 dim=1"
+        got, got_t = read_snapshots(path)
+        assert same_grid(got.grid, want.grid) and got.grid.n == want.grid.n
+        assert np.array_equal(got.values.view(np.int64), want.values.view(np.int64))
+        assert np.array_equal(got_t.view(np.int64), want_t.view(np.int64))
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.field"

@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 from dataclasses import fields, replace
 from pathlib import Path
@@ -5,7 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fremond.config import SECTION_KEYS, build_run_config, load_config, parse_config_text, render_config
+from fremond.config import (SECTION_KEYS, build_run_config, format_column, format_value, load_config, parse_config_text,
+                            render_config)
 from fremond import harness
 from fremond.errors import ConfigError, PositivityLost, SimulationAborted
 from fremond.grid import Field, Grid, write_snapshots
@@ -396,16 +399,67 @@ class TestPersistence:
 
     def test_csv_roundtrip(self, tmp_path):
         path = tmp_path / "t.csv"
-        write_csv(path, ["a", "b"], [(1, 2.5), (2, float("nan"))])
+        write_csv(path, ["a", "b"], [[1, 2], [2.5, float("nan")]])
         header, rows = read_csv(path)
         assert header == ["a", "b"]
         assert rows[0] == ["1", "2.5"]
+
+    def test_csv_cell_grammar(self, tmp_path):
+        # floats by repr, booleans true/false, integers in decimal, quoted only around a comma or a quote
+        path = tmp_path / "t.csv"
+        write_csv(path, ["n", "x", "ok", "note"],
+                  [np.array([1, -2]), np.array([0.1, -0.0]), np.array([True, False]), ["a,b", 'say "hi"']])
+        assert path.read_text() == 'n,x,ok,note\n1,0.1,true,"a,b"\n-2,-0.0,false,"say ""hi"""\n'
+
+    def test_csv_of_many_rows_matches_the_row_by_row_reference(self, tmp_path):
+        # 600 rows: two whole blocks of rows and a part of a third
+        rng = np.random.default_rng(3)
+        columns = [np.arange(600), rng.normal(size=600) * 10.0 ** rng.integers(-300, 300, size=600),
+                   rng.random(600) < 0.5, [f"row {i}, {i % 7}" for i in range(600)]]
+        write_csv(tmp_path / "t.csv", ["step", "x", "ok", "note"], columns)
+        want = io.StringIO()
+        out = csv.writer(want, lineterminator="\n")
+        out.writerow(["step", "x", "ok", "note"])
+        out.writerows([format_value(v) for v in row] for row in zip(*columns))
+        assert (tmp_path / "t.csv").read_text() == want.getvalue()
+
+    def test_csv_columns_of_unequal_length_rejected(self, tmp_path):
+        path = tmp_path / "t.csv"
+        with pytest.raises(ValueError, match="unequal lengths"):
+            write_csv(path, ["a", "b"], [np.arange(3), [1.0, 2.0]])
+        assert not path.exists()
 
     def test_missing_manifest_reported(self, tmp_path, double_well):
         traj = self._small_traj(double_well)
         persist_trajectory(traj, tmp_path / "run_0")
         with pytest.raises(ConfigError):
             load_run_dir(tmp_path)
+
+
+FLOATS = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 0.1, 2.0]
+
+
+@pytest.mark.parametrize("column", [
+    np.array(FLOATS),
+    np.array(FLOATS, dtype=np.float32),
+    np.array(FLOATS, dtype=np.longdouble),
+    FLOATS,
+    np.array([True, False, True]),
+    [True, False, np.True_, np.False_],
+    np.array([-3, 0, 2**62], dtype=np.int64),
+    np.array([0, 255], dtype=np.uint8),
+    [1, 2.5, np.int64(3), -0.0],  # mixed ints and floats stay per cell: 1 is written 1, not 1.0
+    ["a,b", 'say "hi"', "failed at step 1: no"],
+    np.array(["x", 1.5, True, 7], dtype=object),
+    range(3),
+], ids=["float64", "float32", "longdouble", "float_list", "bool", "bool_list", "int64", "uint8", "mixed_list",
+        "text", "object", "range"])
+def test_format_column_is_format_value_cell_for_cell(column):
+    assert format_column(column) == [format_value(v) for v in column]
+
+
+def test_format_column_keeps_the_ints_of_a_mixed_list():
+    assert format_column([1, 2.5]) == ["1", "2.5"]
 
 
 class TestFrozenPhase:
