@@ -17,6 +17,7 @@ symbolic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,8 +44,11 @@ def _horner(table: tuple[tuple[float, ...], ...], y, order: int):
         acc = lead + 0.0 * arr  # a constant, shaped like y
     else:
         acc = lead * arr
+        # adding an interior 0.0 only makes a -0.0 acc +0.0, as the final += rest[0] does unless rest[0] is -0.0
+        skip = rest[0] != 0.0 or math.copysign(1.0, rest[0]) > 0.0
         for c in reversed(rest[1:]):
-            acc += c
+            if c != 0.0 or not skip:
+                acc += c
             acc *= arr
         acc += rest[0]
     if arr.ndim == 0:

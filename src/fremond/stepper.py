@@ -24,11 +24,14 @@ operators (1/dt) I - lap + G''(phi) and (1/dt) I - kappa lap + diag(eps p |th|^{
 are symmetric positive definite in all sane regimes and are solved directly
 (tridiagonal) in 1D and in 2D by conjugate gradients preconditioned with the exact
 inverse of their mean shift plus the Laplacian part, which the DCT-II diagonalizes.
-Each heat iterate computes its terms in theta alone once (``_heat_terms``), and
-its residual and Jacobian at every rate d share them. A step's final check leaves
-its pieces in u alone (the phase left side and the heat terms) on the State it
-returns (``State._pieces``); the next step's first check, on the same arrays, reuses
-them if its cfg and potential equal theirs. A State built any other way has none.
+``step`` keeps phi and theta in one (2, ...) work array, so a check takes one u/dt
+and one Laplacian of both and one norm of both residuals, stacked in one buffer. Each
+heat iterate's terms in theta alone (``_heat_terms``) serve its residual and Jacobian
+at every rate d. A step's final check leaves its pieces in u alone (the phase left side
+and the heat terms) on the State it returns (``State._pieces``); the next step's first
+check, on the same arrays, reuses them if its cfg and potential equal theirs. A State
+built any other way has none. Every Newton update solves for the residual, not its
+negation, and subtracts (``_update``).
 
 Every solve also marches a batch of runs that share the grid, dt and potential:
 field values then carry a leading member axis, (m, *grid.shape). Each member
@@ -316,9 +319,11 @@ def _threshold(u_old: np.ndarray, cfg: SchemeConfig, grid: Grid) -> np.ndarray:
     return NEWTON_TOL * np.maximum(1.0, _l2(u_old, grid) / cfg.dt)
 
 
-def _residual_norm(name: str, res: np.ndarray, grid: Grid) -> np.ndarray:
+def _residual_norm(names: tuple[str, ...], res: np.ndarray, grid: Grid) -> np.ndarray:
+    """``_l2`` of res (two equations' residuals stacked, if two names); NewtonDiverged names the first non-finite."""
     rnorm = _l2(res, grid)
     if not all(map(math.isfinite, rnorm.flat)):
+        name = next(n for n, r in zip(names, rnorm.reshape(len(names), -1)) if not all(map(math.isfinite, r)))
         raise NewtonDiverged(f"{name} solve produced non-finite residual")
     return rnorm
 
@@ -332,31 +337,32 @@ def _phase_jacobian(u: np.ndarray, cfg: SchemeConfig, pot: Potential) -> np.ndar
     return 1.0 / cfg.dt + pot.convex(u, 2)
 
 
-def _heat_terms(u: np.ndarray, cfg: SchemeConfig, grid: Grid) -> tuple:
-    """The heat terms in the iterate u alone: u/dt - kappa lap u, eps u^p and eps p |u|^{p-1} (None if eps = 0)."""
-    base = u / cfg.dt - cfg.kappa * _lap_values(u, grid)
+def _heat_terms(u: np.ndarray, cfg: SchemeConfig, grid: Grid, base: np.ndarray | None = None) -> tuple:
+    """Heat terms in the iterate u alone: u/dt - kappa lap u (or ``base``), eps u^p, eps p |u|^{p-1} (None if eps = 0)."""
+    base = u / cfg.dt - cfg.kappa * _lap_values(u, grid) if base is None else base
     if cfg.epsilon == 0.0:
         return base, None, None
     a = np.abs(u)
     return base, cfg.epsilon * (np.sign(u) * a ** cfg.p), cfg.epsilon * cfg.p * a ** (cfg.p - 1.0)
 
 
-def _heat_linearized(terms: tuple, u: np.ndarray, d: np.ndarray, rhs: np.ndarray, cfg: SchemeConfig) -> tuple:
-    """From u's ``_heat_terms``: the heat residual (u/dt - kappa lap u + u d - rhs) + eps u^p, where
-    rhs = theta_old/dt + d^2, and a thunk for the diagonal (1/dt + d) + eps p |u|^{p-1} of its Jacobian."""
+def _heat_linearized(terms: tuple, u: np.ndarray, d: np.ndarray, rhs: np.ndarray, cfg: SchemeConfig,
+                     out: np.ndarray | None = None) -> tuple:
+    """From u's ``_heat_terms``: the heat residual (u/dt - kappa lap u + u d - rhs) + eps u^p, where rhs = theta_old/dt
+    + d^2, written into ``out`` if given, and a thunk for the diagonal (1/dt + d) + eps p |u|^{p-1} of its Jacobian."""
     base, reg, dreg = terms
-    res = base + u * d - rhs
+    res = np.subtract(base + u * d, rhs, out=out)
     jacobian_diag = (lambda: 1.0 / cfg.dt + d) if dreg is None else (lambda: 1.0 / cfg.dt + d + dreg)
-    return (res if reg is None else res + reg), jacobian_diag
+    return (res if reg is None else np.add(res, reg, out=res)), jacobian_diag
 
 
-def _update(u: np.ndarray, du: np.ndarray, done: np.ndarray) -> np.ndarray:
-    """u + du for every member, then each done member's values of u copied back: the one
-    freeze rule of every Newton update, so a converged member stays bitwise as it was."""
-    new = u + du
+def _update(u: np.ndarray, du: np.ndarray, done: np.ndarray) -> None:
+    """u -= du in place, du solved for the residual itself (gtsv and CG are odd in the right side, so this is
+    u + solve(-res) but for the sign of a -0.0 u stepped by zero), each done member's du zeroed first: the one
+    freeze rule of every Newton update, so a converged member stays bitwise as it was (u - 0.0 is u)."""
     if any(done.flat):
-        new[done] = u[done]
-    return new
+        du[done] = 0.0
+    u -= du
 
 
 def _newton(name: str, u_old: np.ndarray, c: float, cfg: SchemeConfig, grid: Grid,
@@ -367,10 +373,10 @@ def _newton(name: str, u_old: np.ndarray, c: float, cfg: SchemeConfig, grid: Gri
     thresh = _threshold(u_old, cfg, grid)
     for _ in range(cfg.fp_max_iter):
         res, jacobian_diag = linearize(u)
-        done = (rnorm := _residual_norm(name, res, grid)) <= thresh
+        done = (rnorm := _residual_norm((name,), res, grid)) <= thresh
         if all(done.flat):
             return u
-        u = _update(u, _solve_helmholtz(jacobian_diag(), c, -res, grid), done)
+        _update(u, _solve_helmholtz(jacobian_diag(), c, res, grid), done)
     k = np.argmax(np.where(done, -1.0, rnorm))  # the largest residual among the members not yet done
     raise NewtonDiverged(f"{name} Newton stalled at residual {rnorm.flat[k]:.3g} (tol {thresh.flat[k]:g}); dt too large?")
 
@@ -402,35 +408,40 @@ def heat_step(prev: State, phi_new: Field, cfg: SchemeConfig) -> Field:
 
 
 def step(prev: State, cfg: SchemeConfig, potential: Potential, stats: dict | None = None) -> State:
-    """One time step by coupled sweeps (module docstring): each checks both residuals at
-    the current (phi, theta), then updates phi at the current theta and theta at the new
-    rate d. With a member axis (module docstring) a member whose residuals both meet its
-    thresholds freezes (``_update``), and the rest sweep on. ``stats["picard_iterations"]``
-    counts the sweeps, the final check included: those of the slowest member."""
-    grid, dt = prev.grid, cfg.dt
-    phi_old, theta_old = prev.phi.values, prev.theta.values
-    phase_rhs = phi_old / dt + 2.0 * potential.lam * phi_old
-    phase_tol, heat_tol = _threshold(phi_old, cfg, grid), _threshold(theta_old, cfg, grid)
-    phi, theta, d = phi_old.copy(), theta_old.copy(), np.zeros_like(phi_old)
-    heat_rhs = theta_dt = theta_old / dt
+    """One time step by coupled sweeps (module docstring): each checks both residuals at the current
+    (phi, theta), in one stacked pass against both thresholds, then updates phi at the current theta and
+    theta at the new rate d. With a member axis (module docstring) a member whose residuals both meet its
+    thresholds freezes (``_update``), and the rest sweep on. ``stats["picard_iterations"]`` counts the
+    sweeps, the final check included: those of the slowest member."""
+    grid, dt, phi_old = prev.grid, cfg.dt, prev.phi.values
+    old = np.array((phi_old, prev.theta.values))
+    tol, old_dt = _threshold(old, cfg, grid), old / dt
+    phase_rhs = old_dt[0] + 2.0 * potential.lam * phi_old
+    phi, theta = work = old.copy()  # views, which each update overwrites
+    res, d = np.empty_like(work), np.zeros_like(phi_old)
+    heat_rhs = theta_dt = old_dt[1]
     pieces = prev._pieces[2:] if prev._pieces and prev._pieces[:2] == (cfg, potential) else None
     for sweep in range(1, cfg.fp_max_iter + 1):
-        left, terms = pieces or (_phase_left(phi, cfg, potential, grid), _heat_terms(theta, cfg, grid))
-        pieces = None
-        res_phi = left - (phase_rhs + theta)
-        phase_norm = _residual_norm("phase", res_phi, grid)
-        heat_norm = _residual_norm("heat", _heat_linearized(terms, theta, d, heat_rhs, cfg)[0], grid)
-        done = (phase_norm <= phase_tol) & (heat_norm <= heat_tol)
+        if pieces is None:  # _phase_left(phi) and _heat_terms(theta), bitwise, from one u/dt and one Laplacian
+            scaled, lap = work / dt, _lap_values(work, grid)
+            left, base = scaled[0] - lap[0] + potential.convex(phi, 1), scaled[1] - cfg.kappa * lap[1]
+            terms = _heat_terms(theta, cfg, grid, base)
+        else:
+            (left, terms), pieces = pieces, None
+        np.subtract(left, phase_rhs + theta, out=res[0])
+        _heat_linearized(terms, theta, d, heat_rhs, cfg, res[1])
+        norms = _residual_norm(("phase", "heat"), res, grid)
+        done = np.logical_and.reduce(norms <= tol)
         if all(done.flat):
             break
-        phi = _update(phi, _solve_helmholtz(_phase_jacobian(phi, cfg, potential), 1.0, -res_phi, grid), done)
+        _update(phi, _solve_helmholtz(_phase_jacobian(phi, cfg, potential), 1.0, res[0], grid), done)
         d = (phi - phi_old) / dt
         heat_rhs = theta_dt + d * d
-        res_theta, heat_jacobian = _heat_linearized(terms, theta, d, heat_rhs, cfg)
-        theta = _update(theta, _solve_helmholtz(heat_jacobian(), cfg.kappa, -res_theta, grid), done)
+        heat_jacobian = _heat_linearized(terms, theta, d, heat_rhs, cfg, res[1])[1]
+        _update(theta, _solve_helmholtz(heat_jacobian(), cfg.kappa, res[1], grid), done)
     else:
         raise FixedPointDiverged(f"coupled sweeps did not converge in {cfg.fp_max_iter} iterations (phase residual "
-                                 f"{np.max(phase_norm[~done]):.3g}, heat {np.max(heat_norm[~done]):.3g}); dt too large?")
+                                 f"{np.max(norms[0][~done]):.3g}, heat {np.max(norms[1][~done]):.3g}); dt too large?")
     if stats is not None:
         stats["picard_iterations"] = sweep
     _assert_positive(theta, prev.t + dt, grid)
@@ -463,7 +474,7 @@ def march(init: State, cfg: SchemeConfig, t_end: float, advance: Callable[[State
             except (NewtonDiverged, FixedPointDiverged, PositivityLost, LinearSolveFailed) as exc:
                 raise SimulationAborted(k, exc, trajectory(k)) from exc
             current.t = times[k]  # rebuilt, to keep the spacing exactly uniform
-        values[:, k] = current.theta.values, current.phi.values, current.phi_t.values
+        values[0, k], values[1, k], values[2, k] = current.theta.values, current.phi.values, current.phi_t.values
     return trajectory(n_steps + 1)
 
 

@@ -91,6 +91,41 @@ class TestHorner:
                     reference_horner(table, y, order)).tobytes()
 
 
+def full_horner(table, y, order):
+    """Horner's rule from c_n y, adding every lower coefficient, the zero ones included."""
+    *rest, lead = table[order]
+    arr = np.asarray(y, dtype=float)
+    if not rest:
+        acc = lead + 0.0 * arr
+    else:
+        acc = lead * arr
+        for c in reversed(rest[1:]):
+            acc = (acc + c) * arr
+        acc = acc + rest[0]
+    return float(acc) if arr.ndim == 0 else acc
+
+
+class TestZeroCoefficientsSkipped:
+    """``_horner`` adds no interior zero coefficient; every value, down to the sign of a zero, is the full rule's."""
+
+    EDGES = [0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e100, -1e100, np.inf, -np.inf]
+
+    @pytest.mark.parametrize("order", [0, 1, 2, 3])
+    @pytest.mark.parametrize("pot", [
+        Potential.double_well(),
+        Potential.zero(),
+        Potential((0.0, 0.0, -1.0, 0.0, 0.0, 0.0, 1.0), 2.0),
+        Potential((-0.0, 0.0, 1.0), 0.0),  # a lowest coefficient of -0.0 keeps the sign of a zero
+    ], ids=["double_well", "zero", "degree_6", "negative_zeros"])
+    def test_bitwise_equal_to_the_full_rule(self, pot, order):
+        ys = np.concatenate([self.EDGES, np.random.default_rng(order).uniform(-3.0, 3.0, size=200)])
+        with np.errstate(all="ignore"):  # 1e100 and inf overflow and meet 0 * inf
+            for method, table in ((pot.eval, pot._d), (pot.convex, pot._g)):
+                assert method(ys, order).tobytes() == full_horner(table, ys, order).tobytes()
+                for y in self.EDGES:
+                    assert np.float64(method(y, order)).tobytes() == np.float64(full_horner(table, y, order)).tobytes()
+
+
 class TestValidation:
     def test_double_well_default_passes(self, double_well):
         rep = validate_hypotheses(double_well, -10, 10, 10_000)

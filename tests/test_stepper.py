@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +29,7 @@ from fremond.stepper import (
     simulate,
     step,
 )
-from fremond.stepper import NEWTON_TOL, _heat_linearized, _heat_terms, _solve_helmholtz
+from fremond.stepper import NEWTON_TOL, _heat_linearized, _heat_terms, _phase_left, _solve_helmholtz
 from fremond.thermo import phase_floor, positivity_floor
 
 
@@ -289,35 +290,39 @@ class TestHeatTerms:
                 assert jacobian_diag().tobytes() == reference_heat_jacobian(u, d_at, cfg).tobytes()
 
     def test_each_sweep_evaluates_theta_terms_once(self, monkeypatch):
-        """Per step on ``cosine``: two Laplacians per sweep (the phase residual's and the heat
-        terms'), G' at every sweep's check and G'' at every sweep's phase update; after the
-        first step, the first check reuses the previous step's final one and evaluates none."""
+        """Per step on ``cosine``: one Laplacian per check, of phi and theta stacked; one ``_l2`` per
+        check, of both residuals stacked, plus one per step for both thresholds; G' at every sweep's
+        check and G'' at every sweep's phase update. After the first step, the first check reuses
+        the previous step's final one and evaluates no Laplacian and no G'."""
         from fremond.config import load_config
         from fremond.harness import make_initial
 
         run = load_config(Path(__file__).resolve().parents[1] / "presets" / "cosine.cfg")
         state = make_initial(run.grid, run.potential, run.initial)
-        laps, convex = [0], {1: 0, 2: 0}
-        lap, pot_convex = stepper._lap_values, Potential.convex
+        calls, convex = {"lap": 0, "l2": 0}, {1: 0, 2: 0}
+        lap, l2, pot_convex = stepper._lap_values, stepper._l2, Potential.convex
 
-        def counting_lap(*args):
-            laps[0] += 1
-            return lap(*args)
+        def counting(key, fn):
+            def counted(*args):
+                calls[key] += 1
+                return fn(*args)
+            return counted
 
         def counting_convex(pot, y, order=0):
             convex[order] += 1
             return pot_convex(pot, y, order)
 
-        monkeypatch.setattr(stepper, "_lap_values", counting_lap)
+        monkeypatch.setattr(stepper, "_lap_values", counting("lap", lap))
+        monkeypatch.setattr(stepper, "_l2", counting("l2", l2))
         monkeypatch.setattr(Potential, "convex", counting_convex)
         for k in range(16):
-            laps[0], convex[1], convex[2] = 0, 0, 0
+            calls["lap"], calls["l2"], convex[1], convex[2] = 0, 0, 0, 0
             stats = {}
             state = step(state, run.scheme, run.potential, stats)
             sweeps = stats["picard_iterations"]
             assert sweeps > 1
             checks = sweeps if k == 0 else sweeps - 1
-            assert laps[0] == 2 * checks
+            assert calls == {"lap": checks, "l2": sweeps + 1}
             assert convex == {1: checks, 2: sweeps - 1}
 
 
@@ -366,6 +371,37 @@ class TestReusedPieces:
         mode = g.cosine_mode()
         members = [initial_state(g, Field(g, 1.0 + 0.2 * mode), Field(g, amp * mode)) for amp in (0.3, 0.1)]
         self.assert_march_as_rebuilt(stack_states(members), SchemeConfig(dt=1e-3, epsilon=1e-3, p=4.0), double_well, 4)
+
+    @staticmethod
+    def assert_pieces_as_each_equation_alone(state, cfg, potential, steps):
+        """The pieces each step leaves, from its stacked check, are bitwise ``_phase_left(phi)`` and
+        ``_heat_terms(theta)`` evaluated one equation at a time."""
+        for _ in range(steps):
+            state = step(state, cfg, potential)
+            assert state._pieces[:2] == (cfg, potential)
+            left, terms = state._pieces[2:]
+            want_left = _phase_left(state.phi.values, cfg, potential, state.grid)
+            assert left.shape == want_left.shape and left.tobytes() == want_left.tobytes()
+            want_terms = _heat_terms(state.theta.values, cfg, state.grid)
+            assert [t is None for t in terms] == [t is None for t in want_terms]
+            for got, want in zip(terms, want_terms):
+                assert got is None or (got.shape == want.shape and got.tobytes() == want.tobytes())
+
+    def test_cosine_pieces_are_each_equation_alone(self):
+        from fremond.config import load_config
+        from fremond.harness import make_initial
+
+        run = load_config(Path(__file__).resolve().parents[1] / "presets" / "cosine.cfg")
+        self.assert_pieces_as_each_equation_alone(make_initial(run.grid, run.potential, run.initial), run.scheme,
+                                                  run.potential, 16)
+
+    def test_2d_batch_pieces_are_each_equation_alone(self, double_well):
+        g = Grid((16, 16), (1.0, 1.0))
+        mode = g.cosine_mode()
+        members = [initial_state(g, Field(g, 1.0 + 0.2 * mode), Field(g, amp * mode)) for amp in (0.3, 0.2, 0.1)]
+        batch = stack_states(members)
+        assert batch.phi.values.shape == (3, 16, 16)
+        self.assert_pieces_as_each_equation_alone(batch, SchemeConfig(dt=1e-3, epsilon=1e-3, p=4.0), double_well, 4)
 
     @pytest.mark.parametrize("change, lam", [({"dt": 2e-3}, 4.0), ({"kappa": 0.5}, 4.0), ({"epsilon": 0.1}, 4.0),
                                              ({}, 6.0)], ids=["dt", "kappa", "epsilon", "potential"])
@@ -459,6 +495,30 @@ class TestBatch:
             simulate(batch, cfg, double_well, 0.3)
         assert err.value.step_index == 1 and isinstance(err.value.cause, PositivityLost)
         assert err.value.trajectory.stack.theta.values.shape == (1, 3, 8)
+
+
+class TestNonFiniteResidual:
+    """A check whose residual norm is not finite names its equation, the phase one first."""
+
+    @pytest.mark.parametrize("theta, phi, name", [(1.0, 1e150, "phase"), (1e100, 0.3, "heat"), (1e100, 1e150, "phase")],
+                             ids=["phase", "heat", "both"])
+    @pytest.mark.parametrize("members", [1, 3], ids=["solo", "batch"])
+    def test_step_and_march_name_the_equation(self, double_well, theta, phi, name, members):
+        g = Grid.line(16)
+        mode = g.cosine_mode()
+        cfg = SchemeConfig(dt=1e-3, epsilon=1e-3, p=4.0)
+        poisoned = uniform_state(g, theta, phi)
+        healthy = initial_state(g, Field(g, 1.0 + 0.2 * mode), Field(g, 0.3 * mode))
+        init = poisoned if members == 1 else stack_states([healthy, poisoned, healthy])
+        message = f"^{name} solve produced non-finite residual$"
+        with np.errstate(all="ignore"):  # G'(1e150) and eps (1e100)^p overflow to inf
+            with pytest.raises(NewtonDiverged, match=message):
+                step(init, cfg, double_well)
+            with pytest.raises(SimulationAborted) as err:
+                simulate(init, cfg, double_well, 4 * cfg.dt)
+        assert err.value.step_index == 1
+        assert isinstance(err.value.cause, NewtonDiverged)
+        assert re.match(message, str(err.value.cause))
 
 
 class TestBatchNewton:
