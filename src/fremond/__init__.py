@@ -22,7 +22,7 @@ from .errors import (
     SolverError,
 )
 from .grid import Field, Grid, integrate, laplacian_neumann, norm
-from .potential import Potential, validate_hypotheses
+from .potential import Potential
 from .stepper import (
     SchemeConfig,
     State,

@@ -23,10 +23,10 @@ import numpy as np
 
 from .errors import ConfigError
 from .grid import Grid
-from .potential import Potential, PotentialValidationError, check_convexity
+from .potential import Potential, PotentialValidationError
 from .stepper import SchemeConfig
 
-__all__ = ["RunConfig", "KEY_KINDS", "SECTION_KEYS", "parse_config_text", "apply_overrides", "build_run_config",
+__all__ = ["RunConfig", "KEY_KINDS", "parse_config_text", "apply_overrides", "build_run_config",
            "load_config", "render_config", "coerce", "format_value", "format_column"]
 
 _NUMBER = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
@@ -44,9 +44,6 @@ KEY_KINDS: dict[str, dict[str, object]] = {
     "run": {"t_end": float, "outdir": None},
     "experiment": {"kind": str, "eps_values": [float], "levels": [int], "deltas": [float], "monitor": str, "M": float},
 }
-
-# The keys each section accepts.
-SECTION_KEYS: dict[str, tuple[str, ...]] = {sec: tuple(kinds) for sec, kinds in KEY_KINDS.items()}
 
 
 def _parse_value(text: str):
@@ -191,22 +188,16 @@ def _build_potential(sec: dict) -> Potential:
     lam = sec.get("lambda", 4.0)
     try:
         if isinstance(spec, list):
-            pot = Potential(tuple(coerce(spec, [float], "potential.potential")), lam)
-        elif spec == "double_well":
-            pot = Potential.double_well(lam)
-        elif spec == "zero":
+            return Potential(tuple(coerce(spec, [float], "potential.potential")), lam)
+        if spec == "double_well":
+            return Potential.double_well(lam)
+        if spec == "zero":
             if "lambda" in sec and lam != 0.0:
                 raise ConfigError(f"potential.lambda = {lam!r} conflicts with potential.potential = zero (lambda 0)")
-            pot = Potential.zero()
-        else:
-            raise ConfigError(f"[potential] unknown potential {spec!r}")
+            return Potential.zero()
     except PotentialValidationError as exc:
         raise ConfigError(f"potential.potential = {format_value(spec)}, potential.lambda = {lam!r}: {exc}") from exc
-    try:
-        check_convexity(pot)
-    except PotentialValidationError as exc:
-        raise ConfigError(f"potential.lambda = {lam!r} is below the convexity bound: {exc}") from exc
-    return pot
+    raise ConfigError(f"[potential] unknown potential {spec!r}")
 
 
 def build_run_config(sections: dict[str, dict]) -> RunConfig:

@@ -12,7 +12,7 @@ class ConfigError(FremondError):
 
 
 class PotentialValidationError(FremondError):
-    """Potential violates lambda-convexity or coercivity on the check lattice."""
+    """Potential fails a structural check or lambda-convexity on the check lattice."""
 
 
 class SolverError(FremondError):

@@ -8,11 +8,10 @@ third order are provided. G is a polynomial too: its coefficient table is
 F's with lambda added at y^2, built once next to F's, and both are
 evaluated by the same Horner lookup.
 
-Admissibility (even degree, positive leading coefficient, lambda-convexity
-with the supplied lambda, coercivity at the lattice ends, and the log-growth
-bound on F' against F) is checked on a sampling lattice by
-``validate_hypotheses``; the checks are honest about being sampled, not
-symbolic.
+Every ``Potential`` is admissible by construction: it has even degree, a
+positive leading coefficient, F'(0) = 0, lambda >= 0, and F'' + lambda >= 0
+on 10 000 evenly spaced points of [-10, 10]. The convexity check is sampled,
+not symbolic; a table whose F'' + lambda is not finite there is rejected too.
 """
 
 from __future__ import annotations
@@ -24,7 +23,10 @@ import numpy as np
 
 from .errors import PotentialValidationError
 
-__all__ = ["Potential", "ValidationReport", "check_convexity", "validate_hypotheses"]
+__all__ = ["Potential"]
+
+# the points on which F'' + lambda >= 0 is checked
+_LATTICE = np.linspace(-10.0, 10.0, 10_000)
 
 
 def _table(coeffs: tuple[float, ...]) -> tuple[tuple[float, ...], ...]:
@@ -87,6 +89,12 @@ class Potential:
         g[2] += self.lam
         object.__setattr__(self, "_d", _table(coeffs))
         object.__setattr__(self, "_g", _table(tuple(g)))
+        with np.errstate(all="ignore"):  # an overflowing table gives inf or nan, rejected below
+            margin = float(np.min(self.eval(_LATTICE, 2) + self.lam))
+        if not math.isfinite(margin):
+            raise PotentialValidationError("F'' + lambda is not finite on [-10, 10]")
+        if margin < 0.0:
+            raise PotentialValidationError(f"F'' + lambda dips to {margin:.3g} on [-10, 10]; lambda too small")
 
     @classmethod
     def double_well(cls, lam: float = 4.0) -> "Potential":
@@ -106,51 +114,3 @@ class Potential:
         """The convex modification G = F + lambda*y^2 and its derivatives (G''' = F''')."""
         return _horner(self._g, y, order)
 
-
-@dataclass(frozen=True)
-class ValidationReport:
-    lambda_margin: float        # min over lattice of F'' + lambda
-    growth_constant_f: float    # smallest lattice c with |F'| log(e+|F'|) <= c (1+|F|)
-    growth_constant_g: float    # same for G against 1+G
-    f_lower_bound: float        # min over lattice of F
-
-
-def check_convexity(pot: Potential, lo: float = -10.0, hi: float = 10.0, samples: int = 10_000) -> float:
-    """The minimum of F'' + lambda on the sampling lattice over [lo, hi];
-    PotentialValidationError when it is negative (lambda too small)."""
-    if samples < 2:
-        raise ValueError("need at least 2 lattice samples")
-    margin = float(np.min(pot.eval(np.linspace(lo, hi, samples), 2) + pot.lam))
-    if margin < 0.0:
-        raise PotentialValidationError(f"F'' + lambda dips to {margin:.3g} on [{lo}, {hi}]; lambda too small")
-    return margin
-
-
-def validate_hypotheses(
-    pot: Potential, lo: float = -10.0, hi: float = 10.0, samples: int = 10_000
-) -> ValidationReport:
-    """Sample the structural hypotheses on a lattice over [lo, hi].
-
-    Raises PotentialValidationError when lambda-convexity (``check_convexity``)
-    or coercivity fails; the growth constants are reported, not enforced
-    (finite for every polynomial).
-    """
-    lambda_margin = check_convexity(pot, lo, hi, samples)
-    ys = np.linspace(lo, hi, samples)
-    d1 = pot.eval(ys, 1)
-    degree = len(pot.coeffs) - 1
-    if not (d1[0] * np.sign(ys[0]) > 0 and d1[-1] * np.sign(ys[-1]) > 0 and degree >= 2):
-        raise PotentialValidationError("F'(y) sgn(y) <= 0 at the lattice ends; F not coercive")
-
-    f = pot.eval(ys, 0)
-    g = pot.convex(ys, 0)
-    g1 = pot.convex(ys, 1)
-    cf = float(np.max(np.abs(d1) * np.log(np.e + np.abs(d1)) / (1.0 + np.abs(f))))
-    cg = float(np.max(np.abs(g1) * np.log(np.e + np.abs(g1)) / (1.0 + np.abs(g))))
-
-    return ValidationReport(
-        lambda_margin=lambda_margin,
-        growth_constant_f=cf,
-        growth_constant_g=cg,
-        f_lower_bound=float(np.min(f)),
-    )

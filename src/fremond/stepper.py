@@ -51,7 +51,6 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
 
 from .errors import (
     ConfigError,
@@ -232,7 +231,12 @@ def initial_state(
 # --- linear solves ---------------------------------------------------------
 
 
-_GTSV = get_lapack_funcs("gtsv", dtype=np.float64)
+@lru_cache(maxsize=None)
+def _gtsv():
+    """LAPACK's double-precision tridiagonal solver, imported at the first 1D solve, so a CLI start loads no scipy."""
+    from scipy.linalg.lapack import dgtsv
+
+    return dgtsv
 
 
 @lru_cache(maxsize=64)
@@ -270,7 +274,7 @@ def _solve_helmholtz(diag: np.ndarray, c: float, rhs: np.ndarray, grid: Grid) ->
         edge, off = _band(w, grid.n[0], rhs.size // grid.n[0])
         main = diag + 2.0 * w
         main -= edge
-        x, info = _GTSV(off, main.ravel(), off, rhs.ravel(), overwrite_d=True)[3:]
+        x, info = _gtsv()(off, main.ravel(), off, rhs.ravel(), overwrite_d=True)[3:]
         if info != 0:
             raise LinearSolveFailed(f"tridiagonal solve failed (LAPACK gtsv info = {info})")
         return x.reshape(rhs.shape)

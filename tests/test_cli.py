@@ -151,6 +151,7 @@ class TestBadConfigValues:
         ("weakstrong", "experiment.theta_mean=2.0"),  # the manufactured solution is fixed, not a config key
         ("simulate", "grid.dim=1e300"),  # checked before it sizes the n and extent lists
         ("simulate", "potential.potential=[]"),
+        ("simulate", "potential.potential=[0, 0, -1e308, 0, 1e308]"),  # F'' + lambda overflows: not finite
     ])
     def test_exits_two_naming_the_entry(self, verb, override, tmp_path, capsys):
         assert_config_error_names_entry(verb, override, tmp_path, capsys)
@@ -410,10 +411,10 @@ class TestParser:
         assert cli.build_parser() is cli.build_parser()
 
 
-def test_importing_the_cli_leaves_scipy_fft_unloaded():
-    # only the 2D linear solve uses scipy.fft, and its import would add to every CLI start
+def test_importing_the_cli_loads_no_scipy():
+    # only the linear solves use scipy, and its import would add to every CLI start, a check or plot's too
     src = Path(__file__).resolve().parents[1] / "src"
-    code = "import sys, fremond.cli; sys.exit('scipy.fft' in sys.modules)"
+    code = "import sys, fremond.cli; sys.exit(any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules))"
     assert subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)}).returncode == 0
 
 

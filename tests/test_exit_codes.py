@@ -1,5 +1,5 @@
 """The exit-code contract, generated from the config schema: every key of
-``config.SECTION_KEYS`` set to each hostile value exits 0, 2 or 3 from an
+``config.KEY_KINDS`` set to each hostile value exits 0, 2 or 3 from an
 in-process ``cli.main`` call, or 1 with a verdict line, never by an exception
 and with no numeric RuntimeWarning on the way.
 
@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 from fremond.cli import main
-from fremond.config import SECTION_KEYS
+from fremond.config import KEY_KINDS
 from fremond.grid import Field, Grid, write_snapshots
 
 PRESETS = Path(__file__).resolve().parents[1] / "presets"
@@ -86,14 +86,14 @@ def assert_every_value_exits_by_contract(argv, key, outdir, capsys):
 
 @pytest.mark.parametrize("base", list(SIMULATE_BASES))
 @pytest.mark.parametrize("key", [f"{sec}.{key}" for sec in ("grid", "scheme", "potential", "initial", "run")
-                                 for key in SECTION_KEYS[sec]])
+                                 for key in KEY_KINDS[sec]])
 def test_simulate_key_exits_by_contract(base, key, snapshot_base, tmp_path, capsys):
     extra = snapshot_base if base == "snapshot" else SIMULATE_BASES[base]
     assert_every_value_exits_by_contract([*STEADY, *extra], key, tmp_path / "out", capsys)
 
 
 @pytest.mark.parametrize("verb", list(EXPERIMENTS))
-@pytest.mark.parametrize("key", [f"experiment.{key}" for key in SECTION_KEYS["experiment"]])
+@pytest.mark.parametrize("key", [f"experiment.{key}" for key in KEY_KINDS["experiment"]])
 def test_experiment_key_exits_by_contract(verb, key, tmp_path, capsys):
     assert_every_value_exits_by_contract(EXPERIMENTS[verb], key, tmp_path / "out", capsys)
 

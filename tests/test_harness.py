@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fremond.config import (SECTION_KEYS, build_run_config, format_column, format_value, load_config, parse_config_text,
+from fremond.config import (KEY_KINDS, build_run_config, format_column, format_value, load_config, parse_config_text,
                             render_config)
 from fremond import harness
 from fremond.errors import ConfigError, PositivityLost, SimulationAborted
@@ -110,12 +110,12 @@ class TestConfig:
 
     def test_docs_tables_list_the_accepted_keys(self):
         docs = (Path(__file__).parents[1] / "docs" / "config.md").read_text()
-        for section, keys in SECTION_KEYS.items():
+        for section, keys in KEY_KINDS.items():
             body = docs.split(f"## [{section}]\n", 1)[1].split("\n## ", 1)[0]
             rows = [line for line in body.splitlines() if line.startswith("|")][2:]
             assert {row.split("|")[1].strip() for row in rows} == set(keys), section
-        assert set(SECTION_KEYS["scheme"]) == {f.name for f in fields(SchemeConfig)}
-        assert set(SECTION_KEYS["experiment"]) == {f.name for f in fields(ExperimentConfig)} - {"run"}
+        assert set(KEY_KINDS["scheme"]) == {f.name for f in fields(SchemeConfig)}
+        assert set(KEY_KINDS["experiment"]) == {f.name for f in fields(ExperimentConfig)} - {"run"}
 
     def test_experiment_defaults_are_the_field_defaults(self):
         run = base_run("\n[experiment]\nkind = refine\nlevels = [8, 16, 32]\nM = 5\n")

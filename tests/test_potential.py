@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fremond.errors import PotentialValidationError
-from fremond.potential import Potential, _horner, validate_hypotheses
+from fremond.potential import Potential, _horner
 
 
 class TestDoubleWell:
@@ -58,9 +58,9 @@ class TestDerivativeConsistency:
                 assert fd == pytest.approx(fn(y, order), rel=1e-6, abs=1e-6)
 
 
-def random_even_potential(rng, degree):
+def random_even_potential(rng, degree, lam):
     """Random coefficients with F'(0) = 0 and a positive leading one."""
-    return Potential((rng.normal(), 0.0, *rng.normal(size=degree - 2), rng.uniform(0.1, 1.0)), 2.0)
+    return Potential((rng.normal(), 0.0, *rng.normal(size=degree - 2), rng.uniform(0.1, 1.0)), lam)
 
 
 def reference_horner(table, y, order):
@@ -78,7 +78,7 @@ class TestHorner:
     @pytest.mark.parametrize("pot", [
         Potential.double_well(),
         Potential.zero(),
-        random_even_potential(np.random.default_rng(7), degree=6),
+        random_even_potential(np.random.default_rng(7), degree=6, lam=3.0),  # F'' dips to -2.77
     ], ids=["double_well", "zero", "random_degree_6"])
     def test_bitwise_equal_to_the_zero_started_form(self, pot, order):
         rng = np.random.default_rng(order)
@@ -127,27 +127,26 @@ class TestZeroCoefficientsSkipped:
 
 
 class TestValidation:
-    def test_double_well_default_passes(self, double_well):
-        rep = validate_hypotheses(double_well, -10, 10, 10_000)
-        assert rep.lambda_margin >= 0.0
-        assert np.isfinite(rep.growth_constant_f)
-        assert np.isfinite(rep.growth_constant_g)
-        # F stays above the bound implied by the growth constant report
-        ys = np.linspace(-10, 10, 10_000)
-        assert np.min(double_well.eval(ys)) >= -rep.growth_constant_f
+    """F'' + lambda >= 0 on the lattice of [-10, 10] is checked at construction."""
+
+    def test_double_well_default_passes(self):
+        assert Potential.double_well().lam == 4.0
 
     def test_small_lambda_fails_convexity(self):
-        pot = Potential.double_well(lam=1.0)
-        with pytest.raises(PotentialValidationError):
-            validate_hypotheses(pot)
+        with pytest.raises(PotentialValidationError, match="dips to -3 on"):
+            Potential.double_well(lam=1.0)
 
     def test_pure_quartic_with_zero_lambda(self):
-        pot = Potential((0, 0, 0, 0, 1.0), lam=0.0)
-        validate_hypotheses(pot)  # raises unless every hypothesis holds
+        assert Potential((0, 0, 0, 0, 1.0), lam=0.0).lam == 0.0
 
-    def test_sample_count_precondition(self, double_well):
-        with pytest.raises(ValueError):
-            validate_hypotheses(double_well, -1, 1, samples=1)
+    @pytest.mark.parametrize("coeffs, lam", [
+        ((0.0, 0.0, -1e308, 0.0, 1e308), 0.0),  # F'' = -2e308 + 12e308 y^2 overflows to -inf and nan
+        ((1.0, 0.0, -2.0, 0.0, 1.0), np.nan),
+        ((1.0, 0.0, -2.0, 0.0, 1.0), np.inf),
+    ], ids=["overflow", "nan_lambda", "inf_lambda"])
+    def test_non_finite_margin_fails(self, coeffs, lam):
+        with pytest.raises(PotentialValidationError, match="not finite"):
+            Potential(coeffs, lam)
 
 
 class TestConstruction:
@@ -172,5 +171,3 @@ class TestConstruction:
         pot = Potential.zero()
         assert pot.eval(3.0) == 0.0
         assert pot.convex(3.0, 1) == 0.0
-        with pytest.raises(PotentialValidationError):
-            validate_hypotheses(pot)  # not coercive; fails honestly

@@ -16,9 +16,11 @@ from fremond.relenergy import (
     lambda_dist,
     log_l1_bound,
     relative_energy,
+    require_comparable,
     xi_monitor,
 )
-from fremond.stepper import SchemeConfig, State, initial_state, pde_phase_rate, simulate
+from fremond.potential import Potential
+from fremond.stepper import SchemeConfig, State, Trajectory, initial_state, pde_phase_rate, simulate
 
 
 def uniform_state(grid, theta, phi, phi_t=0.0, t=0.0):
@@ -287,3 +289,26 @@ class TestLogL1Bound:
         a = Field.full(g, 1.5)
         lhs, rhs = log_l1_bound(a, a)
         assert lhs == 0.0 and rhs == 0.0
+
+
+COARSE, FINE = Grid.line(8), Grid.line(16)
+
+
+def trajectory_from(t0):
+    """Three uniform states on COARSE at t0, t0 + 0.1, t0 + 0.2."""
+    ones = Field(COARSE, np.ones((3, 8)))
+    return Trajectory(State(t0 + 0.1 * np.arange(3), ones, ones, ones), SchemeConfig(dt=0.1))
+
+
+@pytest.mark.parametrize("compare, message", [
+    (lambda: lambda_dist(Field.full(COARSE, 1.0), Field.full(FINE, 1.0)), "fields live on different grids"),
+    (lambda: relative_energy(uniform_state(COARSE, 1.0, 0.5), uniform_state(FINE, 1.0, 0.5), RelEnergyConfig(),
+                             Potential.double_well()), "states live on different grids"),
+    (lambda: dissipation_W(uniform_state(COARSE, 1.0, 0.5), uniform_state(FINE, 1.0, 0.5)),
+     "states live on different grids"),
+    (lambda: log_l1_bound(Field.full(COARSE, 1.0), Field.full(FINE, 1.0)), "fields live on different grids"),
+    (lambda: require_comparable(trajectory_from(0.0), trajectory_from(0.5)), "not sampled at the same times"),
+], ids=["lambda_dist", "relative_energy", "dissipation_W", "log_l1_bound", "require_comparable"])
+def test_a_pair_that_cannot_be_compared_is_refused(compare, message):
+    with pytest.raises(ValueError, match=message):
+        compare()
