@@ -172,13 +172,13 @@ _CHARTS = (
 def _cmd_plot(args) -> int:
     run_dir = harness.resolve_run_dir(args.run)
     outdir = Path(args.outdir) if args.outdir else run_dir
-    outdir.mkdir(parents=True, exist_ok=True)
     made = []
     for csv_name, svg, title, ylabel, lines in _CHARTS:
         if not (run_dir / csv_name).exists():
             continue
         needed = dict.fromkeys(c for _, name, sub in lines for c in (name, sub) if c is not None)  # once each
         cols = harness.read_csv_columns(run_dir / csv_name, "t", *needed)
+        outdir.mkdir(parents=True, exist_ok=True)  # only once a chart is to be written
         write_line_chart(
             outdir / svg,
             [(label, cols["t"], cols[name] if sub is None else [v - m for v, m in zip(cols[name], cols[sub])])
@@ -287,6 +287,9 @@ def main(argv=None) -> int:
         return 2
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: the input does not fit in memory: {exc}", file=sys.stderr)
         return 2
 
 

@@ -12,7 +12,7 @@ class ConfigError(FremondError):
 
 
 class PotentialValidationError(FremondError):
-    """Potential fails a structural check or lambda-convexity on the check lattice."""
+    """Potential fails a structural check or lambda-convexity (F'' + lambda >= 0 on the real line)."""
 
 
 class SolverError(FremondError):

@@ -83,7 +83,7 @@ def _random_smooth_mode(grid: Grid, seed: int, modes: int = 4) -> np.ndarray:
 def make_initial(grid: Grid, potential: Potential, params: dict) -> State:
     """Build the initial state from the typed entries of an [initial] block
     (``RunConfig.initial``); a preset reads its own keys, the defaults filling the rest.
-    Initial data of a nonpositive temperature or a non-finite energy E(0) is a ConfigError."""
+    Initial data of a nonpositive temperature, a non-finite field or a non-finite energy E(0) is a ConfigError."""
     preset = params.get("preset", "uniform")
     if preset == "uniform":
         theta = Field.full(grid, params.get("theta0", 1.0))
@@ -95,8 +95,10 @@ def make_initial(grid: Grid, potential: Potential, params: dict) -> State:
             if seed < 0:
                 raise ConfigError(f"initial.seed = {seed}: must be nonnegative")
             tmode, pmode = _random_smooth_mode(grid, seed), _random_smooth_mode(grid, seed + 1)
-        theta = Field(grid, params.get("theta_base", 1.0) + params.get("theta_amp", 0.2) * tmode)
-        phi = Field(grid, params.get("phi_base", 0.0) + params.get("phi_amp", 0.3) * pmode)
+        theta = params.get("theta_base", 1.0) + params.get("theta_amp", 0.2) * tmode
+        phi = params.get("phi_base", 0.0) + params.get("phi_amp", 0.3) * pmode
+        if not np.isfinite((theta, phi)).all():
+            raise ConfigError(f"initial preset {preset}: theta or phi is not finite (a base or amplitude overflows)")
     elif preset == "steady":
         phi_star = params.get("phi_star", 1.1)
         theta_star = potential.eval(phi_star, 1)

@@ -10,8 +10,8 @@ evaluated by the same Horner lookup.
 
 Every ``Potential`` is admissible by construction: it has even degree, a
 positive leading coefficient, F'(0) = 0, lambda >= 0, and F'' + lambda >= 0
-on 10 000 evenly spaced points of [-10, 10]. The convexity check is sampled,
-not symbolic; a table whose F'' + lambda is not finite there is rejected too.
+on the real line, checked where that even polynomial is least: at y = 0 and
+the real parts of the roots of F'''; a non-finite F''' or margin fails too.
 """
 
 from __future__ import annotations
@@ -24,9 +24,6 @@ import numpy as np
 from .errors import PotentialValidationError
 
 __all__ = ["Potential"]
-
-# the points on which F'' + lambda >= 0 is checked
-_LATTICE = np.linspace(-10.0, 10.0, 10_000)
 
 
 def _table(coeffs: tuple[float, ...]) -> tuple[tuple[float, ...], ...]:
@@ -89,12 +86,14 @@ class Potential:
         g[2] += self.lam
         object.__setattr__(self, "_d", _table(coeffs))
         object.__setattr__(self, "_g", _table(tuple(g)))
+        d3 = np.array(self._d[3][::-1])  # F''' highest power first; np.roots divides d3[1:] by d3[0]
         with np.errstate(all="ignore"):  # an overflowing table gives inf or nan, rejected below
-            margin = float(np.min(self.eval(_LATTICE, 2) + self.lam))
+            ys = np.roots(d3).real if np.isfinite(np.append(d3, d3[1:] / d3[0])).all() else np.nan
+            margin = float(np.min(self.eval(np.append(ys, 0.0), 2) + self.lam))
         if not math.isfinite(margin):
-            raise PotentialValidationError("F'' + lambda is not finite on [-10, 10]")
+            raise PotentialValidationError("F'' + lambda is not finite at the roots of F''' (or they overflow)")
         if margin < 0.0:
-            raise PotentialValidationError(f"F'' + lambda dips to {margin:.3g} on [-10, 10]; lambda too small")
+            raise PotentialValidationError(f"F'' + lambda dips to {margin:.3g} on the real line; lambda too small")
 
     @classmethod
     def double_well(cls, lam: float = 4.0) -> "Potential":

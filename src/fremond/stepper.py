@@ -418,10 +418,9 @@ def step(prev: State, cfg: SchemeConfig, potential: Potential, stats: dict | Non
     thresholds freezes (``_update``), and the rest sweep on. ``stats["picard_iterations"]`` counts the
     sweeps, the final check included: those of the slowest member."""
     grid, dt, phi_old = prev.grid, cfg.dt, prev.phi.values
-    old = np.array((phi_old, prev.theta.values))
-    tol, old_dt = _threshold(old, cfg, grid), old / dt
+    phi, theta = work = np.array((phi_old, prev.theta.values))  # views, which each update overwrites
+    tol, old_dt = _threshold(work, cfg, grid), work / dt  # before the first update
     phase_rhs = old_dt[0] + 2.0 * potential.lam * phi_old
-    phi, theta = work = old.copy()  # views, which each update overwrites
     res, d = np.empty_like(work), np.zeros_like(phi_old)
     heat_rhs = theta_dt = old_dt[1]
     pieces = prev._pieces[2:] if prev._pieces and prev._pieces[:2] == (cfg, potential) else None

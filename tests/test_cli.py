@@ -93,6 +93,15 @@ class TestSimulate:
     def test_missing_config_is_config_error(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "nope.cfg")]) == 2
 
+    def test_input_too_large_for_memory_exits_two(self, steady_cfg, tmp_path, capsys, monkeypatch):
+        def run_simulation(run):  # as numpy refuses an array of 1e13 cells
+            raise MemoryError("Unable to allocate 72.8 TiB for an array with shape (10000000000000,)")
+
+        monkeypatch.setattr(cli.harness, "run_simulation", run_simulation)
+        assert main(["simulate", "--config", str(steady_cfg), "--outdir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == ("error: the input does not fit in memory: Unable to allocate 72.8 TiB "
+                                           "for an array with shape (10000000000000,)\n")
+
     def test_solver_failure_exits_three(self, cosine_cfg, tmp_path):
         code = main([
             "simulate", "--config", str(cosine_cfg),
@@ -152,6 +161,8 @@ class TestBadConfigValues:
         ("simulate", "grid.dim=1e300"),  # checked before it sizes the n and extent lists
         ("simulate", "potential.potential=[]"),
         ("simulate", "potential.potential=[0, 0, -1e308, 0, 1e308]"),  # F'' + lambda overflows: not finite
+        # F'' + 4 = 1.2e-4 y^4 - 0.048 y^2 + 4 is least, -0.8, at y = sqrt(200); on [-10, 10] it stays >= 0.4
+        ("simulate", "potential.potential=[0, 0, 0, 0, -4e-3, 0, 4e-6]"),
     ])
     def test_exits_two_naming_the_entry(self, verb, override, tmp_path, capsys):
         assert_config_error_names_entry(verb, override, tmp_path, capsys)
@@ -225,6 +236,17 @@ class TestBadConfigValues:
         # F'(phi_star) is finite, but F(phi_star) overflows, and so does the energy E(0)
         (["simulate", "--config", str(PRESETS / "steady.cfg"), "--override", "grid.n=8",
           "--override", "run.t_end=0.01", "--override", "initial.phi_star=1e100"], "initial preset steady"),
+        # F'' + lambda = 30 y^4 - 12000 y^2 + 9.1e5 is least, -2.9e5, at y = sqrt(200), beyond |y| = 10
+        (["simulate", "--config", str(PRESETS / "cosine.cfg"), "--override",
+          "potential.potential=[0, 0, 0, 0, -1000.0, 0, 1.0]", "--override", "potential.lambda=9.1e5"],
+         "potential.potential = [0, 0, 0, 0, -1000.0, 0, 1.0], potential.lambda = 910000.0"),
+        # base + amp * cos overflows to inf
+        (["simulate", "--config", str(PRESETS / "cosine.cfg"),
+          "--override", "initial.theta_base=1e308", "--override", "initial.theta_amp=1e308"],
+         "initial preset cosine_bump"),
+        (["simulate", "--config", str(PRESETS / "cosine.cfg"),
+          "--override", "initial.phi_base=1e308", "--override", "initial.phi_amp=1e308"],
+         "initial preset cosine_bump"),
     ], ids=["initial_key_misspelt", "random_smooth_negative_seed", "weakstrong_level_of_one_cell",
             "refine_level_of_one_cell", "refine_energy_margin_level_of_one_cell", "refine_t_end_zero",
             "refine_energy_margin_t_end_zero", "h_squared_overflows", "weakstrong_h_squared_overflows",
@@ -233,13 +255,14 @@ class TestBadConfigValues:
             "refine_finer_level_step_count_infinite", "refine_repeated_levels", "refine_unordered_levels",
             "weakstrong_decreasing_levels", "weakstrong_repeated_levels", "weakstrong_empty_levels",
             "weakstrong_t_end_zero", "weakstrong_level_misses_the_final_time", "dt_beyond_the_span",
-            "steady_phi_star_overflows", "steady_energy_overflows"])
+            "steady_phi_star_overflows", "steady_energy_overflows", "dip_beyond_ten",
+            "cosine_theta_overflows", "cosine_phi_overflows"])
     def test_preset_with_a_bad_entry_exits_two(self, argv, named, tmp_path, capsys):
         code = main([*argv, "--outdir", str(tmp_path / "out")])
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("config error: ") and named in err
-        assert "Traceback" not in err
+        assert "Traceback" not in err and err.count("\n") == 1
 
 
 class TestCorruptInput:
@@ -735,6 +758,10 @@ class TestPlot:
 
     def test_empty_dir_reports_config_error(self, tmp_path):
         assert main(["plot", "--run", str(tmp_path)]) == 2
+
+    def test_missing_run_is_not_created(self, tmp_path):
+        assert main(["plot", "--run", str(tmp_path / "x" / "missing")]) == 2
+        assert not (tmp_path / "x").exists()
 
     def test_malformed_quoting_in_a_csv_exits_two(self, cosine_cfg, tmp_path, capsys):
         out = tmp_path / "out"

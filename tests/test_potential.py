@@ -127,7 +127,7 @@ class TestZeroCoefficientsSkipped:
 
 
 class TestValidation:
-    """F'' + lambda >= 0 on the lattice of [-10, 10] is checked at construction."""
+    """F'' + lambda >= 0 on the real line is checked at construction, where F'' is least."""
 
     def test_double_well_default_passes(self):
         assert Potential.double_well().lam == 4.0
@@ -139,11 +139,32 @@ class TestValidation:
     def test_pure_quartic_with_zero_lambda(self):
         assert Potential((0, 0, 0, 0, 1.0), lam=0.0).lam == 0.0
 
+    def test_dip_beyond_ten_fails(self):
+        # F'' = 30 y^4 - 12000 y^2 is least, -1.2e6, at y = sqrt(200); on [-10, 10] it only reaches -9e5
+        with pytest.raises(PotentialValidationError, match=r"dips to -2\.9e\+05 on the real line"):
+            Potential((0, 0, 0, 0, -1000.0, 0, 1.0), 9.1e5)
+
+    @pytest.mark.parametrize("coeffs, lam", [
+        ((1.0, 0.0, -2.0, 0.0, 1.0), 4.0),  # F'' = 12 y^2 - 4
+        ((0.0, 0.0, -1.0, 0.0, 0.0, 0.0, 1.0), 2.0),  # F'' = 30 y^4 - 2
+    ], ids=["double_well", "degree_6"])
+    def test_margin_of_exactly_zero_at_a_root_constructs(self, coeffs, lam):
+        pot = Potential(coeffs, lam)
+        assert pot.eval(0.0, 3) == 0.0 and pot.eval(0.0, 2) + pot.lam == 0.0
+
+    def test_margin_is_the_least_value_not_a_sampled_one(self):
+        coeffs = (0.0, 0.0, 0.0, 0.0, -1 / 3, 0.0, 1 / 30)  # F'' = y^4 - 4 y^2, least -4 at y = +-sqrt(2)
+        assert Potential(coeffs, 4.001).lam == 4.001
+        with pytest.raises(PotentialValidationError, match=r"dips to -0\.001 on the real line"):
+            Potential(coeffs, 3.999)
+
     @pytest.mark.parametrize("coeffs, lam", [
         ((0.0, 0.0, -1e308, 0.0, 1e308), 0.0),  # F'' = -2e308 + 12e308 y^2 overflows to -inf and nan
         ((1.0, 0.0, -2.0, 0.0, 1.0), np.nan),
         ((1.0, 0.0, -2.0, 0.0, 1.0), np.inf),
-    ], ids=["overflow", "nan_lambda", "inf_lambda"])
+        ((0.0, 0.0, 0.0, 0.0, -1e300, 0.0, 5e306), 0.0),  # F'' is finite, but F''' = 6e308 y^3 + ... overflows
+        ((0.0, 0.0, 0.0, 0.0, 1e300, 0.0, 1e-300), 0.0),  # F''' = 1.2e-298 y^3 + 2.4e301 y: its roots overflow
+    ], ids=["overflow", "nan_lambda", "inf_lambda", "third_derivative_overflows", "roots_overflow"])
     def test_non_finite_margin_fails(self, coeffs, lam):
         with pytest.raises(PotentialValidationError, match="not finite"):
             Potential(coeffs, lam)
