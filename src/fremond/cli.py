@@ -74,7 +74,7 @@ def _cmd_check(args) -> int:
 
     record("energy", "energy_check", energy_inequality_check(traj, run.potential).csv_columns())
     for tf_name in ("one", "cosine"):
-        rep = entropy_inequality_check(traj, TEST_FUNCTIONS[tf_name]())
+        rep = entropy_inequality_check(traj, TEST_FUNCTIONS[tf_name])
         record(f"entropy({tf_name})", f"entropy_{tf_name}", rep.csv_columns())
     floors = floors_check(traj, lam=run.potential.lam)
     for which in ("theta", "phi"):

@@ -294,10 +294,10 @@ def eps_sweep(cfg: ExperimentConfig) -> EpsSweepReport:
     if any(e <= 0 for e in eps_values) or any(b >= a for a, b in zip(eps_values, eps_values[1:])):
         raise ConfigError("eps values must be positive and strictly decreasing")
     run = cfg.run
+    init = make_initial(run.grid, run.potential, run.initial)  # ``step`` never mutates the state it is given
     rows, finals = [], []
     for eps in eps_values:
         scheme = replace(run.scheme, epsilon=eps)
-        init = make_initial(run.grid, run.potential, run.initial)
         try:
             traj = simulate(init, scheme, run.potential, run.t_end)
         except SimulationAborted as exc:
@@ -305,7 +305,7 @@ def eps_sweep(cfg: ExperimentConfig) -> EpsSweepReport:
             finals.append(None)
             continue
         echeck = energy_inequality_check(traj, run.potential)
-        ent = entropy_inequality_check(traj, TEST_FUNCTIONS["one"]())
+        ent = entropy_inequality_check(traj, TEST_FUNCTIONS["one"])
         rows.append(
             EpsSweepRow(eps, "ok", float(echeck.energies[-1]), ent.min_margin, float(echeck.reg_cumulative[-1]))
         )
@@ -353,7 +353,7 @@ def refinement_study(cfg: ExperimentConfig) -> RefinementReport:
                 echeck = energy_inequality_check(traj, run.potential)
                 values.append(float(np.max(np.abs(echeck.margins))))
             else:
-                ent = entropy_inequality_check(traj, TEST_FUNCTIONS["one"]())
+                ent = entropy_inequality_check(traj, TEST_FUNCTIONS["one"])
                 values.append(abs(ent.min_margin))
         dts.append(scheme.dt)
     hs = [1.0 / n for n in levels]
@@ -543,9 +543,9 @@ def resolve_run_dir(path) -> Path:
 
 
 def load_run_dir(run_dir) -> tuple[Trajectory, RunConfig]:
-    """Rebuild a trajectory (phi_t by backward differences; at the first state
-    the manifest's ``initial.phi_t`` convention) plus its configuration from a
-    persisted run directory (see ``resolve_run_dir``)."""
+    """Rebuild a trajectory (``Trajectory.of``, at the first state the manifest's
+    ``initial.phi_t`` convention) plus its configuration from a persisted run
+    directory (see ``resolve_run_dir``)."""
     run_dir = resolve_run_dir(run_dir)
     manifest = _find_manifest(run_dir)
     try:
@@ -566,11 +566,7 @@ def load_run_dir(run_dir) -> tuple[Trajectory, RunConfig]:
         raise ConfigError(f"{path}: record times differ from the state times in {index}")
     theta, phi = records.values[0::2], records.values[1::2]
     init = initial_state(grid, theta[0], phi[0], run.initial.get("phi_t", "zero"), run.potential, times[0])
-    phi_t = np.empty_like(phi)
-    phi_t[0] = init.phi_t.values
-    np.subtract(phi[1:], phi[:-1], out=phi_t[1:])
-    phi_t[1:] /= run.scheme.dt
     try:
-        return Trajectory(State(times, Field(grid, theta), Field(grid, phi), Field(grid, phi_t)), run.scheme), run
+        return Trajectory.of(times, theta, phi, init.phi_t, run.scheme), run
     except ValueError as exc:
         raise ConfigError(f"{index} times do not fit dt = {run.scheme.dt!r} of {manifest}: {exc}") from exc

@@ -24,14 +24,14 @@ operators (1/dt) I - lap + G''(phi) and (1/dt) I - kappa lap + diag(eps p |th|^{
 are symmetric positive definite in all sane regimes and are solved directly
 (tridiagonal) in 1D and in 2D by conjugate gradients preconditioned with the exact
 inverse of their mean shift plus the Laplacian part, which the DCT-II diagonalizes.
-``step`` keeps phi and theta in one (2, ...) work array, so a check takes one u/dt
-and one Laplacian of both and one norm of both residuals, stacked in one buffer. Each
-heat iterate's terms in theta alone (``_heat_terms``) serve its residual and Jacobian
-at every rate d. A step's final check leaves its pieces in u alone (the phase left side
-and the heat terms) on the State it returns (``State._pieces``); the next step's first
-check, on the same arrays, reuses them if its cfg and potential equal theirs. A State
-built any other way has none. Every Newton update solves for the residual, not its
-negation, and subtracts (``_update``).
+``step`` keeps phi and theta in one (2, ...) work array, so a check takes one Laplacian of
+both, whose rows ``_phase_left`` and ``_heat_terms`` take with each equation's own u/dt, and
+one norm of both residuals, stacked in one buffer. Each heat iterate's terms in theta alone
+serve its residual and Jacobian at every rate d. A step's final check leaves its pieces in
+u alone (the phase left side and the heat terms) on the State it returns (``State._pieces``);
+the next step's first check, on the same arrays, reuses them if its cfg and potential equal
+theirs. A State built any other way has none. Every Newton update solves for the residual,
+not its negation, and subtracts (``_update``).
 
 Every solve also marches a batch of runs that share the grid, dt and potential:
 field values then carry a leading member axis, (m, *grid.shape). Each member
@@ -60,6 +60,7 @@ from .errors import (
     NonpositiveTemperature,
     PositivityLost,
     SimulationAborted,
+    SolverError,
 )
 from .grid import Field, Grid, _lap_values, same_grid
 from .potential import Potential
@@ -165,6 +166,16 @@ class Trajectory:
     stack: State
     config: SchemeConfig
 
+    @classmethod
+    def of(cls, t: np.ndarray, theta: np.ndarray, phi: np.ndarray, phi_t0: Field, config: SchemeConfig) -> "Trajectory":
+        """The trajectory of stacked theta and phi values at times t, on phi_t0's grid: phi_t is phi_t0 at t[0]
+        and the backward difference (phi^n - phi^{n-1})/dt after it, the one rule of marched and loaded runs."""
+        phi_t = np.empty_like(phi)
+        phi_t[0] = phi_t0.values
+        np.subtract(phi[1:], phi[:-1], out=phi_t[1:])
+        phi_t[1:] /= config.dt
+        return cls(State(t, *(Field(phi_t0.grid, v) for v in (theta, phi, phi_t))), config)
+
     def __post_init__(self):
         steps = np.diff(self.stack.t)
         if not np.all(steps > 0):
@@ -222,7 +233,9 @@ def initial_state(
     elif phi_t_mode == "pde":
         if potential is None:
             raise ConfigError("phi_t_mode='pde' needs the potential")
-        phi_t = Field(grid, pde_phase_rate(theta, phi, potential))
+        if not np.isfinite(rate := pde_phase_rate(theta, phi, potential)).all():
+            raise ConfigError("initial.phi_t = pde: the rate lap phi - F'(phi) + theta overflows (phi is too large)")
+        phi_t = Field(grid, rate)
     else:
         raise ConfigError(f"unknown phi_t_mode {phi_t_mode!r}")
     return State(t, theta, phi, phi_t)
@@ -332,18 +345,20 @@ def _residual_norm(names: tuple[str, ...], res: np.ndarray, grid: Grid) -> np.nd
     return rnorm
 
 
-def _phase_left(u: np.ndarray, cfg: SchemeConfig, pot: Potential, grid: Grid) -> np.ndarray:
-    """u/dt - lap u + G'(u): the phase residual before it subtracts phi_old/dt + 2 lam phi_old + theta_bar."""
-    return u / cfg.dt - _lap_values(u, grid) + pot.convex(u, 1)
+def _phase_left(u: np.ndarray, cfg: SchemeConfig, pot: Potential, grid: Grid,
+                lap: np.ndarray | None = None) -> np.ndarray:
+    """u/dt - lap u + G'(u) (lap u given or not): the phase residual before it subtracts
+    phi_old/dt + 2 lam phi_old + theta_bar."""
+    return u / cfg.dt - (_lap_values(u, grid) if lap is None else lap) + pot.convex(u, 1)
 
 
 def _phase_jacobian(u: np.ndarray, cfg: SchemeConfig, pot: Potential) -> np.ndarray:
     return 1.0 / cfg.dt + pot.convex(u, 2)
 
 
-def _heat_terms(u: np.ndarray, cfg: SchemeConfig, grid: Grid, base: np.ndarray | None = None) -> tuple:
-    """Heat terms in the iterate u alone: u/dt - kappa lap u (or ``base``), eps u^p, eps p |u|^{p-1} (None if eps = 0)."""
-    base = u / cfg.dt - cfg.kappa * _lap_values(u, grid) if base is None else base
+def _heat_terms(u: np.ndarray, cfg: SchemeConfig, grid: Grid, lap: np.ndarray | None = None) -> tuple:
+    """Heat terms in u alone (lap u given or not): u/dt - kappa lap u, eps u^p, eps p |u|^{p-1} (None if eps = 0)."""
+    base = u / cfg.dt - cfg.kappa * (_lap_values(u, grid) if lap is None else lap)
     if cfg.epsilon == 0.0:
         return base, None, None
     a = np.abs(u)
@@ -425,10 +440,9 @@ def step(prev: State, cfg: SchemeConfig, potential: Potential, stats: dict | Non
     heat_rhs = theta_dt = old_dt[1]
     pieces = prev._pieces[2:] if prev._pieces and prev._pieces[:2] == (cfg, potential) else None
     for sweep in range(1, cfg.fp_max_iter + 1):
-        if pieces is None:  # _phase_left(phi) and _heat_terms(theta), bitwise, from one u/dt and one Laplacian
-            scaled, lap = work / dt, _lap_values(work, grid)
-            left, base = scaled[0] - lap[0] + potential.convex(phi, 1), scaled[1] - cfg.kappa * lap[1]
-            terms = _heat_terms(theta, cfg, grid, base)
+        if pieces is None:  # both equations' terms from one stacked Laplacian
+            lap = _lap_values(work, grid)
+            left, terms = _phase_left(phi, cfg, potential, grid, lap[0]), _heat_terms(theta, cfg, grid, lap[1])
         else:
             (left, terms), pieces = pieces, None
         np.subtract(left, phase_rhs + theta, out=res[0])
@@ -462,23 +476,19 @@ def march(init: State, cfg: SchemeConfig, t_end: float, advance: Callable[[State
     n_steps = cfg.whole_steps(span)
     try:
         times = init.t + np.arange(n_steps + 1) * cfg.dt
-        values = np.empty((3, n_steps + 1, *init.theta.values.shape))  # theta, phi, phi_t per state
+        theta, phi = np.empty((2, n_steps + 1, *init.theta.values.shape))
     except (OverflowError, ValueError, MemoryError) as exc:
         raise ConfigError(f"(t_end - t0) = {span:g} takes too many steps of dt = {cfg.dt:g} to hold: {exc}") from exc
-
-    def trajectory(count: int) -> Trajectory:
-        return Trajectory(State(times[:count], *(Field(init.grid, v[:count]) for v in values)), cfg)
-
     current = init
     for k in range(n_steps + 1):
         if k > 0:
             try:
                 current = advance(current)
-            except (NewtonDiverged, FixedPointDiverged, PositivityLost, LinearSolveFailed) as exc:
-                raise SimulationAborted(k, exc, trajectory(k)) from exc
+            except SolverError as exc:
+                raise SimulationAborted(k, exc, Trajectory.of(times[:k], theta[:k], phi[:k], init.phi_t, cfg)) from exc
             current.t = times[k]  # rebuilt, to keep the spacing exactly uniform
-        values[0, k], values[1, k], values[2, k] = current.theta.values, current.phi.values, current.phi_t.values
-    return trajectory(n_steps + 1)
+        theta[k], phi[k] = current.theta.values, current.phi.values
+    return Trajectory.of(times, theta, phi, init.phi_t, cfg)
 
 
 def simulate(init: State, cfg: SchemeConfig, potential: Potential, t_end: float) -> Trajectory:

@@ -157,31 +157,16 @@ class TestFunction:
             raise ValueError(f"test function {self.name!r} is negative")
         return vals
 
-
-def _tf_one() -> TestFunction:
-    return TestFunction("one", lambda grid, t: np.ones(grid.shape))
-
-
-def _tf_cosine(amplitude: float = 0.5) -> TestFunction:
-    def fn(grid: Grid, t: float) -> np.ndarray:
-        return 1.0 + amplitude * grid.cosine_mode()
-
-    return TestFunction("cosine", fn)
+    def __call__(self) -> "TestFunction":
+        """The test function itself, so that ``TEST_FUNCTIONS[name]()`` reads as a factory call."""
+        return self
 
 
-def _tf_cosine_damped(amplitude: float = 0.5, rate: float = 1.0) -> TestFunction:
-    base = _tf_cosine(amplitude)
-
-    def fn(grid: Grid, t: float) -> np.ndarray:
-        return 1.0 + np.exp(-rate * t) * (base.fn(grid, t) - 1.0)
-
-    return TestFunction("cosine_damped", fn)
-
-
-TEST_FUNCTIONS: dict[str, Callable[[], TestFunction]] = {
-    "one": _tf_one,
-    "cosine": _tf_cosine,
-    "cosine_damped": _tf_cosine_damped,
+TEST_FUNCTIONS: dict[str, TestFunction] = {
+    "one": TestFunction("one", lambda grid, t: np.ones(grid.shape)),
+    "cosine": TestFunction("cosine", lambda grid, t: 1.0 + 0.5 * grid.cosine_mode()),
+    "cosine_damped": TestFunction("cosine_damped",
+                                  lambda grid, t: 1.0 + np.exp(-1.0 * t) * ((1.0 + 0.5 * grid.cosine_mode()) - 1.0)),
 }
 
 

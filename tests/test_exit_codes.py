@@ -42,6 +42,7 @@ SIMULATE_BASES = {
     "steady": [],
     "snapshot": None,  # the files are written by the fixture below
     "dim2": _overrides("grid.dim=2"),
+    "pde": _overrides("initial.preset=cosine_bump", "initial.phi_t=pde"),
 }
 
 EXPERIMENTS = {
@@ -113,3 +114,26 @@ def test_overflowing_initial_data_prints_only_its_error_line(tmp_path):
                           capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)})
     assert proc.returncode == 2
     assert proc.stderr.startswith("config error: ") and proc.stderr.count("\n") == 1, proc.stderr
+
+
+def assert_pde_rate_overflow_exits_two(argv, capsys):
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: initial.phi_t = pde: ") and err.count("\n") == 1, err
+
+
+def test_weakstrong_delta_whose_pde_rate_overflows_exits_two(tmp_path, capsys):
+    assert_pde_rate_overflow_exits_two([*EXPERIMENTS["weakstrong"], *_overrides("initial.phi_t=pde",
+                                        "experiment.deltas=[0.0, 1e103]"), "--outdir", str(tmp_path)], capsys)
+
+
+def test_check_of_a_pde_run_whose_first_phase_record_overflows_exits_two(tmp_path, capsys):
+    argv = [*STEADY, *SIMULATE_BASES["pde"], "--outdir", str(tmp_path)]
+    assert main(argv) == 0
+    path = tmp_path / "run_0" / "trajectory.field"
+    lines = path.read_text().splitlines()
+    first, second = [i for i, line in enumerate(lines) if line.startswith("FIELD")][1:3]  # the first phase record
+    lines[first + 1 : second] = [" ".join(["1e200"] * len(line.split())) for line in lines[first + 1 : second]]
+    path.write_text("\n".join(lines) + "\n")
+    assert_pde_rate_overflow_exits_two(["check", "--run", str(tmp_path)], capsys)

@@ -382,7 +382,7 @@ class TestPersistence:
             for a, b in zip(traj, back):
                 assert np.array_equal(a.theta.values, b.theta.values)
                 assert np.array_equal(a.phi.values, b.phi.values)
-                assert np.allclose(a.phi_t.values, b.phi_t.values, atol=1e-12)
+                assert np.array_equal(a.phi_t.values, b.phi_t.values)
             # the initial rate follows the manifest's convention, not a backward difference
             assert np.array_equal(traj[0].phi_t.values, back[0].phi_t.values), phi_t_mode
             assert run.scheme.dt == traj.config.dt

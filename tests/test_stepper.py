@@ -746,6 +746,22 @@ class TestSimulate:
         assert err.value.step_index == 1
         assert len(err.value.trajectory) == 1
 
+    @pytest.mark.parametrize("members", [None, 3])
+    def test_marched_phi_t_is_each_steps_rate(self, double_well, steady_pair, members):
+        # the trajectory derives phi_t from phi (``Trajectory.of``); it must be bitwise each step's own rate d
+        g = Grid.line(16)
+        mode = g.cosine_mode()
+        init = initial_state(g, Field(g, 1.0 + 0.2 * mode), Field(g, 0.3 * mode), "pde", double_well)
+        if members:  # member 0 sits at the steady state and freezes at once
+            init = stack_states([uniform_state(g, steady_pair[1], steady_pair[0]), init,
+                                 initial_state(g, Field(g, 1.1 + 0.1 * mode), Field(g, -0.2 * mode), "pde", double_well)])
+        cfg = SchemeConfig(dt=1e-3, epsilon=1e-3, p=4.0)
+        traj = simulate(init, cfg, double_well, 6e-3)
+        state = init
+        for k in range(len(traj)):
+            assert traj.stack.phi_t.values[k].tobytes() == state.phi_t.values.tobytes(), k
+            state = step(state, cfg, double_well)
+
     def test_uniform_epsilon_decay_matches_closed_form_globally(self):
         # frozen-phase path: with d = 0 the heat step integrates th' = -eps th^p
         from fremond.harness import closed_form_uniform_theta, frozen_phase_run
