@@ -33,6 +33,5 @@ from .stepper import (
     simulate,
     step,
 )
-from .thermo import phase_floor, positivity_floor
 
 __version__ = "0.1.0"

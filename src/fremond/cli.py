@@ -113,19 +113,19 @@ def _cmd_relenergy(args) -> int:
     return 0
 
 
-def _experiment(args, kind: str):
+def _experiment(args, kind: str, driver):
     run = load_config(args.config, args.override)
     cfg = harness.ExperimentConfig.from_run(run)
     if cfg.kind != kind:
         raise ConfigError(f"config [experiment] kind = {cfg.kind!r}, but verb asks for {kind!r}")
     outdir = _resolve_outdir(args.outdir, run.outdir, f"fremond_{kind}")
-    harness.write_manifest(outdir, run.sections)
-    return run, cfg, outdir
+    report = driver(cfg)
+    harness.write_manifest(outdir, run.sections)  # once the driver returns, so that a config error writes nothing
+    return cfg, outdir, report
 
 
 def _cmd_sweep(args) -> int:
-    run, cfg, outdir = _experiment(args, "eps_sweep")
-    report = harness.eps_sweep(cfg)
+    cfg, outdir, report = _experiment(args, "eps_sweep", harness.eps_sweep)
     harness.write_csv(outdir / "summary.csv", *report.summary_columns())
     harness.write_csv(outdir / "distances.csv", ["eps_hi", "eps_lo", "theta_l1", "phi_l1"],
                       [cfg.eps_values[:-1], cfg.eps_values[1:], report.theta_distances, report.phi_distances])
@@ -137,8 +137,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_refine(args) -> int:
-    run, cfg, outdir = _experiment(args, "refine")
-    report = harness.refinement_study(cfg)
+    _, outdir, report = _experiment(args, "refine", harness.refinement_study)
     harness.write_csv(outdir / "summary.csv", *report.summary_columns())
     print(f"refine[{report.monitor}]: orders in dt {[f'{q:.2f}' for q in report.orders_dt]}, "
           f"in h {[f'{q:.2f}' for q in report.orders_h]}")
@@ -146,8 +145,7 @@ def _cmd_refine(args) -> int:
 
 
 def _cmd_weakstrong(args) -> int:
-    run, cfg, outdir = _experiment(args, "weak_strong")
-    report = harness.weak_strong_experiment(cfg)
+    _, outdir, report = _experiment(args, "weak_strong", harness.weak_strong_experiment)
     harness.write_csv(outdir / "summary.csv", *report.summary_columns())
     print(f"weakstrong: multiplier {report.multiplier!r}, ratio spread {report.ratios_spread:.3g}, "
           f"xi_max {max(report.xi_max):.3g}")

@@ -102,13 +102,9 @@ class Grid:
     def volume(self) -> float:
         return float(np.prod(self.extent))
 
-    def axis_centers(self, axis: int) -> np.ndarray:
-        h = self.h[axis]
-        return (np.arange(self.n[axis]) + 0.5) * h
-
     def meshgrid(self) -> tuple[np.ndarray, ...]:
         """Cell-center coordinate arrays, each of shape ``grid.shape``."""
-        return tuple(np.meshgrid(*(self.axis_centers(a) for a in range(self.dim)), indexing="ij"))
+        return tuple(np.meshgrid(*((np.arange(n) + 0.5) * h for n, h in zip(self.n, self.h)), indexing="ij"))
 
     def cosine_mode(self) -> np.ndarray:
         """Product over the axes of cos(pi x_a / L_a), a zero-flux eigenmode."""

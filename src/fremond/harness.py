@@ -33,6 +33,7 @@ from .stepper import (
     SchemeConfig,
     State,
     Trajectory,
+    _check_times,
     heat_step,
     initial_state,
     march,
@@ -181,8 +182,6 @@ class ExperimentConfig:
 
 @dataclass
 class ManufacturedResult:
-    n: int
-    dt: float
     l2_error: float
 
 
@@ -214,7 +213,7 @@ def manufactured_heat_test(
     h = grid.h[0]
     dt = h * h
     error = manufactured_error(grid, SchemeConfig(dt, kappa), _final_time(t_end, dt), theta_mean, amplitude)
-    return ManufacturedResult(n, dt, error)
+    return ManufacturedResult(error)
 
 
 def _final_time(t_end: float, dt: float) -> float:
@@ -567,6 +566,10 @@ def load_run_dir(run_dir) -> tuple[Trajectory, RunConfig]:
     theta, phi = records.values[0::2], records.values[1::2]
     init = initial_state(grid, theta[0], phi[0], run.initial.get("phi_t", "zero"), run.potential, times[0])
     try:
-        return Trajectory.of(times, theta, phi, init.phi_t, run.scheme), run
+        _check_times(times, run.scheme.dt)
     except ValueError as exc:
         raise ConfigError(f"{index} times do not fit dt = {run.scheme.dt!r} of {manifest}: {exc}") from exc
+    try:
+        return Trajectory.of(times, theta, phi, init.phi_t, run.scheme), run
+    except ValueError as exc:  # the times fit, so the backward difference of the phase overflowed
+        raise ConfigError(f"{path}: the phase rate (phi^n - phi^(n-1))/dt of its records overflows") from exc

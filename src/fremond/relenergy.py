@@ -83,7 +83,6 @@ def lambda_dist(theta: Field, theta_ref: Field) -> Field:
 
 @dataclass(frozen=True)
 class RelEnergyReport:
-    t: float
     grad_term: float       # 1/2 ||grad dphi||^2
     l1_term: float         # M ||dphi||_{L1}^2
     l2_term: float         # -lam ||dphi||_{L2}^2
@@ -112,7 +111,7 @@ def relative_energy(
     bregman_term = np.sum(bregman, axis=axes) * vol
     lam_term = np.sum(lambda_dist(state.theta, ref.theta).values, axis=axes) * vol
     total = grad_term + l1_term + l2_term + bregman_term + lam_term
-    return RelEnergyReport(state.t, grad_term, l1_term, l2_term, bregman_term, lam_term, total)
+    return RelEnergyReport(grad_term, l1_term, l2_term, bregman_term, lam_term, total)
 
 
 def coercivity_check(

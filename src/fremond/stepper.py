@@ -75,7 +75,6 @@ __all__ = [
     "step",
     "march",
     "simulate",
-    "pde_phase_rate",
 ]
 
 
@@ -177,11 +176,7 @@ class Trajectory:
         return cls(State(t, *(Field(phi_t0.grid, v) for v in (theta, phi, phi_t))), config)
 
     def __post_init__(self):
-        steps = np.diff(self.stack.t)
-        if not np.all(steps > 0):
-            raise ValueError("trajectory times must be strictly increasing")
-        if np.any(np.abs(steps - self.config.dt) > 1e-8 * self.config.dt):
-            raise ValueError("trajectory does not have uniform dt")
+        _check_times(self.stack.t, self.config.dt)
 
     def __len__(self) -> int:
         return len(self.stack.t)
@@ -204,6 +199,14 @@ class Trajectory:
         return self.stack.grid
 
 
+def _check_times(t: np.ndarray, dt: float) -> None:
+    """ValueError unless the times t increase strictly, each step dt to 1e-8 relative."""
+    if not np.all((steps := np.diff(t)) > 0):
+        raise ValueError("trajectory times must be strictly increasing")
+    if np.any(np.abs(steps - dt) > 1e-8 * dt):
+        raise ValueError("trajectory does not have uniform dt")
+
+
 def _locate_min(values: np.ndarray, t: float | np.ndarray, grid: Grid) -> str:
     """Where the smallest of stacked values sits: its time and, when the values
     carry a member axis after t's axes, its member."""
@@ -211,11 +214,6 @@ def _locate_min(values: np.ndarray, t: float | np.ndarray, grid: Grid) -> str:
     k = np.ndim(t)
     where = f"t = {np.asarray(t)[lead[:k]]:.6g}"
     return where + (f" in member {', '.join(map(str, lead[k:]))}" if len(lead) > k else "")
-
-
-def pde_phase_rate(theta: Field, phi: Field, potential: Potential) -> np.ndarray:
-    """The phase rate the PDE prescribes, lap phi - F'(phi) + theta."""
-    return _lap_values(phi.values, phi.grid) - potential.eval(phi.values, 1) + theta.values
 
 
 def initial_state(
@@ -233,7 +231,7 @@ def initial_state(
     elif phi_t_mode == "pde":
         if potential is None:
             raise ConfigError("phi_t_mode='pde' needs the potential")
-        if not np.isfinite(rate := pde_phase_rate(theta, phi, potential)).all():
+        if not np.isfinite(rate := _lap_values(phi.values, phi.grid) - potential.eval(phi.values, 1) + theta.values).all():
             raise ConfigError("initial.phi_t = pde: the rate lap phi - F'(phi) + theta overflows (phi is too large)")
         phi_t = Field(grid, rate)
     else:

@@ -53,8 +53,6 @@ __all__ = [
     "energy_inequality_check",
     "entropy_inequality_check",
     "floors_check",
-    "positivity_floor",
-    "phase_floor",
 ]
 
 
@@ -172,7 +170,6 @@ TEST_FUNCTIONS: dict[str, TestFunction] = {
 
 @dataclass
 class EntropyCheckReport:
-    test_name: str
     times: np.ndarray             # t^1 .. t^N
     margins: np.ndarray           # rhs - lhs, predicted >= 0 up to discretization
     entropy_values: np.ndarray    # int vartheta(t^n) (log theta^n + phi^n)
@@ -224,7 +221,7 @@ def entropy_inequality_check(traj: Trajectory, test_fn: TestFunction) -> Entropy
     density *= vt[:-1]
     production = dt * np.sum(density, axis=axes) * vol
     lhs = -boundary[1:] + boundary[0] + np.cumsum(production)
-    return EntropyCheckReport(test_fn.name, traj.times[1:], np.cumsum(flux) - lhs, boundary[1:], 100.0 * dt)
+    return EntropyCheckReport(traj.times[1:], np.cumsum(flux) - lhs, boundary[1:], 100.0 * dt)
 
 
 # --- floors ------------------------------------------------------------------
@@ -234,9 +231,9 @@ def _floor_rhs(h: float, p: float) -> float:
     return -(math.copysign(abs(h) ** p, h)) - 0.5 * h * h
 
 
-def _rk4_advance(h: float, width: float, substeps: int, p: float) -> float:
-    dt = width / substeps
-    for _ in range(substeps):
+def _rk4_advance(h: float, width: float, p: float) -> float:
+    dt = width / 4
+    for _ in range(4):
         k1 = _floor_rhs(h, p)
         k2 = _floor_rhs(h + 0.5 * dt * k1, p)
         k3 = _floor_rhs(h + 0.5 * dt * k2, p)
@@ -245,31 +242,11 @@ def _rk4_advance(h: float, width: float, substeps: int, p: float) -> float:
     return h
 
 
-def positivity_floor(t: float, theta_min0: float, p: float) -> float:
-    """Lower envelope h(t) for the temperature minimum.
-
-    h solves h' = -h^p - h^2/2 with h(0) = min theta_0 (the worst-case decay
-    that the heat equation allows at a spatial minimum), integrated with a
-    classical 4th-order one-step method at step t/10^4.
-    """
-    if theta_min0 <= 0:
-        raise ValueError("theta_min0 must be positive")
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    if t == 0.0:
-        return theta_min0
-    return _rk4_advance(theta_min0, t, 10_000, p)
-
-
-def phase_floor(t: float, K: float, lam: float) -> float:
-    """Lower bound -K e^{2 lam t} for the phase field when phi_0 >= -K."""
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    if K < 0:
-        raise ValueError("K must be nonnegative")
+def _phase_floor(t: float, K: float, lam: float) -> float:
+    """-K e^{2 lam t} for t >= 0 and K >= 0, -inf (or -0.0 when K = 0) past the float range."""
     try:
         return -K * math.exp(2.0 * lam * t)
-    except OverflowError:  # e^{2 lam t} beyond the float range
+    except OverflowError:
         return -math.inf if K > 0 else -0.0
 
 
@@ -299,10 +276,10 @@ class FloorsReport:
 def floors_check(traj: Trajectory, *, lam: float, tol: float = 1e-10) -> FloorsReport:
     """Verify the temperature minimum principle and the phase lower bound.
 
-    The temperature envelope is advanced between trajectory times with the
-    same 4th-order integrator as ``positivity_floor`` (a few substeps per dt
-    interval; agrees with the single-shot integrator to round-off). lam is the
-    potential's convexity constant, which sets the phase floor's growth rate.
+    The temperature envelope h' = -h^p - h^2/2 from h = min theta_0 (the worst-case
+    decay that the heat equation allows at a spatial minimum) is advanced between
+    trajectory times by four classical 4th-order steps each. lam is the potential's
+    convexity constant, which sets the phase floor's growth rate.
     """
     times, axes = traj.times, traj.grid.axes
     theta_min = traj.stack.theta.values.min(axis=axes)
@@ -311,6 +288,6 @@ def floors_check(traj: Trajectory, *, lam: float, tol: float = 1e-10) -> FloorsR
 
     theta_floor = [theta_min[0]]
     for step in np.diff(times):
-        theta_floor.append(_rk4_advance(theta_floor[-1], step, 4, traj.config.p))
-    phi_fl = np.array([phase_floor(t - times[0], K, lam) for t in times])
+        theta_floor.append(_rk4_advance(theta_floor[-1], step, traj.config.p))
+    phi_fl = np.array([_phase_floor(t - times[0], K, lam) for t in times])
     return FloorsReport(times, theta_min, np.array(theta_floor), phi_min, phi_fl, tol)

@@ -1,7 +1,7 @@
 """The exit-code contract, generated from the config schema: every key of
 ``config.KEY_KINDS`` set to each hostile value exits 0, 2 or 3 from an
 in-process ``cli.main`` call, or 1 with a verdict line, never by an exception
-and with no numeric RuntimeWarning on the way.
+and with no numeric RuntimeWarning on the way; an exit 2 writes nothing.
 
 [grid] to [run] run on a one-step ``simulate`` of presets/steady.cfg at 8 cells,
 once per initial preset and once in 2D; [experiment] runs on ``weakstrong``,
@@ -9,6 +9,7 @@ once per initial preset and once in 2D; [experiment] runs on ``weakstrong``,
 
 import os
 import re
+import shutil
 import subprocess
 import sys
 import warnings
@@ -67,9 +68,11 @@ def snapshot_base(tmp_path_factory):
 
 
 def assert_every_value_exits_by_contract(argv, key, outdir, capsys):
+    """Also: a value that exits 2 (a config error) leaves its --outdir absent."""
     broken = []
     for value in HOSTILE:
         run = [*argv, "--override", f"{key}={value}", "--outdir", str(outdir)]
+        shutil.rmtree(outdir, ignore_errors=True)
         capsys.readouterr()
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", RuntimeWarning)  # what would otherwise print to stderr
@@ -82,6 +85,8 @@ def assert_every_value_exits_by_contract(argv, key, outdir, capsys):
         warned = [f"{w.filename}:{w.lineno}: {w.message}" for w in caught if issubclass(w.category, RuntimeWarning)]
         if code not in (0, 1, 2, 3) or "Traceback" in err or warned or (code == 1 and not VERDICT.search(err)):
             broken.append(f"{key}={value}: exit {code}, stderr {err!r}, RuntimeWarnings {warned}")
+        elif code == 2 and outdir.exists():
+            broken.append(f"{key}={value}: exit 2, but {sorted(p.name for p in outdir.rglob('*'))} written")
     assert not broken, "\n".join(broken)
 
 
@@ -137,3 +142,31 @@ def test_check_of_a_pde_run_whose_first_phase_record_overflows_exits_two(tmp_pat
     lines[first + 1 : second] = [" ".join(["1e200"] * len(line.split())) for line in lines[first + 1 : second]]
     path.write_text("\n".join(lines) + "\n")
     assert_pde_rate_overflow_exits_two(["check", "--run", str(tmp_path)], capsys)
+
+
+def assert_check_exits_two_naming(run_dir, named, capsys):
+    capsys.readouterr()
+    assert main(["check", "--run", str(run_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and named in err and err.count("\n") == 1, err
+    return err
+
+
+def test_check_of_a_run_whose_phase_rate_overflows_names_the_records(tmp_path, capsys):
+    assert main([*STEADY, "--outdir", str(tmp_path)]) == 0
+    path = tmp_path / "run_0" / "trajectory.field"
+    lines = path.read_text().splitlines()
+    starts = [i for i, line in enumerate(lines) if line.startswith("FIELD")] + [len(lines)]
+    for k, value in ((1, "1e308"), (3, "-1e308")):  # the phase records of the two states, both finite
+        lines[starts[k] + 1 : starts[k + 1]] = [" ".join([value] * len(line.split()))
+                                                for line in lines[starts[k] + 1 : starts[k + 1]]]
+    path.write_text("\n".join(lines) + "\n")
+    err = assert_check_exits_two_naming(tmp_path, f"{path}: the phase rate", capsys)
+    assert "index.csv" not in err
+
+
+def test_check_of_a_run_whose_times_do_not_fit_dt_names_the_index(tmp_path, capsys):
+    assert main([*STEADY, "--outdir", str(tmp_path)]) == 0
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text(manifest.read_text().replace("dt = 0.01\n", "dt = 0.005\n"))
+    assert_check_exits_two_naming(tmp_path, f"{tmp_path / 'run_0' / 'index.csv'} times do not fit dt = 0.005", capsys)

@@ -30,7 +30,7 @@ from fremond.stepper import (
     step,
 )
 from fremond.stepper import NEWTON_TOL, _heat_linearized, _heat_terms, _phase_left, _solve_helmholtz
-from fremond.thermo import phase_floor, positivity_floor
+from fremond.thermo import floors_check
 
 
 def scalar_newton(f, df, x0, tol=1e-14, max_iter=100):
@@ -777,44 +777,58 @@ class TestSimulate:
         assert worst < 5 * dt
 
 
+def constant_run(theta, phi, dt, steps, cells=4):
+    """A hand-built run: steps + 1 states at spacing dt, each uniform theta and phi."""
+    g = Grid.line(cells)
+    shape = (steps + 1, *g.shape)
+    return Trajectory.of(np.arange(steps + 1) * dt, np.full(shape, theta), np.full(shape, phi), Field.zeros(g),
+                         SchemeConfig(dt=dt))
+
+
 class TestFloors:
-    def test_positivity_floor_at_zero(self):
-        assert positivity_floor(0.0, 0.37, 4.0) == 0.37
+    """``floors_check``'s positivity (temperature) and phase floors on runs whose minima are set by hand."""
 
-    def test_positivity_floor_envelopes(self):
+    @pytest.fixture(scope="class")
+    def theta_floor(self):
+        # h0 = 0.8 and p = 4 for 1000 steps of dt = 1e-3: the temperature floor up to t = 1
+        run = constant_run(0.8, 0.0, 1e-3, 1000)
+        return run.times - run.times[0], floors_check(run, lam=0.0).theta_floor
+
+    def test_positivity_floor_at_zero(self, theta_floor):
+        assert theta_floor[1][0] == 0.8
+
+    def test_positivity_floor_envelopes(self, theta_floor):
         # upper envelope: h' = -h^2/2 alone solves h0/(1 + h0 t / 2)
-        h0, p = 0.8, 4.0
-        for t in (0.1, 0.5, 1.0, 2.0):
-            h = positivity_floor(t, h0, p)
-            assert 0.0 < h <= h0
-            assert h <= h0 / (1 + h0 * t / 2) + 1e-12
+        t, h = theta_floor
+        assert np.all(0.0 < h) and np.all(h <= 0.8)
+        assert np.all(h <= 0.8 / (1 + 0.8 * t / 2) + 1e-12)
 
-    def test_positivity_floor_against_independent_integrator(self):
+    def test_positivity_floor_against_independent_integrator(self, theta_floor):
         from scipy.integrate import solve_ivp
 
-        h0, p = 0.8, 4.0
-        for t in (0.25, 1.0):
-            sol = solve_ivp(
-                lambda s, y: -(y[0] ** p) - 0.5 * y[0] ** 2, (0, t), [h0],
-                rtol=1e-12, atol=1e-14, dense_output=True,
-            )
-            assert positivity_floor(t, h0, p) == pytest.approx(float(sol.y[0, -1]), rel=1e-9)
+        t, h = theta_floor
+        for k in (250, 1000):
+            sol = solve_ivp(lambda s, y: -(y[0] ** 4.0) - 0.5 * y[0] ** 2, (0, t[k]), [0.8], rtol=1e-12, atol=1e-14)
+            assert h[k] == pytest.approx(float(sol.y[0, -1]), rel=1e-9)
 
-    def test_positivity_floor_monotone(self):
-        hs = [positivity_floor(t, 1.0, 4.0) for t in (0.0, 0.3, 0.7, 1.5)]
-        assert all(b < a for a, b in zip(hs, hs[1:]))
+    def test_positivity_floor_monotone(self, theta_floor):
+        h = theta_floor[1]
+        assert np.all(h[1:] < h[:-1])
 
     def test_phase_floor_values(self):
-        assert phase_floor(0.0, 1.0, 4.0) == -1.0
-        assert phase_floor(5.0, 1.0, 0.0) == -1.0
-        assert phase_floor(0.25, 1.0, 4.0) == pytest.approx(-math.exp(2.0), rel=1e-14)
-        assert phase_floor(1.0, 0.0, 4.0) == 0.0
+        assert list(floors_check(constant_run(1.0, -1.0, 0.25, 2), lam=0.0).phi_floor) == [-1.0, -1.0, -1.0]
+        grows = floors_check(constant_run(1.0, -1.0, 0.25, 2), lam=4.0).phi_floor
+        assert grows[0] == -1.0
+        assert grows[1] == pytest.approx(-math.exp(2.0), rel=1e-14)
+        assert list(floors_check(constant_run(1.0, 0.5, 0.25, 2), lam=4.0).phi_floor) == [0.0, 0.0, 0.0]
 
     def test_phase_floor_past_the_float_range(self):
-        # e^{2 lam t} is finite up to 2 lam t = 709.78
-        assert phase_floor(88.0, 0.5, 4.0) == -0.5 * math.exp(704.0)
-        assert phase_floor(100.0, 0.5, 4.0) == -math.inf
-        assert math.copysign(1.0, phase_floor(100.0, 0.0, 4.0)) == math.copysign(1.0, phase_floor(1.0, 0.0, 4.0)) == -1.0
+        # e^{2 lam t} is finite up to 2 lam t = 709.78; lam = 1e3 gives 704 at t = 0.352 and 1408 at t = 0.704
+        floor = floors_check(constant_run(1.0, -0.5, 0.352, 2), lam=1e3).phi_floor
+        assert floor[1] == -0.5 * math.exp(704.0)
+        assert floor[2] == -math.inf
+        zero = floors_check(constant_run(1.0, 0.5, 0.352, 2), lam=1e3).phi_floor
+        assert [math.copysign(1.0, v) for v in zero] == [-1.0, -1.0, -1.0]
 
 
 class TestTrajectory:
