@@ -90,6 +90,16 @@ class Grid:
         """The grid axes of a value array, counted from the end past any stack axes."""
         return tuple(range(-self.dim, 0))
 
+    @cached_property
+    def _lap_stencil(self) -> tuple:
+        """Per grid axis, what ``_lap_values`` indexes with: (axis, h^2, edge-cell slices, neighbour slices)."""
+        out = []
+        for axis, h2 in zip(self.axes, self.h2):
+            tail = (slice(None),) * (-1 - axis)  # the axes after this one, so the slice before it cuts this axis
+            edges = ((..., slice(None, 1)) + tail, (..., slice(-1, None)) + tail)
+            out.append((axis, h2, edges, ((..., slice(None, -2)) + tail, (..., slice(2, None)) + tail)))
+        return tuple(out)
+
     @property
     def num_cells(self) -> int:
         return int(np.prod(self.n))
@@ -128,7 +138,7 @@ class Field:
         v = np.asarray(self.values, dtype=np.float64)
         if v.shape[-self.grid.dim:] != self.grid.shape:
             raise ValueError(f"values of shape {v.shape} do not end in the grid's shape {self.grid.shape}")
-        if not np.isfinite(v).all():
+        if not np.logical_and.reduce(np.isfinite(v), axis=None):
             raise ValueError("field contains non-finite values")
         self.values = v
 
@@ -147,6 +157,8 @@ class Field:
 def same_grid(a: Grid, b: Grid) -> bool:
     """Equal cell counts and spacings up to round-off (snapshot round-trips
     may perturb the reconstructed extent in the last ulp)."""
+    if a is b:
+        return True
     if a.n != b.n:
         return False
     return all(abs(ha - hb) <= 1e-12 * ha for ha, hb in zip(a.h, b.h))
@@ -156,11 +168,9 @@ def _lap_values(v: np.ndarray, grid: Grid) -> np.ndarray:
     """Second-order Neumann Laplacian on raw values (..., *grid.shape); ghost cell mirrors the
     edge cell, so along each axis the neighbour sums at the ends are v[0] + v[1] and v[-2] + v[-1]."""
     out = None
-    for axis, h2 in zip(grid.axes, grid.h2):
-        # tail spans the axes after this one, so the slice before it cuts this axis
-        tail = (slice(None),) * (-1 - axis)
-        padded = np.concatenate((v[(..., slice(None, 1)) + tail], v, v[(..., slice(-1, None)) + tail]), axis=axis)
-        s = padded[(..., slice(None, -2)) + tail] + padded[(..., slice(2, None)) + tail]
+    for axis, h2, (first, last), (lo, hi) in grid._lap_stencil:
+        padded = np.concatenate((v[first], v, v[last]), axis=axis)
+        s = padded[lo] + padded[hi]
         s -= 2.0 * v
         s /= h2
         # the first term starts the sum: no term is -0.0 (equal operands subtract to +0.0),

@@ -24,14 +24,14 @@ operators (1/dt) I - lap + G''(phi) and (1/dt) I - kappa lap + diag(eps p |th|^{
 are symmetric positive definite in all sane regimes and are solved directly
 (tridiagonal) in 1D and in 2D by conjugate gradients preconditioned with the exact
 inverse of their mean shift plus the Laplacian part, which the DCT-II diagonalizes.
-``step`` keeps phi and theta in one (2, ...) work array, so a check takes one Laplacian of
-both, whose rows ``_phase_left`` and ``_heat_terms`` take with each equation's own u/dt, and
-one norm of both residuals, stacked in one buffer. Each heat iterate's terms in theta alone
-serve its residual and Jacobian at every rate d. A step's final check leaves its pieces in
-u alone (the phase left side and the heat terms) on the State it returns (``State._pieces``);
-the next step's first check, on the same arrays, reuses them if its cfg and potential equal
-theirs. A State built any other way has none. Every Newton update solves for the residual,
-not its negation, and subtracts (``_update``).
+``step`` keeps phi and theta in one (2, ...) work array, so a check forms both implicit parts
+u/dt - c lap u (c = 1 for phi, kappa for theta) in one stacked pass, whose rows ``_phase_left`` and
+``_heat_terms`` take, and one norm of both residuals, stacked in one buffer. Each heat iterate's
+terms in theta alone serve its residual and Jacobian at every rate d. A step's final check leaves
+its pieces in u alone (the phase left side and the heat terms) on the State it returns
+(``State._pieces``); the next step's first check, on the same arrays, reuses them if its cfg and
+potential equal theirs. A State built any other way has none. Every Newton update solves for the
+residual, not its negation, and subtracts (``_update``).
 
 Every solve also marches a batch of runs that share the grid, dt and potential:
 field values then carry a leading member axis, (m, *grid.shape). Each member
@@ -343,24 +343,28 @@ def _residual_norm(names: tuple[str, ...], res: np.ndarray, grid: Grid) -> np.nd
     return rnorm
 
 
-def _phase_left(u: np.ndarray, cfg: SchemeConfig, pot: Potential, grid: Grid,
-                lap: np.ndarray | None = None) -> np.ndarray:
-    """u/dt - lap u + G'(u) (lap u given or not): the phase residual before it subtracts
+def _phase_left(u: np.ndarray, implicit: np.ndarray, pot: Potential) -> np.ndarray:
+    """u/dt - lap u + G'(u), from u's implicit part u/dt - lap u: the phase residual before it subtracts
     phi_old/dt + 2 lam phi_old + theta_bar."""
-    return u / cfg.dt - (_lap_values(u, grid) if lap is None else lap) + pot.convex(u, 1)
+    return implicit + pot.convex(u, 1)
 
 
 def _phase_jacobian(u: np.ndarray, cfg: SchemeConfig, pot: Potential) -> np.ndarray:
     return 1.0 / cfg.dt + pot.convex(u, 2)
 
 
-def _heat_terms(u: np.ndarray, cfg: SchemeConfig, grid: Grid, lap: np.ndarray | None = None) -> tuple:
-    """Heat terms in u alone (lap u given or not): u/dt - kappa lap u, eps u^p, eps p |u|^{p-1} (None if eps = 0)."""
-    base = u / cfg.dt - cfg.kappa * (_lap_values(u, grid) if lap is None else lap)
+def _heat_terms(u: np.ndarray, implicit: np.ndarray, cfg: SchemeConfig) -> tuple:
+    """Heat terms in u alone, from u's implicit part u/dt - kappa lap u: that part, eps u^p and
+    eps p |u|^{p-1} (None if eps = 0). Where min u > 0, sign(u) is 1 and |u| is u, so u itself gives
+    the same bits; an iterate with a nonpositive or NaN cell takes the odd power through sign and abs."""
     if cfg.epsilon == 0.0:
-        return base, None, None
-    a = np.abs(u)
-    return base, cfg.epsilon * (np.sign(u) * a ** cfg.p), cfg.epsilon * cfg.p * a ** (cfg.p - 1.0)
+        return implicit, None, None
+    if u.min() > 0.0:
+        a, power = u, u ** cfg.p
+    else:
+        a = np.abs(u)
+        power = np.sign(u) * a ** cfg.p
+    return implicit, cfg.epsilon * power, cfg.epsilon * cfg.p * a ** (cfg.p - 1.0)
 
 
 def _heat_linearized(terms: tuple, u: np.ndarray, d: np.ndarray, rhs: np.ndarray, cfg: SchemeConfig,
@@ -408,8 +412,9 @@ def phase_step(prev: State, theta_bar: Field, cfg: SchemeConfig, potential: Pote
     """Backward-Euler phase update for a given temperature input (full Newton solve)."""
     grid, phi_old = prev.grid, prev.phi.values
     rhs = phi_old / cfg.dt + 2.0 * potential.lam * phi_old + theta_bar.values
-    phi_new = _newton("phase", phi_old, 1.0, cfg, grid, lambda u: (_phase_left(u, cfg, potential, grid) - rhs,
-                                                                    lambda: _phase_jacobian(u, cfg, potential)))
+    phi_new = _newton("phase", phi_old, 1.0, cfg, grid,
+                      lambda u: (_phase_left(u, u / cfg.dt - _lap_values(u, grid), potential) - rhs,
+                                 lambda: _phase_jacobian(u, cfg, potential)))
     return Field(grid, phi_new)
 
 
@@ -419,7 +424,8 @@ def heat_step(prev: State, phi_new: Field, cfg: SchemeConfig) -> Field:
     d = (phi_new.values - prev.phi.values) / cfg.dt
     rhs = prev.theta.values / cfg.dt + d * d
     theta_new = _newton("heat", prev.theta.values, cfg.kappa, cfg, grid,
-                        lambda u: _heat_linearized(_heat_terms(u, cfg, grid), u, d, rhs, cfg))
+                        lambda u: _heat_linearized(_heat_terms(u, u / cfg.dt - cfg.kappa * _lap_values(u, grid), cfg),
+                                                   u, d, rhs, cfg))
     _assert_positive(theta_new, prev.t + cfg.dt, grid)
     return Field(grid, theta_new)
 
@@ -438,9 +444,12 @@ def step(prev: State, cfg: SchemeConfig, potential: Potential, stats: dict | Non
     heat_rhs = theta_dt = old_dt[1]
     pieces = prev._pieces[2:] if prev._pieces and prev._pieces[:2] == (cfg, potential) else None
     for sweep in range(1, cfg.fp_max_iter + 1):
-        if pieces is None:  # both equations' terms from one stacked Laplacian
+        if pieces is None:  # both implicit parts u/dt - c lap u in one stacked pass: c = 1 for phi, kappa for theta
             lap = _lap_values(work, grid)
-            left, terms = _phase_left(phi, cfg, potential, grid, lap[0]), _heat_terms(theta, cfg, grid, lap[1])
+            lap[1] *= cfg.kappa
+            implicit = work / dt
+            implicit -= lap
+            left, terms = _phase_left(phi, implicit[0], potential), _heat_terms(theta, implicit[1], cfg)
         else:
             (left, terms), pieces = pieces, None
         np.subtract(left, phase_rhs + theta, out=res[0])

@@ -80,6 +80,14 @@ class TestGrid:
         with pytest.raises(ValueError):
             Grid.line(8, -1.0)
 
+    def test_same_grid_of_one_grid_and_of_equal_ones(self):
+        for g in (Grid.line(10, 2.5), Grid((8, 12), (1.0, 2.0))):
+            twin = Grid(g.n, g.extent)
+            assert twin is not g and twin == g
+            assert same_grid(g, g) and same_grid(g, twin) and same_grid(twin, g)
+        assert not same_grid(Grid.line(10), Grid.line(10, 2.0))
+        assert not same_grid(Grid.line(10), Grid.line(11))
+
     def test_field_count_mismatch(self):
         g = Grid.line(8)
         with pytest.raises(ValueError):
@@ -135,6 +143,20 @@ class TestLaplacian:
             v = rng.normal(size=grid.shape) * rng.uniform(1e-3, 1e3)
             for op, reference in ((_lap_values, padded_laplacian), (_grad_sq_values, padded_grad_sq)):
                 assert np.array_equal(op(v, grid), reference(v, grid)), op.__name__
+
+    @pytest.mark.parametrize("grid", [Grid.line(2), Grid.line(64), Grid((8, 12), (1.0, 2.0))],
+                             ids=["line2", "line64", "box8x12"])
+    @pytest.mark.parametrize("lead", [(2,), (2, 3)], ids=["pair", "pair_of_members"])
+    def test_stacked_input_is_each_slice_alone_bitwise(self, grid, lead):
+        """The stepper takes one Laplacian of phi and theta stacked, (2, *shape) or (2, m, *shape):
+        each leading slice of it is the padded reference of that slice alone."""
+        rng = np.random.default_rng(12)
+        for _ in range(5):
+            v = rng.normal(size=lead + grid.shape) * rng.uniform(1e-3, 1e3)
+            out = _lap_values(v, grid)
+            assert out.shape == v.shape
+            for k in np.ndindex(lead):
+                assert out[k].tobytes() == padded_laplacian(v[k], grid).tobytes(), k
 
     def test_tensor_eigenfunction_2d(self):
         g = Grid((4, 4), (1.0, 1.0))

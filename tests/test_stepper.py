@@ -270,6 +270,24 @@ def reference_heat_jacobian(u, d, cfg):
     return diag + cfg.epsilon * cfg.p * np.abs(u) ** (cfg.p - 1.0) if cfg.epsilon > 0.0 else diag
 
 
+def heat_implicit(u, cfg, grid):
+    """The heat equation's implicit part u/dt - kappa lap u, computed for it alone."""
+    return u / cfg.dt - cfg.kappa * _lap_values(u, grid)
+
+
+def heat_iterates(rng, shape):
+    """Heat iterates u: ten that may dip below zero (nearly always one cell does), ten all positive,
+    and one each with a single +0.0, -0.0 or NaN cell among positive ones."""
+    for _ in range(10):
+        yield rng.uniform(-0.5, 2.0, size=shape)  # a Newton iterate may dip below zero
+    for _ in range(10):
+        yield rng.uniform(0.05, 2.0, size=shape)
+    for cell in (0.0, -0.0, np.nan):
+        u = rng.uniform(0.05, 2.0, size=shape)
+        u.flat[rng.integers(u.size)] = cell
+        yield u
+
+
 class TestHeatTerms:
     """The heat residual and Jacobian built from ``_heat_terms`` are bitwise the whole evaluation."""
 
@@ -278,16 +296,20 @@ class TestHeatTerms:
                                              (Grid((8, 6), (1.0, 2.0)), (2, 8, 6))],
                              ids=["solo", "batch", "2d_batch"])
     def test_bitwise_equal_to_the_whole_evaluation(self, epsilon, grid, shape):
-        rng = np.random.default_rng(11)
-        cfg = SchemeConfig(dt=1e-3, kappa=0.7, epsilon=epsilon, p=4.5)
-        for _ in range(10):
-            u = rng.uniform(-0.5, 2.0, size=shape)  # a Newton iterate may dip below zero
-            d, rhs = rng.normal(size=shape), rng.uniform(0.5, 2e3, size=shape)
-            terms = _heat_terms(u, cfg, grid)
-            for d_at in (d, np.zeros(shape)):  # one set of terms serves every rate d
-                res, jacobian_diag = _heat_linearized(terms, u, d_at, rhs, cfg)
-                assert res.tobytes() == reference_heat_residual(u, rhs, d_at, cfg, grid).tobytes()
-                assert jacobian_diag().tobytes() == reference_heat_jacobian(u, d_at, cfg).tobytes()
+        for p in (4.5, 5.0):  # at p = 5, (-0.0)^p is -0.0 where the sign/abs form gives +0.0
+            rng = np.random.default_rng(11)
+            cfg = SchemeConfig(dt=1e-3, kappa=0.7, epsilon=epsilon, p=p)
+            for u in heat_iterates(rng, shape):
+                d, rhs = rng.normal(size=shape), rng.uniform(0.5, 2e3, size=shape)
+                terms = _heat_terms(u, heat_implicit(u, cfg, grid), cfg)
+                if epsilon > 0.0:  # the power terms themselves are bitwise the sign/abs form
+                    a = np.abs(u)
+                    assert terms[1].tobytes() == (cfg.epsilon * (np.sign(u) * a ** cfg.p)).tobytes()
+                    assert terms[2].tobytes() == (cfg.epsilon * cfg.p * a ** (cfg.p - 1.0)).tobytes()
+                for d_at in (d, np.zeros(shape)):  # one set of terms serves every rate d
+                    res, jacobian_diag = _heat_linearized(terms, u, d_at, rhs, cfg)
+                    assert res.tobytes() == reference_heat_residual(u, rhs, d_at, cfg, grid).tobytes()
+                    assert jacobian_diag().tobytes() == reference_heat_jacobian(u, d_at, cfg).tobytes()
 
     def test_each_sweep_evaluates_theta_terms_once(self, monkeypatch):
         """Per step on ``cosine``: one Laplacian per check, of phi and theta stacked; one ``_l2`` per
@@ -380,9 +402,10 @@ class TestReusedPieces:
             state = step(state, cfg, potential)
             assert state._pieces[:2] == (cfg, potential)
             left, terms = state._pieces[2:]
-            want_left = _phase_left(state.phi.values, cfg, potential, state.grid)
+            phi, theta, grid = state.phi.values, state.theta.values, state.grid
+            want_left = _phase_left(phi, phi / cfg.dt - _lap_values(phi, grid), potential)
             assert left.shape == want_left.shape and left.tobytes() == want_left.tobytes()
-            want_terms = _heat_terms(state.theta.values, cfg, state.grid)
+            want_terms = _heat_terms(theta, heat_implicit(theta, cfg, grid), cfg)
             assert [t is None for t in terms] == [t is None for t in want_terms]
             for got, want in zip(terms, want_terms):
                 assert got is None or (got.shape == want.shape and got.tobytes() == want.tobytes())
@@ -402,6 +425,40 @@ class TestReusedPieces:
         batch = stack_states(members)
         assert batch.phi.values.shape == (3, 16, 16)
         self.assert_pieces_as_each_equation_alone(batch, SchemeConfig(dt=1e-3, epsilon=1e-3, p=4.0), double_well, 4)
+
+    @pytest.mark.parametrize("epsilon", [1e-3, 0.0])
+    @pytest.mark.parametrize("layout", ["solo", "batch", "2d_batch"])
+    def test_kappa_below_one(self, layout, epsilon, double_well):
+        """At kappa = 0.5 the stacked check scales the heat row of its Laplacian alone: the pieces
+        are each equation's alone and the march equals the rebuilt one."""
+        g = Grid((8, 8), (1.0, 1.0)) if layout == "2d_batch" else Grid.line(16)
+        mode = g.cosine_mode()
+        members = [initial_state(g, Field(g, 1.0 + 0.2 * mode), Field(g, amp * mode)) for amp in (0.3, 0.1)]
+        init = members[0] if layout == "solo" else stack_states(members)
+        cfg = SchemeConfig(dt=1e-3, kappa=0.5, epsilon=epsilon, p=4.0)
+        self.assert_pieces_as_each_equation_alone(init, cfg, double_well, 4)
+        self.assert_march_as_rebuilt(init, cfg, double_well, 4)
+
+    def test_cosine_at_kappa_below_one_meets_both_thresholds(self):
+        """16 steps of ``cosine`` at kappa = 0.5: after each, both residuals evaluated whole, the phase one
+        written out and the heat one by ``reference_heat_residual``, meet the step's thresholds."""
+        from fremond.config import load_config
+        from fremond.harness import make_initial
+
+        run = load_config(Path(__file__).resolve().parents[1] / "presets" / "cosine.cfg", ["scheme.kappa=0.5"])
+        cfg, pot, grid = run.scheme, run.potential, run.grid
+        assert cfg.kappa == 0.5
+        state = make_initial(grid, pot, run.initial)
+        for _ in range(16):
+            prev, state = state, step(state, cfg, pot)
+            phi_old, theta_old, phi, theta = prev.phi.values, prev.theta.values, state.phi.values, state.theta.values
+            d = (phi - phi_old) / cfg.dt
+            phase = phi / cfg.dt - _lap_values(phi, grid) + pot.convex(phi, 1) - (
+                phi_old / cfg.dt + 2.0 * pot.lam * phi_old + theta)
+            heat = reference_heat_residual(theta, theta_old / cfg.dt + d * d, d, cfg, grid)
+            for res, old in ((phase, phi_old), (heat, theta_old)):
+                tol = NEWTON_TOL * max(1.0, np.sqrt(np.sum(old * old) * grid.cell_volume) / cfg.dt)
+                assert np.sqrt(np.sum(res * res) * grid.cell_volume) <= tol
 
     @pytest.mark.parametrize("change, lam", [({"dt": 2e-3}, 4.0), ({"kappa": 0.5}, 4.0), ({"epsilon": 0.1}, 4.0),
                                              ({}, 6.0)], ids=["dt", "kappa", "epsilon", "potential"])
