@@ -16,7 +16,6 @@ from .errors import (
     LinearSolveFailed,
     NewtonDiverged,
     NonpositiveTemperature,
-    PositivityLost,
     PotentialValidationError,
     SimulationAborted,
     SolverError,

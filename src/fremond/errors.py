@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+__all__ = ["FremondError", "ConfigError", "PotentialValidationError", "SolverError", "NewtonDiverged",
+           "LinearSolveFailed", "FixedPointDiverged", "NonpositiveTemperature", "SimulationAborted"]
+
 
 class FremondError(Exception):
     """Base class for all package errors."""
@@ -31,16 +34,13 @@ class FixedPointDiverged(SolverError):
     """The coupled phase/heat sweeps did not converge within fp_max_iter (which caps Newton too)."""
 
 
-class PositivityLost(SolverError):
-    """Temperature update produced a nonpositive cell; never clipped."""
-
-
 class NonpositiveTemperature(FremondError):
-    """A diagnostic was asked to evaluate log(theta) or 1/theta at theta <= 0."""
+    """A State (``State.__post_init__``), or a field ``lambda_dist`` takes the log of, has theta <= 0.
+    ``march`` turns it into a failed step (SimulationAborted); from a loaded run, ``check`` exits 1."""
 
 
 class SimulationAborted(SolverError):
-    """A time step failed; carries the partial trajectory and failing index."""
+    """A time step failed (a SolverError or theta <= 0); carries the partial trajectory and failing index."""
 
     def __init__(self, step_index: int, cause: Exception, trajectory=None):
         super().__init__(f"step {step_index} failed: {cause}")

@@ -140,10 +140,7 @@ def run_simulation(run: RunConfig) -> Trajectory:
 def frozen_phase_run(init: State, cfg: SchemeConfig, t_end: float) -> Trajectory:
     """March the heat update alone, with the phase field held fixed (d = 0); the
     fields may carry a member axis, as in ``step``."""
-    def advance(s: State) -> State:
-        return State(s.t + cfg.dt, heat_step(s, s.phi, cfg), s.phi, Field(s.grid, np.zeros_like(s.phi.values)))
-
-    return march(init, cfg, t_end, advance)
+    return march(init, cfg, t_end, lambda s: heat_step(s, s.phi, cfg))
 
 
 def closed_form_uniform_theta(t: float, theta0: float, eps: float, p: float) -> float:

@@ -37,11 +37,10 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, NonpositiveTemperature
 from .grid import Field, _dirichlet_values, _grad_sq_values, _lap_values, same_grid
 from .potential import Potential
 from .stepper import State, Trajectory
-from .thermo import _check_positive
 
 __all__ = [
     "RelEnergyConfig",
@@ -72,11 +71,13 @@ class RelEnergyConfig:
 
 
 def lambda_dist(theta: Field, theta_ref: Field) -> Field:
-    """Pointwise Bregman distance of the entropy structure, Lam(th | th~)."""
+    """Pointwise Bregman distance of the entropy structure, Lam(th | th~); NonpositiveTemperature
+    unless both fields are positive (a State's are by construction, bare Fields are checked here)."""
     if not same_grid(theta.grid, theta_ref.grid):
         raise ValueError("fields live on different grids")
-    _check_positive(theta, "theta")
-    _check_positive(theta_ref, "theta_ref")
+    for what, f in (("theta", theta), ("theta_ref", theta_ref)):
+        if (tmin := f.min()) <= 0.0:
+            raise NonpositiveTemperature(f"{what} has min {tmin:.3g}; its log is undefined")
     th, tr = theta.values, theta_ref.values
     return Field(theta.grid, th - tr - tr * (np.log(th) - np.log(tr)))
 
@@ -128,8 +129,6 @@ def dissipation_W(state: State, ref: State, kappa: float = 1.0) -> float | np.nd
     heat-conduction part, default 1 matches the scalar examples)."""
     if not same_grid(state.grid, ref.grid):
         raise ValueError("states live on different grids")
-    _check_positive(state.theta, "theta")
-    _check_positive(ref.theta, "theta_ref")
     g = state.grid
     vol, axes = g.cell_volume, g.axes
     th, tr = state.theta.values, ref.theta.values
@@ -141,7 +140,6 @@ def dissipation_W(state: State, ref: State, kappa: float = 1.0) -> float | np.nd
 
 def k_factor(ref: State) -> float | np.ndarray:
     """Amplification rate along the reference: max|ph~_t| + max(ph~_t^2/th~) + 1."""
-    _check_positive(ref.theta, "theta_ref")
     pt, axes = ref.phi_t.values, ref.grid.axes
     return np.max(np.abs(pt), axis=axes) + np.max(pt * pt / ref.theta.values, axis=axes) + 1.0
 
@@ -263,17 +261,13 @@ def xi_monitor(state: State, kappa: float) -> float | np.ndarray:
 
 def log_l1_bound(theta: Field, theta_ref: Field) -> tuple[float, float]:
     """Checked inequality ||log th - log th~||_{L1}^2 <= c * int Lam(th|th~)
-    with c = 2 |Omega|^2 / delta, delta the smaller of the two field minima.
-    Returns (lhs, rhs); c is sufficient for |Omega| >= 1 and usually loose."""
-    if not same_grid(theta.grid, theta_ref.grid):
-        raise ValueError("fields live on different grids")
-    _check_positive(theta, "theta")
-    _check_positive(theta_ref, "theta_ref")
+    with c = 2 |Omega|^2 / delta, delta the smaller of the two field minima, both checked positive
+    by ``lambda_dist``. Returns (lhs, rhs); c is sufficient for |Omega| >= 1 and usually loose."""
     g = theta.grid
     vol = g.cell_volume
+    lam_int = float(np.sum(lambda_dist(theta, theta_ref).values)) * vol
     dlog = np.log(theta.values) - np.log(theta_ref.values)
     lhs = (float(np.sum(np.abs(dlog))) * vol) ** 2
     delta = min(theta.min(), theta_ref.min())
-    lam_int = float(np.sum(lambda_dist(theta, theta_ref).values)) * vol
     rhs = 2.0 * g.volume**2 / delta * lam_int
     return lhs, rhs

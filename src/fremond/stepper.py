@@ -10,10 +10,10 @@ i.e. backward Euler with the convex part G' implicit and the concave
 quadratic remainder explicit (unconditional gradient stability of the
 isothermal part), and with the regularization and coupling terms fully
 implicit. The odd power (r)^p = |r|^{p-1} r keeps the regularization
-monotone even if a Newton iterate dips negative. Positivity of the
-temperature result is asserted, never projected: a nonpositive cell is a
-solver failure, not something to clip, because every downstream diagnostic
-(entropy, log-distances, floors) would silently go wrong.
+monotone even if a Newton iterate dips negative. The temperature is never
+projected: ``step`` and ``heat_step`` return a State, whose constructor is the one
+test of theta > 0, and ``march`` fails the step on a nonpositive cell, since every
+downstream diagnostic (entropy, log-distances, floors) would go wrong on a clipped one.
 
 ``step`` solves it by coupled Gauss-Seidel-Newton sweeps (Newton-SOR family;
 Ortega & Rheinboldt 1970): one Newton update of the phase equation at the
@@ -30,8 +30,8 @@ u/dt - c lap u (c = 1 for phi, kappa for theta) in one stacked pass, whose rows 
 terms in theta alone serve its residual and Jacobian at every rate d. A step's final check leaves
 its pieces in u alone (the phase left side and the heat terms) on the State it returns
 (``State._pieces``); the next step's first check, on the same arrays, reuses them if its cfg and
-potential equal theirs. A State built any other way has none. Every Newton update solves for the
-residual, not its negation, and subtracts (``_update``).
+potential are the very objects that made them. A State built any other way has none. Every Newton
+update solves for the residual, not its negation, and subtracts (``_update``).
 
 Every solve also marches a batch of runs that share the grid, dt and potential:
 field values then carry a leading member axis, (m, *grid.shape). Each member
@@ -58,7 +58,6 @@ from .errors import (
     LinearSolveFailed,
     NewtonDiverged,
     NonpositiveTemperature,
-    PositivityLost,
     SimulationAborted,
     SolverError,
 )
@@ -134,8 +133,9 @@ class State:
     values of shape (m, *grid.shape) at one instant, (len(t), m, *grid.shape)
     along a trajectory.
     A State that ``step`` returns also keeps, privately, its final check's pieces with the
-    (cfg, potential) that made them; the next ``step`` reuses them only under equal ones.
+    (cfg, potential) that made them; the next ``step`` reuses them only under the same objects.
     Every other State (hand-built, indexed from a Trajectory, loaded) has none.
+    Building a State is the one test of theta > 0 on a state or a trajectory (NonpositiveTemperature).
     """
 
     t: float | np.ndarray
@@ -402,12 +402,6 @@ def _newton(name: str, u_old: np.ndarray, c: float, cfg: SchemeConfig, grid: Gri
     raise NewtonDiverged(f"{name} Newton stalled at residual {rnorm.flat[k]:.3g} (tol {thresh.flat[k]:g}); dt too large?")
 
 
-def _assert_positive(theta: np.ndarray, t: float, grid: Grid) -> None:
-    tmin = float(theta.min())
-    if tmin <= 0.0:
-        raise PositivityLost(f"temperature reached {tmin:.3g} at {_locate_min(theta, t, grid)}; dt too large for |phi_t|")
-
-
 def phase_step(prev: State, theta_bar: Field, cfg: SchemeConfig, potential: Potential) -> Field:
     """Backward-Euler phase update for a given temperature input (full Newton solve)."""
     grid, phi_old = prev.grid, prev.phi.values
@@ -418,16 +412,16 @@ def phase_step(prev: State, theta_bar: Field, cfg: SchemeConfig, potential: Pote
     return Field(grid, phi_new)
 
 
-def heat_step(prev: State, phi_new: Field, cfg: SchemeConfig) -> Field:
-    """Backward-Euler heat update given the new phase (full Newton solve); asserts positivity."""
+def heat_step(prev: State, phi_new: Field, cfg: SchemeConfig) -> State:
+    """Backward-Euler heat update given the new phase (full Newton solve): the State (theta+, phi_new, d)
+    at prev.t + dt, whose constructor raises NonpositiveTemperature if theta+ has a nonpositive cell."""
     grid = prev.grid
     d = (phi_new.values - prev.phi.values) / cfg.dt
     rhs = prev.theta.values / cfg.dt + d * d
     theta_new = _newton("heat", prev.theta.values, cfg.kappa, cfg, grid,
                         lambda u: _heat_linearized(_heat_terms(u, u / cfg.dt - cfg.kappa * _lap_values(u, grid), cfg),
                                                    u, d, rhs, cfg))
-    _assert_positive(theta_new, prev.t + cfg.dt, grid)
-    return Field(grid, theta_new)
+    return State(prev.t + cfg.dt, Field(grid, theta_new), phi_new, Field(grid, d))
 
 
 def step(prev: State, cfg: SchemeConfig, potential: Potential, stats: dict | None = None) -> State:
@@ -442,7 +436,7 @@ def step(prev: State, cfg: SchemeConfig, potential: Potential, stats: dict | Non
     phase_rhs = old_dt[0] + 2.0 * potential.lam * phi_old
     res, d = np.empty_like(work), np.zeros_like(phi_old)
     heat_rhs = theta_dt = old_dt[1]
-    pieces = prev._pieces[2:] if prev._pieces and prev._pieces[:2] == (cfg, potential) else None
+    pieces = prev._pieces[2:] if prev._pieces and prev._pieces[0] is cfg and prev._pieces[1] is potential else None
     for sweep in range(1, cfg.fp_max_iter + 1):
         if pieces is None:  # both implicit parts u/dt - c lap u in one stacked pass: c = 1 for phi, kappa for theta
             lap = _lap_values(work, grid)
@@ -468,7 +462,6 @@ def step(prev: State, cfg: SchemeConfig, potential: Potential, stats: dict | Non
                                  f"{np.max(norms[0][~done]):.3g}, heat {np.max(norms[1][~done]):.3g}); dt too large?")
     if stats is not None:
         stats["picard_iterations"] = sweep
-    _assert_positive(theta, prev.t + dt, grid)
     new = State(prev.t + dt, Field(grid, theta), Field(grid, phi), Field(grid, d))
     new._pieces = (cfg, potential, left, terms)  # the final check's, on new.phi and new.theta
     return new
@@ -476,7 +469,8 @@ def step(prev: State, cfg: SchemeConfig, potential: Potential, stats: dict | Non
 
 def march(init: State, cfg: SchemeConfig, t_end: float, advance: Callable[[State], State]) -> Trajectory:
     """March from init.t to t_end, a whole number of dt steps (``SchemeConfig.whole_steps``), by ``advance``.
-    On a step failure the partial trajectory is attached to the raised SimulationAborted."""
+    A step that fails, by a SolverError or by a NonpositiveTemperature from the State it builds, raises
+    SimulationAborted with the partial trajectory attached."""
     span = t_end - init.t
     if span < 0:
         raise ConfigError("t_end lies before the initial time")
@@ -491,7 +485,7 @@ def march(init: State, cfg: SchemeConfig, t_end: float, advance: Callable[[State
         if k > 0:
             try:
                 current = advance(current)
-            except SolverError as exc:
+            except (SolverError, NonpositiveTemperature) as exc:
                 raise SimulationAborted(k, exc, Trajectory.of(times[:k], theta[:k], phi[:k], init.phi_t, cfg)) from exc
             current.t = times[k]  # rebuilt, to keep the spacing exactly uniform
         theta[k], phi[k] = current.theta.values, current.phi.values

@@ -18,7 +18,8 @@ Checked structures, with their continuum statements:
             discretization error and shrinks under refinement. Setting eps=0
             recovers the limit inequality verbatim.
 
-  floors:   min theta(t) >= h(t) with h' = -h^p - h^2/2, h(0) = min theta_0;
+  floors:   min theta(t) >= h(t) with h' = -c h^p - h^2/2, h(0) = min theta_0, c = max(1, eps)
+            (a spatial minimum has theta_t >= -theta^2/4 - eps theta^p);
             min phi(t) >= -K e^{2 lam t} with K = max(0, -min phi_0).
 
 Discrete transcription conventions (fixed here for reproducibility): time
@@ -37,8 +38,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NonpositiveTemperature
-from .grid import Field, Grid, _dirichlet_values, _grad_sq_values
+from .grid import Grid, _dirichlet_values, _grad_sq_values
 from .potential import Potential
 from .stepper import State, Trajectory
 
@@ -69,18 +69,10 @@ class EnergyReport:
     phi_min: float
 
 
-def _check_positive(theta: Field, what: str = "temperature") -> None:
-    """NonpositiveTemperature unless theta > 0 everywhere (diagnostics take its log or inverse)."""
-    tmin = theta.min()
-    if tmin <= 0.0:
-        raise NonpositiveTemperature(f"{what} has min {tmin:.3g}; log/1-over evaluations undefined")
-
-
 def energy(state: State, potential: Potential) -> EnergyReport:
     """Total energy split into gradient, potential and thermal parts, plus the
     entropy integral and the Orlicz quantity int theta log theta; for a
     stacked State, each one as its series over time."""
-    _check_positive(state.theta)
     g = state.grid
     vol, axes = g.cell_volume, g.axes
     th = state.theta.values
@@ -197,7 +189,6 @@ def entropy_inequality_check(traj: Trajectory, test_fn: TestFunction) -> Entropy
     kappa, eps, p, dt = cfg.kappa, cfg.epsilon, cfg.p, cfg.dt
     s, grid = traj.stack, traj.grid
     vol, axes = grid.cell_volume, grid.axes
-    _check_positive(s.theta)
 
     # a row per time, left-endpoint terms on rows [:-1]; in-place updates bound the temporaries
     vt = test_fn.sample(grid, traj.times)
@@ -227,17 +218,17 @@ def entropy_inequality_check(traj: Trajectory, test_fn: TestFunction) -> Entropy
 # --- floors ------------------------------------------------------------------
 
 
-def _floor_rhs(h: float, p: float) -> float:
-    return -(math.copysign(abs(h) ** p, h)) - 0.5 * h * h
+def _floor_rhs(h: float, p: float, c: float) -> float:
+    return -(c * math.copysign(abs(h) ** p, h)) - 0.5 * h * h
 
 
-def _rk4_advance(h: float, width: float, p: float) -> float:
+def _rk4_advance(h: float, width: float, p: float, c: float) -> float:
     dt = width / 4
     for _ in range(4):
-        k1 = _floor_rhs(h, p)
-        k2 = _floor_rhs(h + 0.5 * dt * k1, p)
-        k3 = _floor_rhs(h + 0.5 * dt * k2, p)
-        k4 = _floor_rhs(h + dt * k3, p)
+        k1 = _floor_rhs(h, p, c)
+        k2 = _floor_rhs(h + 0.5 * dt * k1, p, c)
+        k3 = _floor_rhs(h + 0.5 * dt * k2, p, c)
+        k4 = _floor_rhs(h + dt * k3, p, c)
         h = h + dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
     return h
 
@@ -276,18 +267,18 @@ class FloorsReport:
 def floors_check(traj: Trajectory, *, lam: float, tol: float = 1e-10) -> FloorsReport:
     """Verify the temperature minimum principle and the phase lower bound.
 
-    The temperature envelope h' = -h^p - h^2/2 from h = min theta_0 (the worst-case
-    decay that the heat equation allows at a spatial minimum) is advanced between
-    trajectory times by four classical 4th-order steps each. lam is the potential's
-    convexity constant, which sets the phase floor's growth rate.
+    The temperature envelope h' = -c h^p - h^2/2, c = max(1, eps), from h = min theta_0
+    (a decay at least as fast as the heat equation allows at a spatial minimum) is
+    advanced between trajectory times by four classical 4th-order steps each. lam is
+    the potential's convexity constant, which sets the phase floor's growth rate.
     """
     times, axes = traj.times, traj.grid.axes
     theta_min = traj.stack.theta.values.min(axis=axes)
     phi_min = traj.stack.phi.values.min(axis=axes)
     K = max(0.0, -phi_min[0])
 
-    theta_floor = [theta_min[0]]
+    theta_floor, c = [theta_min[0]], max(1.0, traj.config.epsilon)
     for step in np.diff(times):
-        theta_floor.append(_rk4_advance(theta_floor[-1], step, traj.config.p))
+        theta_floor.append(_rk4_advance(theta_floor[-1], step, traj.config.p, c))
     phi_fl = np.array([_phase_floor(t - times[0], K, lam) for t in times])
     return FloorsReport(times, theta_min, np.array(theta_floor), phi_min, phi_fl, tol)

@@ -110,6 +110,13 @@ class TestSimulate:
         ])
         assert code == 3
 
+    def test_lost_positivity_exits_three_with_one_line(self, tmp_path, capsys):
+        # theta 0.1 under a phase far above its well: d < -1/dt drives the first step negative
+        overrides = ["initial.preset=uniform", "initial.theta0=0.1", "initial.phi0=4.0", "scheme.dt=0.1"]
+        argv = ["simulate", "--config", str(PRESETS / "steady.cfg"), "--outdir", str(tmp_path / "out")]
+        assert main(argv + [a for o in overrides for a in ("--override", o)]) == 3
+        assert capsys.readouterr().err == "solver error: step 1 failed: min theta = -42.5 at t = 0.1\n"
+
     def test_override_changes_resolution(self, steady_cfg, tmp_path):
         out = tmp_path / "o8"
         assert main(["simulate", "--config", str(steady_cfg), "--override", "grid.n=8",
@@ -465,6 +472,17 @@ class TestCheck:
                      "--override", "scheme.dt=0.5", "--outdir", str(out)]) == 0
         assert main(["check", "--run", str(out)]) == 0
         assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("eps", ["10", "100"])
+    def test_floor_holds_at_eps_above_one(self, eps, tmp_path, capsys):
+        # at eps > 1, theta at a spatial minimum may decay faster than the eps-free envelope -h^p - h^2/2
+        out = tmp_path / "out"
+        overrides = ["initial.theta_base=2.0", "scheme.p=6", f"scheme.epsilon={eps}", "scheme.dt=0.001",
+                     "run.t_end=0.1"]
+        argv = ["simulate", "--config", str(PRESETS / "cosine.cfg"), "--outdir", str(out)]
+        assert main(argv + [a for o in overrides for a in ("--override", o)]) == 0
+        assert main(["check", "--run", str(out)]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_hand_edited_negative_temperature_fails(self, cosine_cfg, tmp_path, capsys):
         out = tmp_path / "out"

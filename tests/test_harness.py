@@ -10,7 +10,7 @@ import pytest
 from fremond.config import (KEY_KINDS, build_run_config, format_column, format_value, load_config, parse_config_text,
                             render_config)
 from fremond import harness
-from fremond.errors import ConfigError, PositivityLost, SimulationAborted
+from fremond.errors import ConfigError, NonpositiveTemperature, SimulationAborted
 from fremond.grid import Field, Grid, write_snapshots
 from fremond.harness import (
     ExperimentConfig,
@@ -486,13 +486,13 @@ class TestFrozenPhase:
         def failing_third(prev, phi_new, cfg):
             calls.append(prev.t)
             if len(calls) == 3:
-                raise PositivityLost("injected")
+                raise NonpositiveTemperature("injected")
             return heat_step(prev, phi_new, cfg)
 
         monkeypatch.setattr(harness, "heat_step", failing_third)
         with pytest.raises(SimulationAborted) as err:
             frozen_phase_run(init, SchemeConfig(dt=0.05, epsilon=0.5), 0.5)
         assert err.value.step_index == 3
-        assert isinstance(err.value.cause, PositivityLost)
+        assert isinstance(err.value.cause, NonpositiveTemperature)
         assert len(err.value.trajectory) == 3
         assert np.array_equal(err.value.trajectory[0].theta.values, init.theta.values)

@@ -14,7 +14,6 @@ from fremond.errors import (
     LinearSolveFailed,
     NewtonDiverged,
     NonpositiveTemperature,
-    PositivityLost,
     SimulationAborted,
 )
 from fremond.grid import Field, Grid, _lap_values
@@ -137,20 +136,20 @@ class TestHeatStep:
         out = heat_step(prev, prev.phi, cfg)
         exact = (th0 ** (1 - p) + eps * (p - 1) * dt) ** (1 / (1 - p))
         # backward Euler is O(dt) accurate per... O(dt^2) locally
-        assert abs(out.values[0] - exact) < 0.5 * dt * dt
+        assert abs(out.theta.values[0] - exact) < 0.5 * dt * dt
         oracle = scalar_newton(
             lambda x: (x - th0) / dt + eps * x**p,
             lambda x: 1 / dt + eps * p * x**3,
             th0,
         )
-        assert np.max(np.abs(out.values - oracle)) < 1e-10
+        assert np.max(np.abs(out.theta.values - oracle)) < 1e-10
 
     def test_pure_heat_preserves_uniform(self):
         g = Grid.line(16)
         prev = uniform_state(g, 2.0, 0.0)
         cfg = SchemeConfig(dt=0.1, epsilon=0.0)
         out = heat_step(prev, prev.phi, cfg)
-        assert np.array_equal(out.values, np.full(16, 2.0))
+        assert np.array_equal(out.theta.values, np.full(16, 2.0))
 
     def test_uniform_positive_rate_matches_scalar_oracle(self):
         g = Grid.line(16)
@@ -164,14 +163,26 @@ class TestHeatStep:
             lambda x: 1 / dt + eps * p * x**3 + d,
             th0,
         )
-        assert np.max(np.abs(out.values - oracle)) < 1e-10
+        assert np.max(np.abs(out.theta.values - oracle)) < 1e-10
+        assert out.t == prev.t + dt and out.phi is phi_new
+        assert np.array_equal(out.phi_t.values, (phi_new.values - prev.phi.values) / dt)
+
+    def test_state_is_frozen_phase_runs_first_step_bitwise(self):
+        from fremond.harness import frozen_phase_run
+
+        g = Grid.line(16)
+        mode = g.cosine_mode()
+        init = initial_state(g, Field(g, 1.0 + 0.2 * mode), Field(g, 0.3 * mode))
+        cfg = SchemeConfig(dt=0.05, epsilon=0.5)
+        assert_same_state(heat_step(init, init.phi, cfg), frozen_phase_run(init, cfg, cfg.dt)[1])
 
     def test_positivity_asserted_not_clipped(self):
-        # d < -1/dt drives the backward-Euler temperature negative
+        # d < -1/dt drives the backward-Euler temperature negative: (th - 0.5) - 2 th = 4, th = -4.5,
+        # which the State that heat_step builds rejects, naming its time
         g = Grid.line(8)
         prev = uniform_state(g, 0.5, 0.0)
         cfg = SchemeConfig(dt=1.0, epsilon=0.0)
-        with pytest.raises(PositivityLost):
+        with pytest.raises(NonpositiveTemperature, match=r"^min theta = -4.5 at t = 1$"):
             heat_step(prev, Field.full(g, -2.0), cfg)
 
     def test_newton_stops_at_the_iteration_cap(self):
@@ -180,7 +191,7 @@ class TestHeatStep:
         prev = uniform_state(g, 1.0, 0.0)
         with pytest.raises(NewtonDiverged, match="heat Newton stalled"):
             heat_step(prev, prev.phi, SchemeConfig(dt=0.01, epsilon=0.5, fp_max_iter=2))
-        assert heat_step(prev, prev.phi, SchemeConfig(dt=0.01, epsilon=0.5, fp_max_iter=3)).values.max() < 1.0
+        assert heat_step(prev, prev.phi, SchemeConfig(dt=0.01, epsilon=0.5, fp_max_iter=3)).theta.values.max() < 1.0
 
     def test_singular_jacobian_is_linear_solve_failure(self):
         # d = -1/dt cancels the identity: the Jacobian is kappa (-lap), singular
@@ -470,6 +481,31 @@ class TestReusedPieces:
         cfg, potential = dataclasses.replace(cfg, **change), Potential.double_well(lam)
         assert_same_state(step(state, cfg, potential), step(without_pieces(state), cfg, potential))
 
+    def test_pieces_of_an_equal_but_distinct_scheme_are_recomputed(self, double_well, monkeypatch):
+        """Reuse asks for the very cfg and potential objects: an equal copy of cfg recomputes the
+        pieces (one more Laplacian) and steps to the same bits."""
+        g = Grid.line(16)
+        mode = g.cosine_mode()
+        cfg = SchemeConfig(dt=1e-3, epsilon=1e-3)
+        state = step(initial_state(g, Field(g, 1.0 + 0.2 * mode), Field(g, 0.3 * mode)), cfg, double_well)
+        twin = dataclasses.replace(cfg)
+        assert twin == cfg and twin is not cfg
+        laplacians = [0]
+        lap = stepper._lap_values
+
+        def counting(*args):
+            laplacians[0] += 1
+            return lap(*args)
+
+        monkeypatch.setattr(stepper, "_lap_values", counting)
+        counts, outs = [], []
+        for scheme in (cfg, twin):
+            laplacians[0] = 0
+            outs.append(step(state, scheme, double_well))
+            counts.append(laplacians[0])
+        assert counts[1] == counts[0] + 1
+        assert_same_state(*outs)
+
 
 def stack_states(states):
     """One State with a leading member axis from solo States at one instant."""
@@ -546,11 +582,11 @@ class TestBatch:
         g = Grid.line(8)
         cfg = SchemeConfig(dt=0.1, epsilon=0.0)
         batch = stack_states([uniform_state(g, 1.0, 0.5), uniform_state(g, 0.1, 4.0), uniform_state(g, 1.0, 0.0)])
-        with pytest.raises(PositivityLost, match="at t = 0.1 in member 1"):
+        with pytest.raises(NonpositiveTemperature, match="at t = 0.1 in member 1"):
             step(batch, cfg, double_well)
         with pytest.raises(SimulationAborted) as err:
             simulate(batch, cfg, double_well, 0.3)
-        assert err.value.step_index == 1 and isinstance(err.value.cause, PositivityLost)
+        assert err.value.step_index == 1 and isinstance(err.value.cause, NonpositiveTemperature)
         assert err.value.trajectory.stack.theta.values.shape == (1, 3, 8)
 
 
@@ -615,7 +651,7 @@ class TestBatchNewton:
         out = heat_step(batch, batch.phi, cfg)
         assert solve_count[0] == max(counts)
         for j, alone in enumerate(outs):
-            assert np.array_equal(out.values[j], alone.values), j
+            assert np.array_equal(out.theta.values[j], alone.theta.values), j
 
     def test_phase_step_members_solve_bitwise_as_alone(self, double_well, steady_pair, solve_count):
         phi_star, theta_star = steady_pair
@@ -734,7 +770,7 @@ class TestStep:
         theta_re = heat_step(init, out.phi, cfg)
         vol = grid.cell_volume
         assert math.sqrt(float(np.sum((phi_re.values - out.phi.values) ** 2)) * vol) < 10 * NEWTON_TOL
-        assert math.sqrt(float(np.sum((theta_re.values - out.theta.values) ** 2)) * vol) < 10 * NEWTON_TOL
+        assert math.sqrt(float(np.sum((theta_re.theta.values - out.theta.values) ** 2)) * vol) < 10 * NEWTON_TOL
 
     def test_cosine_preset_needs_few_sweeps_per_step(self):
         from fremond.config import load_config

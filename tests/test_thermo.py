@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from fremond.errors import NonpositiveTemperature
 from fremond.grid import Field, Grid, _dirichlet_values, _grad_sq_values
 from fremond.potential import Potential
 from fremond.stepper import SchemeConfig, initial_state, simulate
@@ -181,13 +180,6 @@ class TestEntropyInequality:
         assert len(rep.times) == len(rep.margins) == len(rep.entropy_values) == 0
         assert rep.min_margin == 0.0
 
-    def test_negative_temperature_rejected(self, double_well):
-        g = Grid.line(8)
-        traj = simulate(uniform_state(g, 1.0, 0.0), SchemeConfig(dt=0.1), double_well, 0.1)
-        traj.stack.theta.values[1, 3] = -1.0  # after the trajectory's own check, on purpose
-        with pytest.raises(NonpositiveTemperature):
-            entropy_inequality_check(traj, TEST_FUNCTIONS["one"]())
-
     def test_test_function_rejects_negative_values(self):
         from fremond.thermo import TestFunction
 
@@ -236,6 +228,20 @@ class TestFloors:
         # the actual decay rate -eps theta^p is weaker than -theta^p - theta^2/2
         assert np.all(rep.theta_min >= rep.theta_floor - 1e-12)
 
+    @pytest.mark.parametrize("eps", [10.0, 100.0])
+    def test_uniform_decay_at_eps_above_one_stays_above_the_scaled_floor(self, eps):
+        # theta' = -eps theta^p decays faster than the eps-free envelope -h^p - h^2/2,
+        # so the floor scales its h^p term by max(1, eps)
+        from fremond.harness import frozen_phase_run
+        from fremond.thermo import _rk4_advance
+
+        g = Grid.line(8)
+        traj = frozen_phase_run(uniform_state(g, 0.9, 0.0), SchemeConfig(dt=0.01, epsilon=eps, p=4.0), 0.5)
+        rep = floors_check(traj, lam=0.0)
+        assert _rk4_advance(0.9, 0.01, 4.0, 1.0) > rep.theta_min[1]  # the eps-free floor fails at once
+        assert np.all(rep.theta_ok) and np.all(rep.theta_min >= rep.theta_floor)
+        assert rep.theta_floor[-1] < rep.theta_min[-1] < 1.5 * rep.theta_floor[-1]
+
     def test_coupled_run_floors(self, small_cosine_run):
         traj, pot = small_cosine_run
         rep = floors_check(traj, lam=pot.lam)
@@ -252,5 +258,5 @@ class TestFloors:
         t_final = traj.times[-1] - traj.times[0]
         direct = traj[0].theta.min()
         for _ in range(2500):
-            direct = _rk4_advance(direct, t_final / 2500, traj.config.p)
+            direct = _rk4_advance(direct, t_final / 2500, traj.config.p, 1.0)
         assert rep.theta_floor[-1] == pytest.approx(direct, rel=1e-12)
