@@ -17,7 +17,10 @@ receive the two interior-face halves per axis, the same rule as everywhere else
 
 A snapshot file is text, one record per field, and all of its records live
 on one grid: ``write_snapshots`` writes a stacked Field (a leading record
-axis) and ``read_snapshots`` reads it back as one.
+axis), or several interleaved, and ``read_snapshots`` reads it back as one.
+Neither copies the whole stack: writing holds one record's text at a time,
+and reading fills one preallocated array, so each holds the values plus one
+record.
 """
 
 from __future__ import annotations
@@ -117,10 +120,16 @@ class Grid:
         return tuple(np.meshgrid(*((np.arange(n) + 0.5) * h for n, h in zip(self.n, self.h)), indexing="ij"))
 
     def cosine_mode(self) -> np.ndarray:
-        """Product over the axes of cos(pi x_a / L_a), a zero-flux eigenmode."""
+        """Product over the axes of cos(pi x_a / L_a), a zero-flux eigenmode; read-only, computed
+        once per grid, since a test function samples it once per block of a trajectory."""
+        return self._cosine_mode
+
+    @cached_property
+    def _cosine_mode(self) -> np.ndarray:
         out = np.ones(self.shape)
         for axis, x in enumerate(self.meshgrid()):
             out = out * np.cos(np.pi * x / self.extent[axis])
+        out.flags.writeable = False
         return out
 
 
@@ -138,7 +147,9 @@ class Field:
         v = np.asarray(self.values, dtype=np.float64)
         if v.shape[-self.grid.dim:] != self.grid.shape:
             raise ValueError(f"values of shape {v.shape} do not end in the grid's shape {self.grid.shape}")
-        if not np.logical_and.reduce(np.isfinite(v), axis=None):
+        # a NaN propagates through min and max, so both are finite exactly when every value is;
+        # unlike an isfinite mask, they allocate nothing as large as the values
+        if not (math.isfinite(v.min(initial=0.0)) and math.isfinite(v.max(initial=0.0))):
             raise ValueError("field contains non-finite values")
         self.values = v
 
@@ -238,27 +249,47 @@ def norm(f: Field, kind: str = "L2") -> float:
 #   v0 v1 v2 ...            (row-major, any whitespace)
 
 
-def write_snapshots(f: Field, path, times) -> None:
+def write_snapshots(f: Field | tuple[Field, ...], path, times) -> None:
     """One record per leading index of ``f.values``, which has shape
-    (len(times), *grid.shape); record k carries the time ``times[k]``."""
-    grid = f.grid
-    if f.values.shape != (len(times), *grid.shape):
-        raise ValueError(f"values of shape {f.values.shape} are not {len(times)} records of shape {grid.shape}")
+    (len(times), *grid.shape); record k carries the time ``times[k]``. Given
+    a tuple of such Fields on one grid, each time gets one record of each, in
+    the tuple's order, written from the Fields as they are (no interleaved copy)."""
+    fields = f if isinstance(f, tuple) else (f,)
+    grid = fields[0].grid
+    for fld in fields:
+        if fld.values.shape != (len(times), *grid.shape):
+            raise ValueError(f"values of shape {fld.values.shape} are not {len(times)} records of shape {grid.shape}")
     n = ",".join(str(k) for k in grid.n)
     h = ",".join(repr(float(x)) for x in grid.h)
     with open(path, "w") as fh:
-        for t, values in zip(times, f.values):
-            fh.write(f"FIELD dim={grid.dim} n={n} h={h} t={float(t)!r}\n")
-            flat = values.ravel().tolist()
-            for i in range(0, len(flat), 8):
-                fh.write(" ".join(map(repr, flat[i : i + 8])) + "\n")
+        for k, t in enumerate(times):
+            header = f"FIELD dim={grid.dim} n={n} h={h} t={float(t)!r}\n"
+            for fld in fields:
+                fh.write(header)
+                flat = fld.values[k].ravel().tolist()
+                for i in range(0, len(flat), 8):
+                    fh.write(" ".join(map(repr, flat[i : i + 8])) + "\n")
+
+
+def _count_records(path) -> int:
+    """How often "FIELD" occurs in the file, read 128 KB at a time: the record count of
+    a well-formed file, and at least the count of any file that parses."""
+    count, tail = 0, b""
+    with open(path, "rb") as fh:
+        while chunk := fh.read(2**17):
+            chunk = tail + chunk
+            count += chunk.count(b"FIELD")
+            tail = chunk[-4:]  # too short to hold a whole "FIELD", so none is counted twice
+    return count
 
 
 def read_snapshots(path) -> tuple[Field, np.ndarray]:
     """Every record of a snapshot file as one Field, values of shape
-    (records, *grid.shape), and the records' times. A malformed record, an
-    empty file or records on different grids is a ConfigError naming the file."""
-    values, times, grid_nh, grid_text = [], [], None, None
+    (records, *grid.shape), and the records' times. The values fill one array
+    sized by a count of the file's headers, so reading holds the result plus
+    one record. A malformed record, an empty file or records on different grids
+    is a ConfigError naming the file."""
+    values, times, grid_nh, grid_text = None, [], None, None
     try:
         with open(path) as fh:
             lines = (line for line in fh if line.strip())
@@ -286,13 +317,14 @@ def read_snapshots(path) -> tuple[Field, np.ndarray]:
                     tokens += line.split()
                 if len(tokens) != count:
                     raise ValueError("snapshot record has trailing values")
-                # floats record by record keep the peak memory near the result's size
-                values.append(np.array(tokens, dtype=float))
+                if values is None:
+                    values = np.empty((_count_records(path), count))
+                values[len(times)] = np.array(tokens, dtype=float)
                 times.append(float(kv["t"]))
         if grid_nh is None:
             raise ValueError("empty snapshot file")
         n, h = grid_nh
         grid = Grid(n, tuple(hi * ni for hi, ni in zip(h, n)))
-        return Field(grid, np.reshape(values, (-1, *n))), np.array(times)
+        return Field(grid, values[: len(times)].reshape(-1, *n)), np.array(times)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc

@@ -12,6 +12,11 @@ Output tree:
     <outdir>/run_0/index.csv             step,t
     <outdir>/run_0/<check>.csv           written by the check drivers
     <outdir>/summary.csv                 one row per experiment member
+
+Persisting and loading a trajectory copy none of it whole: ``persist_trajectory``
+writes the interleaved temperature and phase records from the trajectory's own
+arrays, and ``load_run_dir`` reads them into one array and takes the two series
+as views, so each holds the trajectory plus one record.
 """
 
 from __future__ import annotations
@@ -517,8 +522,7 @@ def persist_trajectory(traj: Trajectory, run_dir) -> None:
     run_dir = Path(run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
     s = traj.stack
-    records = np.stack([s.theta.values, s.phi.values], axis=1).reshape(-1, *s.grid.shape)
-    write_snapshots(Field(s.grid, records), run_dir / "trajectory.field", np.repeat(s.t, 2))
+    write_snapshots((s.theta, s.phi), run_dir / "trajectory.field", s.t)
     write_csv(run_dir / "index.csv", ["step", "t"], [np.arange(len(s.t)), s.t])
 
 

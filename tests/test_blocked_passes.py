@@ -1,0 +1,216 @@
+"""The trajectory-wide passes work block by block and give, bit for bit, what
+one pass over the whole arrays gives.
+
+``energy`` on a stacked State, ``energy_inequality_check`` and
+``entropy_inequality_check`` reduce each state alone, so working through
+blocks of whole states (``thermo.BLOCK_VALUES`` values each) must not change
+a bit; the whole-array forms below are the references. The cases cover 1, 2,
+a block, a block plus one and several blocks of states, on a solo 1D run, a
+loaded run (every-other-record views), a batch member (strided views) and a 2D
+run. Traced by ``tracemalloc``, each pass holds its inputs plus a few blocks,
+and writing then loading a run holds the loaded arrays plus about one record.
+"""
+
+import tracemalloc
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from fremond import thermo
+from fremond.config import load_config
+from fremond.grid import Field, Grid, _dirichlet_values, _grad_sq_values, read_snapshots
+from fremond.harness import load_run_dir, persist_trajectory, run_simulation, write_manifest
+from fremond.stepper import SchemeConfig, State, Trajectory, initial_state, simulate
+from fremond.thermo import TEST_FUNCTIONS, energy, energy_inequality_check, entropy_inequality_check
+
+PRESETS = Path(__file__).resolve().parents[1] / "presets"
+
+
+def whole_energy(state, potential):
+    """``energy``'s fields after t, each reduced over the whole stacked arrays at once."""
+    g = state.grid
+    vol, axes = g.cell_volume, g.axes
+    th, ph = state.theta.values, state.phi.values
+    e_grad = 0.5 * _dirichlet_values(ph, ph, g)
+    e_pot = np.sum(potential.eval(ph, 0), axis=axes) * vol
+    e_th = np.sum(th, axis=axes) * vol
+    log_th = np.log(th)
+    return (e_grad + e_pot + e_th, e_grad, e_pot, e_th, np.sum(log_th + ph, axis=axes) * vol,
+            np.sum(th * log_th, axis=axes) * vol, th.min(axis=axes), ph.min(axis=axes))
+
+
+def whole_regularization(traj):
+    """``energy_inequality_check``'s reg_cumulative over the whole arrays at once."""
+    eps, p, dt, g = traj.config.epsilon, traj.config.p, traj.config.dt, traj.grid
+    regs = np.zeros(len(traj))
+    if eps > 0:
+        regs[1:] = eps * dt * np.sum(traj.stack.theta.values[1:] ** p, axis=g.axes) * g.cell_volume
+    return np.cumsum(regs)
+
+
+def whole_entropy(traj, test_fn):
+    """``entropy_inequality_check``'s margins and values over the whole arrays at once."""
+    cfg = traj.config
+    kappa, eps, p, dt = cfg.kappa, cfg.epsilon, cfg.p, cfg.dt
+    s, grid = traj.stack, traj.grid
+    vol, axes = grid.cell_volume, grid.axes
+    vt = test_fn.sample(grid, traj.times)
+    log_th = np.log(s.theta.values)
+    density = log_th + s.phi.values
+    boundary = np.sum(vt * density, axis=axes) * vol
+    vt_dot = np.concatenate([(vt[1:2] - vt[:1]) / dt, (vt[2:] - vt[:-2]) / (2.0 * dt)])
+    vt_dot *= density[:-1]
+    flux = dt * (kappa * _dirichlet_values(log_th[:-1], vt[:-1], grid) - np.sum(vt_dot, axis=axes) * vol)
+    th = s.theta.values[:-1]
+    density = _grad_sq_values(log_th[:-1], grid)
+    density *= kappa
+    density += s.phi_t.values[:-1] ** 2 / th
+    if eps > 0:
+        density -= eps * th ** (p - 1.0)
+    density *= vt[:-1]
+    production = dt * np.sum(density, axis=axes) * vol
+    lhs = -boundary[1:] + boundary[0] + np.cumsum(production)
+    return np.cumsum(flux) - lhs, boundary[1:]
+
+
+def bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+def head(traj, k):
+    """The first k states of a trajectory, as views."""
+    s = traj.stack
+    return Trajectory(State(s.t[:k], *(Field(f.grid, f.values[:k]) for f in (s.theta, s.phi, s.phi_t))), traj.config)
+
+
+def assert_passes_bitwise(traj, potential):
+    got = energy(traj.stack, potential)
+    for name, want in zip(list(vars(got))[1:], whole_energy(traj.stack, potential)):
+        assert np.array_equal(bits(getattr(got, name)), bits(want)), name
+    echeck = energy_inequality_check(traj, potential)
+    assert np.array_equal(bits(echeck.reg_cumulative), bits(whole_regularization(traj)))
+    assert np.array_equal(bits(echeck.energies), bits(got.E_total))
+    for tf in TEST_FUNCTIONS.values():
+        ent = entropy_inequality_check(traj, tf)
+        margins, values = whole_entropy(traj, tf)
+        assert np.array_equal(bits(ent.margins), bits(margins)), tf.name
+        assert np.array_equal(bits(ent.entropy_values), bits(values)), tf.name
+
+
+STATES_PER_BLOCK = 4
+COUNTS = [1, 2, STATES_PER_BLOCK, STATES_PER_BLOCK + 1, 3 * STATES_PER_BLOCK + 2]  # 1, 2, a block, one more, several
+
+
+@pytest.fixture(scope="module")
+def runs(tmp_path_factory):
+    """Name -> (trajectory, potential) of each kind of stacked values, 15 states or more each."""
+    run = load_config(PRESETS / "cosine.cfg", ["grid.n=16", "scheme.dt=0.00390625", "scheme.epsilon=0.1",
+                                               "run.t_end=0.0625"])
+    pot, grid, cfg = run.potential, run.grid, run.scheme
+    solo = run_simulation(run)
+    outdir = tmp_path_factory.mktemp("loaded")
+    write_manifest(outdir, run.sections)
+    persist_trajectory(solo, outdir / "run_0")
+    loaded, _ = load_run_dir(outdir)
+    assert loaded.stack.theta.values.base is not None  # every other record of one array
+
+    init = solo[0]
+    batch_init = initial_state(grid, np.stack([init.theta.values, 1.1 * init.theta.values]),
+                               np.stack([init.phi.values, -init.phi.values]))
+    member = simulate(batch_init, cfg, pot, 16 * cfg.dt).member(1)
+
+    g2 = Grid((6, 5), (1.0, 0.8))
+    X, Y = g2.meshgrid()
+    mode = np.cos(np.pi * X) * np.cos(np.pi * Y / 0.8)
+    init2 = initial_state(g2, Field(g2, 1.0 + 0.2 * mode), Field(g2, 0.3 * mode))
+    run2d = simulate(init2, SchemeConfig(dt=2e-3, epsilon=1e-3), pot, 16 * 2e-3)
+    return {"solo1d": (solo, pot), "loaded": (loaded, pot), "member": (member, pot), "2d": (run2d, pot)}
+
+
+@pytest.mark.parametrize("kind", ["solo1d", "loaded", "member", "2d"])
+@pytest.mark.parametrize("count", COUNTS)
+def test_blocked_passes_equal_whole_array_passes_bitwise(runs, kind, count, monkeypatch):
+    traj, pot = runs[kind]
+    monkeypatch.setattr(thermo, "BLOCK_VALUES", STATES_PER_BLOCK * traj.stack.theta.values[0].size)
+    assert len(thermo._blocks(traj.stack.theta.values[:count])) == -(-count // STATES_PER_BLOCK)
+    assert_passes_bitwise(head(traj, count), pot)
+
+
+def synthetic(grid, states, seed=0):
+    """A trajectory of smooth positive random fields, built without marching."""
+    rng = np.random.default_rng(seed)
+    cfg = SchemeConfig(dt=1e-3, epsilon=1e-2, p=4.0)
+    mode = grid.cosine_mode()
+    amp = rng.uniform(-0.3, 0.3, size=(2, states) + (1,) * grid.dim)
+    theta, phi = 1.0 + amp[0] * mode, amp[1] * mode + 0.01 * rng.standard_normal((states, *grid.shape))
+    return Trajectory.of(np.arange(states) * cfg.dt, theta, phi, Field.zeros(grid), cfg)
+
+
+@pytest.mark.parametrize("blocks", [1, 3])
+def test_blocked_passes_at_the_module_block_size(double_well, blocks):
+    grid = Grid.line(16)
+    per = thermo.BLOCK_VALUES // grid.num_cells
+    for count in (blocks * per, blocks * per + 1):
+        assert_passes_bitwise(synthetic(grid, count), double_well)
+
+
+def test_interleaved_snapshot_round_trip_is_bitwise(runs, tmp_path):
+    traj = runs["2d"][0]
+    persist_trajectory(traj, tmp_path)
+    records, times = read_snapshots(tmp_path / "trajectory.field")
+    s = traj.stack
+    assert records.values.shape == (2 * len(traj), *traj.grid.shape)
+    assert np.array_equal(bits(records.values[0::2]), bits(s.theta.values))
+    assert np.array_equal(bits(records.values[1::2]), bits(s.phi.values))
+    assert np.array_equal(bits(times), bits(np.repeat(s.t, 2)))
+
+
+# --- memory --------------------------------------------------------------------------
+
+BLOCK_BYTES = 8 * thermo.BLOCK_VALUES
+
+
+def traced_peak(fn):
+    """fn's result and the peak of the memory it traced above what was live when it began."""
+    tracemalloc.start()
+    try:
+        live = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1] - live
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def big2d():
+    """32 x 32 cells and 257 states: each field of the trajectory is 2.1 MB, 16 blocks."""
+    return synthetic(Grid((32, 32), (1.0, 1.0)), 257)
+
+
+@pytest.mark.parametrize("name, pass_", [
+    ("energy", lambda traj, pot: energy(traj.stack, pot)),
+    ("energy_check", energy_inequality_check),
+    ("entropy_one", lambda traj, pot: entropy_inequality_check(traj, TEST_FUNCTIONS["one"])),
+    ("entropy_cosine_damped", lambda traj, pot: entropy_inequality_check(traj, TEST_FUNCTIONS["cosine_damped"])),
+])
+def test_each_pass_holds_a_few_blocks(big2d, double_well, name, pass_):
+    _, peak = traced_peak(lambda: pass_(big2d, double_well))
+    field_bytes = big2d.stack.theta.values.nbytes
+    assert peak < 8 * BLOCK_BYTES < field_bytes / 2, f"{name}: {peak / 2**20:.2f} MB"
+
+
+def test_persisting_and_loading_hold_the_loaded_arrays_plus_one_record(big2d, tmp_path):
+    run = load_config(PRESETS / "cosine.cfg", ["grid.dim=2", "grid.n=32", f"scheme.dt={big2d.config.dt!r}",
+                                               f"scheme.epsilon={big2d.config.epsilon!r}"])
+    write_manifest(tmp_path, run.sections)
+    run_dir = tmp_path / "run_0"
+    _, peak = traced_peak(lambda: persist_trajectory(big2d, run_dir))
+    # one record's floats and text at a time, and index.csv's 256-row batches (about 190 KB)
+    assert peak < 2 * BLOCK_BYTES, f"persist: {peak / 2**20:.2f} MB"
+    (loaded, _), peak = traced_peak(lambda: load_run_dir(run_dir))
+    arrays = sum(f.values.base.nbytes if f.values.base is not None else f.values.nbytes
+                 for f in (loaded.stack.theta, loaded.stack.phi_t))  # theta and phi share one array
+    assert arrays == 3 * big2d.stack.theta.values.nbytes
+    # the record being parsed, as text tokens and then floats (about 120 KB here), and index.csv's rows
+    assert peak < arrays + 2 * BLOCK_BYTES, f"load: {(peak - arrays) / 2**20:.2f} MB above the arrays"

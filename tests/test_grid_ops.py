@@ -358,6 +358,21 @@ class TestSnapshots:
         assert np.array_equal(got.values.view(np.int64), want.values.view(np.int64))
         assert np.array_equal(got_t.view(np.int64), want_t.view(np.int64))
 
+    @pytest.mark.parametrize("offset", [-5, -3, -1, 0])
+    def test_a_header_across_a_read_chunk_is_counted_once(self, tmp_path, offset):
+        from fremond.grid import _count_records
+
+        path = tmp_path / "chunks.field"
+        path.write_bytes(b"FIELD" + b" " * (2**17 + offset - 5) + b"FIELD" + b" " * 9 + b"FIELD")
+        assert _count_records(path) == 3
+
+    def test_a_header_with_more_than_one_field_token_reads_its_records(self, tmp_path):
+        # the count of "FIELD" is then above the record count; the result holds the records alone
+        want, want_t = read_snapshots(self._three_records(tmp_path))
+        got, got_t = read_snapshots(self._three_records(tmp_path, edit_header=lambda hd: hd + " note=FIELD"))
+        assert got.values.shape == want.values.shape == (3, 4)
+        assert np.array_equal(got.values, want.values) and np.array_equal(got_t, want_t)
+
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.field"
         path.write_text("\n")

@@ -1,0 +1,69 @@
+"""Admissible runs pass ``check``: seeded configurations, generated across the
+ranges that ``SchemeConfig`` and the initial presets admit, go through an
+in-process ``cli.main`` ``simulate`` and ``check``. Each exits 0, or its
+``simulate`` exits 3 (a solver failure) with one stderr line; ``check`` never
+exits 1 on a run that keeps the laws it checks. One generated case, marked
+below, still exits 1 on its entropy margin.
+
+Most configurations are 1D, a few 2D; stiff ones (large p, theta_base and dt)
+are among them, and so are the two runs that once failed the temperature
+floor with a NaN margin (four RK4 substeps per interval overflowed)."""
+
+import math
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from fremond.cli import main
+
+COSINE = str(Path(__file__).resolve().parents[1] / "presets" / "cosine.cfg")
+
+STIFF = {
+    "stiff_p6": {"initial.theta_base": 5.0, "scheme.p": 6, "scheme.dt": 0.015625, "run.t_end": 0.125},
+    "stiff_theta1000": {"initial.theta_base": 1000, "scheme.p": 6, "scheme.dt": 1, "run.t_end": 1},
+}
+
+
+def generated(seed: int) -> dict:
+    """One admissible configuration: n, dt from h^2/2 to 256 h^2, kappa, p, theta_base, epsilon and the preset
+    drawn from seed; 1D, except every fifth seed, which is 2D; 4 to 8 steps."""
+    rng = np.random.default_rng(seed)
+    dim = 2 if seed % 5 == 4 else 1
+    n = int(rng.integers(6, 13)) if dim == 2 else int(rng.integers(16, 65))
+    dt = (1.0 / n) ** 2 * 2.0 ** rng.uniform(-1.0, 8.0)
+    return {
+        "grid.dim": dim,
+        "grid.n": n,
+        "scheme.dt": dt,
+        "scheme.kappa": math.exp(rng.uniform(math.log(0.1), math.log(10.0))),
+        "scheme.p": rng.uniform(3.5, 6.0),
+        "scheme.epsilon": math.exp(rng.uniform(math.log(1e-3), math.log(1.0 if seed % 3 else 100.0))),
+        "initial.theta_base": math.exp(rng.uniform(math.log(0.2), math.log(5.0))),
+        "initial.preset": "random_smooth" if rng.random() < 0.5 else "cosine_bump",
+        "initial.seed": int(rng.integers(0, 1000)),
+        "run.t_end": int(rng.integers(4, 9)) * dt,
+    }
+
+
+CASES = {**STIFF, **{f"seed{seed}": generated(seed) for seed in range(40)}}
+
+# Open: theta_base 0.2 with random_smooth data puts min theta_0 at 5.8e-4, and at dt = 8.7 h^2 the
+# entropy margin of step 1 is -14.4, below its tolerance of -100 dt = -1.98 (the floors pass). Whether
+# the run breaks the law or the tolerance is too tight for so small a temperature is not yet known.
+ENTROPY_PAST_TOLERANCE = pytest.mark.xfail(strict=True, reason="entropy margin -14.4 < -100 dt at min theta_0 5.8e-4")
+
+
+@pytest.mark.parametrize("name", [pytest.param(name, marks=ENTROPY_PAST_TOLERANCE) if name == "seed35" else name
+                                  for name in CASES])
+def test_admissible_run_exits_zero_or_three(name, tmp_path, capsys):
+    argv = ["simulate", "--config", COSINE, "--outdir", str(tmp_path)]
+    for key, value in CASES[name].items():
+        argv += ["--override", f"{key}={value!r}" if isinstance(value, float) else f"{key}={value}"]
+    code = main(argv)
+    err = capsys.readouterr().err
+    if code == 3:
+        assert err.startswith("solver error: ") and err.count("\n") == 1, err
+        return
+    assert code == 0, err
+    assert main(["check", "--run", str(tmp_path)]) == 0, capsys.readouterr().err

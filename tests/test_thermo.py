@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +14,9 @@ from fremond.thermo import (
     entropy_inequality_check,
     floors_check,
 )
+
+
+PRESETS = Path(__file__).resolve().parents[1] / "presets"
 
 
 def uniform_state(grid, theta, phi, t=0.0):
@@ -260,3 +264,66 @@ class TestFloors:
         for _ in range(2500):
             direct = _rk4_advance(direct, t_final / 2500, traj.config.p, 1.0)
         assert rep.theta_floor[-1] == pytest.approx(direct, rel=1e-12)
+
+
+class TestStiffFloor:
+    """The temperature floor where four RK4 substeps per interval are unstable: ``_rk4_advance`` takes
+    enough substeps for the stiffest point of each interval, and past FLOOR_MAX_SUBSTEPS a closed form."""
+
+    RUNS = {  # the cosine preset with these overrides exited 1 on a NaN floor margin
+        "p6": ["initial.theta_base=5.0", "scheme.p=6", "scheme.dt=0.015625", "run.t_end=0.125"],
+        "theta1000": ["initial.theta_base=1000", "scheme.p=6", "scheme.dt=1", "run.t_end=1"],
+    }
+
+    @staticmethod
+    def implicit_reference(h0, times, p, c):
+        from scipy.integrate import solve_ivp
+
+        sol = solve_ivp(lambda t, y: -(c * y**p) - 0.5 * y * y, (times[0], times[-1]), [h0], method="Radau",
+                        rtol=1e-12, atol=1e-300, t_eval=times, jac=lambda t, y: [[-(c * p * y[0] ** (p - 1)) - y[0]]])
+        return sol.y[0]
+
+    @pytest.mark.parametrize("name", list(RUNS))
+    def test_floor_is_below_an_implicit_reference_and_close_to_it_under_the_cap(self, name):
+        from fremond.config import load_config
+        from fremond.harness import run_simulation
+        from fremond.thermo import FLOOR_MAX_SUBSTEPS, _substeps
+
+        run = load_config(PRESETS / "cosine.cfg", self.RUNS[name])
+        traj = run_simulation(run)
+        rep = floors_check(traj, lam=run.potential.lam)
+        assert np.all(rep.theta_ok) and np.all(np.isfinite(rep.theta_floor))
+        p, c = traj.config.p, max(1.0, traj.config.epsilon)
+        ref = self.implicit_reference(rep.theta_floor[0], traj.times - traj.times[0], p, c)
+        assert np.all(rep.theta_floor <= ref * (1.0 + 1e-12))
+        capped = np.cumsum([False] + [_substeps(h, traj.config.dt, p, c) > FLOOR_MAX_SUBSTEPS
+                                      for h in rep.theta_floor[:-1]]) > 0
+        assert capped.any() == (name == "theta1000")
+        assert np.all(np.abs(rep.theta_floor - ref)[~capped] <= 1e-9)
+
+    def test_past_the_cap_the_closed_form_reaches_one_and_rk4_goes_on(self):
+        from fremond.thermo import FLOOR_MAX_SUBSTEPS, _rk4_advance, _substeps
+
+        h0, p, c = 1e3, 6.0, 1.0
+        assert _substeps(h0, 1.0, p, c) > 1e15 > FLOOR_MAX_SUBSTEPS
+        to_one = (1.0 - h0 ** (1.0 - p)) / ((c + 0.5) * (p - 1.0))
+        assert _rk4_advance(h0, to_one / 2, p, c) == (h0 ** (1.0 - p) + (c + 0.5) * (p - 1.0) * to_one / 2) ** (-0.2)
+        assert _rk4_advance(h0, 1.0, p, c) == _rk4_advance(1.0, 1.0 - to_one, p, c)
+        assert _rk4_advance(h0, 1.0, p, c) < self.implicit_reference(h0, np.array([0.0, 1.0]), p, c)[-1]
+
+    def test_four_substeps_wherever_they_are_stable(self):
+        # the arithmetic of four fixed substeps, so the presets' floors keep every bit
+        from fremond.thermo import _floor_rhs, _rk4_advance
+
+        def four(h, width, p, c):
+            dt = width / 4
+            for _ in range(4):
+                k1 = _floor_rhs(h, p, c)
+                k2 = _floor_rhs(h + 0.5 * dt * k1, p, c)
+                k3 = _floor_rhs(h + 0.5 * dt * k2, p, c)
+                k4 = _floor_rhs(h + dt * k3, p, c)
+                h = h + dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+            return h
+
+        for h, width, p, c in [(0.8, 1.220703125e-4, 4.0, 1.0), (1.2, 1e-3, 4.0, 1.0), (0.231, 0.01, 4.0, 1.0)]:
+            assert _rk4_advance(h, width, p, c) == four(h, width, p, c)
