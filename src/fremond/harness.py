@@ -399,6 +399,21 @@ class WeakStrongReport:
         return header, [[getattr(r, f.name) for r in self.rows] for f in fields(WeakStrongRow)]
 
 
+def _perturbed_batch(grid: Grid, run: RunConfig, deltas: list[float]) -> State:
+    """The reference's initial state on ``grid`` and, after it, one member per delta, its phase plus
+    delta * cos mode, as one batch. A positive delta that leaves the phase bitwise unchanged is a
+    ConfigError naming it: its run would be the reference again, with E_rel = 0 and no ratio."""
+    ref_init = make_initial(grid, run.potential, run.initial)
+    phi0, bump = ref_init.phi.values, grid.cosine_mode()
+    phis = [phi0, *(phi0 + delta * bump for delta in deltas)]
+    for delta, phi in zip(deltas, phis[1:]):
+        if delta > 0.0 and np.array_equal(phi, phi0):
+            raise ConfigError(f"experiment.deltas has {format_value(delta)}: too small to perturb the initial "
+                              f"phase at n = {grid.n[0]}")
+    return initial_state(grid, np.stack([ref_init.theta.values] * len(phis)), np.stack(phis),
+                         phi_t_mode=run.initial.get("phi_t", "zero"), potential=run.potential)
+
+
 def weak_strong_experiment(cfg: ExperimentConfig) -> WeakStrongReport:
     """Perturb the initial phase by delta * cos mode and track the relative
     energy against the unperturbed (well-resolved, smooth-data) reference.
@@ -408,28 +423,27 @@ def weak_strong_experiment(cfg: ExperimentConfig) -> WeakStrongReport:
     bitwise. The Gronwall multiplier is calibrated once on the coarsest level
     and held fixed across refinements and perturbation sizes. The reference
     must stay regular: the maximum of its xi monitor is recorded per level.
+    Every level's initial batch is built, and so checked, before the first
+    marches; each level's batch trajectory and reports are released before
+    the next marches, so that one level is held at a time.
     """
     run = cfg.run
     deltas = cfg.deltas
     if len(set(deltas)) < len(deltas) or any(d < 0.0 for d in deltas) or not any(d > 0.0 for d in deltas):
         raise ConfigError(f"experiment.deltas = {format_value(deltas)}: must be distinct and nonnegative, "
                           "with at least one positive")
+    for delta in deltas:
+        if delta > 0.0 and delta * delta == 0.0:
+            raise ConfigError(f"experiment.deltas has {format_value(delta)}: its square underflows to 0, "
+                              "so E_rel(T) / delta^2 is undefined")
     if 0.0 not in deltas:
         deltas = [0.0] + deltas
     relcfg = RelEnergyConfig(M=cfg.M, lam=run.potential.lam)
     built, t_end = _levels(cfg)
+    inits = [_perturbed_batch(grid, run, deltas) for grid, _ in built]
     rows: list[WeakStrongRow] = []
     xi_max: list[float] = []
-    for li, (n, (grid, scheme)) in enumerate(zip(cfg.levels, built)):
-        ref_init = make_initial(grid, run.potential, run.initial)
-        phi0, bump = ref_init.phi.values, grid.cosine_mode()
-        batch_init = initial_state(
-            grid,
-            np.stack([ref_init.theta.values] * (1 + len(deltas))),
-            np.stack([phi0, *(phi0 + delta * bump for delta in deltas)]),
-            phi_t_mode=run.initial.get("phi_t", "zero"),
-            potential=run.potential,
-        )
+    for li, (n, (_, scheme), batch_init) in enumerate(zip(cfg.levels, built, inits)):
         batch = simulate(batch_init, scheme, run.potential, t_end)
         ref = batch.member(0)
         xi_max.append(float(np.max(xi_monitor(ref.stack, scheme.kappa))))
@@ -440,18 +454,11 @@ def weak_strong_experiment(cfg: ExperimentConfig) -> WeakStrongReport:
         if li == 0:  # calibrated on the coarsest level, as is the verdicts' tolerance scale
             multiplier = fit_gronwall_multiplier([rep for delta, rep in reports.items() if delta > 0.0])
             scale = energy(ref[0], run.potential).E_total
-        for delta, rep in reports.items():
-            rows.append(
-                WeakStrongRow(
-                    level=li,
-                    n=n,
-                    delta=delta,
-                    E_rel_max=float(np.max(rep.E_rel)),
-                    E_rel_final=float(rep.E_rel[-1]),
-                    min_gronwall_margin=rep.min_step_margin(multiplier),
-                    ratio=float(rep.E_rel[-1] / delta**2) if delta > 0 else math.nan,
-                )
-            )
+        rows.extend(WeakStrongRow(level=li, n=n, delta=delta, E_rel_max=float(np.max(rep.E_rel)),
+                                  E_rel_final=float(rep.E_rel[-1]), min_gronwall_margin=rep.min_step_margin(multiplier),
+                                  ratio=float(rep.E_rel[-1] / delta**2) if delta > 0 else math.nan)
+                    for delta, rep in reports.items())
+        del batch, ref, reports  # one level at a time: release this one before the next marches
     ratios = [r.ratio for r in rows if r.level == len(built) - 1 and r.delta > 0.0]
     return WeakStrongReport(multiplier, rows, xi_max, scale, max(ratios) / min(ratios))
 

@@ -28,6 +28,12 @@ and then held fixed. ``gronwall_check`` returns the envelope at multiplier 1,
 Given two trajectories' stacked States (``Trajectory.stack``) in place of
 two States, each functional returns its series over time; ``gronwall_check``
 gets E, W and K that way.
+
+Memory: ``gronwall_check`` forms E, W and K, and ``xi_monitor`` on a stacked
+State its series, through blocks of whole states (``thermo._blocks``), so each
+holds its inputs plus about one block. Each state's terms are reduced as in one
+whole-array pass, and each running sum runs once over the full series, so the
+results keep every bit.
 """
 
 from __future__ import annotations
@@ -38,9 +44,10 @@ from typing import Iterable
 import numpy as np
 
 from .errors import ConfigError, NonpositiveTemperature
-from .grid import Field, _dirichlet_values, _grad_sq_values, _lap_values, same_grid
+from .grid import Field, Grid, _dirichlet_values, _grad_sq_values, _lap_values, same_grid
 from .potential import Potential
 from .stepper import State, Trajectory
+from .thermo import _blocks
 
 __all__ = [
     "RelEnergyConfig",
@@ -216,11 +223,13 @@ def gronwall_check(
     estimate; see fit_gronwall_multiplier.
     """
     require_comparable(traj, ref_traj)
-    s, r = traj.stack, ref_traj.stack
-    E = relative_energy(s, r, cfg, potential).total
-    W = dissipation_W(s, r, traj.config.kappa)
-    K = k_factor(r)
-    dt = traj.config.dt
+    kappa, dt = traj.config.kappa, traj.config.dt
+
+    def series(b: slice) -> tuple:
+        s, r = traj[b], ref_traj[b]
+        return relative_energy(s, r, cfg, potential).total, dissipation_W(s, r, kappa), k_factor(r)
+
+    E, W, K = (np.concatenate(x) for x in zip(*map(series, _blocks(traj.stack.theta.values))))
     N = len(E)
     IK = np.zeros(N)  # IK[n] = sum_{k<n} dt K(t_k)
     IK[1:] = np.cumsum(dt * K[:-1])
@@ -245,13 +254,17 @@ def xi_monitor(state: State, kappa: float) -> float | np.ndarray:
 
     Uses the state's stored phi_t (zero at the initial instant by convention,
     which underestimates xi(0); ``[initial] phi_t = pde`` stores the PDE rate
-    there instead).
+    there instead). On a stacked State, it works block by block (``_blocks``).
     """
-    g = state.grid
+    th, ph, pt = state.theta.values, state.phi.values, state.phi_t.values
+    if np.ndim(state.t) == 0:
+        return _xi_terms(th, ph, pt, state.grid, kappa)
+    return np.concatenate([_xi_terms(th[b], ph[b], pt[b], state.grid, kappa) for b in _blocks(th)])
+
+
+def _xi_terms(th: np.ndarray, ph: np.ndarray, pt: np.ndarray, g: Grid, kappa: float) -> float | np.ndarray:
+    """``xi_monitor`` per leading index of the values (one number for one state)."""
     vol, axes = g.cell_volume, g.axes
-    pt = state.phi_t.values
-    th = state.theta.values
-    ph = state.phi.values
     h1_pt = np.sum(pt * pt, axis=axes) * vol + _dirichlet_values(pt, pt, g)
     h1_th = np.sum(th * th, axis=axes) * vol + _dirichlet_values(th, th, g)
     lap_ph = _lap_values(ph, g)

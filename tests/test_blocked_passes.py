@@ -1,26 +1,38 @@
 """The trajectory-wide passes work block by block and give, bit for bit, what
 one pass over the whole arrays gives.
 
-``energy`` on a stacked State, ``energy_inequality_check`` and
-``entropy_inequality_check`` reduce each state alone, so working through
-blocks of whole states (``thermo.BLOCK_VALUES`` values each) must not change
-a bit; the whole-array forms below are the references. The cases cover 1, 2,
-a block, a block plus one and several blocks of states, on a solo 1D run, a
-loaded run (every-other-record views), a batch member (strided views) and a 2D
-run. Traced by ``tracemalloc``, each pass holds its inputs plus a few blocks,
-and writing then loading a run holds the loaded arrays plus about one record.
+``energy`` on a stacked State, ``energy_inequality_check``,
+``entropy_inequality_check``, ``gronwall_check``'s E, W and K, and ``xi_monitor``
+on a stacked State reduce each state alone, so working through blocks of whole
+states (``thermo.BLOCK_VALUES`` values each) must not change a bit; the
+whole-array forms below are the references. The cases cover 1, 2, a block, a
+block plus one and several blocks of states, on a solo 1D run, a loaded run
+(every-other-record views), a batch member (strided views) and a 2D run, each
+with a reference run of its kind for the relative energy. Traced by
+``tracemalloc``, each pass holds its inputs plus a few blocks, ``weak_strong_experiment``
+one level's batch trajectory plus a few blocks, and writing then loading a run
+the loaded arrays plus about one record.
 """
 
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fremond import thermo
+from fremond import stepper, thermo
 from fremond.config import load_config
-from fremond.grid import Field, Grid, _dirichlet_values, _grad_sq_values, read_snapshots
-from fremond.harness import load_run_dir, persist_trajectory, run_simulation, write_manifest
+from fremond.grid import Field, Grid, _dirichlet_values, _grad_sq_values, _lap_values, read_snapshots
+from fremond.harness import (
+    ExperimentConfig,
+    load_run_dir,
+    persist_trajectory,
+    run_simulation,
+    weak_strong_experiment,
+    write_manifest,
+)
+from fremond.relenergy import RelEnergyConfig, dissipation_W, gronwall_check, k_factor, relative_energy, xi_monitor
 from fremond.stepper import SchemeConfig, State, Trajectory, initial_state, simulate
 from fremond.thermo import TEST_FUNCTIONS, energy, energy_inequality_check, entropy_inequality_check
 
@@ -74,6 +86,24 @@ def whole_entropy(traj, test_fn):
     return np.cumsum(flux) - lhs, boundary[1:]
 
 
+def whole_gronwall_series(traj, ref, cfg, potential):
+    """``gronwall_check``'s E, W and K, each over the whole stacked arrays at once."""
+    s, r = traj.stack, ref.stack
+    return relative_energy(s, r, cfg, potential).total, dissipation_W(s, r, traj.config.kappa), k_factor(r)
+
+
+def whole_xi(state, kappa):
+    """``xi_monitor`` of a stacked State over the whole arrays at once."""
+    g = state.grid
+    vol, axes = g.cell_volume, g.axes
+    th, ph, pt = state.theta.values, state.phi.values, state.phi_t.values
+    h1_pt = np.sum(pt * pt, axis=axes) * vol + _dirichlet_values(pt, pt, g)
+    h1_th = np.sum(th * th, axis=axes) * vol + _dirichlet_values(th, th, g)
+    lap_ph = _lap_values(ph, g)
+    h2_ph = (np.sum(ph * ph, axis=axes) + np.sum(lap_ph * lap_ph, axis=axes)) * vol
+    return 0.5 * (h1_pt + kappa * h1_th + h2_ph)
+
+
 def bits(x):
     return np.asarray(x, dtype=float).view(np.int64)
 
@@ -98,17 +128,28 @@ def assert_passes_bitwise(traj, potential):
         assert np.array_equal(bits(ent.entropy_values), bits(values)), tf.name
 
 
+def assert_relative_energy_passes_bitwise(traj, ref, potential):
+    cfg = RelEnergyConfig(lam=potential.lam)
+    rep = gronwall_check(traj, ref, cfg, potential)
+    for name, want in zip(("E_rel", "W", "K"), whole_gronwall_series(traj, ref, cfg, potential)):
+        assert np.array_equal(bits(getattr(rep, name)), bits(want)), name
+    kappa = traj.config.kappa
+    assert np.array_equal(bits(xi_monitor(traj.stack, kappa)), bits(whole_xi(traj.stack, kappa)))
+
+
 STATES_PER_BLOCK = 4
 COUNTS = [1, 2, STATES_PER_BLOCK, STATES_PER_BLOCK + 1, 3 * STATES_PER_BLOCK + 2]  # 1, 2, a block, one more, several
 
 
 @pytest.fixture(scope="module")
 def runs(tmp_path_factory):
-    """Name -> (trajectory, potential) of each kind of stacked values, 15 states or more each."""
+    """Name -> (trajectory, potential, reference) of each kind of stacked values, 17 states each; the
+    reference is a run of the same kind and length for the relative energy."""
     run = load_config(PRESETS / "cosine.cfg", ["grid.n=16", "scheme.dt=0.00390625", "scheme.epsilon=0.1",
                                                "run.t_end=0.0625"])
     pot, grid, cfg = run.potential, run.grid, run.scheme
     solo = run_simulation(run)
+    other = run_simulation(replace(run, initial={**run.initial, "phi_amp": 0.25, "theta_amp": 0.1}))
     outdir = tmp_path_factory.mktemp("loaded")
     write_manifest(outdir, run.sections)
     persist_trajectory(solo, outdir / "run_0")
@@ -118,32 +159,36 @@ def runs(tmp_path_factory):
     init = solo[0]
     batch_init = initial_state(grid, np.stack([init.theta.values, 1.1 * init.theta.values]),
                                np.stack([init.phi.values, -init.phi.values]))
-    member = simulate(batch_init, cfg, pot, 16 * cfg.dt).member(1)
+    batch = simulate(batch_init, cfg, pot, 16 * cfg.dt)
 
     g2 = Grid((6, 5), (1.0, 0.8))
     X, Y = g2.meshgrid()
     mode = np.cos(np.pi * X) * np.cos(np.pi * Y / 0.8)
-    init2 = initial_state(g2, Field(g2, 1.0 + 0.2 * mode), Field(g2, 0.3 * mode))
-    run2d = simulate(init2, SchemeConfig(dt=2e-3, epsilon=1e-3), pot, 16 * 2e-3)
-    return {"solo1d": (solo, pot), "loaded": (loaded, pot), "member": (member, pot), "2d": (run2d, pot)}
+    run2d, ref2d = (simulate(initial_state(g2, Field(g2, 1.0 + amp * mode), Field(g2, 0.3 * mode)),
+                             SchemeConfig(dt=2e-3, epsilon=1e-3), pot, 16 * 2e-3) for amp in (0.2, 0.1))
+    return {"solo1d": (solo, pot, other), "loaded": (loaded, pot, other),
+            "member": (batch.member(1), pot, batch.member(0)), "2d": (run2d, pot, ref2d)}
 
 
 @pytest.mark.parametrize("kind", ["solo1d", "loaded", "member", "2d"])
 @pytest.mark.parametrize("count", COUNTS)
 def test_blocked_passes_equal_whole_array_passes_bitwise(runs, kind, count, monkeypatch):
-    traj, pot = runs[kind]
+    traj, pot, ref = runs[kind]
     monkeypatch.setattr(thermo, "BLOCK_VALUES", STATES_PER_BLOCK * traj.stack.theta.values[0].size)
     assert len(thermo._blocks(traj.stack.theta.values[:count])) == -(-count // STATES_PER_BLOCK)
     assert_passes_bitwise(head(traj, count), pot)
+    assert_relative_energy_passes_bitwise(head(traj, count), head(ref, count), pot)
 
 
 def synthetic(grid, states, seed=0):
-    """A trajectory of smooth positive random fields, built without marching."""
+    """A trajectory of smooth positive random fields, built without marching. The amplitudes walk by at most
+    1e-3 a state and the noise is 1e-4, so that phi_t is of order 1 and the Gronwall growth exp(int K) stays finite."""
     rng = np.random.default_rng(seed)
     cfg = SchemeConfig(dt=1e-3, epsilon=1e-2, p=4.0)
     mode = grid.cosine_mode()
-    amp = rng.uniform(-0.3, 0.3, size=(2, states) + (1,) * grid.dim)
-    theta, phi = 1.0 + amp[0] * mode, amp[1] * mode + 0.01 * rng.standard_normal((states, *grid.shape))
+    walk = np.cumsum(rng.uniform(-1e-3, 1e-3, size=(2, states)), axis=1)
+    amp = (rng.uniform(-0.25, 0.25, size=(2, 1)) + walk).reshape((2, states) + (1,) * grid.dim)
+    theta, phi = 1.0 + amp[0] * mode, amp[1] * mode + 1e-4 * rng.standard_normal((states, *grid.shape))
     return Trajectory.of(np.arange(states) * cfg.dt, theta, phi, Field.zeros(grid), cfg)
 
 
@@ -153,6 +198,7 @@ def test_blocked_passes_at_the_module_block_size(double_well, blocks):
     per = thermo.BLOCK_VALUES // grid.num_cells
     for count in (blocks * per, blocks * per + 1):
         assert_passes_bitwise(synthetic(grid, count), double_well)
+        assert_relative_energy_passes_bitwise(synthetic(grid, count), synthetic(grid, count, seed=1), double_well)
 
 
 def test_interleaved_snapshot_round_trip_is_bitwise(runs, tmp_path):
@@ -198,6 +244,25 @@ def test_each_pass_holds_a_few_blocks(big2d, double_well, name, pass_):
     _, peak = traced_peak(lambda: pass_(big2d, double_well))
     field_bytes = big2d.stack.theta.values.nbytes
     assert peak < 8 * BLOCK_BYTES < field_bytes / 2, f"{name}: {peak / 2**20:.2f} MB"
+
+
+@pytest.mark.parametrize("name", ["gronwall_check", "xi_monitor"])
+def test_each_relative_energy_pass_holds_a_few_blocks(big2d, double_well, name):
+    ref = synthetic(big2d.grid, len(big2d), seed=1)
+    pass_ = {"gronwall_check": lambda: gronwall_check(big2d, ref, RelEnergyConfig(lam=double_well.lam), double_well),
+             "xi_monitor": lambda: xi_monitor(big2d.stack, big2d.config.kappa)}[name]
+    _, peak = traced_peak(pass_)
+    assert peak < 8 * BLOCK_BYTES < big2d.stack.theta.values.nbytes / 2, f"{name}: {peak / 2**20:.2f} MB"
+
+
+def test_weak_strong_holds_one_level_plus_a_few_blocks():
+    # the benchmark's levels: the finest batch, 513 states of 5 members on 64 cells, is 3.9 MB
+    run = load_config(PRESETS / "weakstrong.cfg", ["experiment.levels=[32, 64]", "run.t_end=0.0625"])
+    stepper._gtsv()  # the first 1D solve imports scipy.linalg: import it before the trace
+    _, peak = traced_peak(lambda: weak_strong_experiment(ExperimentConfig.from_run(run)))
+    states = round(run.t_end / (run.scheme.dt / 4)) + 1
+    batch = 3 * 8 * states * 5 * 64  # theta, phi and phi_t
+    assert peak < batch + 8 * BLOCK_BYTES, f"{(peak - batch) / 2**20:.2f} MB above the finest batch"
 
 
 def test_persisting_and_loading_hold_the_loaded_arrays_plus_one_record(big2d, tmp_path):

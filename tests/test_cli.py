@@ -234,6 +234,11 @@ class TestBadConfigValues:
         (["weakstrong", "--config", str(PRESETS / "weakstrong.cfg"), "--override", "run.t_end=0"], "run.t_end"),
         (["weakstrong", "--config", str(PRESETS / "weakstrong.cfg"), "--override", "experiment.levels=[32, 33]"],
          "experiment.levels has 33"),
+        # phi0 + 1e-20 cos(pi x) is bitwise phi0, so E_rel = 0 and its ratio to delta^2 is 0; 1e-320^2 underflows
+        (["weakstrong", "--config", str(PRESETS / "weakstrong.cfg"), "--override", "experiment.deltas=[0.0, 1e-20]",
+          "--override", "experiment.levels=[16]", "--override", "run.t_end=0.0078125"], "experiment.deltas has 1e-20"),
+        (["weakstrong", "--config", str(PRESETS / "weakstrong.cfg"), "--override", "experiment.deltas=[0.0, 1e-320]",
+          "--override", "experiment.levels=[16]", "--override", "run.t_end=0.0078125"], "experiment.deltas has 1e-320"),
         # a positive span takes at least one step
         (["simulate", "--config", str(PRESETS / "cosine.cfg"), "--override", "scheme.dt=1e8"],
          "(t_end - t0) = 0.25 is not an integer multiple of dt = 1e+08"),
@@ -261,7 +266,8 @@ class TestBadConfigValues:
             "refine_level_misses_the_final_time", "refine_step_count_infinite",
             "refine_finer_level_step_count_infinite", "refine_repeated_levels", "refine_unordered_levels",
             "weakstrong_decreasing_levels", "weakstrong_repeated_levels", "weakstrong_empty_levels",
-            "weakstrong_t_end_zero", "weakstrong_level_misses_the_final_time", "dt_beyond_the_span",
+            "weakstrong_t_end_zero", "weakstrong_level_misses_the_final_time",
+            "weakstrong_delta_perturbs_nothing", "weakstrong_delta_squared_underflows", "dt_beyond_the_span",
             "steady_phi_star_overflows", "steady_energy_overflows", "dip_beyond_ten",
             "cosine_theta_overflows", "cosine_phi_overflows"])
     def test_preset_with_a_bad_entry_exits_two(self, argv, named, tmp_path, capsys):
