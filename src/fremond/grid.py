@@ -120,17 +120,8 @@ class Grid:
         return tuple(np.meshgrid(*((np.arange(n) + 0.5) * h for n, h in zip(self.n, self.h)), indexing="ij"))
 
     def cosine_mode(self) -> np.ndarray:
-        """Product over the axes of cos(pi x_a / L_a), a zero-flux eigenmode; read-only, computed
-        once per grid, since a test function samples it once per block of a trajectory."""
-        return self._cosine_mode
-
-    @cached_property
-    def _cosine_mode(self) -> np.ndarray:
-        out = np.ones(self.shape)
-        for axis, x in enumerate(self.meshgrid()):
-            out = out * np.cos(np.pi * x / self.extent[axis])
-        out.flags.writeable = False
-        return out
+        """Product over the axes of cos(pi x_a / L_a), a zero-flux eigenmode."""
+        return np.prod([np.cos(np.pi * x / extent) for x, extent in zip(self.meshgrid(), self.extent)], axis=0)
 
 
 @dataclass

@@ -158,6 +158,11 @@ def envelope_holds(margin: float, scale: float) -> bool:
     return margin >= -1e-12 * max(1.0, scale)
 
 
+def _grown(growth: np.ndarray, x) -> np.ndarray:
+    """growth * x, with inf * 0 taken as 0: what is zero stays zero however far the growth overflows."""
+    return np.multiply(growth, x, out=np.zeros_like(growth), where=x != 0.0)
+
+
 @dataclass
 class GronwallReport:
     """The multiplier-1 Gronwall envelope of one trajectory pair (see
@@ -169,10 +174,11 @@ class GronwallReport:
     K: np.ndarray
     lhs: np.ndarray
     growth: np.ndarray
+    scaled_lhs: np.ndarray  # lhs / growth = E_rel e^{-int K} + sum_k dt W_k e^{-int_0^{t_k} K}
 
     def envelope(self, multiplier: float) -> np.ndarray:
         """Right-hand side multiplier * E_rel(0) * exp(int_0^t K)."""
-        return multiplier * self.E_rel[0] * self.growth
+        return _grown(self.growth, multiplier * self.E_rel[0])
 
     @property
     def report_only(self) -> bool:
@@ -180,16 +186,20 @@ class GronwallReport:
         eps pair). The envelope degenerates to zero, so the drift is reported, not judged."""
         return self.E_rel[0] <= 0.0 < np.max(self.E_rel)
 
+    def margins(self, multiplier: float) -> np.ndarray:
+        """envelope - lhs; where the growth overflows (int K > 709), inf signed as m E_rel(0) - scaled_lhs, or 0."""
+        scaled = multiplier * self.E_rel[0] - self.scaled_lhs
+        return np.subtract(self.envelope(multiplier), self.lhs, where=self.growth < np.inf,
+                           out=np.where(scaled == 0.0, 0.0, np.copysign(np.inf, scaled)))
+
     def min_step_margin(self, multiplier: float) -> float:
         """Smallest margin envelope - lhs after t = 0, the margin ``envelope_holds`` judges
         (at t = 0 it is (m - 1) E_rel(0)); 0.0 for a single state."""
-        margins = self.envelope(multiplier) - self.lhs
-        return float(np.min(margins[1:])) if len(margins) > 1 else 0.0
+        return float(np.min(self.margins(multiplier)[1:])) if len(self.times) > 1 else 0.0
 
     def csv_columns(self, multiplier: float):
-        rhs = self.envelope(multiplier)
-        return (["step", "t", "E_rel", "W", "K", "lhs", "rhs", "margin"],
-                [np.arange(len(self.times)), self.times, self.E_rel, self.W, self.K, self.lhs, rhs, rhs - self.lhs])
+        return (["step", "t", "E_rel", "W", "K", "lhs", "rhs", "margin"], [np.arange(len(self.times)), self.times,
+                self.E_rel, self.W, self.K, self.lhs, self.envelope(multiplier), self.margins(multiplier)])
 
 
 def require_comparable(traj: Trajectory, ref_traj: Trajectory, potential: Potential | None = None,
@@ -236,15 +246,17 @@ def gronwall_check(
     # sum_k dt W_k exp(IK[n]-IK[k]) = exp(IK[n]) * sum_k dt W_k exp(-IK[k])
     S = np.zeros(N)
     S[1:] = np.cumsum(dt * W[:-1] * np.exp(-IK[:-1]))
-    growth = np.exp(IK)
-    return GronwallReport(traj.times, E, W, K, E + growth * S, growth)
+    with np.errstate(over="ignore"):  # past int K = 709 the growth is inf, which GronwallReport allows for
+        growth = np.exp(IK)
+    return GronwallReport(traj.times, E, W, K, E + _grown(growth, S), growth, E * np.exp(-IK) + S)
 
 
 def fit_gronwall_multiplier(reports: Iterable[GronwallReport]) -> float:
     """Smallest multiplier >= 1 that keeps every step margin of every report
     nonnegative; a report with E_rel(0) <= 0, or with no step after t = 0,
-    imposes none."""
-    fits = [float(np.max(r.lhs[1:] / r.envelope(1.0)[1:])) for r in reports if r.E_rel[0] > 0.0 and len(r.lhs) > 1]
+    imposes none. Where the growth overflows, the ratio lhs / envelope(1) is scaled_lhs / E_rel(0)."""
+    fits = [float(np.max(np.divide(r.lhs, r.envelope(1.0), out=r.scaled_lhs / r.E_rel[0], where=r.growth < np.inf)[1:]))
+            for r in reports if r.E_rel[0] > 0.0 and len(r.lhs) > 1]
     return max([1.0, *fits])
 
 

@@ -7,11 +7,11 @@ Checked structures, with their continuum statements:
             regularized scheme (equality up to splitting error), E
             nonincreasing in the limit.
 
-  entropy:  for test functions vartheta >= 0,
-            -int vartheta(t)(log theta(t) + phi(t)) + int vartheta(0)(...)
+  entropy:  for test functions vartheta(x) >= 0 of space alone (so the
+            weak form's vartheta_t (log theta + phi) term is zero),
+            -int vartheta (log theta(t) + phi(t)) + int vartheta (...)(0)
             + int_0^t int vartheta (kappa |grad log theta|^2 + phi_t^2/theta
-            - eps theta^{p-1})  <=  int_0^t int (kappa grad log theta .
-            grad vartheta - vartheta_t (log theta + phi)).
+            - eps theta^{p-1})  <=  int_0^t int kappa grad log theta . grad vartheta.
             The eps theta^{p-1} production term belongs to the regularized
             system's entropy balance (it is exactly what the simulated
             equations dissipate); with it the discrete margin measures pure
@@ -23,11 +23,10 @@ Checked structures, with their continuum statements:
             min phi(t) >= -K e^{2 lam t} with K = max(0, -min phi_0).
 
 Discrete transcription conventions (fixed here for reproducibility): time
-integrals by the left-endpoint rule, vartheta_t by centered differences
-(forward at t=0), phi_t at the initial instant is the stored convention value
-(zero unless the PDE initializer was requested). ``energy`` given a
-trajectory's stacked State (``Trajectory.stack``) returns each quantity's
-series over time; the checks take their series that way.
+integrals by the left-endpoint rule, phi_t at the initial instant is the
+stored convention value (zero unless the PDE initializer was requested).
+``energy`` given a trajectory's stacked State (``Trajectory.stack``) returns
+each quantity's series over time; the checks take their series that way.
 
 Memory: ``energy`` on a stacked State and the energy and entropy checks work
 through blocks of whole states (``_blocks``), so each holds the trajectory plus
@@ -153,16 +152,14 @@ def energy_inequality_check(traj: Trajectory, potential: Potential) -> EnergyChe
 
 @dataclass(frozen=True)
 class TestFunction:
-    """Nonnegative space-time test function; fn(grid, t) broadcasts over t (grid.dim trailing unit axes)."""
+    """Nonnegative test function of space alone: fn(grid) is its field on the grid."""
 
     name: str
-    fn: Callable[[Grid, np.ndarray], np.ndarray]
+    fn: Callable[[Grid], np.ndarray]
 
-    def sample(self, grid: Grid, t) -> np.ndarray:
-        """Values of shape (*np.shape(t), *grid.shape): one field per time of t."""
-        t = np.asarray(t, dtype=float)
-        vals = np.asarray(self.fn(grid, t.reshape(t.shape + (1,) * grid.dim)), dtype=float)
-        vals = np.broadcast_to(vals, t.shape + grid.shape)
+    def sample(self, grid: Grid) -> np.ndarray:
+        """The field, of shape grid.shape."""
+        vals = np.broadcast_to(np.asarray(self.fn(grid), dtype=float), grid.shape)
         if vals.min() < 0:
             raise ValueError(f"test function {self.name!r} is negative")
         return vals
@@ -173,10 +170,8 @@ class TestFunction:
 
 
 TEST_FUNCTIONS: dict[str, TestFunction] = {
-    "one": TestFunction("one", lambda grid, t: np.ones(grid.shape)),
-    "cosine": TestFunction("cosine", lambda grid, t: 1.0 + 0.5 * grid.cosine_mode()),
-    "cosine_damped": TestFunction("cosine_damped",
-                                  lambda grid, t: 1.0 + np.exp(-1.0 * t) * ((1.0 + 0.5 * grid.cosine_mode()) - 1.0)),
+    "one": TestFunction("one", lambda grid: np.ones(grid.shape)),
+    "cosine": TestFunction("cosine", lambda grid: 1.0 + 0.5 * grid.cosine_mode()),
 }
 
 
@@ -205,49 +200,30 @@ def entropy_inequality_check(traj: Trajectory, test_fn: TestFunction) -> Entropy
     one-signed, since no quadrature is known to make the discrete margin
     provably nonnegative.
     """
-    cfg = traj.config
-    kappa, eps, p, dt = cfg.kappa, cfg.epsilon, cfg.p, cfg.dt
+    kappa, eps, p, dt = traj.config.kappa, traj.config.epsilon, traj.config.p, traj.config.dt
     s, grid, times = traj.stack, traj.grid, traj.times
     vol, axes = grid.cell_volume, grid.axes
     theta, phi, phi_t = s.theta.values, s.phi.values, s.phi_t.values
-    last = len(times) - 1
-    boundary = np.empty(last + 1)  # int vartheta (log th + phi), per state
-    flux = np.empty(last)          # dt int (kappa grad log th . grad vartheta - vartheta_t (log th + phi))
-    production = np.empty(last)    # dt int vartheta (kappa |grad log th|^2 + phi_t^2/th - eps th^{p-1})
+    vt = test_fn.sample(grid)
+    boundary = np.empty(len(times))    # int vartheta (log th + phi)
+    flux = np.empty(len(times))        # dt int kappa grad log th . grad vartheta
+    production = np.empty(len(times))  # dt int vartheta (kappa |grad log th|^2 + phi_t^2/th - eps th^{p-1})
     for b in _blocks(theta):
-        a, z = b.start, b.stop
-        lo = max(a - 1, 0)
-        vt_halo = test_fn.sample(grid, times[lo:z + 1])  # one state either side, for the centred vartheta_t
-        vt = vt_halo[a - lo:z - lo]
         th = theta[b]
         log_th = np.log(th)
-        density = log_th + phi[b]
-        boundary[b] = np.sum(vt * density, axis=axes) * vol
-        rows = min(z, last) - a  # this block's left endpoints, states a .. min(z, last) - 1
-        if rows <= 0:
-            continue
-        # vartheta_t, forward at t = 0 and centred after it; in-place updates bound the temporaries
-        vt_dot = np.empty((rows, *grid.shape))
-        fwd = int(a == 0)
-        if fwd:
-            vt_dot[0] = (vt_halo[1] - vt_halo[0]) / dt
-        vt_dot[fwd:] = (vt_halo[2:rows + 2 - fwd] - vt_halo[:rows - fwd]) / (2.0 * dt)
-        vt_dot *= density[:rows]
-        del density
-        flux[a:a + rows] = dt * (kappa * _dirichlet_values(log_th[:rows], vt[:rows], grid)
-                                 - np.sum(vt_dot, axis=axes) * vol)
-        del vt_dot
-        th = th[:rows]
-        density = _grad_sq_values(log_th[:rows], grid)
-        del log_th
+        boundary[b] = np.sum(vt * (log_th + phi[b]), axis=axes) * vol
+        flux[b] = dt * (kappa * _dirichlet_values(log_th, vt, grid))
+        # in-place updates bound the temporaries
+        density = _grad_sq_values(log_th, grid)
         density *= kappa
-        density += phi_t[a:a + rows] ** 2 / th
+        density += phi_t[b] ** 2 / th
         if eps > 0:
             density -= eps * th ** (p - 1.0)
-        density *= vt[:rows]
-        production[a:a + rows] = dt * np.sum(density, axis=axes) * vol
-    lhs = -boundary[1:] + boundary[0] + np.cumsum(production)
-    return EntropyCheckReport(times[1:], np.cumsum(flux) - lhs, boundary[1:], 100.0 * dt)
+        density *= vt
+        production[b] = dt * np.sum(density, axis=axes) * vol
+        del log_th, density
+    lhs = -boundary[1:] + boundary[0] + np.cumsum(production[:-1])
+    return EntropyCheckReport(times[1:], np.cumsum(flux[:-1]) - lhs, boundary[1:], 100.0 * dt)
 
 
 # --- floors ------------------------------------------------------------------

@@ -688,6 +688,34 @@ def test_holding_pair_reports_its_smallest_step_margin(tmp_path, capsys):
     assert rep.min_step_margin(1.0) == 2.613598790020613e-05
 
 
+@pytest.fixture(scope="module")
+def steady_pair_past_overflow(tmp_path_factory):
+    """Runs of presets/steady.cfg at phi* = 1.2 and 1.1 (the reference), dt = 1 to t = 720: K = 1 along
+    a steady reference, so int K passes 709 and the Gronwall growth overflows from step 710 on."""
+    root = tmp_path_factory.mktemp("long")
+    long = ["--config", str(PRESETS / "steady.cfg"), "--override", "scheme.dt=1.0", "--override", "run.t_end=720"]
+    for phi_star, outdir in (("1.2", root / "run"), ("1.1", root / "ref")):
+        assert main(["simulate", *long, "--override", f"initial.phi_star={phi_star}", "--outdir", str(outdir)]) == 0
+    return root / "run", root / "ref"
+
+
+@pytest.mark.parametrize("calibrate", [[], ["--calibrate"]], ids=["multiplier_one", "calibrated"])
+def test_holding_pair_holds_past_the_growth_overflow(steady_pair_past_overflow, calibrate, capsys):
+    run, ref = steady_pair_past_overflow
+    capsys.readouterr()
+    assert main(["relenergy", "--run", str(run), "--ref", str(ref), *calibrate]) == 0
+    assert capsys.readouterr().out.endswith("envelope holds (multiplier 1.0), min margin 0.9987495917221678\n")
+    cols = {k: np.array(v) for k, v in read_csv_columns(run / "run_0" / "relenergy.csv").items()}
+    IK = np.concatenate([[0.0], np.cumsum(cols["K"][:-1])])
+    finite = IK < 709.5
+    assert np.all(cols["K"] == 1.0) and finite.sum() == 710
+    # W = 0, so lhs is E_rel; where the growth is finite, rhs and margin are E_rel(0) e^{int K} and rhs - lhs
+    assert np.array_equal(cols["lhs"], cols["E_rel"])
+    assert np.array_equal(cols["rhs"][finite], cols["E_rel"][0] * np.exp(IK[finite]))
+    assert np.array_equal(cols["margin"][finite], cols["rhs"][finite] - cols["lhs"][finite])
+    assert np.all(cols["rhs"][~finite] == np.inf) and np.all(cols["margin"][~finite] == np.inf)
+
+
 class TestExperimentVerbs:
     def test_sweep(self, tmp_path):
         cfg = tmp_path / "sweep.cfg"

@@ -1,10 +1,13 @@
 """Every name a module of ``src/fremond`` lists in ``__all__`` has a caller in the
 program: the package itself (outside ``__init__.py``, which only re-exports), the
 acceptance gate or the benchmark. A public name that only unit tests reach is
-dead code with a test around it."""
+dead code with a test around it. So is a test function of ``thermo.TEST_FUNCTIONS``
+whose name the program never spells out."""
 
 import ast
 from pathlib import Path
+
+from fremond.thermo import TEST_FUNCTIONS
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "fremond"
@@ -13,12 +16,16 @@ PACKAGE = ROOT / "src" / "fremond"
 KEPT_WITHOUT_CALLER = {"log_l1_bound"}
 
 
+def _program_files() -> list[Path]:
+    """The package's modules but ``__init__.py``, the acceptance gate and the benchmark's files."""
+    files = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
+    return files + [ROOT / "tests" / "test_acceptance.py", *(ROOT / "bench").glob("*.py")]
+
+
 def _called_names() -> set[str]:
     """The names that the program's files load, read as an attribute or import by name."""
-    files = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
-    files += [ROOT / "tests" / "test_acceptance.py", *(ROOT / "bench").glob("*.py")]
     names = set()
-    for path in files:
+    for path in _program_files():
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 names.add(node.id)
@@ -27,6 +34,18 @@ def _called_names() -> set[str]:
             elif isinstance(node, ast.ImportFrom):
                 names.update(alias.name for alias in node.names)
     return names
+
+
+def _string_constants() -> set[str]:
+    """The string constants of the program's files, those inside the ``TEST_FUNCTIONS`` table left out."""
+    strings = set()
+    for path in _program_files():
+        tree = ast.parse(path.read_text(), str(path))
+        table = {id(node) for top in tree.body if isinstance(top, ast.AnnAssign)
+                 and getattr(top.target, "id", None) == "TEST_FUNCTIONS" for node in ast.walk(top)}
+        strings.update(node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)
+                       and isinstance(node.value, str) and id(node) not in table)
+    return strings
 
 
 def _public_names() -> dict[str, list[str]]:
@@ -50,3 +69,7 @@ def test_every_public_name_has_a_caller():
     uncalled = [f"{module}: {name}" for module, names in _public_names().items() for name in names
                 if name not in called and name not in KEPT_WITHOUT_CALLER]
     assert uncalled == []
+
+
+def test_every_test_function_is_named_by_the_program():
+    assert sorted(set(TEST_FUNCTIONS) - _string_constants()) == []

@@ -214,6 +214,27 @@ class TestGronwall:
         assert drift.E_rel[0] == 0.0 < np.max(drift.E_rel)
         assert drift.report_only
 
+    def test_a_pair_that_breaks_its_envelope_past_the_growth_overflow_fails(self, double_well):
+        # the reference's phase jumps by 27 at step 8, so K there is 757 and the growth overflows from step 9;
+        # the run's temperature is 4 at step 8 against 1, so W there is 1640 and its margin turns negative;
+        # none of it warns (pytest fails on any RuntimeWarning)
+        g, cfg, jump = Grid.line(8), SchemeConfig(dt=1.0), 8
+        t = np.arange(12.0)
+        phi = np.where(t >= jump, 27.0, 0.0)[:, None] * np.ones(g.shape)
+        theta = np.ones((len(t), *g.shape))
+        ref = Trajectory.of(t, theta, phi, Field.zeros(g), cfg)
+        theta = theta.copy()
+        theta[jump] = 4.0
+        run = Trajectory.of(t, theta, phi + 0.1, Field.zeros(g), cfg)
+        rep = gronwall_check(run, ref, RelEnergyConfig(lam=double_well.lam), double_well)
+        margins, fit = rep.margins(1.0), fit_gronwall_multiplier([rep])
+        assert not envelope_holds(rep.min_step_margin(1.0), 1.0)
+        assert np.all(np.isfinite(rep.growth[:jump + 1])) and np.all(np.isinf(rep.growth[jump + 1:]))
+        assert not np.isnan(rep.lhs).any() and not np.isnan(margins).any()
+        assert np.all(margins[:jump + 1] >= 0.0) and np.all(margins[jump + 1:] == -np.inf)
+        # past the overflow the fit reads lhs / envelope(1) as scaled_lhs / E_rel(0)
+        assert fit == float(np.max(rep.scaled_lhs[jump + 1:] / rep.E_rel[0])) > 1.0
+
     @pytest.mark.parametrize("grid", [Grid.line(24), Grid((6, 5), (1.0, 1.0))], ids=["line24", "box6x5"])
     def test_stacked_series_equal_the_per_state_values_bitwise(self, grid, double_well):
         mode = grid.cosine_mode()

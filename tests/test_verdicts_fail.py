@@ -1,4 +1,11 @@
-"""Each weak-strong verdict can fail: a seeded defect, applied by monkeypatch, flips it.
+"""Each verdict can fail: a seeded defect, applied by monkeypatch, flips it.
+
+``check``'s verdicts see a defect in the scheme. On ``presets/cosine.cfg`` at
+n = 32 to t = 0.0625, phase anti-damping fails energy and floors(phi), and a
+heat equation without its source |phi_t|^2 fails both entropy verdicts. No
+scheme defect tried there reaches floors(theta), whose envelope stays far below
+the rising minimum of that run, so it takes a defect in the diagnostic, on the
+steady run.
 
 A scheme defect that every run shares cannot reach the weak-strong verdicts: the
 rate K comes from the reference, which is equally wrong, so the envelope widens
@@ -11,7 +18,7 @@ with the defect. Two kinds of defect can:
 
 from pathlib import Path
 
-from fremond import relenergy, stepper
+from fremond import relenergy, stepper, thermo
 from fremond.cli import main
 from fremond.config import load_config
 from fremond.grid import _lap_values
@@ -19,6 +26,42 @@ from fremond.harness import ExperimentConfig, weak_strong_experiment
 from fremond.relenergy import envelope_holds
 
 PRESETS = Path(__file__).resolve().parents[1] / "presets"
+
+
+def simulate_and_check(config, tmp_path, capsys, *overrides):
+    """check's exit code on a fresh run of config, and the verdicts its stderr names."""
+    args = [arg for override in overrides for arg in ("--override", override)]
+    assert main(["simulate", "--config", str(config), *args, "--outdir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    code = main(["check", "--run", str(tmp_path)])
+    return code, [line.split(":")[0] for line in capsys.readouterr().err.splitlines()]
+
+
+COSINE_32 = (PRESETS / "cosine.cfg", "grid.n=32", "run.t_end=0.0625")
+
+
+def test_energy_and_phase_floor_fail_on_phase_anti_damping(tmp_path, capsys, monkeypatch):
+    # the phase equation gains a source 20 phi
+    exact = stepper._phase_left
+    monkeypatch.setattr(stepper, "_phase_left", lambda u, implicit, pot: exact(u, implicit, pot) - 20.0 * u)
+    config, *overrides = COSINE_32
+    assert simulate_and_check(config, tmp_path, capsys, *overrides) == (1, ["energy", "floors(phi)"])
+
+
+def test_both_entropy_verdicts_fail_without_the_heat_source(tmp_path, capsys, monkeypatch):
+    # the heat equation loses its source |phi_t|^2, which the entropy production phi_t^2 / theta counts
+    exact = stepper._heat_linearized
+    monkeypatch.setattr(stepper, "_heat_linearized",
+                        lambda terms, u, d, rhs, cfg, out=None: exact(terms, u, d, rhs - d * d, cfg, out))
+    config, *overrides = COSINE_32
+    assert simulate_and_check(config, tmp_path, capsys, *overrides) == (1, ["entropy(one)", "entropy(cosine)"])
+
+
+def test_temperature_floor_fails_on_an_envelope_that_rises(tmp_path, capsys, monkeypatch):
+    # the envelope's rate with its sign flipped, h' = c h^p + h^2/2: the floor climbs past the steady temperature
+    exact = thermo._floor_rhs
+    monkeypatch.setattr(thermo, "_floor_rhs", lambda h, p, c: -exact(h, p, c))
+    assert simulate_and_check(PRESETS / "steady.cfg", tmp_path, capsys) == (1, ["floors(theta)"])
 
 
 def weak_strong(*overrides):
