@@ -13,10 +13,12 @@ Output tree:
     <outdir>/run_0/<check>.csv           written by the check drivers
     <outdir>/summary.csv                 one row per experiment member
 
-Persisting and loading a trajectory copy none of it whole: ``persist_trajectory``
-writes the interleaved temperature and phase records from the trajectory's own
-arrays, and ``load_run_dir`` reads them into one array and takes the two series
-as views, so each holds the trajectory plus one record.
+Memory: ``weak_strong_experiment`` holds one segment of a level's batch at a
+time plus the level's series, never a whole batch trajectory. Persisting and
+loading a trajectory copy none of it whole: ``persist_trajectory`` writes the
+interleaved temperature and phase records from the trajectory's own arrays,
+and ``load_run_dir`` reads them into one array and takes the two series as
+views, so each holds the trajectory plus one record.
 """
 
 from __future__ import annotations
@@ -29,16 +31,19 @@ from pathlib import Path
 
 import numpy as np
 
+from . import thermo
 from .config import RunConfig, build_run_config, format_column, format_value, parse_config_text, render_config
 from .errors import ConfigError, SimulationAborted
 from .grid import Field, Grid, norm, read_snapshots, same_grid, write_snapshots
 from .potential import Potential
-from .relenergy import RelEnergyConfig, envelope_holds, fit_gronwall_multiplier, gronwall_check, xi_monitor
+from .relenergy import (GronwallReport, RelEnergyConfig, envelope_holds, fit_gronwall_multiplier, gronwall_check,
+                        xi_monitor)
 from .stepper import (
     SchemeConfig,
     State,
     Trajectory,
     _check_times,
+    _step_times,
     heat_step,
     initial_state,
     march,
@@ -414,6 +419,33 @@ def _perturbed_batch(grid: Grid, run: RunConfig, deltas: list[float]) -> State:
                          phi_t_mode=run.initial.get("phi_t", "zero"), potential=run.potential)
 
 
+def _weak_strong_level(state: State, scheme: SchemeConfig, t_end: float, potential: Potential,
+                       relcfg: RelEnergyConfig) -> tuple[float, list[GronwallReport]]:
+    """March one level's batch from ``state`` to t_end in ``simulate`` segments of ``thermo.BLOCK_VALUES`` // cells
+    steps (about one ``gronwall_check`` block a member), each from a copy of the last state of the one before, so
+    that one segment is held at a time. Returns the max of the reference's (member 0's) xi and each other member's
+    Gronwall report, built from its whole E_rel, W and K series. A failed step is named by its index in the level."""
+    members = state.theta.values.shape[0]
+    times, series = _step_times(state.t, scheme, t_end, (1 + 3 * (members - 1),))
+    xi, series = series[0], series[1:].reshape(members - 1, 3, -1)  # each member's E_rel, W and K
+    per = max(1, thermo.BLOCK_VALUES // state.grid.num_cells)
+    for k0 in range(0, len(times) - 1, per):
+        k1 = min(k0 + per, len(times) - 1)
+        try:
+            batch = simulate(state, scheme, potential, times[k1])
+        except SimulationAborted as exc:
+            raise SimulationAborted(k0 + exc.step_index, exc.cause, exc.trajectory) from exc
+        ref = batch.member(0)
+        xi[k0:k1 + 1] = xi_monitor(ref.stack, scheme.kappa)
+        for j, member_series in enumerate(series, start=1):
+            rep = gronwall_check(batch.member(j), ref, relcfg, potential)
+            member_series[:, k0:k1 + 1] = rep.E_rel, rep.W, rep.K
+        last = batch[-1]
+        state = State(times[k1], *(Field(f.grid, f.values.copy()) for f in (last.theta, last.phi, last.phi_t)))
+        del batch, ref, last  # so that this segment's arrays go before the next marches
+    return float(np.max(xi)), [GronwallReport.of(times, *member_series, scheme.dt) for member_series in series]
+
+
 def weak_strong_experiment(cfg: ExperimentConfig) -> WeakStrongReport:
     """Perturb the initial phase by delta * cos mode and track the relative
     energy against the unperturbed (well-resolved, smooth-data) reference.
@@ -424,8 +456,8 @@ def weak_strong_experiment(cfg: ExperimentConfig) -> WeakStrongReport:
     and held fixed across refinements and perturbation sizes. The reference
     must stay regular: the maximum of its xi monitor is recorded per level.
     Every level's initial batch is built, and so checked, before the first
-    marches; each level's batch trajectory and reports are released before
-    the next marches, so that one level is held at a time.
+    marches. A level marches in segments (``_weak_strong_level``), one held at
+    a time, and keeps only its series, so memory does not grow with t_end.
     """
     run = cfg.run
     deltas = cfg.deltas
@@ -441,24 +473,19 @@ def weak_strong_experiment(cfg: ExperimentConfig) -> WeakStrongReport:
     relcfg = RelEnergyConfig(M=cfg.M, lam=run.potential.lam)
     built, t_end = _levels(cfg)
     inits = [_perturbed_batch(grid, run, deltas) for grid, _ in built]
+    scale = energy(inits[0], run.potential).E_total[0]  # the coarsest reference's E(0), as ref[0] of its run
     rows: list[WeakStrongRow] = []
     xi_max: list[float] = []
     for li, (n, (_, scheme), batch_init) in enumerate(zip(cfg.levels, built, inits)):
-        batch = simulate(batch_init, scheme, run.potential, t_end)
-        ref = batch.member(0)
-        xi_max.append(float(np.max(xi_monitor(ref.stack, scheme.kappa))))
-        reports = {
-            delta: gronwall_check(batch.member(j), ref, relcfg, run.potential)
-            for j, delta in enumerate(deltas, start=1)
-        }
+        xi, reports = _weak_strong_level(batch_init, scheme, t_end, run.potential, relcfg)
+        xi_max.append(xi)
         if li == 0:  # calibrated on the coarsest level, as is the verdicts' tolerance scale
-            multiplier = fit_gronwall_multiplier([rep for delta, rep in reports.items() if delta > 0.0])
-            scale = energy(ref[0], run.potential).E_total
+            multiplier = fit_gronwall_multiplier([rep for delta, rep in zip(deltas, reports) if delta > 0.0])
         rows.extend(WeakStrongRow(level=li, n=n, delta=delta, E_rel_max=float(np.max(rep.E_rel)),
                                   E_rel_final=float(rep.E_rel[-1]), min_gronwall_margin=rep.min_step_margin(multiplier),
                                   ratio=float(rep.E_rel[-1] / delta**2) if delta > 0 else math.nan)
-                    for delta, rep in reports.items())
-        del batch, ref, reports  # one level at a time: release this one before the next marches
+                    for delta, rep in zip(deltas, reports))
+        del reports  # one level at a time: release this one's series before the next marches
     ratios = [r.ratio for r in rows if r.level == len(built) - 1 and r.delta > 0.0]
     return WeakStrongReport(multiplier, rows, xi_max, scale, max(ratios) / min(ratios))
 

@@ -32,8 +32,9 @@ gets E, W and K that way.
 Memory: ``gronwall_check`` forms E, W and K, and ``xi_monitor`` on a stacked
 State its series, through blocks of whole states (``thermo._blocks``), so each
 holds its inputs plus about one block. Each state's terms are reduced as in one
-whole-array pass, and each running sum runs once over the full series, so the
-results keep every bit.
+whole-array pass, and each running sum runs once over the full series
+(``GronwallReport.of``, which also serves series joined from pieces of a run,
+as ``harness.weak_strong_experiment`` marches them), so the results keep every bit.
 """
 
 from __future__ import annotations
@@ -176,6 +177,19 @@ class GronwallReport:
     growth: np.ndarray
     scaled_lhs: np.ndarray  # lhs / growth = E_rel e^{-int K} + sum_k dt W_k e^{-int_0^{t_k} K}
 
+    @classmethod
+    def of(cls, times: np.ndarray, E: np.ndarray, W: np.ndarray, K: np.ndarray, dt: float) -> "GronwallReport":
+        """The report of the series E_rel, W and K at the times, dt apart, by the running sums of ``gronwall_check``."""
+        N = len(E)
+        IK = np.zeros(N)  # IK[n] = sum_{k<n} dt K(t_k)
+        IK[1:] = np.cumsum(dt * K[:-1])
+        # sum_k dt W_k exp(IK[n]-IK[k]) = exp(IK[n]) * sum_k dt W_k exp(-IK[k])
+        S = np.zeros(N)
+        S[1:] = np.cumsum(dt * W[:-1] * np.exp(-IK[:-1]))
+        with np.errstate(over="ignore"):  # past int K = 709 the growth is inf, which the margins allow for
+            growth = np.exp(IK)
+        return cls(times, E, W, K, E + _grown(growth, S), growth, E * np.exp(-IK) + S)
+
     def envelope(self, multiplier: float) -> np.ndarray:
         """Right-hand side multiplier * E_rel(0) * exp(int_0^t K)."""
         return _grown(self.growth, multiplier * self.E_rel[0])
@@ -240,15 +254,7 @@ def gronwall_check(
         return relative_energy(s, r, cfg, potential).total, dissipation_W(s, r, kappa), k_factor(r)
 
     E, W, K = (np.concatenate(x) for x in zip(*map(series, _blocks(traj.stack.theta.values))))
-    N = len(E)
-    IK = np.zeros(N)  # IK[n] = sum_{k<n} dt K(t_k)
-    IK[1:] = np.cumsum(dt * K[:-1])
-    # sum_k dt W_k exp(IK[n]-IK[k]) = exp(IK[n]) * sum_k dt W_k exp(-IK[k])
-    S = np.zeros(N)
-    S[1:] = np.cumsum(dt * W[:-1] * np.exp(-IK[:-1]))
-    with np.errstate(over="ignore"):  # past int K = 709 the growth is inf, which GronwallReport allows for
-        growth = np.exp(IK)
-    return GronwallReport(traj.times, E, W, K, E + _grown(growth, S), growth, E * np.exp(-IK) + S)
+    return GronwallReport.of(traj.times, E, W, K, dt)
 
 
 def fit_gronwall_multiplier(reports: Iterable[GronwallReport]) -> float:

@@ -467,21 +467,27 @@ def step(prev: State, cfg: SchemeConfig, potential: Potential, stats: dict | Non
     return new
 
 
-def march(init: State, cfg: SchemeConfig, t_end: float, advance: Callable[[State], State]) -> Trajectory:
-    """March from init.t to t_end, a whole number of dt steps (``SchemeConfig.whole_steps``), by ``advance``.
-    A step that fails, by a SolverError or by a NonpositiveTemperature from the State it builds, raises
-    SimulationAborted with the partial trajectory attached."""
-    span = t_end - init.t
+def _step_times(t0: float, cfg: SchemeConfig, t_end: float, lead: tuple = (), tail: tuple = ()) -> tuple:
+    """The times t0 + k dt from t0 to t_end, a whole number of dt steps (``SchemeConfig.whole_steps``), and an
+    empty array (*lead, len(times), *tail) for series over them; a ConfigError if they are too many to hold."""
+    span = t_end - t0
     if span < 0:
         raise ConfigError("t_end lies before the initial time")
     n_steps = cfg.whole_steps(span)
     try:
-        times = init.t + np.arange(n_steps + 1) * cfg.dt
-        theta, phi = np.empty((2, n_steps + 1, *init.theta.values.shape))
+        times = t0 + np.arange(n_steps + 1) * cfg.dt
+        return times, np.empty((*lead, n_steps + 1, *tail))
     except (OverflowError, ValueError, MemoryError) as exc:
         raise ConfigError(f"(t_end - t0) = {span:g} takes too many steps of dt = {cfg.dt:g} to hold: {exc}") from exc
+
+
+def march(init: State, cfg: SchemeConfig, t_end: float, advance: Callable[[State], State]) -> Trajectory:
+    """March from init.t to t_end, a whole number of dt steps (``SchemeConfig.whole_steps``), by ``advance``.
+    A step that fails, by a SolverError or by a NonpositiveTemperature from the State it builds, raises
+    SimulationAborted with the partial trajectory attached."""
+    times, (theta, phi) = _step_times(init.t, cfg, t_end, (2,), init.theta.values.shape)
     current = init
-    for k in range(n_steps + 1):
+    for k in range(len(times)):
         if k > 0:
             try:
                 current = advance(current)

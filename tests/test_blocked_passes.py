@@ -10,8 +10,10 @@ block plus one and several blocks of states, on a solo 1D run, a loaded run
 (every-other-record views), a batch member (strided views) and a 2D run, each
 with a reference run of its kind for the relative energy. Traced by
 ``tracemalloc``, each pass holds its inputs plus a few blocks, ``weak_strong_experiment``
-one level's batch trajectory plus a few blocks, and writing then loading a run
-the loaded arrays plus about one record.
+one segment of a level's batch plus a few blocks and the level's series, whatever the
+run's length, and writing then loading a run the loaded arrays plus about one record.
+``weak_strong_experiment`` gives the same bits whether its levels march in one segment
+or in many.
 """
 
 import tracemalloc
@@ -21,7 +23,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fremond import stepper, thermo
+from fremond import harness, stepper, thermo
 from fremond.config import load_config
 from fremond.grid import Field, Grid, _dirichlet_values, _grad_sq_values, _lap_values, read_snapshots
 from fremond.harness import (
@@ -214,6 +216,31 @@ def test_interleaved_snapshot_round_trip_is_bitwise(runs, tmp_path):
     assert np.array_equal(bits(times), bits(np.repeat(s.t, 2)))
 
 
+WEAK_STRONG_CASES = {
+    "1d": ["experiment.levels=[16, 32]", "run.t_end=0.0625"],
+    "2d": ["grid.dim=2", "grid.n=16", "scheme.dt=0.001953125", "experiment.levels=[16, 32]", "run.t_end=0.0625"],
+}
+
+
+@pytest.mark.parametrize("case, module_marches", [("1d", 2), ("2d", 9)])
+def test_levels_give_the_same_bits_in_segments_of_any_size(case, module_marches, monkeypatch):
+    # at the module's block size each 1D level marches in one segment, the 2D level 32 in 8 of 16 steps;
+    # at 64 values a block every level marches in segments of 1 to 4 steps
+    run = load_config(PRESETS / "weakstrong.cfg", WEAK_STRONG_CASES[case])
+    marches, simulate_ = [], harness.simulate
+    monkeypatch.setattr(harness, "simulate", lambda *args: marches.append(args[-1]) or simulate_(*args))
+
+    def report(block_values):
+        monkeypatch.setattr(thermo, "BLOCK_VALUES", block_values)
+        marches.clear()
+        rep = weak_strong_experiment(ExperimentConfig.from_run(run))
+        return repr((rep.multiplier, rep.rows, rep.xi_max, rep.scale, rep.ratios_spread)), len(marches)
+
+    module, small = report(thermo.BLOCK_VALUES), report(64)
+    assert module[1] == module_marches and small[1] > 60
+    assert small[0] == module[0]
+
+
 # --- memory --------------------------------------------------------------------------
 
 BLOCK_BYTES = 8 * thermo.BLOCK_VALUES
@@ -257,14 +284,16 @@ def test_each_relative_energy_pass_holds_a_few_blocks(big2d, double_well, name):
     assert peak < 8 * BLOCK_BYTES < big2d.stack.theta.values.nbytes / 2, f"{name}: {peak / 2**20:.2f} MB"
 
 
-def test_weak_strong_holds_one_level_plus_a_few_blocks():
-    # the benchmark's levels: the finest batch, 513 states of 5 members on 64 cells, is 3.9 MB
-    run = load_config(PRESETS / "weakstrong.cfg", ["experiment.levels=[32, 64]", "run.t_end=0.0625"])
+@pytest.mark.parametrize("t_end", [0.0625, 0.25])
+def test_weak_strong_holds_one_segment_plus_a_few_blocks_at_any_run_length(t_end):
+    # the benchmark's levels: the finest batch, 513 or 2049 states of 5 members on 64 cells, is 3.9 or 15.8 MB
+    # whole, and a segment of it, 257 states, 2.0 MB, about three blocks (theta, phi and phi_t) a member
+    run = load_config(PRESETS / "weakstrong.cfg", ["experiment.levels=[32, 64]", f"run.t_end={t_end}"])
     stepper._gtsv()  # the first 1D solve imports scipy.linalg: import it before the trace
     _, peak = traced_peak(lambda: weak_strong_experiment(ExperimentConfig.from_run(run)))
-    states = round(run.t_end / (run.scheme.dt / 4)) + 1
-    batch = 3 * 8 * states * 5 * 64  # theta, phi and phi_t
-    assert peak < batch + 8 * BLOCK_BYTES, f"{(peak - batch) / 2**20:.2f} MB above the finest batch"
+    states, members = round(run.t_end / (run.scheme.dt / 4)) + 1, 5
+    series = 8 * states * (1 + 6 * (members - 1))  # xi, and each delta's E_rel, W, K, lhs, growth and scaled_lhs
+    assert peak < (3 * members + 8) * BLOCK_BYTES + series, f"{(peak - series) / 2**20:.2f} MB above the series"
 
 
 def test_persisting_and_loading_hold_the_loaded_arrays_plus_one_record(tmp_path):

@@ -9,10 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fremond import cli
+from fremond import cli, stepper
 from fremond.cli import main
 from fremond.config import KEY_KINDS, load_config
-from fremond.errors import ConfigError
+from fremond.errors import ConfigError, NewtonDiverged
 from fremond.grid import Field, Grid, write_snapshots
 from fremond.harness import load_run_dir, read_csv, read_csv_columns, write_csv
 from fremond.relenergy import RelEnergyConfig, gronwall_check
@@ -117,6 +117,20 @@ class TestSimulate:
         assert main(argv + [a for o in overrides for a in ("--override", o)]) == 3
         assert capsys.readouterr().err == "solver error: step 1 failed: min theta = -42.5 at t = 0.1\n"
 
+    def test_failure_in_a_later_segment_names_the_levels_step(self, tmp_path, capsys, monkeypatch):
+        # level 64 marches its 512 steps in segments of 256, so step 301 fails in the second
+        real_step = stepper.step
+
+        def step(prev, cfg, potential, stats=None):
+            if prev.grid.n[0] == 64 and prev.t >= 300 * cfg.dt:
+                raise NewtonDiverged("injected")
+            return real_step(prev, cfg, potential, stats)
+
+        monkeypatch.setattr(stepper, "step", step)
+        argv = ["weakstrong", "--config", str(PRESETS / "weakstrong.cfg"), "--outdir", str(tmp_path / "out")]
+        assert main(argv + ["--override", "experiment.levels=[32, 64]", "--override", "run.t_end=0.0625"]) == 3
+        assert capsys.readouterr().err == "solver error: step 301 failed: injected\n"
+
     def test_override_changes_resolution(self, steady_cfg, tmp_path):
         out = tmp_path / "o8"
         assert main(["simulate", "--config", str(steady_cfg), "--override", "grid.n=8",
@@ -208,6 +222,8 @@ class TestBadConfigValues:
          "cell spacing"),
         (["simulate", "--config", str(PRESETS / "steady.cfg"), "--override", "grid.extent=1e-300"], "cell spacing"),
         (["simulate", "--config", str(PRESETS / "steady.cfg"), "--override", "run.t_end=1e300"], "too many steps"),
+        (["weakstrong", "--config", str(PRESETS / "weakstrong.cfg"), "--override", "run.t_end=1e300"],
+         "too many steps"),
         (["simulate", "--config", str(PRESETS / "steady.cfg"), "--override", "scheme.dt=1e-300"], "too many steps"),
         (["simulate", "--config", str(PRESETS / "steady.cfg"),
           "--override", "run.t_end=1e308", "--override", "scheme.dt=1e-10"], "too many steps"),
@@ -262,7 +278,8 @@ class TestBadConfigValues:
     ], ids=["initial_key_misspelt", "random_smooth_negative_seed", "weakstrong_level_of_one_cell",
             "refine_level_of_one_cell", "refine_energy_margin_level_of_one_cell", "refine_t_end_zero",
             "refine_energy_margin_t_end_zero", "h_squared_overflows", "weakstrong_h_squared_overflows",
-            "h_squared_underflows", "t_end_too_many_steps", "dt_too_many_steps", "step_count_infinite",
+            "h_squared_underflows", "t_end_too_many_steps", "weakstrong_t_end_too_many_steps", "dt_too_many_steps",
+            "step_count_infinite",
             "refine_level_misses_the_final_time", "refine_step_count_infinite",
             "refine_finer_level_step_count_infinite", "refine_repeated_levels", "refine_unordered_levels",
             "weakstrong_decreasing_levels", "weakstrong_repeated_levels", "weakstrong_empty_levels",

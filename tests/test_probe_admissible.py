@@ -48,10 +48,13 @@ def generated(seed: int) -> dict:
 
 CASES = {**STIFF, **{f"seed{seed}": generated(seed) for seed in range(40)}}
 
-# Open: theta_base 0.2 with random_smooth data puts min theta_0 at 5.8e-4, and at dt = 8.7 h^2 the
-# entropy margin of step 1 is -14.4, below its tolerance of -100 dt = -1.98 (the floors pass). Whether
-# the run breaks the law or the tolerance is too tight for so small a temperature is not yet known.
-ENTROPY_PAST_TOLERANCE = pytest.mark.xfail(reason="entropy margin -14.4 < -100 dt at min theta_0 5.8e-4")
+# theta_base 0.2 with random_smooth data puts min theta_0 at 5.8e-4, and at dt = 8.7 h^2 the entropy
+# margin of step 1 is -14.4, below its tolerance of -100 dt = -1.98 (the floors pass). The run keeps the
+# law and the tolerance is too tight: at the same t_end, dt, dt/2, dt/4 and dt/8 give min margins -14.6,
+# -6.95, -3.18 and -1.35, which shrink as O(dt), but each is 7.4 to 5.5 times its tolerance -100 dt. A
+# tolerance scaled by the data is a follow-up of ROADMAP direction 2.
+ENTROPY_PAST_TOLERANCE = pytest.mark.xfail(reason="entropy margin O(dt) but 5.5-7.4 times the dt-only tolerance "
+                                                  "-100 dt at min theta_0 5.8e-4: too tight, not a broken law")
 
 
 @pytest.mark.parametrize("name", [pytest.param(name, marks=ENTROPY_PAST_TOLERANCE) if name == "seed35" else name
