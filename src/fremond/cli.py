@@ -3,6 +3,7 @@
 Verbs (each a thin adapter over one harness/thermo/relenergy call):
 
   simulate    run a configuration, persist the trajectory and energy series
+              (a failed run persists its good states and run_0/failure.txt)
   check       energy/entropy/floor checks on a persisted run directory
   relenergy   relative-energy and Gronwall-envelope suite on two run dirs
   sweep       eps sweep experiment
@@ -27,7 +28,7 @@ import numpy as np
 
 from . import harness
 from .config import format_value, load_config
-from .errors import ConfigError, FremondError, NonpositiveTemperature, SolverError
+from .errors import ConfigError, FremondError, NonpositiveTemperature, SimulationAborted, SolverError
 from .relenergy import RelEnergyConfig, envelope_holds, fit_gronwall_multiplier, gronwall_check, require_comparable
 from .svg import write_line_chart
 from .thermo import (
@@ -48,12 +49,18 @@ def _resolve_outdir(arg_outdir, cfg_outdir, default_name: str) -> Path:
 def _cmd_simulate(args) -> int:
     run = load_config(args.config, args.override)
     outdir = _resolve_outdir(args.outdir, run.outdir, "fremond_run")
-    traj = harness.run_simulation(run)
+    try:
+        traj, failure = harness.run_simulation(run), None
+    except SimulationAborted as exc:  # its good states are persisted as a success's would be
+        traj, failure = exc.trajectory, exc
     harness.write_manifest(outdir, run.sections)
     run_dir = outdir / "run_0"
     harness.persist_trajectory(traj, run_dir)
     series = vars(energy(traj.stack, run.potential))  # the report's fields in order
     harness.write_csv(run_dir / "energy.csv", ["step", *series], [np.arange(len(traj)), *series.values()])
+    if failure is not None:
+        (run_dir / "failure.txt").write_text(f"solver error: {failure}\n")  # the line ``main`` prints
+        raise failure
     print(f"simulate: {len(traj)} states written to {run_dir}")
     return 0
 

@@ -17,10 +17,10 @@ receive the two interior-face halves per axis, the same rule as everywhere else
 
 A snapshot file is text, one record per field, and all of its records live
 on one grid: ``write_snapshots`` writes a stacked Field (a leading record
-axis), or several interleaved, and ``read_snapshots`` reads it back as one.
-Neither copies the whole stack: writing holds one record's text at a time,
-and reading fills one preallocated array, so each holds the values plus one
-record.
+axis), or several interleaved, and ``read_snapshots`` yields its records one
+at a time in one pass over the file. Neither copies the whole stack: writing
+holds one record's text at a time and reading one record, so a reader that
+fills its own array holds the values plus one record.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Iterator
 
 import numpy as np
 
@@ -262,35 +263,20 @@ def write_snapshots(f: Field | tuple[Field, ...], path, times) -> None:
                     fh.write(" ".join(map(repr, flat[i : i + 8])) + "\n")
 
 
-def _count_records(path) -> int:
-    """How often "FIELD" occurs in the file, read 128 KB at a time: the record count of
-    a well-formed file, and at least the count of any file that parses."""
-    count, tail = 0, b""
-    with open(path, "rb") as fh:
-        while chunk := fh.read(2**17):
-            chunk = tail + chunk
-            count += chunk.count(b"FIELD")
-            tail = chunk[-4:]  # too short to hold a whole "FIELD", so none is counted twice
-    return count
-
-
-def read_snapshots(path) -> tuple[Field, np.ndarray]:
-    """Every record of a snapshot file as one Field, values of shape
-    (records, *grid.shape), and the records' times. The values fill one array
-    sized by a count of the file's headers, so reading holds the result plus
-    one record. A malformed record, an empty file or records on different grids
-    is a ConfigError naming the file."""
-    values, times, grid_nh, grid_text = None, [], None, None
+def read_snapshots(path) -> Iterator[tuple[Grid, np.ndarray, float]]:
+    """Each record of a snapshot file as (grid, values of shape grid.shape, time), in one pass
+    over the file, so reading holds one record at a time. A malformed record, an empty file or
+    records on different grids is a ConfigError naming the file, raised when reading reaches it."""
+    grid_nh, grid_text = None, None
     try:
         with open(path) as fh:
             lines = (line for line in fh if line.strip())
-            for header in lines:
+            for k, header in enumerate(lines):
                 parts = header.split()
                 if parts[0] != "FIELD":
                     raise ValueError(f"bad snapshot header: {header!r}")
                 kv = dict(p.split("=", 1) for p in parts[1:])
-                missing = [k for k in ("dim", "n", "h", "t") if k not in kv]
-                if missing:
+                if missing := [key for key in ("dim", "n", "h", "t") if key not in kv]:
                     raise ValueError(f"snapshot header lacks {', '.join(missing)}: {header!r}")
                 if (kv["dim"], kv["n"], kv["h"]) != grid_text:  # parsed only where the text changes
                     n = tuple(int(x) for x in kv["n"].split(","))
@@ -298,8 +284,9 @@ def read_snapshots(path) -> tuple[Field, np.ndarray]:
                     if not len(n) == len(h) == int(kv["dim"]):
                         raise ValueError(f"inconsistent snapshot header: {header!r}")
                     if grid_nh not in (None, (n, h)):
-                        raise ValueError(f"record {len(times)} is on another grid than record 0: {header!r}")
+                        raise ValueError(f"record {k} is on another grid than record 0: {header!r}")
                     grid_nh, grid_text, count = (n, h), (kv["dim"], kv["n"], kv["h"]), math.prod(n)
+                    grid = Grid(n, tuple(hi * ni for hi, ni in zip(h, n)))
                 tokens: list[str] = []
                 while len(tokens) < count:
                     line = next(lines, None)
@@ -308,14 +295,8 @@ def read_snapshots(path) -> tuple[Field, np.ndarray]:
                     tokens += line.split()
                 if len(tokens) != count:
                     raise ValueError("snapshot record has trailing values")
-                if values is None:
-                    values = np.empty((_count_records(path), count))
-                values[len(times)] = np.array(tokens, dtype=float)
-                times.append(float(kv["t"]))
+                yield grid, np.array(tokens, dtype=float).reshape(n), float(kv["t"])
         if grid_nh is None:
             raise ValueError("empty snapshot file")
-        n, h = grid_nh
-        grid = Grid(n, tuple(hi * ni for hi, ni in zip(h, n)))
-        return Field(grid, values[: len(times)].reshape(-1, *n)), np.array(times)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc

@@ -17,8 +17,8 @@ Memory: ``weak_strong_experiment`` holds one segment of a level's batch at a
 time plus the level's series, never a whole batch trajectory. Persisting and
 loading a trajectory copy none of it whole: ``persist_trajectory`` writes the
 interleaved temperature and phase records from the trajectory's own arrays,
-and ``load_run_dir`` reads them into one array and takes the two series as
-views, so each holds the trajectory plus one record.
+and ``load_run_dir`` reads them in one pass into one array sized from index.csv
+and takes the two series as views, so each holds the trajectory plus one record.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from __future__ import annotations
 import csv
 import itertools
 import math
+from collections import deque
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -122,9 +123,9 @@ def make_initial(grid: Grid, potential: Potential, params: dict) -> State:
         for key in ("theta_file", "phi_file"):
             if key not in params:
                 raise ConfigError(f"initial.{key} is required by preset snapshot")
-        theta_records, _ = read_snapshots(params["theta_file"])
-        phi_records, _ = read_snapshots(params["phi_file"])
-        theta, phi = Field(theta_records.grid, theta_records.values[0]), Field(phi_records.grid, phi_records.values[0])
+        records = [read_snapshots(params[key]) for key in ("theta_file", "phi_file")]
+        theta, phi = (Field(*next(r)[:2]) for r in records)  # each file's first record as (grid, values)
+        deque(itertools.chain(*records), maxlen=0)  # the later ones are parsed too, so a malformed one is an error
         if not (same_grid(theta.grid, grid) and same_grid(phi.grid, grid)):
             raise ConfigError(f"snapshot grid (n = {theta.grid.n}, extent = {theta.grid.extent}) does not match "
                               f"the configured [grid] (n = {grid.n}, extent = {grid.extent})")
@@ -579,7 +580,8 @@ def resolve_run_dir(path) -> Path:
 def load_run_dir(run_dir) -> tuple[Trajectory, RunConfig]:
     """Rebuild a trajectory (``Trajectory.of``, at the first state the manifest's
     ``initial.phi_t`` convention) plus its configuration from a persisted run
-    directory (see ``resolve_run_dir``)."""
+    directory (see ``resolve_run_dir``), its records read into one array sized from index.csv,
+    whose states they must match two for one (a ConfigError otherwise)."""
     run_dir = resolve_run_dir(run_dir)
     manifest = _find_manifest(run_dir)
     try:
@@ -590,21 +592,24 @@ def load_run_dir(run_dir) -> tuple[Trajectory, RunConfig]:
     times = np.array(read_csv_columns(index, "step", "t")["t"])
     if len(times) == 0:
         raise ConfigError(f"{index}: lists no states")
-    records, record_times = read_snapshots(path)
-    if len(record_times) != 2 * len(times):
-        raise ConfigError(f"{path}: {len(record_times)} records, not two for each of the {len(times)} states in {index}")
-    grid = records.grid
-    if not same_grid(grid, run.grid):
-        raise ConfigError(f"{path}: records do not all live on the [grid] of {manifest}")
+    records, record_times = np.empty((2 * len(times), *run.grid.shape)), np.empty(2 * len(times))
+    for k, (grid, values, t) in enumerate(read_snapshots(path)):  # records past the array are only counted
+        if k == 0 and not same_grid(grid, run.grid):
+            raise ConfigError(f"{path}: records do not all live on the [grid] of {manifest}")
+        if k < len(records):
+            records[k], record_times[k] = values, t
+    if k + 1 != len(records):
+        raise ConfigError(f"{path}: {k + 1} records, not two for each of the {len(times)} states in {index}")
     if not np.array_equal(record_times, np.repeat(times, 2)):
         raise ConfigError(f"{path}: record times differ from the state times in {index}")
-    theta, phi = records.values[0::2], records.values[1::2]
-    init = initial_state(grid, theta[0], phi[0], run.initial.get("phi_t", "zero"), run.potential, times[0])
     try:
         _check_times(times, run.scheme.dt)
     except ValueError as exc:
         raise ConfigError(f"{index} times do not fit dt = {run.scheme.dt!r} of {manifest}: {exc}") from exc
-    try:
+    theta, phi = records[0::2], records[1::2]
+    try:  # the records' values are checked finite here, as the trajectory's fields
+        init = initial_state(grid, theta[0], phi[0], run.initial.get("phi_t", "zero"), run.potential, times[0])
         return Trajectory.of(times, theta, phi, init.phi_t, run.scheme), run
-    except ValueError as exc:  # the times fit, so the backward difference of the phase overflowed
-        raise ConfigError(f"{path}: the phase rate (phi^n - phi^(n-1))/dt of its records overflows") from exc
+    except ValueError as exc:  # the times fit, so a value is not finite or the phase's backward difference overflowed
+        raise ConfigError(f"{path}: the phase rate (phi^n - phi^(n-1))/dt of its records overflows, "
+                          "or a record holds a value that is not finite") from exc

@@ -29,12 +29,13 @@ Given two trajectories' stacked States (``Trajectory.stack``) in place of
 two States, each functional returns its series over time; ``gronwall_check``
 gets E, W and K that way.
 
-Memory: ``gronwall_check`` forms E, W and K, and ``xi_monitor`` on a stacked
-State its series, through blocks of whole states (``thermo._blocks``), so each
-holds its inputs plus about one block. Each state's terms are reduced as in one
-whole-array pass, and each running sum runs once over the full series
-(``GronwallReport.of``, which also serves series joined from pieces of a run,
-as ``harness.weak_strong_experiment`` marches them), so the results keep every bit.
+Memory: ``gronwall_check`` forms E, W and K through blocks of whole states
+(``thermo._blocks``), so it holds its inputs plus about one block. Each state's
+terms are reduced as in one whole-array pass, and each running sum runs once
+over the full series (``GronwallReport.of``, which also serves series joined
+from pieces of a run, as ``harness.weak_strong_experiment`` marches them), so
+the results keep every bit. ``xi_monitor`` makes one pass over what it is given,
+which its one caller keeps to one segment of a run, about a block.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import ConfigError, NonpositiveTemperature
-from .grid import Field, Grid, _dirichlet_values, _grad_sq_values, _lap_values, same_grid
+from .grid import Field, _dirichlet_values, _grad_sq_values, _lap_values, same_grid
 from .potential import Potential
 from .stepper import State, Trajectory
 from .thermo import _blocks
@@ -272,17 +273,11 @@ def xi_monitor(state: State, kappa: float) -> float | np.ndarray:
 
     Uses the state's stored phi_t (zero at the initial instant by convention,
     which underestimates xi(0); ``[initial] phi_t = pde`` stores the PDE rate
-    there instead). On a stacked State, it works block by block (``_blocks``).
+    there instead). On a stacked State, its series, in one pass over the arrays.
     """
-    th, ph, pt = state.theta.values, state.phi.values, state.phi_t.values
-    if np.ndim(state.t) == 0:
-        return _xi_terms(th, ph, pt, state.grid, kappa)
-    return np.concatenate([_xi_terms(th[b], ph[b], pt[b], state.grid, kappa) for b in _blocks(th)])
-
-
-def _xi_terms(th: np.ndarray, ph: np.ndarray, pt: np.ndarray, g: Grid, kappa: float) -> float | np.ndarray:
-    """``xi_monitor`` per leading index of the values (one number for one state)."""
+    g = state.grid
     vol, axes = g.cell_volume, g.axes
+    th, ph, pt = state.theta.values, state.phi.values, state.phi_t.values
     h1_pt = np.sum(pt * pt, axis=axes) * vol + _dirichlet_values(pt, pt, g)
     h1_th = np.sum(th * th, axis=axes) * vol + _dirichlet_values(th, th, g)
     lap_ph = _lap_values(ph, g)

@@ -2,9 +2,9 @@
 one pass over the whole arrays gives.
 
 ``energy`` on a stacked State, ``energy_inequality_check``,
-``entropy_inequality_check``, ``gronwall_check``'s E, W and K, and ``xi_monitor``
-on a stacked State reduce each state alone, so working through blocks of whole
-states (``thermo.BLOCK_VALUES`` values each) must not change a bit; the
+``entropy_inequality_check`` and ``gronwall_check``'s E, W and K reduce each
+state alone, so working through blocks of whole states
+(``thermo.BLOCK_VALUES`` values each) must not change a bit; the
 whole-array forms below are the references. The cases cover 1, 2, a block, a
 block plus one and several blocks of states, on a solo 1D run, a loaded run
 (every-other-record views), a batch member (strided views) and a 2D run, each
@@ -25,7 +25,7 @@ import pytest
 
 from fremond import harness, stepper, thermo
 from fremond.config import load_config
-from fremond.grid import Field, Grid, _dirichlet_values, _grad_sq_values, _lap_values, read_snapshots
+from fremond.grid import Field, Grid, _dirichlet_values, _grad_sq_values, read_snapshots
 from fremond.harness import (
     ExperimentConfig,
     load_run_dir,
@@ -34,7 +34,7 @@ from fremond.harness import (
     weak_strong_experiment,
     write_manifest,
 )
-from fremond.relenergy import RelEnergyConfig, dissipation_W, gronwall_check, k_factor, relative_energy, xi_monitor
+from fremond.relenergy import RelEnergyConfig, dissipation_W, gronwall_check, k_factor, relative_energy
 from fremond.stepper import SchemeConfig, State, Trajectory, initial_state, simulate
 from fremond.thermo import TEST_FUNCTIONS, energy, energy_inequality_check, entropy_inequality_check
 
@@ -96,18 +96,6 @@ def whole_gronwall_series(traj, ref, cfg, potential):
     return relative_energy(s, r, cfg, potential).total, dissipation_W(s, r, traj.config.kappa), k_factor(r)
 
 
-def whole_xi(state, kappa):
-    """``xi_monitor`` of a stacked State over the whole arrays at once."""
-    g = state.grid
-    vol, axes = g.cell_volume, g.axes
-    th, ph, pt = state.theta.values, state.phi.values, state.phi_t.values
-    h1_pt = np.sum(pt * pt, axis=axes) * vol + _dirichlet_values(pt, pt, g)
-    h1_th = np.sum(th * th, axis=axes) * vol + _dirichlet_values(th, th, g)
-    lap_ph = _lap_values(ph, g)
-    h2_ph = (np.sum(ph * ph, axis=axes) + np.sum(lap_ph * lap_ph, axis=axes)) * vol
-    return 0.5 * (h1_pt + kappa * h1_th + h2_ph)
-
-
 def bits(x):
     return np.asarray(x, dtype=float).view(np.int64)
 
@@ -137,8 +125,6 @@ def assert_relative_energy_passes_bitwise(traj, ref, potential):
     rep = gronwall_check(traj, ref, cfg, potential)
     for name, want in zip(("E_rel", "W", "K"), whole_gronwall_series(traj, ref, cfg, potential)):
         assert np.array_equal(bits(getattr(rep, name)), bits(want)), name
-    kappa = traj.config.kappa
-    assert np.array_equal(bits(xi_monitor(traj.stack, kappa)), bits(whole_xi(traj.stack, kappa)))
 
 
 STATES_PER_BLOCK = 4
@@ -208,11 +194,12 @@ def test_blocked_passes_at_the_module_block_size(double_well, blocks):
 def test_interleaved_snapshot_round_trip_is_bitwise(runs, tmp_path):
     traj = runs["2d"][0]
     persist_trajectory(traj, tmp_path)
-    records, times = read_snapshots(tmp_path / "trajectory.field")
+    records = list(read_snapshots(tmp_path / "trajectory.field"))
+    values, times = np.stack([v for _, v, _ in records]), np.array([t for _, _, t in records])
     s = traj.stack
-    assert records.values.shape == (2 * len(traj), *traj.grid.shape)
-    assert np.array_equal(bits(records.values[0::2]), bits(s.theta.values))
-    assert np.array_equal(bits(records.values[1::2]), bits(s.phi.values))
+    assert values.shape == (2 * len(traj), *traj.grid.shape)
+    assert np.array_equal(bits(values[0::2]), bits(s.theta.values))
+    assert np.array_equal(bits(values[1::2]), bits(s.phi.values))
     assert np.array_equal(bits(times), bits(np.repeat(s.t, 2)))
 
 
@@ -275,12 +262,11 @@ def test_each_pass_holds_a_few_blocks(big2d, double_well, name, pass_):
     assert peak < 8 * BLOCK_BYTES < field_bytes / 2, f"{name}: {peak / 2**20:.2f} MB"
 
 
-@pytest.mark.parametrize("name", ["gronwall_check", "xi_monitor"])
+# xi_monitor makes one pass over what it is given: weak_strong_experiment gives it a segment at a time
+@pytest.mark.parametrize("name", ["gronwall_check"])
 def test_each_relative_energy_pass_holds_a_few_blocks(big2d, double_well, name):
     ref = synthetic(big2d.grid, len(big2d), seed=1)
-    pass_ = {"gronwall_check": lambda: gronwall_check(big2d, ref, RelEnergyConfig(lam=double_well.lam), double_well),
-             "xi_monitor": lambda: xi_monitor(big2d.stack, big2d.config.kappa)}[name]
-    _, peak = traced_peak(pass_)
+    _, peak = traced_peak(lambda: gronwall_check(big2d, ref, RelEnergyConfig(lam=double_well.lam), double_well))
     assert peak < 8 * BLOCK_BYTES < big2d.stack.theta.values.nbytes / 2, f"{name}: {peak / 2**20:.2f} MB"
 
 

@@ -1,4 +1,6 @@
 import argparse
+import builtins
+import io
 import os
 import random
 import re
@@ -116,6 +118,25 @@ class TestSimulate:
         argv = ["simulate", "--config", str(PRESETS / "steady.cfg"), "--outdir", str(tmp_path / "out")]
         assert main(argv + [a for o in overrides for a in ("--override", o)]) == 3
         assert capsys.readouterr().err == "solver error: step 1 failed: min theta = -42.5 at t = 0.1\n"
+
+    def test_failed_run_leaves_its_good_states_as_a_success_would(self, tmp_path, capsys):
+        # dt 0.004 on the cosine preset: the coupled sweeps stall at step 58, after 58 good states
+        argv = ["simulate", "--config", str(PRESETS / "cosine.cfg"), "--override", "scheme.dt=0.004",
+                "--override", "scheme.fp_max_iter=6"]
+        failed, short = tmp_path / "failed", tmp_path / "short"
+        assert main([*argv, "--override", "run.t_end=0.5", "--outdir", str(failed)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("solver error: step 58 failed: ") and err.count("\n") == 1
+        assert (failed / "run_0" / "failure.txt").read_text() == err
+        assert len(read_csv(failed / "run_0" / "index.csv")[1]) == 58
+        assert load_config(failed / "manifest.txt").t_end == 0.5
+        # the run that stops at the last good state writes the same files, bit for bit
+        assert main([*argv, "--override", f"run.t_end={57 * 0.004!r}", "--outdir", str(short)]) == 0
+        for name in ("trajectory.field", "index.csv", "energy.csv"):
+            assert (failed / "run_0" / name).read_bytes() == (short / "run_0" / name).read_bytes(), name
+        capsys.readouterr()
+        assert main(["check", "--run", str(failed)]) in (0, 1)
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_failure_in_a_later_segment_names_the_levels_step(self, tmp_path, capsys, monkeypatch):
         # level 64 marches its 512 steps in segments of 256, so step 301 fails in the second
@@ -316,6 +337,8 @@ class TestCorruptInput:
         ("check", "run_0/trajectory.field",
          lambda text: edit_record(text, 6, lambda rec: re.sub(r"\n\S+", "\nnan", rec, count=1)), "trajectory.field"),
         ("check", "run_0/trajectory.field", lambda text: text[:text.rindex("FIELD")], "trajectory.field: 41 records"),
+        ("check", "run_0/trajectory.field", lambda text: text + text[text.rindex("FIELD"):],
+         ("trajectory.field: 43 records, not two for each of the 21 states in ", "run_0/index.csv\n")),
         ("check", "run_0/trajectory.field",
          lambda text: edit_record(text, 4, lambda rec: rec.replace(" t=0.02\n", " t=0.5\n", 1)),
          "trajectory.field: record times differ from the state times in "),
@@ -331,7 +354,7 @@ class TestCorruptInput:
     ], ids=["snapshot_preset_without_files", "empty_energy_csv", "empty_index_csv", "index_row_truncated",
             "index_csv_header_only", "manifest_dt_edited", "manifest_n_edited", "manifest_extent_edited",
             "snapshot_header_without_h", "nan_in_snapshot",
-            "last_record_dropped", "record_time_edited", "energy_csv_column_renamed", "energy_csv_short_row",
+            "last_record_dropped", "record_appended", "record_time_edited", "energy_csv_column_renamed", "energy_csv_short_row",
             "config_not_utf8", "manifest_not_utf8", "index_csv_not_utf8", "energy_csv_not_utf8"])
     def test_exits_two_without_traceback(self, verb, target, edit, named, steady_cfg, tmp_path, capsys):
         out = tmp_path / "out"
@@ -348,7 +371,7 @@ class TestCorruptInput:
         code = main(argv)
         err = capsys.readouterr().err
         assert code == 2
-        assert named in err
+        assert all(name in err for name in ((named,) if isinstance(named, str) else named))
         assert "Traceback" not in err
 
     def test_snapshot_on_another_grid_exits_two(self, tmp_path, capsys):
@@ -487,6 +510,20 @@ class TestCheck:
         assert main(["check", "--run", str(out)]) == 0
         for name in ("energy_check", "entropy_one", "entropy_cosine", "floors_theta", "floors_phi"):
             assert (out / "run_0" / f"{name}.csv").exists()
+
+    def test_reads_the_trajectory_file_in_one_pass(self, steady_cfg, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(steady_cfg), "--outdir", str(out)]) == 0
+        opened, real_open = [], io.open
+
+        def counting_open(file, *args, **kwargs):
+            opened.append(Path(file).name if isinstance(file, (str, os.PathLike)) else file)
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", counting_open)
+        monkeypatch.setattr(io, "open", counting_open)
+        assert main(["check", "--run", str(out)]) == 0
+        assert opened.count("trajectory.field") == 1 and opened.count("index.csv") == 1
 
     def test_run_past_the_float_range_of_the_phase_floor_checks_on_its_merits(self, tmp_path, capsys):
         # the floor's e^{2 lam t} overflows once 2 lam t > 709: lambda 4 and t = 100

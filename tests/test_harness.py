@@ -217,6 +217,21 @@ class TestPresets:
         )
         assert np.all(s.theta.values == 1.5)
 
+    @pytest.mark.parametrize("key", ["theta_file", "phi_file"])
+    def test_snapshot_preset_takes_the_first_record_and_rejects_a_malformed_later_one(self, key, tmp_path,
+                                                                                        double_well):
+        g = Grid.line(8)
+        params = {"preset": "snapshot"}
+        for name, value in (("theta_file", 1.5), ("phi_file", 0.25)):
+            params[name] = str(tmp_path / f"{name}.field")
+            write_snapshots(Field(g, np.array([np.full(8, value), np.full(8, 2 * value)])), params[name], [0.0, 0.5])
+        s = make_initial(g, double_well, params)
+        assert np.all(s.theta.values == 1.5) and np.all(s.phi.values == 0.25)
+        path = Path(params[key])
+        path.write_text(path.read_text() + "FIELD dim=1 n=8 h=0.125\n")  # a third record without its time
+        with pytest.raises(ConfigError, match=f"{key}.field: snapshot header lacks t"):
+            make_initial(g, double_well, params)
+
     def test_unknown_preset(self, double_well):
         with pytest.raises(ConfigError):
             make_initial(Grid.line(8), double_well, {"preset": "wavelet"})

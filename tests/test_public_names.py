@@ -1,8 +1,10 @@
-"""Every name a module of ``src/fremond`` lists in ``__all__`` has a caller in the
-program: the package itself (outside ``__init__.py``, which only re-exports), the
-acceptance gate or the benchmark. A public name that only unit tests reach is
-dead code with a test around it. So is a test function of ``thermo.TEST_FUNCTIONS``
-whose name the program never spells out."""
+"""Every function and class that ``src/fremond`` defines, public or not, at any
+depth (dunders aside), is referenced by the program: the package itself (outside
+``__init__.py``, which only re-exports), the acceptance gate or the benchmark. A
+definition that only unit tests reach is dead code with a test around it. So is
+a test function of ``thermo.TEST_FUNCTIONS`` whose name the program never spells
+out. The scan goes by name, so a name that the program uses for something else
+passes too."""
 
 import ast
 from pathlib import Path
@@ -58,10 +60,22 @@ def _public_names() -> dict[str, list[str]]:
     return found
 
 
+def _definitions() -> list[tuple[str, str]]:
+    """(module file name, name) of each function and class the package defines, nested ones and methods
+    included, dunders left out."""
+    return [(path.name, node.name) for path in sorted(PACKAGE.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text(), str(path)))
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not (node.name.startswith("__") and node.name.endswith("__"))]
+
+
 def test_the_scan_reads_the_modules():
     public = _public_names()
     assert {"grid.py", "stepper.py", "thermo.py", "harness.py"} <= set(public)
     assert "floors_check" in public["thermo.py"] and "floors_check" in _called_names()
+    defined = _definitions()
+    assert len(defined) > 150 and ("stepper.py", "__post_init__") not in defined
+    assert {("grid.py", "_lap_values"), ("grid.py", "min"), ("cli.py", "record")} <= set(defined)  # nested, a method
 
 
 def test_every_public_name_has_a_caller():
@@ -69,6 +83,13 @@ def test_every_public_name_has_a_caller():
     uncalled = [f"{module}: {name}" for module, names in _public_names().items() for name in names
                 if name not in called and name not in KEPT_WITHOUT_CALLER]
     assert uncalled == []
+
+
+def test_every_definition_is_referenced():
+    called = _called_names()
+    unreferenced = [f"{module}: {name}" for module, name in _definitions()
+                    if name not in called and name not in KEPT_WITHOUT_CALLER]
+    assert unreferenced == []
 
 
 def test_every_test_function_is_named_by_the_program():
