@@ -112,10 +112,6 @@ class Grid:
     def cell_volume(self) -> float:
         return float(np.prod(self.h))
 
-    @property
-    def volume(self) -> float:
-        return float(np.prod(self.extent))
-
     def meshgrid(self) -> tuple[np.ndarray, ...]:
         """Cell-center coordinate arrays, each of shape ``grid.shape``."""
         return tuple(np.meshgrid(*((np.arange(n) + 0.5) * h for n, h in zip(self.n, self.h)), indexing="ij"))

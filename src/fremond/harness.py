@@ -76,14 +76,14 @@ __all__ = [
 # --- initial data presets ----------------------------------------------------
 
 
-def _random_smooth_mode(grid: Grid, seed: int, modes: int = 4) -> np.ndarray:
+def _random_smooth_mode(grid: Grid, seed: int) -> np.ndarray:
     """Low-frequency cosine series with seeded coefficients, sup-normalized to 1: for each
-    wavenumber tuple (k_1, ..., k_dim) in 1..modes, a uniform(-1, 1) coefficient over
+    wavenumber tuple (k_1, ..., k_dim) in 1..4, a uniform(-1, 1) coefficient over
     sum k_a^2 times one cosine factor cos(pi k_a x_a / L_a) per axis."""
     rng = np.random.default_rng(seed)
     out = np.zeros(grid.shape)
     coords = grid.meshgrid()
-    for ks in itertools.product(range(1, modes + 1), repeat=grid.dim):
+    for ks in itertools.product(range(1, 5), repeat=grid.dim):
         term = rng.uniform(-1.0, 1.0) / sum(k**2 for k in ks)
         for k, x, length in zip(ks, coords, grid.extent):
             term = term * np.cos(np.pi * k * x / length)

@@ -30,7 +30,7 @@ two States, each functional returns its series over time; ``gronwall_check``
 gets E, W and K that way.
 
 Memory: ``gronwall_check`` forms E, W and K through blocks of whole states
-(``thermo._blocks``), so it holds its inputs plus about one block. Each state's
+(``thermo._by_blocks``), so it holds its inputs plus about one block. Each state's
 terms are reduced as in one whole-array pass, and each running sum runs once
 over the full series (``GronwallReport.of``, which also serves series joined
 from pieces of a run, as ``harness.weak_strong_experiment`` marches them), so
@@ -49,7 +49,7 @@ from .errors import ConfigError, NonpositiveTemperature
 from .grid import Field, _dirichlet_values, _grad_sq_values, _lap_values, same_grid
 from .potential import Potential
 from .stepper import State, Trajectory
-from .thermo import _blocks
+from .thermo import _by_blocks
 
 __all__ = [
     "RelEnergyConfig",
@@ -65,7 +65,6 @@ __all__ = [
     "envelope_holds",
     "fit_gronwall_multiplier",
     "xi_monitor",
-    "log_l1_bound",
 ]
 
 
@@ -254,7 +253,7 @@ def gronwall_check(
         s, r = traj[b], ref_traj[b]
         return relative_energy(s, r, cfg, potential).total, dissipation_W(s, r, kappa), k_factor(r)
 
-    E, W, K = (np.concatenate(x) for x in zip(*map(series, _blocks(traj.stack.theta.values))))
+    E, W, K = _by_blocks(series, traj.stack.theta.values)
     return GronwallReport.of(traj.times, E, W, K, dt)
 
 
@@ -284,16 +283,3 @@ def xi_monitor(state: State, kappa: float) -> float | np.ndarray:
     h2_ph = (np.sum(ph * ph, axis=axes) + np.sum(lap_ph * lap_ph, axis=axes)) * vol
     return 0.5 * (h1_pt + kappa * h1_th + h2_ph)
 
-
-def log_l1_bound(theta: Field, theta_ref: Field) -> tuple[float, float]:
-    """Checked inequality ||log th - log th~||_{L1}^2 <= c * int Lam(th|th~)
-    with c = 2 |Omega|^2 / delta, delta the smaller of the two field minima, both checked positive
-    by ``lambda_dist``. Returns (lhs, rhs); c is sufficient for |Omega| >= 1 and usually loose."""
-    g = theta.grid
-    vol = g.cell_volume
-    lam_int = float(np.sum(lambda_dist(theta, theta_ref).values)) * vol
-    dlog = np.log(theta.values) - np.log(theta_ref.values)
-    lhs = (float(np.sum(np.abs(dlog))) * vol) ** 2
-    delta = min(theta.min(), theta_ref.min())
-    rhs = 2.0 * g.volume**2 / delta * lam_int
-    return lhs, rhs

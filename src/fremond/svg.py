@@ -23,10 +23,10 @@ def _fmt_tick(v: float) -> str:
     return f"{v:.4g}"
 
 
-def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
+def _ticks(lo: float, hi: float) -> list[float]:
     if hi <= lo:
         hi = lo + 1.0
-    return [lo + (hi - lo) * i / (count - 1) for i in range(count)]
+    return [lo + (hi - lo) * i / 4 for i in range(5)]
 
 
 def write_line_chart(path, series, title: str = "", xlabel: str = "", ylabel: str = "") -> None:

@@ -23,13 +23,14 @@ Checked structures, with their continuum statements:
             min phi(t) >= -K e^{2 lam t} with K = max(0, -min phi_0).
 
 Discrete transcription conventions (fixed here for reproducibility): time
-integrals by the left-endpoint rule, phi_t at the initial instant is the
-stored convention value (zero unless the PDE initializer was requested).
+integrals by the left-endpoint rule, but the energy check's regularization sum
+by the right endpoint, as the implicit scheme; phi_t at the initial instant is
+the stored convention value (zero unless the PDE initializer was requested).
 ``energy`` given a trajectory's stacked State (``Trajectory.stack``) returns
 each quantity's series over time; the checks take their series that way.
 
 Memory: ``energy`` on a stacked State and the energy and entropy checks work
-through blocks of whole states (``_blocks``), so each holds the trajectory plus
+through blocks of whole states (``_by_blocks``), so each holds the trajectory plus
 about one block. Each state's terms are reduced as in one whole-array pass, and
 each running sum runs once over the full series, so the results keep every bit.
 """
@@ -68,11 +69,13 @@ __all__ = [
 ]
 
 
-def _blocks(values: np.ndarray) -> list[slice]:
-    """Slices of whole states along the leading axis of stacked values, each
-    BLOCK_VALUES values or one state, whichever is more."""
+def _by_blocks(terms: Callable[[slice], tuple], values: np.ndarray) -> tuple:
+    """Each series of terms(b), joined over the blocks b of whole states along the leading axis
+    of stacked values: each block is BLOCK_VALUES values or one state, whichever is more, and
+    with no states terms gets one empty block, so that each series is empty."""
     per = max(1, BLOCK_VALUES // math.prod(values.shape[1:]))
-    return [slice(a, min(a + per, len(values))) for a in range(0, len(values), per)]
+    blocks = [terms(slice(a, a + per)) for a in range(0, max(len(values), 1), per)]
+    return tuple(np.concatenate(series) for series in zip(*blocks))
 
 
 @dataclass(frozen=True)
@@ -103,12 +106,11 @@ def energy(state: State, potential: Potential) -> EnergyReport:
     """Total energy split into gradient, potential and thermal parts, plus the
     entropy integral and the Orlicz quantity int theta log theta; for a
     stacked State, each one as its series over time, computed block by block
-    (``_blocks``)."""
+    (``_by_blocks``)."""
     th, ph = state.theta.values, state.phi.values
     if np.ndim(state.t) == 0:
         return EnergyReport(state.t, *_energy_terms(th, ph, state.grid, potential))
-    blocks = [_energy_terms(th[b], ph[b], state.grid, potential) for b in _blocks(th)]
-    return EnergyReport(state.t, *(np.concatenate(series) for series in zip(*blocks)))
+    return EnergyReport(state.t, *_by_blocks(lambda b: _energy_terms(th[b], ph[b], state.grid, potential), th))
 
 
 @dataclass
@@ -140,9 +142,8 @@ def energy_inequality_check(traj: Trajectory, potential: Potential) -> EnergyChe
     energies = energy(traj.stack, potential).E_total
     regs = np.zeros(len(traj))
     if eps > 0:
-        later, out = traj.stack.theta.values[1:], regs[1:]
-        for b in _blocks(later):
-            out[b] = eps * dt * np.sum(later[b] ** p, axis=g.axes) * g.cell_volume
+        later = traj.stack.theta.values[1:]
+        regs[1:] = _by_blocks(lambda b: (eps * dt * np.sum(later[b] ** p, axis=g.axes) * g.cell_volume,), later)[0]
     regs = np.cumsum(regs)
     return EnergyCheckReport(traj.times, energies, regs, energies[0] - energies - regs)
 
@@ -205,23 +206,22 @@ def entropy_inequality_check(traj: Trajectory, test_fn: TestFunction) -> Entropy
     vol, axes = grid.cell_volume, grid.axes
     theta, phi, phi_t = s.theta.values, s.phi.values, s.phi_t.values
     vt = test_fn.sample(grid)
-    boundary = np.empty(len(times))    # int vartheta (log th + phi)
-    flux = np.empty(len(times))        # dt int kappa grad log th . grad vartheta
-    production = np.empty(len(times))  # dt int vartheta (kappa |grad log th|^2 + phi_t^2/th - eps th^{p-1})
-    for b in _blocks(theta):
+
+    def terms(b: slice) -> tuple:
         th = theta[b]
         log_th = np.log(th)
-        boundary[b] = np.sum(vt * (log_th + phi[b]), axis=axes) * vol
-        flux[b] = dt * (kappa * _dirichlet_values(log_th, vt, grid))
-        # in-place updates bound the temporaries
+        boundary = np.sum(vt * (log_th + phi[b]), axis=axes) * vol  # int vartheta (log th + phi)
+        flux = dt * (kappa * _dirichlet_values(log_th, vt, grid))    # dt int kappa grad log th . grad vartheta
+        # dt int vartheta (kappa |grad log th|^2 + phi_t^2/th - eps th^{p-1}), in-place updates bound the temporaries
         density = _grad_sq_values(log_th, grid)
         density *= kappa
         density += phi_t[b] ** 2 / th
         if eps > 0:
             density -= eps * th ** (p - 1.0)
         density *= vt
-        production[b] = dt * np.sum(density, axis=axes) * vol
-        del log_th, density
+        return boundary, flux, dt * np.sum(density, axis=axes) * vol
+
+    boundary, flux, production = _by_blocks(terms, theta)
     lhs = -boundary[1:] + boundary[0] + np.cumsum(production[:-1])
     return EntropyCheckReport(times[1:], np.cumsum(flux[:-1]) - lhs, boundary[1:], 100.0 * dt)
 
@@ -292,7 +292,7 @@ class FloorsReport:
     def phi_ok(self) -> np.ndarray:
         return self.phi_min >= self.phi_floor - self.tol
 
-    def csv_columns(self, which: str = "theta"):
+    def csv_columns(self, which: str):
         vals, floors, oks = ((self.theta_min, self.theta_floor, self.theta_ok) if which == "theta" else
                              (self.phi_min, self.phi_floor, self.phi_ok))
         return ["step", "t", "value", "margin", "pass"], [np.arange(len(self.times)), self.times, vals, vals - floors, oks]

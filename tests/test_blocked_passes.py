@@ -3,8 +3,8 @@ one pass over the whole arrays gives.
 
 ``energy`` on a stacked State, ``energy_inequality_check``,
 ``entropy_inequality_check`` and ``gronwall_check``'s E, W and K reduce each
-state alone, so working through blocks of whole states
-(``thermo.BLOCK_VALUES`` values each) must not change a bit; the
+state alone, so working through blocks of whole states (``thermo._by_blocks``,
+``thermo.BLOCK_VALUES`` values each) must not change a bit; the
 whole-array forms below are the references. The cases cover 1, 2, a block, a
 block plus one and several blocks of states, on a solo 1D run, a loaded run
 (every-other-record views), a batch member (strided views) and a 2D run, each
@@ -165,7 +165,8 @@ def runs(tmp_path_factory):
 def test_blocked_passes_equal_whole_array_passes_bitwise(runs, kind, count, monkeypatch):
     traj, pot, ref = runs[kind]
     monkeypatch.setattr(thermo, "BLOCK_VALUES", STATES_PER_BLOCK * traj.stack.theta.values[0].size)
-    assert len(thermo._blocks(traj.stack.theta.values[:count])) == -(-count // STATES_PER_BLOCK)
+    ones, = thermo._by_blocks(lambda b: (np.ones(1),), traj.stack.theta.values[:count])  # a one per block
+    assert len(ones) == -(-count // STATES_PER_BLOCK)
     assert_passes_bitwise(head(traj, count), pot)
     assert_relative_energy_passes_bitwise(head(traj, count), head(ref, count), pot)
 
@@ -251,23 +252,17 @@ def big2d():
 
 
 @pytest.mark.parametrize("name, pass_", [
-    ("energy", lambda traj, pot: energy(traj.stack, pot)),
-    ("energy_check", energy_inequality_check),
-    ("entropy_one", lambda traj, pot: entropy_inequality_check(traj, TEST_FUNCTIONS["one"])),
-    ("entropy_cosine", lambda traj, pot: entropy_inequality_check(traj, TEST_FUNCTIONS["cosine"])),
+    ("energy", lambda traj, ref, pot: energy(traj.stack, pot)),
+    ("energy_check", lambda traj, ref, pot: energy_inequality_check(traj, pot)),
+    ("entropy_one", lambda traj, ref, pot: entropy_inequality_check(traj, TEST_FUNCTIONS["one"])),
+    ("entropy_cosine", lambda traj, ref, pot: entropy_inequality_check(traj, TEST_FUNCTIONS["cosine"])),
+    ("gronwall_check", lambda traj, ref, pot: gronwall_check(traj, ref, RelEnergyConfig(lam=pot.lam), pot)),
 ])
 def test_each_pass_holds_a_few_blocks(big2d, double_well, name, pass_):
-    _, peak = traced_peak(lambda: pass_(big2d, double_well))
+    ref = synthetic(big2d.grid, len(big2d), seed=1)  # the relative energy's reference, built before the trace
+    _, peak = traced_peak(lambda: pass_(big2d, ref, double_well))
     field_bytes = big2d.stack.theta.values.nbytes
     assert peak < 8 * BLOCK_BYTES < field_bytes / 2, f"{name}: {peak / 2**20:.2f} MB"
-
-
-# xi_monitor makes one pass over what it is given: weak_strong_experiment gives it a segment at a time
-@pytest.mark.parametrize("name", ["gronwall_check"])
-def test_each_relative_energy_pass_holds_a_few_blocks(big2d, double_well, name):
-    ref = synthetic(big2d.grid, len(big2d), seed=1)
-    _, peak = traced_peak(lambda: gronwall_check(big2d, ref, RelEnergyConfig(lam=double_well.lam), double_well))
-    assert peak < 8 * BLOCK_BYTES < big2d.stack.theta.values.nbytes / 2, f"{name}: {peak / 2**20:.2f} MB"
 
 
 @pytest.mark.parametrize("t_end", [0.0625, 0.25])

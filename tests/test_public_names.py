@@ -14,9 +14,6 @@ from fremond.thermo import TEST_FUNCTIONS
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "fremond"
 
-# states an inequality the paper uses; it stays public until a verb takes it up
-KEPT_WITHOUT_CALLER = {"log_l1_bound"}
-
 
 def _program_files() -> list[Path]:
     """The package's modules but ``__init__.py``, the acceptance gate and the benchmark's files."""
@@ -81,14 +78,14 @@ def test_the_scan_reads_the_modules():
 def test_every_public_name_has_a_caller():
     called = _called_names()
     uncalled = [f"{module}: {name}" for module, names in _public_names().items() for name in names
-                if name not in called and name not in KEPT_WITHOUT_CALLER]
+                if name not in called]
     assert uncalled == []
 
 
 def test_every_definition_is_referenced():
     called = _called_names()
     unreferenced = [f"{module}: {name}" for module, name in _definitions()
-                    if name not in called and name not in KEPT_WITHOUT_CALLER]
+                    if name not in called]
     assert unreferenced == []
 
 

@@ -14,7 +14,6 @@ from fremond.relenergy import (
     gronwall_check,
     k_factor,
     lambda_dist,
-    log_l1_bound,
     relative_energy,
     require_comparable,
     xi_monitor,
@@ -295,23 +294,6 @@ class TestXiMonitor:
         assert gaps[0] > gaps[1] > gaps[2]
 
 
-class TestLogL1Bound:
-    def test_random_positive_pairs(self):
-        g = Grid.line(48)
-        rng = np.random.default_rng(12)
-        for _ in range(200):
-            a = Field(g, rng.uniform(0.2, 3.0, size=48))
-            b = Field(g, rng.uniform(0.2, 3.0, size=48))
-            lhs, rhs = log_l1_bound(a, b)
-            assert lhs <= rhs + 1e-12
-
-    def test_tight_when_equal(self):
-        g = Grid.line(8)
-        a = Field.full(g, 1.5)
-        lhs, rhs = log_l1_bound(a, a)
-        assert lhs == 0.0 and rhs == 0.0
-
-
 COARSE, FINE = Grid.line(8), Grid.line(16)
 
 
@@ -327,9 +309,8 @@ def trajectory_from(t0):
                              Potential.double_well()), "states live on different grids"),
     (lambda: dissipation_W(uniform_state(COARSE, 1.0, 0.5), uniform_state(FINE, 1.0, 0.5)),
      "states live on different grids"),
-    (lambda: log_l1_bound(Field.full(COARSE, 1.0), Field.full(FINE, 1.0)), "fields live on different grids"),
     (lambda: require_comparable(trajectory_from(0.0), trajectory_from(0.5)), "not sampled at the same times"),
-], ids=["lambda_dist", "relative_energy", "dissipation_W", "log_l1_bound", "require_comparable"])
+], ids=["lambda_dist", "relative_energy", "dissipation_W", "require_comparable"])
 def test_a_pair_that_cannot_be_compared_is_refused(compare, message):
     with pytest.raises(ValueError, match=message):
         compare()
