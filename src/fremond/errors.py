@@ -1,9 +1,9 @@
-"""Exception hierarchy. Solver failures carry enough context to locate the step."""
+"""The package's exceptions: every solver failure is one SolverError, whose message names the solve."""
 
 from __future__ import annotations
 
-__all__ = ["FremondError", "ConfigError", "PotentialValidationError", "SolverError", "NewtonDiverged",
-           "LinearSolveFailed", "FixedPointDiverged", "NonpositiveTemperature", "SimulationAborted"]
+__all__ = ["FremondError", "ConfigError", "PotentialValidationError", "SolverError", "NonpositiveTemperature",
+           "SimulationAborted"]
 
 
 class FremondError(Exception):
@@ -19,19 +19,7 @@ class PotentialValidationError(FremondError):
 
 
 class SolverError(FremondError):
-    """Base class for nonlinear/linear solve failures."""
-
-
-class NewtonDiverged(SolverError):
-    """A single-equation Newton solve missed its tolerance within fp_max_iter iterations."""
-
-
-class LinearSolveFailed(SolverError):
-    """Inner SPD solve did not converge."""
-
-
-class FixedPointDiverged(SolverError):
-    """The coupled phase/heat sweeps did not converge within fp_max_iter (which caps Newton too)."""
+    """A linear solve, one equation's Newton or the coupled sweeps failed; the message names which."""
 
 
 class NonpositiveTemperature(FremondError):

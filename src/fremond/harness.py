@@ -407,8 +407,8 @@ class WeakStrongReport:
 
 def _perturbed_batch(grid: Grid, run: RunConfig, deltas: list[float]) -> State:
     """The reference's initial state on ``grid`` and, after it, one member per delta, its phase plus
-    delta * cos mode, as one batch. A positive delta that leaves the phase bitwise unchanged is a
-    ConfigError naming it: its run would be the reference again, with E_rel = 0 and no ratio."""
+    delta * cos mode, as one batch. A positive delta that leaves the phase bitwise unchanged (its run would be
+    the reference again, with E_rel = 0 and no ratio), or gives a non-finite E(0), is a ConfigError naming it."""
     ref_init = make_initial(grid, run.potential, run.initial)
     phi0, bump = ref_init.phi.values, grid.cosine_mode()
     phis = [phi0, *(phi0 + delta * bump for delta in deltas)]
@@ -416,8 +416,13 @@ def _perturbed_batch(grid: Grid, run: RunConfig, deltas: list[float]) -> State:
         if delta > 0.0 and np.array_equal(phi, phi0):
             raise ConfigError(f"experiment.deltas has {format_value(delta)}: too small to perturb the initial "
                               f"phase at n = {grid.n[0]}")
-    return initial_state(grid, np.stack([ref_init.theta.values] * len(phis)), np.stack(phis),
-                         phi_t_mode=run.initial.get("phi_t", "zero"), potential=run.potential)
+    batch = initial_state(grid, np.stack([ref_init.theta.values] * len(phis)), np.stack(phis),
+                          phi_t_mode=run.initial.get("phi_t", "zero"), potential=run.potential)
+    for delta, e0 in zip(deltas, energy(batch, run.potential).E_total[1:]):
+        if not math.isfinite(e0):
+            raise ConfigError(f"experiment.deltas has {format_value(delta)}: the perturbed initial energy "
+                              f"E(0) = {format_value(e0)} is not finite")
+    return batch
 
 
 def _weak_strong_level(state: State, scheme: SchemeConfig, t_end: float, potential: Potential,

@@ -52,15 +52,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    FixedPointDiverged,
-    LinearSolveFailed,
-    NewtonDiverged,
-    NonpositiveTemperature,
-    SimulationAborted,
-    SolverError,
-)
+from .errors import ConfigError, NonpositiveTemperature, SimulationAborted, SolverError
 from .grid import Field, Grid, _lap_values, same_grid
 from .potential import Potential
 
@@ -287,7 +279,7 @@ def _solve_helmholtz(diag: np.ndarray, c: float, rhs: np.ndarray, grid: Grid) ->
         main -= edge
         x, info = _gtsv()(off, main.ravel(), off, rhs.ravel(), overwrite_d=True)[3:]
         if info != 0:
-            raise LinearSolveFailed(f"tridiagonal solve failed (LAPACK gtsv info = {info})")
+            raise SolverError(f"tridiagonal solve failed (LAPACK gtsv info = {info})")
         return x.reshape(rhs.shape)
     from scipy.fft import dctn, idctn  # here, not at module level: 1D runs and every CLI start skip its import
 
@@ -298,7 +290,7 @@ def _solve_helmholtz(diag: np.ndarray, c: float, rhs: np.ndarray, grid: Grid) ->
 
     shift = np.mean(diag, axis=axes, keepdims=True)
     if not np.all(shift > 0.0):  # else 1^T A 1 = sum(v) <= 0: A is not positive definite
-        raise LinearSolveFailed("operator lost positive definiteness")
+        raise SolverError("operator lost positive definiteness")
     shift = shift + c * _neg_lap_eigenvalues(grid.n, grid.h2)
     x, r, d, rz = np.zeros_like(rhs), rhs.copy(), np.zeros_like(rhs), 1.0  # d = 0: the first direction is z
     stop = np.maximum(LINEAR_TOL * np.sqrt(dot(rhs, rhs)), 1e-300)
@@ -313,11 +305,11 @@ def _solve_helmholtz(diag: np.ndarray, c: float, rhs: np.ndarray, grid: Grid) ->
         ad = diag * d - c * _lap_values(d, grid)
         dad = dot(d, ad)
         if np.any(~done & ~((dad > 0.0) & (dad < np.inf))):
-            raise LinearSolveFailed("operator lost positive definiteness")
+            raise SolverError("operator lost positive definiteness")
         alpha = np.divide(rz, dad, out=np.zeros_like(rz), where=~done)
         x += alpha * d
         r -= alpha * ad
-    raise LinearSolveFailed(f"CG did not reach tol={LINEAR_TOL:g} in {max_iter} iterations")
+    raise SolverError(f"CG did not reach tol={LINEAR_TOL:g} in {max_iter} iterations")
 
 
 # --- the two equations and their solves ------------------------------------
@@ -335,11 +327,11 @@ def _threshold(u_old: np.ndarray, cfg: SchemeConfig, grid: Grid) -> np.ndarray:
 
 
 def _residual_norm(names: tuple[str, ...], res: np.ndarray, grid: Grid) -> np.ndarray:
-    """``_l2`` of res (two equations' residuals stacked, if two names); NewtonDiverged names the first non-finite."""
+    """``_l2`` of res (two equations' residuals stacked, if two names); a SolverError names the first non-finite."""
     rnorm = _l2(res, grid)
     if not all(map(math.isfinite, rnorm.flat)):
         name = next(n for n, r in zip(names, rnorm.reshape(len(names), -1)) if not all(map(math.isfinite, r)))
-        raise NewtonDiverged(f"{name} solve produced non-finite residual")
+        raise SolverError(f"{name} solve produced non-finite residual")
     return rnorm
 
 
@@ -399,7 +391,7 @@ def _newton(name: str, u_old: np.ndarray, c: float, cfg: SchemeConfig, grid: Gri
             return u
         _update(u, _solve_helmholtz(jacobian_diag(), c, res, grid), done)
     k = np.argmax(np.where(done, -1.0, rnorm))  # the largest residual among the members not yet done
-    raise NewtonDiverged(f"{name} Newton stalled at residual {rnorm.flat[k]:.3g} (tol {thresh.flat[k]:g}); dt too large?")
+    raise SolverError(f"{name} Newton stalled at residual {rnorm.flat[k]:.3g} (tol {thresh.flat[k]:g}); dt too large?")
 
 
 def phase_step(prev: State, theta_bar: Field, cfg: SchemeConfig, potential: Potential) -> Field:
@@ -458,8 +450,8 @@ def step(prev: State, cfg: SchemeConfig, potential: Potential, stats: dict | Non
         heat_jacobian = _heat_linearized(terms, theta, d, heat_rhs, cfg, res[1])[1]
         _update(theta, _solve_helmholtz(heat_jacobian(), cfg.kappa, res[1], grid), done)
     else:
-        raise FixedPointDiverged(f"coupled sweeps did not converge in {cfg.fp_max_iter} iterations (phase residual "
-                                 f"{np.max(norms[0][~done]):.3g}, heat {np.max(norms[1][~done]):.3g}); dt too large?")
+        raise SolverError(f"coupled sweeps did not converge in {cfg.fp_max_iter} iterations (phase residual "
+                          f"{np.max(norms[0][~done]):.3g}, heat {np.max(norms[1][~done]):.3g}); dt too large?")
     if stats is not None:
         stats["picard_iterations"] = sweep
     new = State(prev.t + dt, Field(grid, theta), Field(grid, phi), Field(grid, d))

@@ -14,7 +14,7 @@ import pytest
 from fremond import cli, stepper
 from fremond.cli import main
 from fremond.config import KEY_KINDS, load_config
-from fremond.errors import ConfigError, NewtonDiverged
+from fremond.errors import ConfigError, SolverError
 from fremond.grid import Field, Grid, write_snapshots
 from fremond.harness import load_run_dir, read_csv, read_csv_columns, write_csv
 from fremond.relenergy import RelEnergyConfig, gronwall_check
@@ -144,7 +144,7 @@ class TestSimulate:
 
         def step(prev, cfg, potential, stats=None):
             if prev.grid.n[0] == 64 and prev.t >= 300 * cfg.dt:
-                raise NewtonDiverged("injected")
+                raise SolverError("injected")
             return real_step(prev, cfg, potential, stats)
 
         monkeypatch.setattr(stepper, "step", step)
@@ -276,6 +276,10 @@ class TestBadConfigValues:
           "--override", "experiment.levels=[16]", "--override", "run.t_end=0.0078125"], "experiment.deltas has 1e-20"),
         (["weakstrong", "--config", str(PRESETS / "weakstrong.cfg"), "--override", "experiment.deltas=[0.0, 1e-320]",
           "--override", "experiment.levels=[16]", "--override", "run.t_end=0.0078125"], "experiment.deltas has 1e-320"),
+        # F(phi0 + 1e100 cos(pi x)) overflows, so that member's E(0) is inf; at 1e60 it is finite, and the run exits 3
+        (["weakstrong", "--config", str(PRESETS / "weakstrong.cfg"), "--override", "experiment.deltas=[1e100]",
+          "--override", "experiment.levels=[16]", "--override", "run.t_end=0.0078125"],
+         "experiment.deltas has 1e+100: the perturbed initial energy E(0) = inf is not finite"),
         # a positive span takes at least one step
         (["simulate", "--config", str(PRESETS / "cosine.cfg"), "--override", "scheme.dt=1e8"],
          "(t_end - t0) = 0.25 is not an integer multiple of dt = 1e+08"),
@@ -305,7 +309,8 @@ class TestBadConfigValues:
             "refine_finer_level_step_count_infinite", "refine_repeated_levels", "refine_unordered_levels",
             "weakstrong_decreasing_levels", "weakstrong_repeated_levels", "weakstrong_empty_levels",
             "weakstrong_t_end_zero", "weakstrong_level_misses_the_final_time",
-            "weakstrong_delta_perturbs_nothing", "weakstrong_delta_squared_underflows", "dt_beyond_the_span",
+            "weakstrong_delta_perturbs_nothing", "weakstrong_delta_squared_underflows",
+            "weakstrong_delta_energy_overflows", "dt_beyond_the_span",
             "steady_phi_star_overflows", "steady_energy_overflows", "dip_beyond_ten",
             "cosine_theta_overflows", "cosine_phi_overflows"])
     def test_preset_with_a_bad_entry_exits_two(self, argv, named, tmp_path, capsys):

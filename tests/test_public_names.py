@@ -1,10 +1,10 @@
 """Every function and class that ``src/fremond`` defines, public or not, at any
-depth (dunders aside), is referenced by the program: the package itself (outside
-``__init__.py``, which only re-exports), the acceptance gate or the benchmark. A
-definition that only unit tests reach is dead code with a test around it. So is
-a test function of ``thermo.TEST_FUNCTIONS`` whose name the program never spells
-out. The scan goes by name, so a name that the program uses for something else
-passes too."""
+depth (dunders aside), is referenced by the program: the package itself, the
+acceptance gate or the benchmark. A definition that only unit tests reach is dead
+code with a test around it. So is a test function of ``thermo.TEST_FUNCTIONS``
+whose name the program never spells out. The scan goes by name, so a name that
+the program uses for something else passes too. The modules are the package's one
+import path: ``__init__.py`` imports nothing, so no facade re-exports a name."""
 
 import ast
 from pathlib import Path
@@ -16,9 +16,8 @@ PACKAGE = ROOT / "src" / "fremond"
 
 
 def _program_files() -> list[Path]:
-    """The package's modules but ``__init__.py``, the acceptance gate and the benchmark's files."""
-    files = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
-    return files + [ROOT / "tests" / "test_acceptance.py", *(ROOT / "bench").glob("*.py")]
+    """The package's modules, the acceptance gate and the benchmark's files."""
+    return [*PACKAGE.glob("*.py"), ROOT / "tests" / "test_acceptance.py", *(ROOT / "bench").glob("*.py")]
 
 
 def _called_names() -> set[str]:
@@ -73,6 +72,11 @@ def test_the_scan_reads_the_modules():
     defined = _definitions()
     assert len(defined) > 150 and ("stepper.py", "__post_init__") not in defined
     assert {("grid.py", "_lap_values"), ("grid.py", "min"), ("cli.py", "record")} <= set(defined)  # nested, a method
+
+
+def test_the_package_init_imports_nothing():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    assert [node.lineno for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))] == []
 
 
 def test_every_public_name_has_a_caller():

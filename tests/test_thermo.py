@@ -1,3 +1,4 @@
+import functools
 import math
 from pathlib import Path
 
@@ -285,18 +286,27 @@ class TestStiffFloor:
                         rtol=1e-12, atol=1e-300, t_eval=times, jac=lambda t, y: [[-(c * p * y[0] ** (p - 1)) - y[0]]])
         return sol.y[0]
 
-    @pytest.mark.parametrize("name", list(RUNS))
-    def test_floor_is_below_an_implicit_reference_and_close_to_it_under_the_cap(self, name):
+    @staticmethod
+    @functools.cache
+    def floor_run(name):
+        """The run's trajectory, its floors, and the implicit reference from its first floor at its times.
+        Made once per run: theta1000's, a stiff Radau solve from h ~ 1000, takes seconds and two tests read it."""
         from fremond.config import load_config
         from fremond.harness import run_simulation
-        from fremond.thermo import FLOOR_MAX_SUBSTEPS, _substeps
 
-        run = load_config(PRESETS / "cosine.cfg", self.RUNS[name])
+        run = load_config(PRESETS / "cosine.cfg", TestStiffFloor.RUNS[name])
         traj = run_simulation(run)
         rep = floors_check(traj, lam=run.potential.lam)
+        p, c = traj.config.p, max(1.0, traj.config.epsilon)
+        return traj, rep, TestStiffFloor.implicit_reference(rep.theta_floor[0], traj.times - traj.times[0], p, c)
+
+    @pytest.mark.parametrize("name", list(RUNS))
+    def test_floor_is_below_an_implicit_reference_and_close_to_it_under_the_cap(self, name):
+        from fremond.thermo import FLOOR_MAX_SUBSTEPS, _substeps
+
+        traj, rep, ref = self.floor_run(name)
         assert np.all(rep.theta_ok) and np.all(np.isfinite(rep.theta_floor))
         p, c = traj.config.p, max(1.0, traj.config.epsilon)
-        ref = self.implicit_reference(rep.theta_floor[0], traj.times - traj.times[0], p, c)
         assert np.all(rep.theta_floor <= ref * (1.0 + 1e-12))
         capped = np.cumsum([False] + [_substeps(h, traj.config.dt, p, c) > FLOOR_MAX_SUBSTEPS
                                       for h in rep.theta_floor[:-1]]) > 0
@@ -306,12 +316,14 @@ class TestStiffFloor:
     def test_past_the_cap_the_closed_form_reaches_one_and_rk4_goes_on(self):
         from fremond.thermo import FLOOR_MAX_SUBSTEPS, _rk4_advance, _substeps
 
-        h0, p, c = 1e3, 6.0, 1.0
+        traj, rep, ref = self.floor_run("theta1000")  # its reference runs over [0, 1] from h0 ~ 1e3
+        h0, p, c = rep.theta_floor[0], traj.config.p, max(1.0, traj.config.epsilon)
+        assert (p, c, traj.times.tolist()) == (6.0, 1.0, [0.0, 1.0])
         assert _substeps(h0, 1.0, p, c) > 1e15 > FLOOR_MAX_SUBSTEPS
         to_one = (1.0 - h0 ** (1.0 - p)) / ((c + 0.5) * (p - 1.0))
         assert _rk4_advance(h0, to_one / 2, p, c) == (h0 ** (1.0 - p) + (c + 0.5) * (p - 1.0) * to_one / 2) ** (-0.2)
         assert _rk4_advance(h0, 1.0, p, c) == _rk4_advance(1.0, 1.0 - to_one, p, c)
-        assert _rk4_advance(h0, 1.0, p, c) < self.implicit_reference(h0, np.array([0.0, 1.0]), p, c)[-1]
+        assert _rk4_advance(h0, 1.0, p, c) < ref[-1]
 
     def test_four_substeps_wherever_they_are_stable(self):
         # the arithmetic of four fixed substeps, so the presets' floors keep every bit
