@@ -21,6 +21,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import closing
+from dataclasses import replace
 from functools import cache
 from pathlib import Path
 
@@ -49,13 +51,13 @@ def _resolve_outdir(arg_outdir, cfg_outdir, default_name: str) -> Path:
 def _cmd_simulate(args) -> int:
     run = load_config(args.config, args.override)
     outdir = _resolve_outdir(args.outdir, run.outdir, "fremond_run")
-    try:
-        traj, failure = harness.run_simulation(run), None
-    except SimulationAborted as exc:  # its good states are persisted as a success's would be
-        traj, failure = exc.trajectory, exc
-    harness.write_manifest(outdir, run.sections)
     run_dir = outdir / "run_0"
-    harness.persist_trajectory(traj, run_dir)
+    with closing(harness.TrajectoryWriter(outdir, run)) as writer:  # it writes the manifest once the times are checked
+        try:
+            traj, failure = harness.run_simulation(replace(run, sink=writer)), None
+        except SimulationAborted as exc:  # its good states are persisted as a success's would be
+            traj, failure = exc.trajectory, exc
+        harness.persist_trajectory(traj, run_dir, writer)
     series = vars(energy(traj.stack, run.potential))  # the report's fields in order
     harness.write_csv(run_dir / "energy.csv", ["step", *series], [np.arange(len(traj)), *series.values()])
     if failure is not None:

@@ -159,6 +159,7 @@ class RunConfig:
     outdir: str | None = None
     experiment: dict = field(default_factory=dict)  # the typed [experiment] entries
     sections: dict = field(default_factory=dict)    # every entry as parsed, for manifests
+    sink: object = None  # set by ``simulate``'s verb only: given each segment as it marches (``stepper.march``)
 
 
 def _build_grid(sec: dict) -> Grid:

@@ -18,9 +18,10 @@ receive the two interior-face halves per axis, the same rule as everywhere else
 A snapshot file is text, one record per field, and all of its records live
 on one grid: ``write_snapshots`` writes a stacked Field (a leading record
 axis), or several interleaved, and ``read_snapshots`` yields its records one
-at a time in one pass over the file. Neither copies the whole stack: writing
-holds one record's text at a time and reading one record, so a reader that
-fills its own array holds the values plus one record.
+at a time in one pass over the file; ``fieldtext.write_state`` formats every
+record. Neither copies the whole stack: writing holds one record's text at a
+time and reading one record, so a reader that fills its own array holds the
+values plus one record.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import ConfigError
+from .fieldtext import write_state
 
 __all__ = [
     "Grid",
@@ -247,16 +249,15 @@ def write_snapshots(f: Field | tuple[Field, ...], path, times) -> None:
     for fld in fields:
         if fld.values.shape != (len(times), *grid.shape):
             raise ValueError(f"values of shape {fld.values.shape} are not {len(times)} records of shape {grid.shape}")
-    n = ",".join(str(k) for k in grid.n)
-    h = ",".join(repr(float(x)) for x in grid.h)
+    head = _record_head(grid)
     with open(path, "w") as fh:
         for k, t in enumerate(times):
-            header = f"FIELD dim={grid.dim} n={n} h={h} t={float(t)!r}\n"
-            for fld in fields:
-                fh.write(header)
-                flat = fld.values[k].ravel().tolist()
-                for i in range(0, len(flat), 8):
-                    fh.write(" ".join(map(repr, flat[i : i + 8])) + "\n")
+            write_state(fh.write, head, float(t), (fld.values[k].ravel().tolist() for fld in fields))
+
+
+def _record_head(grid: Grid) -> str:
+    """The header line of a snapshot record on ``grid``, up to its time."""
+    return f"FIELD dim={grid.dim} n={','.join(map(str, grid.n))} h={','.join(map(repr, grid.h))}"
 
 
 def read_snapshots(path) -> Iterator[tuple[Grid, np.ndarray, float]]:

@@ -16,9 +16,11 @@ Output tree:
 Memory: ``weak_strong_experiment`` holds one segment of a level's batch at a
 time plus the level's series, never a whole batch trajectory. Persisting and
 loading a trajectory copy none of it whole: ``persist_trajectory`` writes the
-interleaved temperature and phase records from the trajectory's own arrays,
-and ``load_run_dir`` reads them in one pass into one array sized from index.csv
-and takes the two series as views, so each holds the trajectory plus one record.
+interleaved temperature and phase records from the trajectory's own arrays
+(``simulate``'s verb sends a longer run's segments to a writer process as they
+are marched: ``TrajectoryWriter``), and ``load_run_dir`` reads them in one pass
+into one array sized from index.csv and takes the two series as views, so each
+holds the trajectory plus one record.
 """
 
 from __future__ import annotations
@@ -32,10 +34,10 @@ from pathlib import Path
 
 import numpy as np
 
-from . import thermo
+from . import fieldtext, thermo
 from .config import RunConfig, build_run_config, format_column, format_value, parse_config_text, render_config
 from .errors import ConfigError, SimulationAborted
-from .grid import Field, Grid, norm, read_snapshots, same_grid, write_snapshots
+from .grid import Field, Grid, _record_head, norm, read_snapshots, same_grid, write_snapshots
 from .potential import Potential
 from .relenergy import (GronwallReport, RelEnergyConfig, envelope_holds, fit_gronwall_multiplier, gronwall_check,
                         xi_monitor)
@@ -63,6 +65,7 @@ __all__ = [
     "eps_sweep",
     "refinement_study",
     "weak_strong_experiment",
+    "TrajectoryWriter",
     "persist_trajectory",
     "resolve_run_dir",
     "load_run_dir",
@@ -142,7 +145,7 @@ def make_initial(grid: Grid, potential: Potential, params: dict) -> State:
 
 def run_simulation(run: RunConfig) -> Trajectory:
     init = make_initial(run.grid, run.potential, run.initial)
-    return simulate(init, run.scheme, run.potential, run.t_end)
+    return simulate(init, run.scheme, run.potential, run.t_end, run.sink)
 
 
 # --- frozen-phase drivers (heat equation in isolation) ------------------------
@@ -556,13 +559,42 @@ def write_manifest(outdir, sections: dict) -> None:
     (outdir / "manifest.txt").write_text(render_config(sections))
 
 
-def persist_trajectory(traj: Trajectory, run_dir) -> None:
+class TrajectoryWriter:
+    """``simulate``'s sink (``stepper.march``) for outdir/run_0. Once the march has checked its times, it writes the
+    manifest and makes run_0; a run of more than one segment of ``per`` states then has a ``fieldtext.Writer``
+    process write trajectory.field. A run of one segment has nothing to overlap: ``persist_trajectory`` writes it."""
+
+    def __init__(self, outdir, run: RunConfig):
+        self.outdir, self.sections, self.writer = Path(outdir), run.sections, None
+        self.per = max(1, thermo.BLOCK_VALUES // run.grid.num_cells)
+
+    def __call__(self, grid: Grid, times, theta, phi, k0: int, k1: int) -> None:
+        if k1 == 0:  # the march has checked its times, so the run's directory may be made
+            write_manifest(self.outdir, self.sections)
+            (self.outdir / "run_0").mkdir(exist_ok=True)
+            if len(times) > self.per:
+                self.writer = fieldtext.Writer(self.outdir / "run_0" / "trajectory.field", _record_head(grid),
+                                               grid.num_cells)
+        if self.writer is not None:
+            self.writer.send(times[k0:k1], theta[k0:k1], phi[k0:k1])
+
+    def close(self) -> bool:
+        """Whether a writer process wrote trajectory.field; it is closed first (``fieldtext.Writer.close``)."""
+        writer, self.writer = self.writer, None
+        if writer is not None:
+            writer.close()
+        return writer is not None
+
+
+def persist_trajectory(traj: Trajectory, run_dir, writer: TrajectoryWriter | None = None) -> None:
     """The states as snapshot records in one trajectory.field (temperature,
-    then phase, per state) and their times in index.csv."""
+    then phase, per state) and their times in index.csv. A ``writer`` is closed
+    first; if its process wrote trajectory.field, it is not written again."""
     run_dir = Path(run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
     s = traj.stack
-    write_snapshots((s.theta, s.phi), run_dir / "trajectory.field", s.t)
+    if writer is None or not writer.close():
+        write_snapshots((s.theta, s.phi), run_dir / "trajectory.field", s.t)
     write_csv(run_dir / "index.csv", ["step", "t"], [np.arange(len(s.t)), s.t])
 
 

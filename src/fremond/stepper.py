@@ -473,24 +473,32 @@ def _step_times(t0: float, cfg: SchemeConfig, t_end: float, lead: tuple = (), ta
         raise ConfigError(f"(t_end - t0) = {span:g} takes too many steps of dt = {cfg.dt:g} to hold: {exc}") from exc
 
 
-def march(init: State, cfg: SchemeConfig, t_end: float, advance: Callable[[State], State]) -> Trajectory:
+def march(init: State, cfg: SchemeConfig, t_end: float, advance: Callable[[State], State], sink=None) -> Trajectory:
     """March from init.t to t_end, a whole number of dt steps (``SchemeConfig.whole_steps``), by ``advance``.
     A step that fails, by a SolverError or by a NonpositiveTemperature from the State it builds, raises
-    SimulationAborted with the partial trajectory attached."""
+    SimulationAborted with the partial trajectory attached. A ``sink`` (``harness.TrajectoryWriter``) gets
+    (grid, times, theta, phi, k0, k1), the whole arrays and states k0 to k1 - 1: k0 = k1 = 0 once the times are
+    checked, then each finished segment of ``sink.per`` states, and the partial one before a failure."""
     times, (theta, phi) = _step_times(init.t, cfg, t_end, (2,), init.theta.values.shape)
-    current = init
+    per, hand = (sink.per, sink) if sink is not None else (len(times), lambda *segment: None)
+    hand(init.grid, times, theta, phi, 0, 0)
+    current, k0 = init, 0
     for k in range(len(times)):
         if k > 0:
             try:
                 current = advance(current)
             except (SolverError, NonpositiveTemperature) as exc:
+                hand(init.grid, times, theta, phi, k0, k)
                 raise SimulationAborted(k, exc, Trajectory.of(times[:k], theta[:k], phi[:k], init.phi_t, cfg)) from exc
             current.t = times[k]  # rebuilt, to keep the spacing exactly uniform
         theta[k], phi[k] = current.theta.values, current.phi.values
+        if k + 1 - k0 == per or k + 1 == len(times):
+            hand(init.grid, times, theta, phi, k0, k + 1)
+            k0 = k + 1
     return Trajectory.of(times, theta, phi, init.phi_t, cfg)
 
 
-def simulate(init: State, cfg: SchemeConfig, potential: Potential, t_end: float) -> Trajectory:
-    """March the coupled system from init.t to t_end (see ``march``)."""
+def simulate(init: State, cfg: SchemeConfig, potential: Potential, t_end: float, sink=None) -> Trajectory:
+    """March the coupled system from init.t to t_end (see ``march``, which hands ``sink`` its segments)."""
     # ``step`` is looked up per call, so a wrapper installed on the module sees every step
-    return march(init, cfg, t_end, lambda state: step(state, cfg, potential))
+    return march(init, cfg, t_end, lambda state: step(state, cfg, potential), sink)
