@@ -575,7 +575,7 @@ class TrajectoryWriter:
             if len(times) > self.per:
                 self.writer = fieldtext.Writer(self.outdir / "run_0" / "trajectory.field", _record_head(grid),
                                                grid.num_cells)
-        if self.writer is not None:
+        elif self.writer is not None:
             self.writer.send(times[k0:k1], theta[k0:k1], phi[k0:k1])
 
     def close(self) -> bool:
