@@ -22,7 +22,6 @@ import argparse
 import os
 import sys
 from contextlib import closing
-from dataclasses import replace
 from functools import cache
 from pathlib import Path
 
@@ -52,18 +51,20 @@ def _cmd_simulate(args) -> int:
     run = load_config(args.config, args.override)
     outdir = _resolve_outdir(args.outdir, run.outdir, "fremond_run")
     run_dir = outdir / "run_0"
-    with closing(harness.TrajectoryWriter(outdir, run)) as writer:  # it writes the manifest once the times are checked
+    with closing(harness.TrajectoryWriter(outdir, run, energy)) as writer:  # it persists each segment as it comes
         try:
-            traj, failure = harness.run_simulation(replace(run, sink=writer)), None
+            harness.run_simulation(run, writer)
+            failure = None
         except SimulationAborted as exc:  # its good states are persisted as a success's would be
-            traj, failure = exc.trajectory, exc
-        harness.persist_trajectory(traj, run_dir, writer)
-    series = vars(energy(traj.stack, run.potential))  # the report's fields in order
-    harness.write_csv(run_dir / "energy.csv", ["step", *series], [np.arange(len(traj)), *series.values()])
+            failure = exc
+    series = writer.series()  # the energy report's fields in order, t first
+    steps = np.arange(len(series["t"]))
+    harness.write_csv(run_dir / "index.csv", ["step", "t"], [steps, series["t"]])
+    harness.write_csv(run_dir / "energy.csv", ["step", *series], [steps, *series.values()])
     if failure is not None:
         (run_dir / "failure.txt").write_text(f"solver error: {failure}\n")  # the line ``main`` prints
         raise failure
-    print(f"simulate: {len(traj)} states written to {run_dir}")
+    print(f"simulate: {len(steps)} states written to {run_dir}")
     return 0
 
 

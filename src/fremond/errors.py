@@ -28,7 +28,7 @@ class NonpositiveTemperature(FremondError):
 
 
 class SimulationAborted(SolverError):
-    """A time step failed (a SolverError or theta <= 0); carries the partial trajectory and failing index."""
+    """A time step failed (a SolverError or theta <= 0); carries its index and the partial run (``stepper.march``)."""
 
     def __init__(self, step_index: int, cause: Exception, trajectory=None):
         super().__init__(f"step {step_index} failed: {cause}")

@@ -13,14 +13,12 @@ Output tree:
     <outdir>/run_0/<check>.csv           written by the check drivers
     <outdir>/summary.csv                 one row per experiment member
 
-Memory: ``weak_strong_experiment`` holds one segment of a level's batch at a
-time plus the level's series, never a whole batch trajectory. Persisting and
-loading a trajectory copy none of it whole: ``persist_trajectory`` writes the
-interleaved temperature and phase records from the trajectory's own arrays
-(``simulate``'s verb sends a longer run's segments to a writer process as they
-are marched: ``TrajectoryWriter``), and ``load_run_dir`` reads them in one pass
-into one array sized from index.csv and takes the two series as views, so each
-holds the trajectory plus one record.
+Memory: ``simulate``'s verb and ``weak_strong_experiment`` hold one segment of
+a run at a time (``stepper.march``) plus its per-state series; the verb's sink,
+``TrajectoryWriter``, persists each segment as it comes. ``persist_trajectory``
+writes the interleaved temperature and phase records from a trajectory's own
+arrays, and ``load_run_dir`` reads them in one pass into one array sized from
+index.csv and takes the two series as views, so neither copies it whole.
 """
 
 from __future__ import annotations
@@ -143,9 +141,9 @@ def make_initial(grid: Grid, potential: Potential, params: dict) -> State:
     return init
 
 
-def run_simulation(run: RunConfig) -> Trajectory:
+def run_simulation(run: RunConfig, sink=None) -> Trajectory | None:
     init = make_initial(run.grid, run.potential, run.initial)
-    return simulate(init, run.scheme, run.potential, run.t_end, run.sink)
+    return simulate(init, run.scheme, run.potential, run.t_end, sink)
 
 
 # --- frozen-phase drivers (heat equation in isolation) ------------------------
@@ -428,30 +426,25 @@ def _perturbed_batch(grid: Grid, run: RunConfig, deltas: list[float]) -> State:
     return batch
 
 
-def _weak_strong_level(state: State, scheme: SchemeConfig, t_end: float, potential: Potential,
+def _weak_strong_level(batch: State, scheme: SchemeConfig, t_end: float, potential: Potential,
                        relcfg: RelEnergyConfig) -> tuple[float, list[GronwallReport]]:
-    """March one level's batch from ``state`` to t_end in ``simulate`` segments of ``thermo.BLOCK_VALUES`` // cells
-    steps (about one ``gronwall_check`` block a member), each from a copy of the last state of the one before, so
-    that one segment is held at a time. Returns the max of the reference's (member 0's) xi and each other member's
-    Gronwall report, built from its whole E_rel, W and K series. A failed step is named by its index in the level."""
-    members = state.theta.values.shape[0]
-    times, series = _step_times(state.t, scheme, t_end, (1 + 3 * (members - 1),))
-    xi, series = series[0], series[1:].reshape(members - 1, 3, -1)  # each member's E_rel, W and K
-    per = max(1, thermo.BLOCK_VALUES // state.grid.num_cells)
-    for k0 in range(0, len(times) - 1, per):
-        k1 = min(k0 + per, len(times) - 1)
-        try:
-            batch = simulate(state, scheme, potential, times[k1])
-        except SimulationAborted as exc:
-            raise SimulationAborted(k0 + exc.step_index, exc.cause, exc.trajectory) from exc
-        ref = batch.member(0)
-        xi[k0:k1 + 1] = xi_monitor(ref.stack, scheme.kappa)
-        for j, member_series in enumerate(series, start=1):
-            rep = gronwall_check(batch.member(j), ref, relcfg, potential)
-            member_series[:, k0:k1 + 1] = rep.E_rel, rep.W, rep.K
-        last = batch[-1]
-        state = State(times[k1], *(Field(f.grid, f.values.copy()) for f in (last.theta, last.phi, last.phi_t)))
-        del batch, ref, last  # so that this segment's arrays go before the next marches
+    """March one level's batch to t_end by one ``simulate``, whose sink takes from each segment (about one
+    ``gronwall_check`` block a member) the max of the reference's (member 0's) xi and each other member's E_rel,
+    W and K. Returns the max of xi and each other member's Gronwall report, built from its whole series."""
+    times = _step_times(batch.t, scheme, t_end)
+    xi, series, filled = [], np.empty((len(batch.theta.values) - 1, 3, len(times))), 0
+
+    def sink(_, segment):
+        nonlocal filled
+        if segment is not None:
+            ref, k = segment.member(0), slice(filled, filled + len(segment))
+            xi.append(np.max(xi_monitor(ref.stack, scheme.kappa)))
+            for j, member_series in enumerate(series, start=1):
+                rep = gronwall_check(segment.member(j), ref, relcfg, potential)
+                member_series[:, k] = rep.E_rel, rep.W, rep.K
+            filled = k.stop
+
+    simulate(batch, scheme, potential, t_end, sink)
     return float(np.max(xi)), [GronwallReport.of(times, *member_series, scheme.dt) for member_series in series]
 
 
@@ -560,41 +553,42 @@ def write_manifest(outdir, sections: dict) -> None:
 
 
 class TrajectoryWriter:
-    """``simulate``'s sink (``stepper.march``) for outdir/run_0. Once the march has checked its times, it writes the
-    manifest and makes run_0; a run of more than one segment of ``per`` states then has a ``fieldtext.Writer``
-    process write trajectory.field. A run of one segment has nothing to overlap: ``persist_trajectory`` writes it."""
+    """``simulate``'s sink (``stepper.march``) for outdir/run_0. Once the times are checked it writes the manifest,
+    makes run_0 and, for a run of more than one segment, starts a ``fieldtext.Writer`` process; then it persists each
+    segment as it comes (``persist_trajectory``) and keeps its ``energy`` report (``thermo.energy``, from the verb)."""
 
-    def __init__(self, outdir, run: RunConfig):
-        self.outdir, self.sections, self.writer = Path(outdir), run.sections, None
-        self.per = max(1, thermo.BLOCK_VALUES // run.grid.num_cells)
+    def __init__(self, outdir, run: RunConfig, energy):
+        self.run_dir, self.run, self.energy, self.process, self.reports = Path(outdir) / "run_0", run, energy, None, []
 
-    def __call__(self, grid: Grid, times, theta, phi, k0: int, k1: int) -> None:
-        if k1 == 0:  # the march has checked its times, so the run's directory may be made
-            write_manifest(self.outdir, self.sections)
-            (self.outdir / "run_0").mkdir(exist_ok=True)
-            if len(times) > self.per:
-                self.writer = fieldtext.Writer(self.outdir / "run_0" / "trajectory.field", _record_head(grid),
-                                               grid.num_cells)
-        elif self.writer is not None:
-            self.writer.send(times[k0:k1], theta[k0:k1], phi[k0:k1])
+    def __call__(self, times: np.ndarray, segment: Trajectory | None) -> None:
+        if segment is None:  # the times are checked, so the run's directory may be made
+            write_manifest(self.run_dir.parent, self.run.sections)
+            self.run_dir.mkdir(exist_ok=True)
+            if len(times) > thermo._block_states((grid := self.run.grid).num_cells):
+                self.process = fieldtext.Writer(self.run_dir / "trajectory.field", _record_head(grid), grid.num_cells)
+        else:
+            persist_trajectory(segment, self.run_dir, self.process)
+            self.reports.append(self.energy(segment.stack, self.run.potential))
 
-    def close(self) -> bool:
-        """Whether a writer process wrote trajectory.field; it is closed first (``fieldtext.Writer.close``)."""
-        writer, self.writer = self.writer, None
-        if writer is not None:
-            writer.close()
-        return writer is not None
+    def series(self) -> dict[str, np.ndarray]:
+        """Each field of the kept energy reports, joined over the segments: energy.csv's columns after step."""
+        return {name: np.concatenate([getattr(r, name) for r in self.reports]) for name in vars(self.reports[0])}
+
+    def close(self) -> None:
+        """Close the writer process, if any, and wait for it (``fieldtext.Writer.close``)."""
+        if self.process is not None:
+            self.process.close()
 
 
-def persist_trajectory(traj: Trajectory, run_dir, writer: TrajectoryWriter | None = None) -> None:
-    """The states as snapshot records in one trajectory.field (temperature,
-    then phase, per state) and their times in index.csv. A ``writer`` is closed
-    first; if its process wrote trajectory.field, it is not written again."""
-    run_dir = Path(run_dir)
+def persist_trajectory(traj: Trajectory, run_dir, writer: fieldtext.Writer | None = None) -> None:
+    """The states as snapshot records in one trajectory.field (temperature, then phase, per state) and their times
+    in index.csv; given a ``writer`` process, which owns trajectory.field, only the records, sent to it to follow
+    those it has (``TrajectoryWriter``, whose verb writes index.csv once the process has closed)."""
+    s, run_dir = traj.stack, Path(run_dir)
+    if writer is not None:
+        return writer.send(s.t, s.theta.values, s.phi.values)
     run_dir.mkdir(parents=True, exist_ok=True)
-    s = traj.stack
-    if writer is None or not writer.close():
-        write_snapshots((s.theta, s.phi), run_dir / "trajectory.field", s.t)
+    write_snapshots((s.theta, s.phi), run_dir / "trajectory.field", s.t)
     write_csv(run_dir / "index.csv", ["step", "t"], [np.arange(len(s.t)), s.t])
 
 

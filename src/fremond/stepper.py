@@ -52,6 +52,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import thermo
 from .errors import ConfigError, NonpositiveTemperature, SimulationAborted, SolverError
 from .grid import Field, Grid, _lap_values, same_grid
 from .potential import Potential
@@ -459,46 +460,57 @@ def step(prev: State, cfg: SchemeConfig, potential: Potential, stats: dict | Non
     return new
 
 
-def _step_times(t0: float, cfg: SchemeConfig, t_end: float, lead: tuple = (), tail: tuple = ()) -> tuple:
-    """The times t0 + k dt from t0 to t_end, a whole number of dt steps (``SchemeConfig.whole_steps``), and an
-    empty array (*lead, len(times), *tail) for series over them; a ConfigError if they are too many to hold."""
+def _step_times(t0: float, cfg: SchemeConfig, t_end: float) -> np.ndarray:
+    """The times t0 + k dt to t_end, a whole number of dt steps (``SchemeConfig.whole_steps``); a ConfigError if
+    they are too many to hold."""
     span = t_end - t0
     if span < 0:
         raise ConfigError("t_end lies before the initial time")
     n_steps = cfg.whole_steps(span)
     try:
-        times = t0 + np.arange(n_steps + 1) * cfg.dt
-        return times, np.empty((*lead, n_steps + 1, *tail))
+        return t0 + np.arange(n_steps + 1) * cfg.dt
     except (OverflowError, ValueError, MemoryError) as exc:
         raise ConfigError(f"(t_end - t0) = {span:g} takes too many steps of dt = {cfg.dt:g} to hold: {exc}") from exc
 
 
-def march(init: State, cfg: SchemeConfig, t_end: float, advance: Callable[[State], State], sink=None) -> Trajectory:
-    """March from init.t to t_end, a whole number of dt steps (``SchemeConfig.whole_steps``), by ``advance``.
-    A step that fails, by a SolverError or by a NonpositiveTemperature from the State it builds, raises
-    SimulationAborted with the partial trajectory attached. A ``sink`` (``harness.TrajectoryWriter``) gets
-    (grid, times, theta, phi, k0, k1), the whole arrays and states k0 to k1 - 1: k0 = k1 = 0 once the times are
-    checked, then each finished segment of ``sink.per`` states, and the partial one before a failure."""
-    times, (theta, phi) = _step_times(init.t, cfg, t_end, (2,), init.theta.values.shape)
-    per, hand = (sink.per, sink) if sink is not None else (len(times), lambda *segment: None)
-    hand(init.grid, times, theta, phi, 0, 0)
-    current, k0 = init, 0
+def march(init: State, cfg: SchemeConfig, t_end: float, advance: Callable[[State], State],
+          sink=None) -> Trajectory | None:
+    """March from init.t to t_end, a whole number of dt steps (``SchemeConfig.whole_steps``), by ``advance``, through
+    one buffer of ``thermo._block_states(cells)`` states. A ``sink`` gets sink(times, None) once the times are checked,
+    then sink(times, segment) with each segment in turn, a Trajectory of its own (phi_t at its first state that state's
+    own) that the next one overwrites. Without a sink the one segment is the whole run, which march returns. A failed
+    step, by a SolverError or a NonpositiveTemperature from the State it builds, raises SimulationAborted, whose partial
+    trajectory is None where the sink has been handed the states before it (each segment once)."""
+    times = _step_times(init.t, cfg, t_end)
+    per = min(thermo._block_states(init.grid.num_cells), len(times)) if sink else len(times)
+    theta, phi = np.empty((2, per, *init.theta.values.shape))
+    whole = []  # without a sink, march keeps its one segment itself
+    hand = sink or (lambda _, segment: segment is None or whole.append(segment))
+    current, k0, head = init, 0, init.phi_t
+
+    def segment(k1: int) -> Trajectory:  # states k0 to k1 - 1, from the buffer
+        return Trajectory.of(times[k0:k1], theta[:k1 - k0], phi[:k1 - k0], head, cfg)
+
+    hand(times, None)
     for k in range(len(times)):
         if k > 0:
             try:
                 current = advance(current)
             except (SolverError, NonpositiveTemperature) as exc:
-                hand(init.grid, times, theta, phi, k0, k)
-                raise SimulationAborted(k, exc, Trajectory.of(times[:k], theta[:k], phi[:k], init.phi_t, cfg)) from exc
+                if k > k0:  # else the failing step is a segment's first, and the states before it are handed
+                    hand(times, segment(k))
+                raise SimulationAborted(k, exc, whole[0] if whole else None) from exc
             current.t = times[k]  # rebuilt, to keep the spacing exactly uniform
-        theta[k], phi[k] = current.theta.values, current.phi.values
-        if k + 1 - k0 == per or k + 1 == len(times):
-            hand(init.grid, times, theta, phi, k0, k + 1)
+        if k == k0:
+            head = current.phi_t
+        theta[k - k0], phi[k - k0] = current.theta.values, current.phi.values
+        if k + 1 in (k0 + per, len(times)):
+            hand(times, segment(k + 1))  # not held here, so that it goes before the next segment is built
             k0 = k + 1
-    return Trajectory.of(times, theta, phi, init.phi_t, cfg)
+    return whole[0] if whole else None
 
 
-def simulate(init: State, cfg: SchemeConfig, potential: Potential, t_end: float, sink=None) -> Trajectory:
+def simulate(init: State, cfg: SchemeConfig, potential: Potential, t_end: float, sink=None) -> Trajectory | None:
     """March the coupled system from init.t to t_end (see ``march``, which hands ``sink`` its segments)."""
     # ``step`` is looked up per call, so a wrapper installed on the module sees every step
     return march(init, cfg, t_end, lambda state: step(state, cfg, potential), sink)

@@ -39,13 +39,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
 from .grid import Grid, _dirichlet_values, _grad_sq_values
 from .potential import Potential
-from .stepper import State, Trajectory
+
+if TYPE_CHECKING:  # annotations only, as ``stepper`` imports this module for its segment size
+    from .stepper import State, Trajectory
 
 # Values per temporary array of a pass over a trajectory (128 KB of float64). Each
 # pass works through whole states, at least one per block, so that it holds the
@@ -69,11 +71,17 @@ __all__ = [
 ]
 
 
+def _block_states(values: int) -> int:
+    """States of ``values`` values each in a block of a pass (``_by_blocks``) or a segment of a march
+    (``stepper.march``): BLOCK_VALUES values, or one state if a state holds more."""
+    return max(1, BLOCK_VALUES // values)
+
+
 def _by_blocks(terms: Callable[[slice], tuple], values: np.ndarray) -> tuple:
-    """Each series of terms(b), joined over the blocks b of whole states along the leading axis
-    of stacked values: each block is BLOCK_VALUES values or one state, whichever is more, and
-    with no states terms gets one empty block, so that each series is empty."""
-    per = max(1, BLOCK_VALUES // math.prod(values.shape[1:]))
+    """Each series of terms(b), joined over the blocks b of whole states (``_block_states``) along
+    the leading axis of stacked values; with no states terms gets one empty block, so that each
+    series is empty."""
+    per = _block_states(math.prod(values.shape[1:]))
     blocks = [terms(slice(a, a + per)) for a in range(0, max(len(values), 1), per)]
     return tuple(np.concatenate(series) for series in zip(*blocks))
 

@@ -11,7 +11,8 @@ block plus one and several blocks of states, on a solo 1D run, a loaded run
 with a reference run of its kind for the relative energy. Traced by
 ``tracemalloc``, each pass holds its inputs plus a few blocks, ``weak_strong_experiment``
 one segment of a level's batch plus a few blocks and the level's series, whatever the
-run's length, and writing then loading a run the loaded arrays plus about one record.
+run's length, the ``simulate`` verb one segment whatever the run's length, and writing
+then loading a run the loaded arrays plus about one record.
 ``weak_strong_experiment`` gives the same bits whether its levels march in one segment
 or in many.
 """
@@ -24,6 +25,7 @@ import numpy as np
 import pytest
 
 from fremond import harness, stepper, thermo
+from fremond.cli import main
 from fremond.config import load_config
 from fremond.grid import Field, Grid, _dirichlet_values, _grad_sq_values, read_snapshots
 from fremond.harness import (
@@ -210,13 +212,18 @@ WEAK_STRONG_CASES = {
 }
 
 
-@pytest.mark.parametrize("case, module_marches", [("1d", 2), ("2d", 5)])
+@pytest.mark.parametrize("case, module_marches", [("1d", 2), ("2d", 6)])
 def test_levels_give_the_same_bits_in_segments_of_any_size(case, module_marches, monkeypatch):
-    # at the module's block size each 1D level marches in one segment, the 2D level 32 in 4 of 16 steps;
-    # at 64 values a block every level marches in segments of 1 to 4 steps
+    # at the module's block size each 1D level marches in one segment, the 2D level 32's 65 states in 5 of
+    # 16 states (the last the final state alone); at 64 values a block every level in segments of 1 to 4 states
     run = load_config(PRESETS / "weakstrong.cfg", WEAK_STRONG_CASES[case])
     marches, simulate_ = [], harness.simulate
-    monkeypatch.setattr(harness, "simulate", lambda *args: marches.append(args[-1]) or simulate_(*args))
+
+    def counting(init, scheme, potential, t_end, sink):  # counts the segments handed to the level's sink
+        return simulate_(init, scheme, potential, t_end,
+                         lambda times, segment: (segment is None or marches.append(len(segment)), sink(times, segment)))
+
+    monkeypatch.setattr(harness, "simulate", counting)
 
     def report(block_values):
         monkeypatch.setattr(thermo, "BLOCK_VALUES", block_values)
@@ -275,6 +282,20 @@ def test_weak_strong_holds_one_segment_plus_a_few_blocks_at_any_run_length(t_end
     states, members = round(run.t_end / (run.scheme.dt / 4)) + 1, 5
     series = 8 * states * (1 + 6 * (members - 1))  # xi, and each delta's E_rel, W, K, lhs, growth and scaled_lhs
     assert peak < (3 * members + 8) * BLOCK_BYTES + series, f"{(peak - series) / 2**20:.2f} MB above the series"
+
+
+def test_simulate_holds_one_segment_at_any_run_length(tmp_path, capsys):
+    # 32 x 32 cells, 16 states a segment (128 KB a field): the run's three fields whole would take 0.4 MB at 17
+    # states and 1.6 MB at 65, while one segment, the pipe to the writer process and the energy rows (nine floats
+    # a state) take about the same at both
+    argv = ["simulate", "--config", str(PRESETS.parent / "bench" / "box2d.cfg"), "--override", "grid.n=32"]
+
+    def simulate(t_end, name):
+        assert main([*argv, "--override", f"run.t_end={t_end}", "--outdir", str(tmp_path / name)]) == 0
+
+    simulate(0.016, "warm")  # so that the imports and caches of a first run fall before the trace
+    short, long = (traced_peak(lambda: simulate(t_end, str(t_end)))[1] for t_end in (0.016, 0.064))
+    assert abs(long - short) < 2 * BLOCK_BYTES, f"{short / 2**20:.2f} MB at 17 states, {long / 2**20:.2f} MB at 65"
 
 
 def test_persisting_and_loading_hold_the_loaded_arrays_plus_one_record(tmp_path):

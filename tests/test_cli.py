@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fremond import cli, stepper
+from fremond import cli, stepper, thermo
 from fremond.cli import main
 from fremond.config import KEY_KINDS, load_config
 from fremond.errors import ConfigError, SolverError
@@ -96,7 +96,7 @@ class TestSimulate:
         assert main(["simulate", "--config", str(tmp_path / "nope.cfg")]) == 2
 
     def test_input_too_large_for_memory_exits_two(self, steady_cfg, tmp_path, capsys, monkeypatch):
-        def run_simulation(run):  # as numpy refuses an array of 1e13 cells
+        def run_simulation(run, sink=None):  # as numpy refuses an array of 1e13 cells
             raise MemoryError("Unable to allocate 72.8 TiB for an array with shape (10000000000000,)")
 
         monkeypatch.setattr(cli.harness, "run_simulation", run_simulation)
@@ -119,24 +119,22 @@ class TestSimulate:
         assert main(argv + [a for o in overrides for a in ("--override", o)]) == 3
         assert capsys.readouterr().err == "solver error: step 1 failed: min theta = -42.5 at t = 0.1\n"
 
-    def test_failed_run_leaves_its_good_states_as_a_success_would(self, tmp_path, capsys):
-        # dt 0.004 on the cosine preset: the coupled sweeps stall at step 58, after 58 good states
-        argv = ["simulate", "--config", str(PRESETS / "cosine.cfg"), "--override", "scheme.dt=0.004",
-                "--override", "scheme.fp_max_iter=6"]
-        failed, short = tmp_path / "failed", tmp_path / "short"
-        assert main([*argv, "--override", "run.t_end=0.5", "--outdir", str(failed)]) == 3
-        err = capsys.readouterr().err
-        assert err.startswith("solver error: step 58 failed: ") and err.count("\n") == 1
-        assert (failed / "run_0" / "failure.txt").read_text() == err
-        assert len(read_csv(failed / "run_0" / "index.csv")[1]) == 58
-        assert load_config(failed / "manifest.txt").t_end == 0.5
-        # the run that stops at the last good state writes the same files, bit for bit
-        assert main([*argv, "--override", f"run.t_end={57 * 0.004!r}", "--outdir", str(short)]) == 0
-        for name in ("trajectory.field", "index.csv", "energy.csv"):
-            assert (failed / "run_0" / name).read_bytes() == (short / "run_0" / name).read_bytes(), name
-        capsys.readouterr()
-        assert main(["check", "--run", str(failed)]) in (0, 1)
-        assert "Traceback" not in capsys.readouterr().err
+    def test_failed_run_leaves_its_good_states_as_a_success_would(self, tmp_path, capsys, monkeypatch):
+        # dt 0.004 on the cosine preset: the coupled sweeps stall at step 58, after 58 good states, inside the
+        # first segment of a run planned to 0.5 (one segment, written in-process) or to 2.0 (by a writer process)
+        stall = ["scheme.dt=0.004", "scheme.fp_max_iter=6"]
+        assert_failed_run_leaves_the_short_runs_files(tmp_path / "0.5", stall, 0.5, 58, capsys)
+        assert_failed_run_leaves_the_short_runs_files(tmp_path / "2.0", stall, 2.0, 58, capsys)
+        # a failure injected at step per, the second segment's first step, after the writer got the first whole
+        per, real_step, dt = thermo.BLOCK_VALUES // 64, stepper.step, load_config(PRESETS / "cosine.cfg").scheme.dt
+
+        def step(prev, cfg, potential, stats=None):
+            if prev.t >= (per - 1.5) * cfg.dt:  # the step from state per - 1
+                raise SolverError("injected")
+            return real_step(prev, cfg, potential, stats)
+
+        monkeypatch.setattr(stepper, "step", step)
+        assert_failed_run_leaves_the_short_runs_files(tmp_path / "per", [], 2 * per * dt, per, capsys)
 
     def test_failure_in_a_later_segment_names_the_levels_step(self, tmp_path, capsys, monkeypatch):
         # level 64 marches its 512 steps in segments of 256, so step 301 fails in the second
@@ -158,6 +156,26 @@ class TestSimulate:
                      "--outdir", str(out)]) == 0
         traj, _ = load_run_dir(out)
         assert traj.grid.n == (8,)
+
+
+def assert_failed_run_leaves_the_short_runs_files(outdir, overrides, t_end, good, capsys):
+    """simulate on the cosine preset with ``overrides`` to t_end fails at step ``good``, leaving failure.txt with its
+    one stderr line, and the files of the run that stops at the last good state, bit for bit; check reads them."""
+    argv = ["simulate", "--config", str(PRESETS / "cosine.cfg"), *(a for o in overrides for a in ("--override", o))]
+    failed, short = outdir / "failed", outdir / "short"
+    assert main([*argv, "--override", f"run.t_end={t_end!r}", "--outdir", str(failed)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"solver error: step {good} failed: ") and err.count("\n") == 1
+    assert (failed / "run_0" / "failure.txt").read_text() == err
+    assert len(read_csv(failed / "run_0" / "index.csv")[1]) == good
+    manifest = load_config(failed / "manifest.txt")
+    assert manifest.t_end == t_end
+    assert main([*argv, "--override", f"run.t_end={(good - 1) * manifest.scheme.dt!r}", "--outdir", str(short)]) == 0
+    for name in ("trajectory.field", "index.csv", "energy.csv"):
+        assert (failed / "run_0" / name).read_bytes() == (short / "run_0" / name).read_bytes(), name
+    capsys.readouterr()
+    assert main(["check", "--run", str(failed)]) in (0, 1)
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def assert_config_error_names_entry(verb, override, tmp_path, capsys):

@@ -360,9 +360,9 @@ class TestWeakStrong:
         # both march to t_end rounded to whole steps of it: 0.1 is 51.2 of them
         marched = []
 
-        def recording(init, scheme, potential, t):
+        def recording(init, scheme, potential, t, sink=None):
             marched.append((init.grid.n[0], scheme.dt, t))
-            return simulate(init, scheme, potential, t)
+            return simulate(init, scheme, potential, t, sink)
 
         monkeypatch.setattr(harness, "simulate", recording)
         run = load_config(ROOT / "presets" / "weakstrong.cfg", ["experiment.levels=[16, 32]", f"run.t_end={t_end!r}"])
